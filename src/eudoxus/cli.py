@@ -38,6 +38,9 @@ from eudoxus.ratio_calculus import (
 from eudoxus import suite
 
 
+KINDS = ("orthant", "lorentz", "psd_real", "hermitian", "polyhedral")
+
+
 class SpecError(ValueError):
     def __init__(self, line_no, message):
         super().__init__("line %d: %s" % (line_no, message))
@@ -59,8 +62,7 @@ def parse_cone_spec(text):
         key = key.strip()
         value = value.strip()
         if key == "kind":
-            if value not in ("orthant", "lorentz", "psd_real", "hermitian",
-                             "polyhedral"):
+            if value not in KINDS:
                 raise SpecError(line_no, "unknown kind %r" % value)
             kind = value
         elif key in ("dim", "k"):
@@ -80,14 +82,8 @@ def parse_cone_spec(text):
     if kind is None:
         raise SpecError(0, "missing kind")
     try:
-        if kind == "orthant":
-            return ConeSpace.orthant(dim)
-        if kind == "lorentz":
-            return ConeSpace.lorentz(dim)
-        if kind == "psd_real":
-            return ConeSpace.psd_real(dim)
-        if kind == "hermitian":
-            return ConeSpace.hermitian(dim)
+        if kind != "polyhedral":
+            return getattr(ConeSpace, kind)(dim)
         if not gens:
             raise SpecError(0, "polyhedral cone needs gen lines")
         return ConeSpace.polyhedral(gens)
@@ -97,14 +93,7 @@ def parse_cone_spec(text):
 
 def emit_cone_spec(space):
     """Inverse of parse_cone_spec, modulo comments."""
-    if space.kind in ("psd_real", "hermitian"):
-        return "kind = %s\nk = %d\n" % (space.kind, space.param)
-    if space.kind == "polyhedral":
-        lines = ["kind = polyhedral", "dim = %d" % space.dim]
-        for g in space.generators.T:
-            lines.append("gen = " + ",".join(repr(float(v)) for v in g))
-        return "\n".join(lines) + "\n"
-    return "kind = %s\ndim = %d\n" % (space.kind, space.param)
+    return "\n".join(["kind = %s" % space.kind] + space._spec_lines()) + "\n"
 
 
 class Report:

@@ -7,6 +7,21 @@ isometric vectorization so that the trace inner product coincides with
 the Euclidean one on coordinates and every linear operator is a plain
 matrix.
 
+The four built-in kinds are the symmetric cones of the Euclidean Jordan
+algebras R^n, the spin factor, Sym(k, R) and Herm(k, C) (Faraut &
+Koranyi, Analysis on Symmetric Cones, ch. III-IV).  Each kind class
+supplies three primitives: its unit e, its multiplication operator L(a)
+(x -> a o x) as a dim x dim matrix, and its spectral decomposition
+x = sum_i lam_i c_i over a Jordan frame (c_i).  _JordanSpace derives the
+rest once: margin = lam_min, project = sum lam_i^+ c_i, the face of a is
+the Peirce compression U_c = 2 L(c)^2 - L(c) for the support idempotent
+c of a, its orthogonal face is U_(e - c), the order-unit norm is
+max |lam(U_y x)| for the quadratic representation U_y of y = u^(-1/2),
+and the derivations are L(V) + [L(V), L(V)].
+Polyhedral cones carry no Jordan product and answer the same private
+hooks from their generators and dual generators.  The public methods
+all live on ConeSpace; the kind classes only supply the hooks.
+
 The single tolerance knob TOL classifies membership: Boundary is a band
 of relative width TOL around the topological boundary, and every strict
 comparison downstream routes through it.
@@ -16,9 +31,13 @@ import itertools
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import linprog, nnls
 
 TOL = 1e-9
+
+# eigenvalues closer than this share a spectral face
+CLUSTER_TOL = 1e-8
 
 SQRT2 = np.sqrt(2.0)
 
@@ -100,10 +119,10 @@ def vec_to_herm(v):
 # ---------------------------------------------------------------------------
 # polyhedral helpers
 
-def _conic_residual(G, x):
-    """Distance from x to cone(columns of G) via nonnegative least squares."""
-    coeff, res = nnls(G, x)
-    return res
+def _in_cone(G, X):
+    """Is every column of X in cone(columns of G)?  Nonnegative least
+    squares residuals within the membership band."""
+    return all(nnls(G, x)[1] <= TOL * max(1.0, np.linalg.norm(x)) for x in X.T)
 
 
 def polyhedral_dual_generators(G):
@@ -154,13 +173,37 @@ def _is_pointed(G):
     return not res.success
 
 
+def _orthonormal_span(mats):
+    """An orthonormal basis (Frobenius) of the span of square matrices.
+
+    Block Gram-Schmidt: each block of 64 matrices is projected off the
+    basis so far (twice, for stability), and the singular directions of
+    the remainder above 1e-9 of the block's largest norm (or of 1) extend
+    the basis.  Small blocks keep the SVD workspace, and so peak memory,
+    small.
+    """
+    if not mats:
+        return []
+    Q = np.empty((0, mats[0].size))
+    for i in range(0, len(mats), 64):
+        B = np.array([m.reshape(-1) for m in mats[i:i + 64]])
+        floor = 1e-9 * max(1.0, np.max(np.linalg.norm(B, axis=1)))
+        for _ in range(2):
+            B = B - (B @ Q.T) @ Q
+        if np.linalg.norm(B) > floor:  # no singular value exceeds the Frobenius norm
+            _, s, vt = np.linalg.svd(B, full_matrices=False)
+            Q = np.vstack([Q, vt[s > floor]])
+    return [q.reshape(mats[0].shape) for q in Q]
+
+
 # ---------------------------------------------------------------------------
 
 class ConeSpace:
     """An inner-product space R^dim together with a closed pointed cone.
 
     Construct through the classmethods orthant / lorentz / psd_real /
-    hermitian / polyhedral.  Immutable after construction; all queries
+    hermitian / polyhedral, which return the kind classes below that
+    supply the private hooks.  Immutable after construction; all queries
     are pure.
     """
 
@@ -177,25 +220,25 @@ class ConeSpace:
     def orthant(cls, n):
         if n < 1:
             raise ValueError("orthant dimension must be >= 1")
-        return cls("orthant", n, param=n)
+        return _Orthant(n)
 
     @classmethod
     def lorentz(cls, n):
         if n < 2:
             raise ValueError("lorentz cone needs ambient dimension >= 2")
-        return cls("lorentz", n, param=n)
+        return _Lorentz(n)
 
     @classmethod
     def psd_real(cls, k):
         if k < 1:
             raise ValueError("matrix size must be >= 1")
-        return cls("psd_real", k * (k + 1) // 2, param=k)
+        return _MatrixSpace("psd_real", k, k * (k + 1) // 2, vec_to_sym, _symmetric_units)
 
     @classmethod
     def hermitian(cls, k):
         if k < 1:
             raise ValueError("matrix size must be >= 1")
-        return cls("hermitian", k * k, param=k)
+        return _MatrixSpace("hermitian", k, k * k, vec_to_herm, _hermitian_units)
 
     @classmethod
     def polyhedral(cls, generators):
@@ -208,13 +251,9 @@ class ConeSpace:
             raise ValueError("generators do not span the space; cone has empty interior")
         if not _is_pointed(G):
             raise ValueError("cone contains a line")
-        D = polyhedral_dual_generators(G)
-        return cls("polyhedral", dim, generators=G, dual_generators=D)
+        return _Polyhedral(G, polyhedral_dual_generators(G))
 
     def __repr__(self):
-        if self.kind == "polyhedral":
-            return "ConeSpace(polyhedral, dim=%d, %d generators)" % (
-                self.dim, self.generators.shape[1])
         return "ConeSpace(%s, param=%d, dim=%d)" % (self.kind, self.param, self.dim)
 
     # -- basic geometry -----------------------------------------------------
@@ -228,21 +267,10 @@ class ConeSpace:
     def margin(self, x):
         """Signed distance-like quantity: positive inside, negative outside.
 
-        orthant: min coordinate; lorentz: t - ||z||; matrix cones: minimal
-        eigenvalue; polyhedral: minimal pairing with normalized dual rays.
+        Jordan kinds: minimal eigenvalue (for lorentz t - ||z||);
+        polyhedral: minimal pairing with normalized dual rays.
         """
-        x = self._check_dim(x)
-        if self.kind == "orthant":
-            return float(np.min(x))
-        if self.kind == "lorentz":
-            return float(x[0] - np.linalg.norm(x[1:]))
-        if self.kind == "psd_real":
-            return float(np.min(np.linalg.eigvalsh(vec_to_sym(x))))
-        if self.kind == "hermitian":
-            return float(np.min(np.linalg.eigvalsh(vec_to_herm(x))))
-        if self.kind == "polyhedral":
-            return float(np.min(self.dual_generators.T @ x))
-        raise AssertionError(self.kind)
+        return self._margin(self._check_dim(x))
 
     def membership(self, x):
         x = self._check_dim(x)
@@ -273,71 +301,26 @@ class ConeSpace:
         return self.membership(d) is Membership.INTERIOR
 
     def is_self_dual(self):
-        if self.kind != "polyhedral":
-            return True
-        G, D = self.generators, self.dual_generators
-        for g in G.T:
-            if _conic_residual(D, g) > TOL * max(1.0, np.linalg.norm(g)):
-                return False
-        for d in D.T:
-            if _conic_residual(G, d) > TOL * max(1.0, np.linalg.norm(d)):
-                return False
-        return True
+        return self._self_dual
 
     def is_order_unit(self, u):
         return self.membership(u) is Membership.INTERIOR
 
     def canonical_unit(self):
-        """A distinguished order unit: all-ones / apex direction / identity
-        matrix / sum of normalized generators."""
-        if self.kind == "orthant":
-            return np.ones(self.dim)
-        if self.kind == "lorentz":
-            u = np.zeros(self.dim)
-            u[0] = 1.0
-            return u
-        if self.kind == "psd_real":
-            return sym_to_vec(np.eye(self.param))
-        if self.kind == "hermitian":
-            return herm_to_vec(np.eye(self.param))
-        if self.kind == "polyhedral":
-            G = self.generators
-            return np.sum(G / np.linalg.norm(G, axis=0), axis=1)
-        raise AssertionError(self.kind)
+        """A distinguished order unit: the Jordan unit (all-ones / apex
+        direction / identity matrix) or the sum of normalized generators."""
+        return self._e.copy()
+
+    def L(self, a):
+        """The Jordan multiplication operator x -> a o x as a dim x dim
+        matrix; polyhedral cones carry no Jordan product and raise."""
+        return self._L(self._check_dim(a))
 
     # -- Jordan / Moreau decomposition --------------------------------------
 
     def project(self, x):
         """Nearest point of the cone (metric projection)."""
-        x = self._check_dim(x)
-        if self.kind == "orthant":
-            return np.maximum(x, 0.0)
-        if self.kind == "lorentz":
-            t, z = x[0], x[1:]
-            nz = np.linalg.norm(z)
-            if t >= nz:
-                return x.copy()
-            if t <= -nz:
-                return np.zeros(self.dim)
-            alpha = (t + nz) / 2.0
-            out = np.empty(self.dim)
-            out[0] = alpha
-            out[1:] = alpha * z / nz
-            return out
-        if self.kind == "psd_real":
-            A = vec_to_sym(x)
-            w, V = np.linalg.eigh(A)
-            return sym_to_vec(V @ np.diag(np.maximum(w, 0.0)) @ V.T)
-        if self.kind == "hermitian":
-            A = vec_to_herm(x)
-            w, V = np.linalg.eigh(A)
-            return herm_to_vec(V @ np.diag(np.maximum(w, 0.0)) @ V.conj().T)
-        if self.kind == "polyhedral":
-            if not self.is_self_dual():
-                raise ValueError("Jordan decomposition needs a self-dual cone")
-            coeff, _ = nnls(self.generators, x)
-            return self.generators @ coeff
-        raise AssertionError(self.kind)
+        return self._project(self._check_dim(x))
 
     def jordan_decompose(self, x):
         """x = x_plus - x_minus with both parts in the cone and orthogonal."""
@@ -349,29 +332,16 @@ class ConeSpace:
     # -- order-unit norm -----------------------------------------------------
 
     def order_unit_norm(self, x, u=None):
-        """inf {t >= 0 : -t u <= x <= t u} for an order unit u."""
+        """inf {t >= 0 : -t u <= x <= t u} for an order unit u (default
+        the canonical unit)."""
         x = self._check_dim(x)
-        if u is None:
-            u = self.canonical_unit()
-        u = self._check_dim(u)
-        if not self.is_order_unit(u):
-            raise ValueError("u is not an order unit")
-        if np.linalg.norm(x) == 0.0:
+        if u is not None:
+            u = self._check_dim(u)
+            if not self.is_order_unit(u):
+                raise ValueError("u is not an order unit")
+        if not np.any(x):
             return 0.0
-        if self.kind == "orthant":
-            return float(np.max(np.abs(x) / u))
-        if self.kind == "psd_real":
-            from scipy.linalg import eigh
-            w = eigh(vec_to_sym(x), vec_to_sym(u), eigvals_only=True)
-            return float(np.max(np.abs(w)))
-        if self.kind == "hermitian":
-            from scipy.linalg import eigh
-            w = eigh(vec_to_herm(x), vec_to_herm(u), eigvals_only=True)
-            return float(np.max(np.abs(w)))
-        if self.kind == "lorentz" and np.allclose(u, self.canonical_unit()):
-            t, nz = x[0], np.linalg.norm(x[1:])
-            return float(max(abs(t + nz), abs(t - nz)))
-        return self._norm_by_bisection(x, u)
+        return self._unit_norm(x, u)
 
     def _norm_by_bisection(self, x, u):
         hi = 1.0
@@ -397,12 +367,353 @@ class ConeSpace:
         """A random point of the cone (projection of a Gaussian; random
         conic combination of generators for polyhedral kinds, which may
         not support projection)."""
-        if self.kind == "polyhedral":
-            m = self.generators.shape[1]
-            return self.generators @ rng.exponential(size=m)
-        return self.project(rng.standard_normal(self.dim))
+        return self._sample_cone_point(rng)
 
     def sample_interior_point(self, rng):
         x = self.sample_cone_point(rng)
         u = self.canonical_unit()
         return x + (0.1 + 0.1 * np.linalg.norm(x)) * u / np.linalg.norm(u)
+
+
+# ---------------------------------------------------------------------------
+# the Jordan kinds
+
+class _JordanSpace(ConeSpace):
+    """The symmetric cone of a Euclidean Jordan algebra, derived from the
+    kind's unit _e, its _L(a) and its _spectral(x) = (eigenvalues, frame
+    elements as columns).  _eigvals may skip the frame."""
+
+    _self_dual = True
+    _size_key = "dim"
+
+    def __init__(self, kind, dim, param, e):
+        super().__init__(kind, dim, param=param)
+        self._e = e
+        self._key = (kind, param)
+
+    def _eigvals(self, x):
+        return self._spectral(x)[0]
+
+    def _margin(self, x):
+        return float(np.min(self._eigvals(x)))
+
+    def _project(self, x):
+        w, C = self._spectral(x)
+        return C @ np.maximum(w, 0.0)
+
+    def _unit_norm(self, x, u):
+        if u is not None:
+            # quadratic representation 2 L(y)^2 - L(y^2) of y = u^(-1/2)
+            w, C = self._spectral(u)
+            Ly = self._L(C @ w ** -0.5)
+            x = (2.0 * Ly @ Ly - self._L(C @ (1.0 / w))) @ x
+        return float(np.max(np.abs(self._eigvals(x))))
+
+    def _sample_cone_point(self, rng):
+        return self.project(rng.standard_normal(self.dim))
+
+    def _U(self, c):
+        """Peirce compression 2 L(c)^2 - L(c) of an idempotent c: the
+        projector onto the span of the face c supports."""
+        Lc = self._L(c)
+        return 2.0 * Lc @ Lc - Lc
+
+    # -- faces (projector, witness) -------------------------------------------
+
+    def _face_of(self, a, band):
+        # the support idempotent: frame elements with eigenvalue above band
+        w, C = self._spectral(a)
+        c = C @ (w > band).astype(float)
+        return self._U(c), c
+
+    def _orthogonal_face(self, F):
+        # the witness of a Jordan face is its unit, the idempotent c
+        c = self._e - F.witness
+        return self._U(c), c
+
+    def _eigenfaces(self, M, lams):
+        """M = L(M e) for a self-adjoint derivation, so the face of its
+        eigenvalue lam is U_c for c the frame elements of M e at lam."""
+        w, C = self._spectral(M @ self._e)
+        out = []
+        for lam in lams:
+            c = C @ (np.abs(w - lam) <= 2.0 * CLUSTER_TOL).astype(float)
+            out.append((self._U(c), c))
+        return out
+
+    def _frame_terms(self, a, band):
+        w, C = self._spectral(a)
+        return [(float(lam), C[:, i].copy()) for i, lam in enumerate(w) if lam > band]
+
+    def _face_points(self, budget, rng):
+        points = [self.sample_cone_point(rng) for _ in range(budget)]
+        return [x for x in points if np.linalg.norm(x) > 1e-9], "sampled faces"
+
+    def _riesz(self):
+        """A lattice exactly when the Peirce 1/2-space of a frame is zero.
+        The built-in algebras are simple, so otherwise the first two
+        frame elements already have a nonzero Peirce space V_01 between
+        them: x = (c0 + c1 + h)/2 with unit h in V_01 lies in the face of
+        c0 + c1 but not in face(c0) + face(c1)."""
+        _, C = self._spectral(self._e)
+        U = [self._U(c) for c in C.T]
+        if np.trace(np.eye(self.dim) - sum(U)) < 0.5:
+            return True, None
+        a, c = C[:, 0].copy(), C[:, 1].copy()
+        V = self._U(a + c) - U[0] - U[1]
+        h = V[:, np.argmax(np.linalg.norm(V, axis=0))]
+        return False, {"a": a, "c": c, "x": (a + c + h / np.linalg.norm(h)) / 2.0}
+
+    # -- derivations ----------------------------------------------------------
+
+    def _selfadjoint_units(self):
+        return np.eye(self.dim)
+
+    def _derivation_mats(self, selfadjoint=False):
+        """Self-adjoint derivations L(s) over the kind's units; all
+        derivations as an orthonormal basis of L(V) + [L(V), L(V)]."""
+        if selfadjoint:
+            return [self._L(s) for s in self._selfadjoint_units()]
+        Ls = [self._L(a) for a in np.eye(self.dim)]
+        brackets = [A @ B - B @ A for A, B in itertools.combinations(Ls, 2)]
+        return _orthonormal_span(Ls) + _orthonormal_span(brackets)
+
+    def _complementary_pairs(self, samples, rng):
+        """Orthogonal frame elements of sampled random frames."""
+        pairs = []
+        for _ in range(samples):
+            _, C = self._spectral(rng.standard_normal(self.dim))
+            pairs += [(C[:, i], C[:, j])
+                      for i, j in itertools.permutations(range(C.shape[1]), 2)]
+        return pairs
+
+    def _spec_lines(self):
+        return ["%s = %d" % (self._size_key, self.param)]
+
+
+class _Orthant(_JordanSpace):
+    """R^n with the coordinatewise product; its frame is the coordinate
+    basis."""
+
+    def __init__(self, n):
+        super().__init__("orthant", n, n, np.ones(n))
+        self._frame = np.eye(n)
+        self._frame.setflags(write=False)
+
+    def _L(self, a):
+        return np.diag(a)
+
+    def _eigvals(self, x):
+        return x
+
+    def _spectral(self, x):
+        return x, self._frame
+
+    def _project(self, x):
+        # sum lam_i^+ c_i over the coordinate frame, without the d x d product
+        return np.maximum(x, 0.0)
+
+
+class _Lorentz(_JordanSpace):
+    """The spin factor R x R^(n-1), (t, z) o (s, y) = (ts + <z, y>,
+    ty + sz); the frame of (t, z) is (1, +-z/|z|)/2 with eigenvalues
+    t +- |z|."""
+
+    def __init__(self, n):
+        e = np.zeros(n)
+        e[0] = 1.0
+        super().__init__("lorentz", n, n, e)
+
+    def _L(self, a):
+        M = a[0] * np.eye(self.dim)
+        M[0, 1:] = M[1:, 0] = a[1:]
+        return M
+
+    def _eigvals(self, x):
+        nz = np.linalg.norm(x[1:])
+        return np.array([x[0] + nz, x[0] - nz])
+
+    def _spectral(self, x):
+        nz = np.linalg.norm(x[1:])
+        C = np.zeros((self.dim, 2))
+        C[0] = 0.5
+        if nz > 0.0:
+            C[1:, 0] = x[1:] / (2.0 * nz)
+        else:
+            C[1, 0] = 0.5
+        C[1:, 1] = -C[1:, 0]
+        return np.array([x[0] + nz, x[0] - nz]), C
+
+
+def _symmetric_units(k):
+    """E_ii and E_ij + E_ji, row by row over the upper triangle."""
+    for i in range(k):
+        for j in range(i, k):
+            S = np.zeros((k, k))
+            S[i, j] = S[j, i] = 1.0
+            yield S
+
+
+def _hermitian_units(k):
+    """E_ii, then E_ij + E_ji and i(E_ij - E_ji) for each i < j."""
+    for i in range(k):
+        S = np.zeros((k, k), dtype=complex)
+        S[i, i] = 1.0
+        yield S
+    for i in range(k):
+        for j in range(i + 1, k):
+            for val in (1.0, 1.0j):
+                S = np.zeros((k, k), dtype=complex)
+                S[i, j], S[j, i] = val, np.conj(val)
+                yield S
+
+
+class _MatrixSpace(_JordanSpace):
+    """Sym(k, R) or Herm(k, C) with A o B = (AB + BA)/2, carried through
+    the isometry T (k^2 x dim) from coordinates to row-major matrix
+    entries; the frame of X is its rank-one eigenprojections."""
+
+    _size_key = "k"
+
+    def __init__(self, kind, k, d, unvec, units):
+        self._k = k
+        self._T = np.array([unvec(e).reshape(-1) for e in np.eye(d)]).T
+        self._units = units
+        super().__init__(kind, d, k, self._vec(np.eye(k)))
+
+    def _unvec(self, x):
+        return (self._T @ x).reshape(self._k, self._k)
+
+    def _vec(self, A):
+        return (self._T.conj().T @ A.reshape(-1)).real
+
+    def _L(self, a):
+        # columns (A X_j + X_j A)/2 for the matrices X_j = unvec(e_j)
+        k, d = self._k, self.dim
+        A = self._unvec(a)
+        X = self._T.reshape(k, k, d)
+        AX = (A @ X.reshape(k, k * d)).reshape(k, k, d)
+        XA = (X.transpose(0, 2, 1) @ A).transpose(0, 2, 1)
+        L = (self._T.conj().T @ (AX + XA).reshape(k * k, d)).real / 2.0
+        return (L + L.T) / 2.0
+
+    def _eigvals(self, x):
+        return np.linalg.eigvalsh(self._unvec(x))
+
+    def _spectral(self, x):
+        w, V = np.linalg.eigh(self._unvec(x))
+        outer = V[:, None, :] * V.conj()[None, :, :]
+        return w, (self._T.conj().T @ outer.reshape(self._k ** 2, -1)).real
+
+    def _selfadjoint_units(self):
+        # 2 L(S) is X -> S X + X S for the matrix unit S
+        return [2.0 * self._vec(S) for S in self._units(self._k)]
+
+
+# ---------------------------------------------------------------------------
+# polyhedral cones
+
+class _Polyhedral(ConeSpace):
+    """cone(G) for a full-dimensional pointed generator matrix G with dual
+    generators D; faces are spans of generator subsets."""
+
+    def __init__(self, G, D):
+        super().__init__("polyhedral", G.shape[0], generators=G, dual_generators=D)
+        self._key = ("polyhedral", G.shape, G.tobytes())
+        self._rays = G / np.linalg.norm(G, axis=0)
+        self._e = np.sum(self._rays, axis=1)
+        self._self_dual = _in_cone(D, G) and _in_cone(G, D)
+
+    def __repr__(self):
+        return "ConeSpace(polyhedral, dim=%d, %d generators)" % (
+            self.dim, self.generators.shape[1])
+
+    def _margin(self, x):
+        return float(np.min(self.dual_generators.T @ x))
+
+    def _project(self, x):
+        if not self._self_dual:
+            raise ValueError("Jordan decomposition needs a self-dual cone")
+        coeff, _ = nnls(self.generators, x)
+        return self.generators @ coeff
+
+    def _unit_norm(self, x, u):
+        return self._norm_by_bisection(x, self._e if u is None else u)
+
+    def _L(self, a):
+        raise ValueError("a polyhedral cone carries no Jordan product")
+
+    def _sample_cone_point(self, rng):
+        return self.generators @ rng.exponential(size=self.generators.shape[1])
+
+    # -- faces (projector, witness) -------------------------------------------
+
+    def _generator_face(self, keep):
+        """The face spanned by the unit generators selected by the mask
+        keep, witnessed by their sum."""
+        B = self._rays[:, keep]
+        if B.shape[1] == 0:
+            return np.zeros((self.dim, self.dim)), np.zeros(self.dim)
+        Q = scipy.linalg.orth(B)
+        return Q @ Q.T, np.sum(B, axis=1)
+
+    def _face_of(self, a, band):
+        D = self.dual_generators
+        active = D.T @ a <= band * np.linalg.norm(D, axis=0)
+        return self._generator_face(np.all(np.abs(D[:, active].T @ self._rays) <= 1e-8, axis=0))
+
+    def _orthogonal_face(self, F):
+        return self._generator_face(np.linalg.norm(F.projector @ self._rays, axis=0) <= 1e-8)
+
+    def _eigenfaces(self, M, lams):
+        R = self._rays
+        return [self._generator_face(np.linalg.norm(M @ R - lam * R, axis=0) <= 1e-7)
+                for lam in lams]
+
+    def _frame_terms(self, a, band):
+        G = self.generators
+        if G.shape[1] != self.dim:
+            # no incomparable split available in general: single block
+            return [(1.0, a)]
+        c = np.linalg.solve(G, a) * np.linalg.norm(G, axis=0)
+        return [(float(c[i]), self._rays[:, i].copy()) for i in range(self.dim) if c[i] > band]
+
+    def _face_points(self, budget, rng):
+        G = self.generators
+        m = G.shape[1]
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(m), r) for r in range(1, m + 1))
+        return ([np.sum(G[:, list(s)], axis=1)
+                 for s in itertools.islice(subsets, min(2 ** m, 4096))], "exhaustive")
+
+    def _riesz(self):
+        m = self.generators.shape[1]
+        if m == self.dim:
+            return True, None
+        return False, {"reason": "non-simplicial: %d extreme rays in dimension %d"
+                       % (m, self.dim)}
+
+    # -- derivations ----------------------------------------------------------
+
+    def _derivation_mats(self, selfadjoint=False):
+        """Operators M keeping every extreme ray g an eigenvector,
+        (I - g g^T) M g = 0, optionally restricted to symmetric M."""
+        d = self.dim
+        A = np.vstack([np.kron(np.eye(d) - np.outer(g, g), g) for g in self._rays.T])
+        S = np.eye(d * d)
+        if selfadjoint:
+            # parametrize M by its upper triangle through the symmetrizer
+            S = np.array([U.reshape(-1) for U in _symmetric_units(d)]).T
+        _, s, vt = np.linalg.svd(A @ S)
+        return [(S @ c).reshape(d, d) for c in vt[np.sum(s > 1e-8 * max(s[0], 1.0)):]]
+
+    def _complementary_pairs(self, samples, rng):
+        """Generator / dual-generator pairs with zero pairing."""
+        G, D = self.generators, self.dual_generators
+        zero = np.abs(G.T @ D) <= 1e-9 * np.outer(np.linalg.norm(G, axis=0),
+                                                  np.linalg.norm(D, axis=0))
+        return [(G[:, i], D[:, j]) for i, j in zip(*np.nonzero(zero))]
+
+    def _spec_lines(self):
+        return ["dim = %d" % self.dim] + ["gen = " + ",".join(repr(float(v)) for v in g)
+                                          for g in self.generators.T]

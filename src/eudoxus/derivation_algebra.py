@@ -9,25 +9,16 @@ spectral theorem: every self-adjoint derivation decomposes over an
 increasing family of faces and is reconstructed from it exactly.
 """
 
+import itertools
+
 import numpy as np
 import scipy.linalg
 from scipy.linalg import expm
 
-from eudoxus.cone_space import (
-    TOL,
-    Membership,
-    herm_to_vec,
-    sym_to_vec,
-    vec_to_herm,
-    vec_to_sym,
-)
-from eudoxus import face_lattice
-from eudoxus.face_lattice import Face, face_of, whole_face, zero_face
+from eudoxus.cone_space import CLUSTER_TOL, TOL, Membership
+from eudoxus.face_lattice import Face, face_of
 
 DEFAULT_T_GRID = (-4.0, -2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0, 4.0)
-
-# eigenvalues closer than this share a spectral face
-CLUSTER_TOL = 1e-8
 
 
 class Verdict:
@@ -84,227 +75,47 @@ class Derivation:
 # ---------------------------------------------------------------------------
 # verification
 
-def _operator_on_matrices(space, L, conj=False):
-    """Matrix on coords of X -> L X + X L^T (or L X + X L^*)."""
-    unvec = vec_to_sym if space.kind == "psd_real" else vec_to_herm
-    tovec = sym_to_vec if space.kind == "psd_real" else herm_to_vec
-    cols = []
-    for j in range(space.dim):
-        e = np.zeros(space.dim)
-        e[j] = 1.0
-        X = unvec(e)
-        Y = L @ X + X @ L.conj().T
-        cols.append(tovec(Y))
-    return np.column_stack(cols)
-
-
 _basis_cache = {}
 
 
 def derivation_basis(space):
     """A basis of the Lie algebra of cone derivations.
 
-    orthant: diagonal matrices.  lorentz: scaling, boosts and spatial
-    rotations.  psd_real(k): X -> L X + X L^T for L in M_k(R).
-    hermitian(k): X -> L X + X L^* for complex L (the anti-Hermitian
-    scalar acts trivially, so the count is 2k^2 - 1).  polyhedral: the
-    operators keeping every extreme ray an eigenvector.
+    Jordan kinds: an orthonormal basis of L(V) + [L(V), L(V)], which is
+    the diagonal matrices for the orthant; scaling, boosts and spatial
+    rotations for lorentz; X -> L X + X L^T for L in M_k(R) for
+    psd_real(k); X -> L X + X L^* for complex L for hermitian(k) (the
+    anti-Hermitian scalar acts trivially, so the count is 2k^2 - 1).
+    polyhedral: the operators keeping every extreme ray an eigenvector.
+    Cached per cone, so fresh spaces of one kind and size share it.
     """
-    key = (space.kind, space.param)
-    if space.kind != "polyhedral" and key in _basis_cache:
-        basis = _basis_cache[key]
-        if basis[0].host is not space:
-            basis = [Derivation(space, b.mat) for b in basis]
-        return basis
-    basis = _derivation_basis_uncached(space)
-    if space.kind != "polyhedral":
-        _basis_cache[key] = basis
+    basis = _basis_cache.get(space._key)
+    if basis is None:
+        basis = [Derivation(space, m) for m in space._derivation_mats()]
+        _basis_cache[space._key] = basis
+    if basis[0].host is not space:
+        basis = [Derivation(space, b.mat) for b in basis]
     return basis
-
-
-def _derivation_basis_uncached(space):
-    d = space.dim
-    if space.kind == "orthant":
-        out = []
-        for i in range(d):
-            M = np.zeros((d, d))
-            M[i, i] = 1.0
-            out.append(Derivation(space, M))
-        return out
-
-    if space.kind == "lorentz":
-        out = [Derivation(space, np.eye(d))]
-        for i in range(1, d):
-            M = np.zeros((d, d))
-            M[0, i] = M[i, 0] = 1.0
-            out.append(Derivation(space, M))
-        for i in range(1, d):
-            for j in range(i + 1, d):
-                M = np.zeros((d, d))
-                M[i, j], M[j, i] = 1.0, -1.0
-                out.append(Derivation(space, M))
-        return out
-
-    if space.kind == "psd_real":
-        k = space.param
-        out = []
-        for i in range(k):
-            for j in range(k):
-                L = np.zeros((k, k))
-                L[i, j] = 1.0
-                out.append(Derivation(space, _operator_on_matrices(space, L)))
-        return out
-
-    if space.kind == "hermitian":
-        k = space.param
-        mats = []
-        for i in range(k):
-            for j in range(k):
-                for val in (1.0, 1.0j):
-                    L = np.zeros((k, k), dtype=complex)
-                    L[i, j] = val
-                    mats.append(_operator_on_matrices(space, L).reshape(-1))
-        # quotient out the kernel (L = it I acts trivially)
-        stack = np.array(mats)
-        u, s, vt = np.linalg.svd(stack.T, full_matrices=False)
-        rank = int(np.sum(s > 1e-9 * s[0]))
-        return [Derivation(space, u[:, i].reshape(d, d) * s[i]) for i in range(rank)]
-
-    if space.kind == "polyhedral":
-        return _tangency_basis(space, space.generators.T)
-
-    raise AssertionError(space.kind)
-
-
-def _tangency_basis(space, rays, symmetric_only=False):
-    """Null-space solve: operators M with M g parallel to g for each
-    extreme ray g.  Returns Derivations spanning the solution space."""
-    d = space.dim
-    rows = []
-    for g in rays:
-        g = np.asarray(g, dtype=float)
-        g = g / np.linalg.norm(g)
-        P = np.eye(d) - np.outer(g, g)
-        # (I - gg^T) M g = 0: d linear rows in the entries of M
-        rows.append(np.kron(P, g))
-    A = np.vstack(rows)
-    if symmetric_only:
-        # parametrize M by its upper triangle through the symmetrizer
-        basis = []
-        for i in range(d):
-            for j in range(i, d):
-                M = np.zeros((d, d))
-                M[i, j] = M[j, i] = 1.0
-                basis.append(M.reshape(-1))
-        S = np.array(basis).T
-        A = A @ S
-        _, s, vt = np.linalg.svd(A)
-        ns = vt[np.sum(s > 1e-8 * max(s[0], 1.0)):]
-        return [Derivation(space, (S @ c).reshape(d, d)) for c in ns]
-    _, s, vt = np.linalg.svd(A)
-    ns = vt[np.sum(s > 1e-8 * max(s[0], 1.0)):]
-    return [Derivation(space, c.reshape(d, d)) for c in ns]
 
 
 def tangency_dimension_oracle(space, samples=120, rng=None, symmetric_only=False):
     """Independent count of dim Der(cone) from the tangency system
     <y, M x> = 0 over complementary boundary pairs (x extreme in the
-    cone, y extreme in its dual with <y, x> = 0), sampled for the
-    non-polyhedral kinds.  Knows nothing of the per-kind
-    parametrizations, so it serves as an oracle for their counts."""
+    cone, y extreme in its dual with <y, x> = 0): orthogonal elements of
+    sampled Jordan frames, or generator / dual-generator pairs.  Knows
+    nothing of the parametrizations by L, so it serves as an oracle for
+    their counts.  For symmetric M the rows symmetrize, and the count is
+    taken inside Sym(dim)."""
     if rng is None:
         rng = np.random.default_rng(7)
     d = space.dim
-    rows = []
-    for x, y in _complementary_pairs(space, samples, rng):
-        rows.append(np.kron(y, x))
-    A = np.vstack(rows)
+    pairs = space._complementary_pairs(samples, rng)
     if symmetric_only:
-        basis = []
-        for i in range(d):
-            for j in range(i, d):
-                M = np.zeros((d, d))
-                M[i, j] = M[j, i] = 1.0
-                basis.append(M.reshape(-1))
-        A = A @ np.array(basis).T
-    _, s, _ = np.linalg.svd(A)
-    ncols = A.shape[1]
-    rank = int(np.sum(s > 1e-7 * max(s[0], 1.0)))
-    return ncols - rank
-
-
-def _complementary_pairs(space, samples, rng):
-    """Pairs (x, y) of boundary extreme rays with <y, x> = 0; y runs
-    over the orthogonal face of x."""
-    pairs = []
-    if space.kind == "polyhedral":
-        G, D = space.generators, space.dual_generators
-        for i in range(G.shape[1]):
-            for j in range(D.shape[1]):
-                if abs(np.dot(D[:, j], G[:, i])) <= 1e-9 * (
-                        np.linalg.norm(G[:, i]) * np.linalg.norm(D[:, j])):
-                    pairs.append((G[:, i], D[:, j]))
-        return pairs
-    if space.kind == "orthant":
-        for i in range(space.dim):
-            for j in range(space.dim):
-                if i != j:
-                    ei = np.zeros(space.dim)
-                    ei[i] = 1.0
-                    ej = np.zeros(space.dim)
-                    ej[j] = 1.0
-                    pairs.append((ei, ej))
-        return pairs
-    for _ in range(samples):
-        if space.kind == "lorentz":
-            w = rng.standard_normal(space.dim - 1)
-            w /= np.linalg.norm(w)
-            pairs.append((np.concatenate([[1.0], w]),
-                          np.concatenate([[1.0], -w])))
-        elif space.kind in ("psd_real", "hermitian"):
-            k = space.param
-            if space.kind == "psd_real":
-                v = rng.standard_normal(k)
-            else:
-                v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            v /= np.linalg.norm(v)
-            # a random unit vector orthogonal to v
-            if space.kind == "psd_real":
-                w = rng.standard_normal(k)
-            else:
-                w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            w = w - np.vdot(v, w) * v
-            w /= np.linalg.norm(w)
-            tovec = sym_to_vec if space.kind == "psd_real" else herm_to_vec
-            pairs.append((tovec(np.outer(v, v.conj())),
-                          tovec(np.outer(w, w.conj()))))
-        else:
-            raise AssertionError(space.kind)
-    return pairs
-
-
-def _sample_extreme_rays(space, samples, rng):
-    if space.kind == "polyhedral":
-        return list(space.generators.T)
-    if space.kind == "orthant":
-        return list(np.eye(space.dim))
-    out = []
-    for _ in range(samples):
-        if space.kind == "lorentz":
-            w = rng.standard_normal(space.dim - 1)
-            w /= np.linalg.norm(w)
-            out.append(np.concatenate([[1.0], w]))
-        elif space.kind == "psd_real":
-            v = rng.standard_normal(space.param)
-            v /= np.linalg.norm(v)
-            out.append(sym_to_vec(np.outer(v, v)))
-        elif space.kind == "hermitian":
-            v = rng.standard_normal(space.param) + 1j * rng.standard_normal(space.param)
-            v /= np.linalg.norm(v)
-            out.append(herm_to_vec(np.outer(v, v.conj())))
-        else:
-            raise AssertionError(space.kind)
-    return out
+        rows, ncols = [np.kron(y, x) + np.kron(x, y) for x, y in pairs], d * (d + 1) // 2
+    else:
+        rows, ncols = [np.kron(y, x) for x, y in pairs], d * d
+    s = np.linalg.svd(np.array(rows), compute_uv=False)
+    return ncols - int(np.sum(s > 1e-7 * max(s[0], 1.0)))
 
 
 def _span_residual(basis_mats, M):
@@ -317,10 +128,10 @@ def _span_residual(basis_mats, M):
 def is_derivation(space, M, t_grid=DEFAULT_T_GRID, sample_budget=60, rng=None):
     """Does exp(tM) preserve the cone for every real t?
 
-    Built-in kinds are decided exactly by membership in the known
-    parametrization of Der(cone); polyhedral cones by the exact
-    extreme-ray eigenvector condition.  A Refuted verdict carries a
-    (t, x) witness expelled from the cone when sampling finds one.
+    Decided exactly by membership in the span of derivation_basis (for
+    polyhedral cones, the extreme-ray eigenvector condition).  A Refuted
+    verdict carries a (t, x) witness expelled from the cone when
+    sampling finds one.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (space.dim, space.dim):
@@ -328,22 +139,7 @@ def is_derivation(space, M, t_grid=DEFAULT_T_GRID, sample_budget=60, rng=None):
     if rng is None:
         rng = np.random.default_rng(3)
     scale = max(np.linalg.norm(M), 1.0)
-
-    if space.kind == "polyhedral":
-        ok = True
-        for g in space.generators.T:
-            gn = g / np.linalg.norm(g)
-            r = M @ gn - np.dot(gn, M @ gn) * gn
-            if np.linalg.norm(r) > 1e-9 * scale:
-                ok = False
-                break
-        if ok:
-            return Verdict("Verified", "extreme rays are eigenvectors")
-        witness = _expel_witness(space, M, t_grid, sample_budget, rng)
-        return Verdict("Refuted", "extreme ray not an eigenvector", witness=witness)
-
-    basis = derivation_basis(space)
-    res = _span_residual([b.mat for b in basis], M)
+    res = _span_residual([b.mat for b in derivation_basis(space)], M)
     if res <= 1e-9 * scale:
         return Verdict("Verified", "inside the derivation parametrization")
     witness = _expel_witness(space, M, t_grid, sample_budget, rng)
@@ -367,45 +163,14 @@ def _expel_witness(space, M, t_grid, sample_budget, rng):
 # the Lie algebra
 
 def selfadjoint_derivations(space):
-    """Basis of the symmetric part of Der(cone): the home of ratios."""
-    if space.kind == "orthant":
-        return derivation_basis(space)
-    if space.kind == "lorentz":
-        d = space.dim
-        out = [Derivation(space, np.eye(d))]
-        for i in range(1, d):
-            M = np.zeros((d, d))
-            M[0, i] = M[i, 0] = 1.0
-            out.append(Derivation(space, M))
-        return out
-    if space.kind == "psd_real":
-        k = space.param
-        out = []
-        for i in range(k):
-            for j in range(i, k):
-                L = np.zeros((k, k))
-                L[i, j] = L[j, i] = 1.0
-                out.append(Derivation(space, _operator_on_matrices(space, L)))
-        return out
-    if space.kind == "hermitian":
-        k = space.param
-        out = []
-        for i in range(k):
-            L = np.zeros((k, k), dtype=complex)
-            L[i, i] = 1.0
-            out.append(Derivation(space, _operator_on_matrices(space, L)))
-        for i in range(k):
-            for j in range(i + 1, k):
-                L = np.zeros((k, k), dtype=complex)
-                L[i, j] = L[j, i] = 1.0
-                out.append(Derivation(space, _operator_on_matrices(space, L)))
-                L = np.zeros((k, k), dtype=complex)
-                L[i, j], L[j, i] = 1.0j, -1.0j
-                out.append(Derivation(space, _operator_on_matrices(space, L)))
-        return out
-    if space.kind == "polyhedral":
-        return _tangency_basis(space, space.generators.T, symmetric_only=True)
-    raise AssertionError(space.kind)
+    """Basis of the symmetric part of Der(cone): the home of ratios.
+
+    Jordan kinds: L(e_i) for the orthant and lorentz, 2 L(S) = (X -> S X
+    + X S) over the symmetric or Hermitian matrix units S for the matrix
+    kinds; polyhedral: the symmetric operators keeping every extreme ray
+    an eigenvector.
+    """
+    return [Derivation(space, m) for m in space._derivation_mats(selfadjoint=True)]
 
 
 def _commutator(A, B):
@@ -433,7 +198,7 @@ def lie_center(basis):
         row = np.array([_commutator(Bi, Bj).reshape(-1) for Bi in mats]).T
         rows.append(row)
     A = np.vstack(rows)
-    _, s, vt = np.linalg.svd(A)
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(s > 1e-8 * max(s[0] if len(s) else 1.0, 1.0)))
     ns = vt[rank:]
     host = basis[0].host
@@ -444,15 +209,13 @@ def _quotient_adjoint(basis, center):
     """Adjoint action of the basis on Der/center in an orthonormal
     complement basis; returns (complement mats, list of ad matrices)."""
     mats = [b.mat for b in basis]
-    flat = np.array([m.reshape(-1) for m in mats]).T
-    Q_all = scipy.linalg.orth(flat)
+    Q = scipy.linalg.orth(np.array([m.reshape(-1) for m in mats]).T)
     if center:
-        cflat = np.array([c.mat.reshape(-1) for c in center]).T
-        Qc = scipy.linalg.orth(cflat)
-        comp = Q_all - Qc @ (Qc.T @ Q_all)
-        Q = scipy.linalg.orth(comp)
-    else:
-        Q = Q_all
+        Qc = scipy.linalg.orth(np.array([c.mat.reshape(-1) for c in center]).T)
+        # Q is orthonormal, so the complement keeps singular values near 1
+        # and leaves the centre's directions at round-off: cut absolutely
+        u, s, _ = np.linalg.svd(Q - Qc @ (Qc.T @ Q), full_matrices=False)
+        Q = u[:, s > 1e-8]
     q = Q.shape[1]
     d = mats[0].shape[0]
     comp_mats = [Q[:, i].reshape(d, d) for i in range(q)]
@@ -485,7 +248,7 @@ def orientability(space):
     for ad in ads:
         rows.append(np.kron(np.eye(q), ad) - np.kron(ad.T, np.eye(q)))
     A = np.vstack(rows)
-    _, s, vt = np.linalg.svd(A)
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(s > 1e-8 * max(s[0] if len(s) else 1.0, 1.0)))
     cent = [c.reshape(q, q) for c in vt[rank:]]
     J = _complex_structure(cent)
@@ -498,32 +261,20 @@ def orientability(space):
 
 def _complex_structure(cent):
     """An element J of the span with J^2 = -I, if the (at most
-    two-dimensional commutative) centroid admits one."""
-    q = cent[0].shape[0] if cent else 0
+    two-dimensional commutative) centroid admits one: the basis elements
+    first, then random combinations as a fallback."""
     if not cent:
         return None
-    # normalize the identity direction out
+    q = cent[0].shape[0]
     I = np.eye(q)
-    for T in cent:
+    rng = np.random.default_rng(11)
+    randoms = (sum(rng.standard_normal() * C for C in cent) for _ in range(200))
+    for T in itertools.chain(cent, randoms):
         # remove the trace part, then rescale the remainder
         T0 = T - (np.trace(T) / q) * I
         sq = T0 @ T0
         off = sq - (np.trace(sq) / q) * I
         if np.linalg.norm(T0) < 1e-9 or np.linalg.norm(off) > 1e-7 * max(np.linalg.norm(sq), 1.0):
-            continue
-        lam = np.trace(sq) / q
-        if lam < -1e-12:
-            J = T0 / np.sqrt(-lam)
-            if np.linalg.norm(J @ J + I) < 1e-7:
-                return J
-    # random combinations as a fallback
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        T = sum(rng.standard_normal() * C for C in cent)
-        T0 = T - (np.trace(T) / q) * I
-        sq = T0 @ T0
-        off = sq - (np.trace(sq) / q) * I
-        if np.linalg.norm(off) > 1e-7 * max(np.linalg.norm(sq), 1.0):
             continue
         lam = np.trace(sq) / q
         if lam < -1e-12:
@@ -572,7 +323,8 @@ def spectral_faces(space, delta):
     """Faces cut out of the cone by the eigenspaces of a self-adjoint
     derivation.  Eigenvalues within CLUSTER_TOL share a face; a face may
     be trivial (eigenspace meeting the cone only at zero), but not all of
-    them can be."""
+    them can be.  On a Jordan kind delta = L(delta e), and the face of an
+    eigenvalue is U_c for the frame elements c of delta e there."""
     if isinstance(delta, Derivation):
         verdict = is_derivation(space, delta.mat)
         if not verdict:
@@ -583,76 +335,9 @@ def spectral_faces(space, delta):
     if np.linalg.norm(M - M.T) > 1e-9 * max(1.0, np.linalg.norm(M)):
         raise ValueError("spectral faces need a self-adjoint derivation")
 
-    if space.kind == "orthant":
-        diag = np.diag(M)
-        lams = _cluster(diag)
-        entries = []
-        for lam in lams:
-            supp = np.abs(diag - lam) <= CLUSTER_TOL
-            P = np.diag(supp.astype(float))
-            entries.append((lam, Face(space, P, supp.astype(float))))
-        return SpectralFaceFamily(space, entries)
-
-    if space.kind in ("psd_real", "hermitian"):
-        unvec = vec_to_sym if space.kind == "psd_real" else vec_to_herm
-        u = space.canonical_unit()
-        L = unvec(M @ u) / 2.0
-        w, V = np.linalg.eigh(L)
-        mus = _cluster(w)
-        # operator eigenvalues are sums mu_a + mu_b of matrix eigenvalues
-        lams = _cluster([a + b for a in mus for b in mus])
-        entries = []
-        from eudoxus.face_lattice import _range_projector_face
-        for lam in lams:
-            keep = np.abs(2.0 * w - lam) <= 2 * CLUSTER_TOL + 1e-12
-            if np.any(keep):
-                Vk = V[:, keep]
-                Pi = Vk @ Vk.conj().T
-                entries.append((lam, _range_projector_face(space, Pi)))
-            else:
-                entries.append((lam, zero_face(space)))
-        return SpectralFaceFamily(space, entries)
-
-    if space.kind == "lorentz":
-        a = M[0, 0]
-        wv = M[0, 1:]
-        nw = np.linalg.norm(wv)
-        if nw <= CLUSTER_TOL:
-            return SpectralFaceFamily(space, [(float(a), whole_face(space))])
-        w = wv / nw
-        lo_ray = np.concatenate([[1.0], -w]) / 2.0
-        hi_ray = np.concatenate([[1.0], w]) / 2.0
-        entries = [(float(a - nw), _lorentz_ray_face(space, lo_ray))]
-        if space.dim > 2:
-            entries.append((float(a), zero_face(space)))
-        entries.append((float(a + nw), _lorentz_ray_face(space, hi_ray)))
-        return SpectralFaceFamily(space, entries)
-
-    if space.kind == "polyhedral":
-        lams_all, _ = np.linalg.eigh(M)
-        lams = _cluster(lams_all)
-        entries = []
-        G = space.generators
-        for lam in lams:
-            gens = []
-            for i in range(G.shape[1]):
-                g = G[:, i] / np.linalg.norm(G[:, i])
-                if np.linalg.norm(M @ g - lam * g) <= 1e-7:
-                    gens.append(g)
-            if gens:
-                B = np.column_stack(gens)
-                Q = scipy.linalg.orth(B)
-                entries.append((lam, Face(space, Q @ Q.T, np.sum(B, axis=1))))
-            else:
-                entries.append((lam, zero_face(space)))
-        return SpectralFaceFamily(space, entries)
-
-    raise AssertionError(space.kind)
-
-
-def _lorentz_ray_face(space, r):
-    P = np.outer(r, r) / np.dot(r, r)
-    return Face(space, P, r)
+    lams = _cluster(np.linalg.eigvalsh(M))
+    return SpectralFaceFamily(space, [(lam, Face(space, P, w)) for lam, (P, w)
+                                      in zip(lams, space._eigenfaces(M, lams))])
 
 
 def reconstruct_from_faces(space, family):

@@ -55,7 +55,14 @@ class CutOracle:
 
 
 class FractionCutOracle(CutOracle):
-    """Oracle for a cut at a known exact rational value."""
+    """Oracle for a cut at a known exact value: a fraction, or a real
+    given as a binary float.
+
+    Comparisons are exact against the binary representation, so the
+    bracket always contains the float; for irrational targets the float
+    itself is within one ulp, far below any bracket width reachable with
+    moderate denominators.
+    """
 
     def __init__(self, value):
         value = Fraction(value)
@@ -70,25 +77,8 @@ class FractionCutOracle(CutOracle):
         return Fraction(m, n) == self.value
 
 
-class RealCutOracle(CutOracle):
-    """Oracle for a cut at a real value given as an exact binary float.
-
-    Comparisons are exact against the binary representation, so the
-    bracket always contains the float; for irrational targets the float
-    itself is within one ulp, far below any bracket width reachable with
-    moderate denominators.
-    """
-
-    def __init__(self, value):
-        if value <= 0:
-            raise ValueError("cut must be positive")
-        self.value = Fraction(value)
-
-    def strict_above(self, m, n):
-        return Fraction(m, n) > self.value
-
-    def exact_hit(self, m, n):
-        return Fraction(m, n) == self.value
+# a real cut is the same oracle at the float's exact binary value
+RealCutOracle = FractionCutOracle
 
 
 def classify_fraction(q, oracle):

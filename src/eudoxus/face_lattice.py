@@ -7,20 +7,9 @@ need: the facial derivative of F is (1/2)(I + P_F - P_{F'}) with F' the
 orthogonal face.
 """
 
-import itertools
-
 import numpy as np
-import scipy.linalg
 
-from eudoxus.cone_space import (
-    TOL,
-    ConeSpace,
-    Membership,
-    herm_to_vec,
-    sym_to_vec,
-    vec_to_herm,
-    vec_to_sym,
-)
+from eudoxus.cone_space import TOL, Membership
 
 
 class Face:
@@ -72,35 +61,14 @@ def whole_face(space):
     return Face(space, np.eye(space.dim), space.canonical_unit())
 
 
-def _range_projector_face(space, Pi):
-    """Face of a matrix cone given the range projector Pi of a member."""
-    k = space.param
-    unvec = vec_to_sym if space.kind == "psd_real" else vec_to_herm
-    tovec = sym_to_vec if space.kind == "psd_real" else herm_to_vec
-    cols = []
-    for j in range(space.dim):
-        e = np.zeros(space.dim)
-        e[j] = 1.0
-        X = unvec(e)
-        cols.append(tovec(Pi @ X @ Pi))
-    P = np.column_stack(cols)
-    # compression is symmetric and idempotent; clean tiny asymmetry
-    P = (P + P.T) / 2.0
-    return Face(space, P, tovec(Pi))
-
-
-def _matrix_range_projector(space, a):
-    unvec = vec_to_sym if space.kind == "psd_real" else vec_to_herm
-    A = unvec(a)
-    w, V = np.linalg.eigh(A)
-    scale = max(np.max(np.abs(w)), 1.0)
-    keep = w > TOL * scale
-    Vk = V[:, keep]
-    return Vk @ Vk.conj().T
-
-
 def face_of(space, a):
-    """Smallest closed face of the cone containing a."""
+    """Smallest closed face of the cone containing a.
+
+    One rank band for every kind: eigenvalues of a (dual pairings, for
+    polyhedral cones) at most TOL * max(1, |a|) count as zero.  For a
+    Jordan kind the face is the Peirce compression U_c of the support
+    idempotent c of a (the frame elements above the band), witnessed by c.
+    """
     a = np.asarray(a, dtype=float)
     mem = space.membership(a)
     if mem is Membership.OUTSIDE:
@@ -110,82 +78,18 @@ def face_of(space, a):
         return zero_face(space)
     if mem is Membership.INTERIOR:
         return whole_face(space)
-
-    if space.kind == "orthant":
-        supp = a > TOL * nrm
-        P = np.diag(supp.astype(float))
-        return Face(space, P, supp.astype(float))
-
-    if space.kind == "lorentz":
-        # boundary point, not the apex: the extreme ray through a
-        z = a[1:]
-        w = z / np.linalg.norm(z)
-        r = np.concatenate([[1.0], w])
-        P = np.outer(r, r) / 2.0
-        return Face(space, P, r / 2.0)
-
-    if space.kind in ("psd_real", "hermitian"):
-        Pi = _matrix_range_projector(space, a)
-        return _range_projector_face(space, Pi)
-
-    if space.kind == "polyhedral":
-        D = space.dual_generators
-        G = space.generators
-        pair = D.T @ a
-        active = pair <= TOL * nrm * np.linalg.norm(D, axis=0)
-        gen_ok = []
-        for i in range(G.shape[1]):
-            g = G[:, i] / np.linalg.norm(G[:, i])
-            if np.all(np.abs(D[:, active].T @ g) <= 1e-8):
-                gen_ok.append(g)
-        if not gen_ok:
-            return zero_face(space)
-        B = np.column_stack(gen_ok)
-        Q = scipy.linalg.orth(B)
-        return Face(space, Q @ Q.T, np.sum(B, axis=1))
-
-    raise AssertionError(space.kind)
+    return Face(space, *space._face_of(a, TOL * max(1.0, nrm)))
 
 
 def orthogonal_face(F):
-    """F-perp: cone elements orthogonal to every element of F."""
+    """F-perp: cone elements orthogonal to every element of F (U_(e - c)
+    for a Jordan face U_c)."""
     space = F.host
     if F.is_zero():
         return whole_face(space)
     if F.is_whole():
         return zero_face(space)
-
-    if space.kind == "orthant":
-        supp = np.diag(F.projector) > 0.5
-        comp = (~supp).astype(float)
-        return Face(space, np.diag(comp), comp)
-
-    if space.kind == "lorentz":
-        w = F.witness
-        mirror = np.concatenate([[w[0]], -w[1:]])
-        r = mirror / w[0] / 2.0
-        return Face(space, np.outer(r, r) / (np.dot(r, r)), r)
-
-    if space.kind in ("psd_real", "hermitian"):
-        unvec = vec_to_sym if space.kind == "psd_real" else vec_to_herm
-        Pi = unvec(F.witness)
-        k = space.param
-        return _range_projector_face(space, np.eye(k) - Pi)
-
-    if space.kind == "polyhedral":
-        G = space.generators
-        gen_ok = []
-        for i in range(G.shape[1]):
-            g = G[:, i] / np.linalg.norm(G[:, i])
-            if np.linalg.norm(F.projector @ g) <= 1e-8:
-                gen_ok.append(g)
-        if not gen_ok:
-            return zero_face(space)
-        B = np.column_stack(gen_ok)
-        Q = scipy.linalg.orth(B)
-        return Face(space, Q @ Q.T, np.sum(B, axis=1))
-
-    raise AssertionError(space.kind)
+    return Face(space, *space._orthogonal_face(F))
 
 
 def facial_derivative(F):
@@ -218,72 +122,17 @@ def minimal_decomposition(space, a):
     """a as a sum of pairwise-incomparable minimal elements.
 
     Returns a list of (coefficient, component) with a = sum coeff *
-    component; components are normalized frame elements (coordinate
-    units, rank-one eigenprojections, the half-(1, w) idempotent pair,
-    or unit extreme rays).  For a degenerate spectrum the frame is not
+    component; components are the Jordan frame elements of a with
+    eigenvalue above the band TOL * max(1, |a|) of face_of (coordinate
+    units, the half-(1, +-w) idempotent pair, rank-one eigenprojections)
+    or unit extreme rays.  For a degenerate spectrum the frame is not
     unique; equality of ratios must go through the cut classes, never
     through literal component lists.
     """
     a = np.asarray(a, dtype=float)
     if space.membership(a) is Membership.OUTSIDE:
         raise ValueError("point is outside the cone")
-    nrm = np.linalg.norm(a)
-    band = TOL * max(1.0, nrm)
-
-    if space.kind == "orthant":
-        out = []
-        for i in range(space.dim):
-            if a[i] > band:
-                e = np.zeros(space.dim)
-                e[i] = 1.0
-                out.append((float(a[i]), e))
-        return out
-
-    if space.kind == "lorentz":
-        t, z = a[0], a[1:]
-        nz = np.linalg.norm(z)
-        if t <= band:
-            return []
-        if nz <= band:
-            w = np.zeros(space.dim - 1)
-            w[0] = 1.0
-        else:
-            w = z / nz
-        lam_hi = t + nz
-        lam_lo = t - nz
-        hi = np.concatenate([[1.0], w]) / 2.0
-        lo = np.concatenate([[1.0], -w]) / 2.0
-        out = [(float(lam_hi), hi)]
-        if lam_lo > band:
-            out.append((float(lam_lo), lo))
-        return out
-
-    if space.kind in ("psd_real", "hermitian"):
-        unvec = vec_to_sym if space.kind == "psd_real" else vec_to_herm
-        tovec = sym_to_vec if space.kind == "psd_real" else herm_to_vec
-        A = unvec(a)
-        w, V = np.linalg.eigh(A)
-        out = []
-        for lam, v in zip(w, V.T):
-            if lam > band:
-                out.append((float(lam), tovec(np.outer(v, v.conj()))))
-        return out
-
-    if space.kind == "polyhedral":
-        G = space.generators
-        m = G.shape[1]
-        if m == space.dim:
-            c = np.linalg.solve(G, a)
-            out = []
-            for i in range(m):
-                gn = np.linalg.norm(G[:, i])
-                if c[i] * gn > band:
-                    out.append((float(c[i] * gn), G[:, i] / gn))
-            return out
-        # no incomparable split available in general: single block
-        return [(1.0, a)]
-
-    raise AssertionError(space.kind)
+    return space._frame_terms(a, TOL * max(1.0, np.linalg.norm(a)))
 
 
 def is_minimal(space, a):
@@ -292,24 +141,8 @@ def is_minimal(space, a):
 
 
 def _candidate_faces(space, sample_budget, rng):
-    faces = [zero_face(space), whole_face(space)]
-    if space.kind == "polyhedral":
-        m = space.generators.shape[1]
-        cap = min(2 ** m, 4096)
-        count = 0
-        for r in range(1, m + 1):
-            for subset in itertools.combinations(range(m), r):
-                pt = np.sum(space.generators[:, list(subset)], axis=1)
-                faces.append(face_of(space, pt))
-                count += 1
-                if count >= cap:
-                    return faces
-        return faces
-    for _ in range(sample_budget):
-        x = space.sample_cone_point(rng)
-        if np.linalg.norm(x) > 1e-9:
-            faces.append(face_of(space, x))
-    return faces
+    points, how = space._face_points(sample_budget, rng)
+    return [zero_face(space), whole_face(space)] + [face_of(space, x) for x in points], how
 
 
 def is_facially_homogeneous(space, sample_budget=25, rng=None):
@@ -322,7 +155,8 @@ def is_facially_homogeneous(space, sample_budget=25, rng=None):
 
     if rng is None:
         rng = np.random.default_rng(0)
-    for F in _candidate_faces(space, sample_budget, rng):
+    faces, how = _candidate_faces(space, sample_budget, rng)
+    for F in faces:
         M = F.projector - orthogonal_face(F).projector
         verdict = is_derivation(space, M, rng=rng)
         if verdict.status == "Refuted":
@@ -330,46 +164,14 @@ def is_facially_homogeneous(space, sample_budget=25, rng=None):
                            witness=(F, verdict.witness))
         if verdict.status == "Unknown":
             return Verdict("Unknown", "face of dim %d undecided" % F.dim)
-    detail = "exhaustive" if space.kind == "polyhedral" else "sampled faces"
-    return Verdict("Verified", detail)
+    return Verdict("Verified", how)
 
 
 def is_riesz(space):
     """Whether the cone order is a lattice.
 
-    Returns (flag, witness); for non-lattice cones the witness is a dict
-    with elements a, c and x where x lies in the face of a+c but not in
-    face(a) + face(c).
+    Returns (flag, witness); for non-lattice Jordan cones the witness is a
+    dict with elements a, c and x where x lies in the face of a+c but not
+    in face(a) + face(c).
     """
-    if space.kind == "orthant":
-        return True, None
-    if space.kind == "polyhedral":
-        simplicial = space.generators.shape[1] == space.dim
-        if simplicial:
-            return True, None
-        return False, {"reason": "non-simplicial: %d extreme rays in dimension %d"
-                       % (space.generators.shape[1], space.dim)}
-    if space.kind == "lorentz":
-        if space.dim == 2:
-            return True, None
-        e = np.zeros(space.dim - 1)
-        e[0] = 1.0
-        f = np.zeros(space.dim - 1)
-        f[1] = 1.0
-        a = np.concatenate([[1.0], e]) / 2.0
-        c = np.concatenate([[1.0], -e]) / 2.0
-        x = np.concatenate([[1.0], f]) / 2.0
-        return False, {"a": a, "c": c, "x": x}
-    if space.kind in ("psd_real", "hermitian"):
-        k = space.param
-        if k == 1:
-            return True, None
-        tovec = sym_to_vec if space.kind == "psd_real" else herm_to_vec
-        E = np.zeros((k, k))
-        E[0, 0] = 1.0
-        Ec = np.zeros((k, k))
-        Ec[1, 1] = 1.0
-        X = np.zeros((k, k))
-        X[0, 0] = X[0, 1] = X[1, 0] = X[1, 1] = 1.0
-        return False, {"a": tovec(E), "c": tovec(Ec), "x": tovec(X)}
-    raise AssertionError(space.kind)
+    return space._riesz()

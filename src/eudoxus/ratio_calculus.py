@@ -84,36 +84,6 @@ def archimedes_check(space, a, b, N):
 
 
 # ---------------------------------------------------------------------------
-# the cone-order cut oracle
-
-class RayCutOracle(CutOracle):
-    """Cut oracle for the ratio of two parallel cone elements.
-
-    strict_above(m, n) decides m a - n a' in the (relative) interior of
-    the ray order; on a ray this is a scalar comparison, with the
-    membership tolerance band reported as an exact hit.
-    """
-
-    def __init__(self, a_prime, a):
-        a = np.asarray(a, dtype=float)
-        a_prime = np.asarray(a_prime, dtype=float)
-        na = np.dot(a, a)
-        if na <= 0:
-            raise ValueError("consequent component is zero")
-        self.scale = np.sqrt(na)
-        self.t_a = self.scale
-        self.t_ap = float(np.dot(a_prime, a)) / self.scale
-
-    def strict_above(self, m, n):
-        diff = m * self.t_a - n * self.t_ap
-        return diff > TOL * (abs(m) * self.t_a + abs(n) * abs(self.t_ap))
-
-    def exact_hit(self, m, n):
-        diff = m * self.t_a - n * self.t_ap
-        return abs(diff) <= TOL * (abs(m) * self.t_a + abs(n) * abs(self.t_ap))
-
-
-# ---------------------------------------------------------------------------
 # ratios
 
 class Ratio:
@@ -181,8 +151,7 @@ def _ratio_from_derivation_and_unit(space, delta, a, max_den):
             piece = coeff * comp
             bracket = None
             if lam > TOL:
-                oracle = RayCutOracle(lam * piece, piece)
-                bracket = stern_brocot_bracket(oracle, max_den)
+                bracket = stern_brocot_bracket(RealOracleFromValue(lam), max_den)
             decomposition.append((float(lam), bracket, piece))
     # the consequent must split along the spectral faces, otherwise the
     # antecedent is not face-diagonal over any decomposition of it
@@ -232,8 +201,7 @@ def from_derivation(space, delta, max_den=10**6):
 # equality
 
 def _comparable(r, s):
-    if r.host is not s.host and (
-            r.host.kind != s.host.kind or r.host.dim != s.host.dim):
+    if r.host is not s.host and r.host._key != s.host._key:
         return False
     dr = to_derivation(r).mat
     ds = to_derivation(s).mat
@@ -289,7 +257,8 @@ def _joint_eigenvalues(A, B):
 
 
 class RealOracleFromValue(CutOracle):
-    """Banded oracle for a floating multiplier, mirroring RayCutOracle."""
+    """Banded oracle for a floating multiplier: m/n within the membership
+    band TOL of the value counts as an exact hit."""
 
     def __init__(self, value):
         self.value = float(value)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from eudoxus.cone_space import ConeSpace, Membership
+from eudoxus.cone_space import ConeSpace, Membership, sym_to_vec
 from eudoxus.conjunct_product import DimWord, Quantity, conjunct
 from eudoxus.derivation_algebra import (
     derivation_basis,
@@ -112,8 +112,7 @@ def check_facial_spectral_theorem(seed=0, samples=200):
                 return False, "%s: residual %.3g" % (space.kind, worst)
     # the zero-spectral-face case: compression along diag(0, 1)
     space = ConeSpace.psd_real(2)
-    from eudoxus.derivation_algebra import _operator_on_matrices
-    M = _operator_on_matrices(space, np.diag([0.0, 1.0]))
+    M = 2.0 * space.L(sym_to_vec(np.diag([0.0, 1.0])))
     fam = spectral_faces(space, M)
     zero_faces = [F for _, F in fam if F.is_zero()]
     back = reconstruct_from_faces(space, fam)

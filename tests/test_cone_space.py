@@ -199,3 +199,40 @@ def test_samples_land_where_promised():
         for _ in range(20):
             assert sp.membership(sp.sample_cone_point(rng)) is not Membership.OUTSIDE
             assert sp.membership(sp.sample_interior_point(rng)) is Membership.INTERIOR
+
+
+def test_order_unit_norm_matches_bisection_at_noncanonical_unit():
+    rng = np.random.default_rng(12)
+    for sp in (ConeSpace.orthant(4), ConeSpace.lorentz(4), ConeSpace.psd_real(3),
+               ConeSpace.hermitian(2)):
+        for _ in range(5):
+            u = sp.sample_interior_point(rng)
+            assert not np.allclose(u, sp.canonical_unit())
+            x = sp.sample_vector(rng)
+            assert np.isclose(sp.order_unit_norm(x, u), sp._norm_by_bisection(x, u),
+                              atol=1e-6)
+
+
+def test_polyhedral_self_duality_is_decided_once(monkeypatch):
+    from eudoxus import cone_space
+
+    r = np.cos(np.pi / 5) ** -0.5
+    sp = ConeSpace.polyhedral([np.array([1.0, r * np.cos(2 * np.pi * i / 5),
+                                         r * np.sin(2 * np.pi * i / 5)]) for i in range(5)])
+    calls = []
+    real_nnls = cone_space.nnls
+    monkeypatch.setattr(cone_space, "nnls", lambda *a: calls.append(1) or real_nnls(*a))
+    assert sp.is_self_dual()
+    sp.project(np.array([0.2, 1.0, -0.5]))
+    assert len(calls) == 1
+
+
+def test_jordan_multiplication_operator():
+    sp = ConeSpace.psd_real(3)
+    rng = np.random.default_rng(13)
+    A, X = (sym_to_vec((M + M.T) / 2) for M in rng.standard_normal((2, 3, 3)))
+    want = sym_to_vec((vec_to_sym(A) @ vec_to_sym(X) + vec_to_sym(X) @ vec_to_sym(A)) / 2)
+    assert np.allclose(sp.L(A) @ X, want, atol=1e-12)
+    assert np.allclose(sp.L(sp.canonical_unit()), np.eye(sp.dim), atol=1e-12)
+    with pytest.raises(ValueError):
+        ConeSpace.polyhedral([np.array([1.0, 0.0]), np.array([0.0, 1.0])]).L(np.ones(2))

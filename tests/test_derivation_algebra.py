@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eudoxus.cone_space import ConeSpace, sym_to_vec
+from eudoxus.cone_space import ConeSpace, herm_to_vec, sym_to_vec, vec_to_herm, vec_to_sym
 from eudoxus.derivation_algebra import (
     Derivation,
     SpectralFaceFamily,
@@ -22,6 +22,18 @@ def _random_selfadjoint(space, rng):
     basis = selfadjoint_derivations(space)
     coef = rng.standard_normal(len(basis))
     return Derivation(space, sum(c * b.mat for c, b in zip(coef, basis)))
+
+
+def _rotated_orthant(n, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return ConeSpace.polyhedral(list(q.T))
+
+
+def _ngon_cone(n):
+    r = np.cos(np.pi / n) ** -0.5
+    return ConeSpace.polyhedral([np.array([1.0, r * np.cos(2 * np.pi * i / n),
+                                           r * np.sin(2 * np.pi * i / n)])
+                                 for i in range(n)])
 
 
 def test_dimension_table():
@@ -148,7 +160,10 @@ def test_multiple_of_identity_has_whole_face():
 def test_reconstruction_roundtrip():
     rng = np.random.default_rng(21)
     for sp in (ConeSpace.orthant(3), ConeSpace.lorentz(3),
-               ConeSpace.psd_real(2), ConeSpace.hermitian(2)):
+               ConeSpace.psd_real(2), ConeSpace.hermitian(2),
+               # the benchmark's largest sizes
+               ConeSpace.orthant(24), ConeSpace.lorentz(24), ConeSpace.psd_real(5),
+               ConeSpace.hermitian(5), _rotated_orthant(6, 3)):
         for _ in range(25):
             d = _random_selfadjoint(sp, rng)
             rec = reconstruct_from_faces(sp, spectral_faces(sp, d))
@@ -179,3 +194,57 @@ def test_exponentials_preserve_cone():
             for _ in range(10):
                 x = sp.sample_cone_point(rng)
                 assert sp.margin(E @ x) >= -1e-7 * max(np.linalg.norm(E @ x), 1e-12)
+
+
+def test_commutative_orientability_at_size():
+    # full-matrix SVDs of the tall Lie systems would need gigabytes at this size
+    v = orientability(ConeSpace.orthant(24))
+    assert v.status == "Orientable"
+    assert "quotient dimension 0" in v.detail
+
+
+@pytest.mark.parametrize("sp", [_rotated_orthant(n, seed) for n in (4, 5, 6) for seed in (1, 2)]
+                         + [_ngon_cone(n) for n in (3, 5, 7)], ids=repr)
+def test_polyhedral_commutative_der_is_orientable(sp):
+    # Der is commutative: nothing is left after quotienting the centre
+    assert lie_closure_residual(derivation_basis(sp)) < 1e-9
+    assert orientability(sp).status == "Orientable"
+
+
+def _legacy_units(kind, k):
+    """Matrix units S in the order selfadjoint_derivations has always used."""
+    def unit(i, j, val):
+        S = np.zeros((k, k), dtype=complex)
+        S[i, j], S[j, i] = val, np.conj(val)
+        return S
+    if kind == "psd_real":
+        return [unit(i, j, 1.0).real for i in range(k) for j in range(i, k)]
+    return ([unit(i, i, 1.0) for i in range(k)]
+            + [unit(i, j, v) for i in range(k) for j in range(i + 1, k) for v in (1.0, 1.0j)])
+
+
+@pytest.mark.parametrize("kind,k", [("psd_real", k) for k in (1, 2, 3, 5)]
+                         + [("hermitian", k) for k in (1, 2, 3, 5)])
+def test_selfadjoint_basis_is_pinned_for_matrix_kinds(kind, k):
+    # X -> S X + X S over the matrix units, column by column through vec
+    sp = getattr(ConeSpace, kind)(k)
+    unvec, tovec = (vec_to_sym, sym_to_vec) if kind == "psd_real" else (vec_to_herm, herm_to_vec)
+    got = [b.mat for b in selfadjoint_derivations(sp)]
+    units = _legacy_units(kind, k)
+    assert len(got) == len(units)
+    for S, M in zip(units, got):
+        want = np.column_stack([tovec(S @ unvec(e) + unvec(e) @ S) for e in np.eye(sp.dim)])
+        assert np.max(np.abs(M - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 24])
+def test_selfadjoint_basis_is_pinned_for_orthant_and_lorentz(n):
+    got = np.array([b.mat for b in selfadjoint_derivations(ConeSpace.orthant(n))])
+    assert np.array_equal(got, np.array([np.diag(e) for e in np.eye(n)]))
+    boosts = [np.eye(n)]
+    for i in range(1, n):
+        M = np.zeros((n, n))
+        M[0, i] = M[i, 0] = 1.0
+        boosts.append(M)
+    got = np.array([b.mat for b in selfadjoint_derivations(ConeSpace.lorentz(n))])
+    assert np.array_equal(got, np.array(boosts))

@@ -25,6 +25,17 @@ def all_kinds():
     ]
 
 
+def _rotated_orthant(n, seed=4):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return ConeSpace.polyhedral(list(q.T))
+
+
+def largest_kinds():
+    # the largest sizes the benchmark sweeps
+    return [ConeSpace.orthant(24), ConeSpace.lorentz(24), ConeSpace.psd_real(5),
+            ConeSpace.hermitian(5), _rotated_orthant(6)]
+
+
 def test_orthant_face_is_support():
     sp = ConeSpace.orthant(4)
     F = face_of(sp, np.array([1.0, 0.0, 2.0, 0.0]))
@@ -70,12 +81,17 @@ def test_psd_face_from_rank():
 
 def test_face_projector_is_idempotent_and_symmetric():
     rng = np.random.default_rng(2)
-    for sp in all_kinds():
+    for sp in all_kinds() + largest_kinds():
         for _ in range(20):
-            F = face_of(sp, sp.sample_cone_point(rng))
+            a = sp.sample_cone_point(rng)
+            F = face_of(sp, a)
             P = F.projector
             assert np.allclose(P @ P, P, atol=1e-9)
             assert np.allclose(P, P.T, atol=1e-12)
+            assert F.contains(a) and F.contains(F.witness)
+            G = orthogonal_face(F)
+            assert np.allclose(P @ G.projector, 0.0, atol=1e-9)
+            assert abs(np.dot(a, G.witness)) <= 1e-9 * max(1.0, np.linalg.norm(a))
 
 
 def test_facial_derivative_formula_and_spectrum():
@@ -115,7 +131,7 @@ def test_minimal_decomposition_lorentz_example():
 
 def test_minimal_decomposition_properties():
     rng = np.random.default_rng(11)
-    for sp in all_kinds():
+    for sp in all_kinds() + largest_kinds():
         for _ in range(20):
             a = sp.sample_cone_point(rng)
             parts = minimal_decomposition(sp, a)
