@@ -6,12 +6,16 @@ does the fraction m/n lie strictly above the cut, and does it hit the
 cut exactly.  Every fraction then falls into one of three classes
 (below / equal / above), and mediant descent through the Stern-Brocot
 tree brackets the cut by the best fractions with bounded denominator.
+The descent jumps along each run of equal steps (the continued-fraction
+form of the walk), so a bracket costs O(log max_den + log(cut + 1/cut))
+oracle queries however large the partial quotients of the cut are.
 
 All arithmetic is exact; fractions are ``fractions.Fraction`` (python
 integers never overflow, which matters because mediant convergents grow
 fast).
 """
 
+import math
 from fractions import Fraction
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -40,11 +44,15 @@ def compare(p, q):
 class CutOracle:
     """Interface for a positive cut addressed by fraction queries.
 
-    strict_above(m, n) must answer whether m/n lies strictly above the
-    cut (in the host order: n * antecedent < m * consequent), and must
-    be monotone: once true for m/n it is true for every larger fraction.
-    exact_hit(m, n) answers whether m/n equals the cut; it can be true
-    for at most one reduced fraction.
+    strict_above(m, n) answers whether m/n lies strictly above the cut
+    (in the host order: n * antecedent < m * consequent); exact_hit(m, n)
+    whether m/n counts as equal to it.  Bracketing relies on the three
+    classes of classify_fraction coming in order: strict_above is
+    monotone (once true for m/n it is true for every larger fraction),
+    the union of exact_hit and strict_above is upward-closed, and no
+    exact hit lies above a fraction that is strictly above and not a
+    hit.  The hits may be one fraction (an exact cut) or an interval of
+    them (a band around a floating value).
     """
 
     def strict_above(self, m, n):
@@ -81,6 +89,17 @@ class FractionCutOracle(CutOracle):
 RealCutOracle = FractionCutOracle
 
 
+def _side(oracle, m, n):
+    """Where m/n lies against the cut: LESS, EQUAL or GREATER (one or two
+    queries, exact_hit first)."""
+    if oracle.exact_hit(m, n):
+        return EQUAL
+    return GREATER if oracle.strict_above(m, n) else LESS
+
+
+_CLASS_OF_SIDE = {LESS: CLASS_BELOW, EQUAL: CLASS_EQUAL, GREATER: CLASS_ABOVE}
+
+
 def classify_fraction(q, oracle):
     """Place a positive fraction in class I (below the cut), II (equal)
     or III (above), per the three-way partition of the fraction field
@@ -88,12 +107,7 @@ def classify_fraction(q, oracle):
     q = Fraction(q)
     if q <= 0:
         raise ValueError("only positive fractions are classified")
-    m, n = q.numerator, q.denominator
-    if oracle.exact_hit(m, n):
-        return CLASS_EQUAL
-    if oracle.strict_above(m, n):
-        return CLASS_ABOVE
-    return CLASS_BELOW
+    return _CLASS_OF_SIDE[_side(oracle, q.numerator, q.denominator)]
 
 
 def stern_brocot_bracket(oracle, max_den):
@@ -103,20 +117,46 @@ def stern_brocot_bracket(oracle, max_den):
     max_den.  If the oracle reports an exact hit the bracket collapses,
     lo == hi.  Otherwise lo and hi are Stern-Brocot neighbours of the
     cut, so hi - lo == 1/(lo.den * hi.den).
+
+    The descent goes by runs of equal steps (the partial quotients of
+    the cut's continued fraction), not one mediant at a time: a run is
+    measured by exponential search and then bisection on its monotone
+    stop condition, and the fraction it stops at is the first step of
+    the next run.  The result is the one-step-at-a-time descent's, with
+    O(log max_den + log(cut + 1/cut)) queries in place of the sum of the
+    partial quotients.
     """
     if max_den < 1:
         raise ValueError("max_den must be a positive integer")
-    # tree root: 0/1 below everything positive, 1/0 the formal upper end
-    lo_n, lo_d = 0, 1
-    hi_n, hi_d = 1, 0
-    while True:
-        m, n = lo_n + hi_n, lo_d + hi_d
-        if n > max_den and hi_d > 0:
-            return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
-        if oracle.exact_hit(m, n):
-            q = Fraction(m, n)
-            return q, q
-        if oracle.strict_above(m, n):
-            hi_n, hi_d = m, n
-        else:
-            lo_n, lo_d = m, n
+    # tree root: 0/1 below everything positive, 1/0 the formal upper end;
+    # invariant: the mediant of lo and hi lies on `side` of the cut
+    lo, hi = (0, 1), (1, 0)
+    side = _side(oracle, 1, 1)
+    while side != EQUAL:
+        # the run replaces end a by a + k*b, k = 1, 2, ..., while those
+        # mediants stay on `side`; it moves toward end b, which stays
+        (a_n, a_d), (b_n, b_d) = (lo, hi) if side == LESS else (hi, lo)
+        # last k whose denominator fits; the first run up from 1/0 has no
+        # cap and ends at the cut itself
+        cap = (max_den - a_d) // b_d if b_d else math.inf
+        # good: last k known to stay on `side`; bad: first k known to leave
+        # it, found by galloping k = 1 + 1, 1 + 2, 1 + 4, ... then bisection
+        good, bad, stride = 1, None, 1
+        while (bad - good > 1) if bad else (good != cap):
+            if bad:
+                k = (good + bad) // 2
+            else:
+                k = min(1 + stride, cap)
+                stride *= 2
+            where = _side(oracle, a_n + k * b_n, a_d + k * b_d)
+            if where == side:
+                good = k
+            else:
+                bad, bad_side = k, where
+        a = (a_n + good * b_n, a_d + good * b_d)
+        lo, hi = (a, (b_n, b_d)) if side == LESS else ((b_n, b_d), a)
+        if bad is None:
+            return Fraction(*lo), Fraction(*hi)
+        side = bad_side
+    q = Fraction(lo[0] + hi[0], lo[1] + hi[1])
+    return q, q

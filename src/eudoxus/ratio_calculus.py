@@ -13,6 +13,7 @@ The classical one-dimensional theory (iteration, partition, cut classes,
 ex aequali, compositio, step-figure quadrature) runs on exact rationals.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -261,7 +262,10 @@ class RealOracleFromValue(CutOracle):
     band TOL of the value counts as an exact hit."""
 
     def __init__(self, value):
-        self.value = float(value)
+        value = float(value)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError("cut must be positive and finite, got %r" % value)
+        self.value = value
 
     def strict_above(self, m, n):
         return m - n * self.value > TOL * (abs(m) + abs(n * self.value))

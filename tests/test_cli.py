@@ -83,6 +83,15 @@ def test_ratio_make_command(tmp_path, capsys):
     assert "lambdas" in out
 
 
+def test_ratio_make_huge_multiplier(tmp_path, capsys):
+    # a run of 10^12 equal mediant steps: bracketed by exponential search
+    spec = _write_spec(tmp_path, "kind = orthant\ndim = 2\n")
+    code = cli.main(["ratio", "make", spec,
+                     "--antecedent", "1e12,3", "--consequent", "1,1"])
+    assert code == 0
+    assert "CHECK ratio_make PASS" in capsys.readouterr().out
+
+
 def test_ratio_eq_command(tmp_path, capsys):
     spec = _write_spec(tmp_path, "kind = orthant\ndim = 2\n")
     code = cli.main(["ratio", "eq", spec,

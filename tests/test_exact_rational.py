@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -16,6 +17,41 @@ from eudoxus.exact_rational import (
     compare,
     stern_brocot_bracket,
 )
+from eudoxus.ratio_calculus import RealOracleFromValue
+
+
+def linear_bracket(oracle, max_den):
+    """Reference: the one-mediant-per-step Stern-Brocot descent that the
+    run-length walk must reproduce exactly."""
+    lo_n, lo_d = 0, 1
+    hi_n, hi_d = 1, 0
+    while True:
+        m, n = lo_n + hi_n, lo_d + hi_d
+        if n > max_den and hi_d > 0:
+            return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
+        if oracle.exact_hit(m, n):
+            q = Fraction(m, n)
+            return q, q
+        if oracle.strict_above(m, n):
+            hi_n, hi_d = m, n
+        else:
+            lo_n, lo_d = m, n
+
+
+class CountingOracle:
+    """Pass-through oracle that counts the queries made of it."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.queries = 0
+
+    def strict_above(self, m, n):
+        self.queries += 1
+        return self.oracle.strict_above(m, n)
+
+    def exact_hit(self, m, n):
+        self.queries += 1
+        return self.oracle.exact_hit(m, n)
 
 
 def test_compare_basic():
@@ -98,3 +134,60 @@ def test_max_den_validation():
         pass
     else:
         raise AssertionError("expected ValueError")
+
+
+# cuts whose continued fractions have one partial quotient near 10^j
+LONG_RUNS = [v for j in range(1, 7)
+             for v in (Fraction(10**j + 1, 10**j), Fraction(10**j - 1, 10**j),
+                       Fraction(10**j), Fraction(1, 10**j))]
+
+# a run of a equal steps costs at most 2 ceil(log2 a) + 1 probes of at most
+# two queries each, and its partial quotient a multiplies the denominator
+# (or, in the first run, the value) by at least a; 6 leaves room for the
+# short runs and the capped last run
+QUERIES_PER_BIT = 6
+
+
+def query_bound(value, max_den):
+    v = float(value)
+    return QUERIES_PER_BIT * (math.log2(max_den) + math.log2(v + 1 / v) + 1)
+
+
+# random values stay within 10^+-3, where the linear reference is quick;
+# the long runs reach 10^+-6
+@given(value=st.one_of(
+           st.sampled_from(LONG_RUNS),
+           st.sampled_from(LONG_RUNS).map(float),
+           st.fractions(min_value=Fraction(1, 10**3), max_value=10**3,
+                        max_denominator=10**9),
+           st.floats(min_value=1e-3, max_value=1e3)),
+       oracle_cls=st.sampled_from([FractionCutOracle, RealOracleFromValue]),
+       max_den=st.one_of(st.integers(1, 10**6),
+                         st.integers(0, 6).map(lambda e: 10**e)))
+@settings(max_examples=100)
+def test_run_walk_matches_linear_walk(value, oracle_cls, max_den):
+    counted = CountingOracle(oracle_cls(value))
+    bracket = stern_brocot_bracket(counted, max_den)
+    assert bracket == linear_bracket(oracle_cls(value), max_den)
+    assert counted.queries <= query_bound(value, max_den)
+
+
+def test_run_walk_no_dearer_than_linear_on_short_runs():
+    # partial quotients 1 and 2: the exponential search must not double
+    # the cost of cuts without long runs
+    for value in (2.0**0.5, (1 + 5.0**0.5) / 2):
+        for max_den in (64, 10**6):
+            fast = CountingOracle(RealCutOracle(value))
+            slow = CountingOracle(RealCutOracle(value))
+            assert stern_brocot_bracket(fast, max_den) == linear_bracket(slow, max_den)
+            assert fast.queries <= slow.queries
+
+
+def test_huge_and_tiny_cuts_bracket_in_few_queries():
+    # runs of 10^12 steps, out of the linear reference's reach
+    for value in (Fraction(10**12), Fraction(1, 10**12),
+                  Fraction(10**12 + 1, 10**12)):
+        counted = CountingOracle(FractionCutOracle(value))
+        lo, hi = stern_brocot_bracket(counted, 10**6)
+        assert lo <= value <= hi
+        assert counted.queries <= query_bound(value, 10**6)

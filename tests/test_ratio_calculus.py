@@ -31,6 +31,7 @@ from eudoxus.ratio_calculus import (
     quadrature_demo,
     quadrature_ratio_demo,
     ratio_equal,
+    RealOracleFromValue,
     ratio_from_pair,
     to_derivation,
 )
@@ -184,6 +185,13 @@ def test_cut_equality_variants_agree(a, b):
         assert cuts_equal(o1, o2, 100)
     else:
         assert cuts_equal(o1, o2, max(a.denominator, b.denominator)) == (a == b)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_banded_oracle_rejects_non_finite_and_non_positive(value):
+    # a NaN cut is never hit nor above, so its bracket would never end
+    with pytest.raises(ValueError):
+        RealOracleFromValue(value)
 
 
 @given(a=positive_fractions, b=positive_fractions, c=positive_fractions,
