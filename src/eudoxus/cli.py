@@ -81,11 +81,13 @@ def parse_cone_spec(text):
             raise SpecError(line_no, "unknown key %r" % key)
     if kind is None:
         raise SpecError(0, "missing kind")
+    if kind == "polyhedral" and not gens:
+        raise SpecError(0, "polyhedral cone needs gen lines")
+    if kind != "polyhedral" and dim is None:
+        raise SpecError(0, "missing %s" % ("k" if kind in ("psd_real", "hermitian") else "dim"))
     try:
         if kind != "polyhedral":
             return getattr(ConeSpace, kind)(dim)
-        if not gens:
-            raise SpecError(0, "polyhedral cone needs gen lines")
         return ConeSpace.polyhedral(gens)
     except ValueError as exc:
         raise SpecError(0, str(exc))

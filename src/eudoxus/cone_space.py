@@ -28,6 +28,7 @@ comparison downstream routes through it.
 """
 
 import itertools
+import math
 from enum import Enum
 
 import numpy as np
@@ -273,8 +274,13 @@ class ConeSpace:
         return self._margin(self._check_dim(x))
 
     def membership(self, x):
+        """INTERIOR, BOUNDARY or OUTSIDE within the band TOL max(|x|, 1).
+        A vector whose norm is not finite (a nan or inf entry, or a norm
+        past the float range) raises ValueError."""
         x = self._check_dim(x)
         nrm = np.linalg.norm(x)
+        if not math.isfinite(nrm):
+            raise ValueError("vector norm is not finite")
         if nrm == 0.0:
             return Membership.BOUNDARY
         m = self.margin(x)

@@ -78,8 +78,26 @@ class Derivation:
 _basis_cache = {}
 
 
+def _derivation_frame(space):
+    """(Q, basis) of Der(cone), cached per cone: the rows of Q, shape
+    (n, dim^2), are the flattened basis matrices, which the kinds build
+    Frobenius-orthonormal, so the distance of an operator M from Der is
+    ||v - Q^T (Q v)|| with v = M.reshape(-1).  The basis matrices are
+    views of Q's rows."""
+    frame = _basis_cache.get(space._key)
+    if frame is None:
+        Q = np.array([m.reshape(-1) for m in space._derivation_mats()])
+        # round-off far below the 1e-9 relative threshold of is_derivation
+        err = np.max(np.abs(Q @ Q.T - np.eye(len(Q))))
+        assert err <= 1e-12, "derivation basis is not orthonormal (%.3g)" % err
+        basis = [Derivation(space, q.reshape(space.dim, space.dim)) for q in Q]
+        frame = _basis_cache[space._key] = (Q, basis)
+    return frame
+
+
 def derivation_basis(space):
-    """A basis of the Lie algebra of cone derivations.
+    """A basis of the Lie algebra of cone derivations, orthonormal in
+    the Frobenius inner product.
 
     Jordan kinds: an orthonormal basis of L(V) + [L(V), L(V)], which is
     the diagonal matrices for the orthant; scaling, boosts and spatial
@@ -89,10 +107,7 @@ def derivation_basis(space):
     polyhedral: the operators keeping every extreme ray an eigenvector.
     Cached per cone, so fresh spaces of one kind and size share it.
     """
-    basis = _basis_cache.get(space._key)
-    if basis is None:
-        basis = [Derivation(space, m) for m in space._derivation_mats()]
-        _basis_cache[space._key] = basis
+    basis = _derivation_frame(space)[1]
     if basis[0].host is not space:
         basis = [Derivation(space, b.mat) for b in basis]
     return basis
@@ -118,28 +133,33 @@ def tangency_dimension_oracle(space, samples=120, rng=None, symmetric_only=False
     return ncols - int(np.sum(s > 1e-7 * max(s[0], 1.0)))
 
 
-def _span_residual(basis_mats, M):
-    A = np.array([b.reshape(-1) for b in basis_mats]).T
+def _derivation_residual(space, M):
+    """Frobenius distance of M from Der(cone): one projection onto the
+    cached orthonormal basis."""
+    Q = _derivation_frame(space)[0]
     v = M.reshape(-1)
-    coef, res, _, _ = np.linalg.lstsq(A, v, rcond=None)
-    return float(np.linalg.norm(A @ coef - v))
+    return float(np.linalg.norm(v - (Q @ v) @ Q))
 
 
 def is_derivation(space, M, t_grid=DEFAULT_T_GRID, sample_budget=60, rng=None):
     """Does exp(tM) preserve the cone for every real t?
 
     Decided exactly by membership in the span of derivation_basis (for
-    polyhedral cones, the extreme-ray eigenvector condition).  A Refuted
-    verdict carries a (t, x) witness expelled from the cone when
-    sampling finds one.
+    polyhedral cones, the extreme-ray eigenvector condition): M is
+    projected onto the cached orthonormal basis of Der(cone), and M is a
+    derivation when the residual is at most 1e-9 max(||M||, 1).  A
+    Refuted verdict carries a (t, x) witness expelled from the cone when
+    sampling finds one.  Non-finite entries raise ValueError.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (space.dim, space.dim):
         raise ValueError("dimension mismatch")
+    if not np.isfinite(M).all():
+        raise ValueError("operator has non-finite entries")
     if rng is None:
         rng = np.random.default_rng(3)
     scale = max(np.linalg.norm(M), 1.0)
-    res = _span_residual([b.mat for b in derivation_basis(space)], M)
+    res = _derivation_residual(space, M)
     if res <= 1e-9 * scale:
         return Verdict("Verified", "inside the derivation parametrization")
     witness = _expel_witness(space, M, t_grid, sample_budget, rng)
@@ -154,7 +174,8 @@ def _expel_witness(space, M, t_grid, sample_budget, rng):
             continue
         for t in t_grid:
             y = expm(t * M) @ x
-            if space.membership(y) is Membership.OUTSIDE:
+            # an image too large for its norm to be finite says nothing
+            if np.isfinite(np.linalg.norm(y)) and space.membership(y) is Membership.OUTSIDE:
                 return (t, x)
     return None
 
@@ -178,11 +199,17 @@ def _commutator(A, B):
 
 
 def lie_closure_residual(basis):
-    mats = [b.mat for b in basis]
+    """Largest distance of a commutator of two basis elements from the
+    span of the basis: zero when the span is a Lie algebra.  The
+    commutators with each element are stacked and projected together
+    onto an orthonormal basis of the span, so memory stays at n dim^2."""
+    mats = np.array([b.mat for b in basis])
+    n = len(mats)
+    Q = scipy.linalg.orth(mats.reshape(n, -1).T).T
     worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            worst = max(worst, _span_residual(mats, _commutator(mats[i], mats[j])))
+    for i in range(n - 1):
+        C = (mats[i] @ mats[i + 1:] - mats[i + 1:] @ mats[i]).reshape(n - i - 1, -1)
+        worst = max(worst, float(np.max(np.linalg.norm(C - (C @ Q.T) @ Q, axis=1))))
     return worst
 
 

@@ -138,11 +138,11 @@ def ratio_from_pair(space, a_prime, a, max_den=10**6):
     delta = _solve_selfadjoint_derivation(space, a, a_prime)
     if delta is None:
         raise NotComparable("antecedent is not face-diagonal over the consequent")
-    return _ratio_from_derivation_and_unit(space, delta, a, max_den)
+    return _ratio_from_family(space, delta, spectral_faces(space, delta), a, max_den)
 
 
-def _ratio_from_derivation_and_unit(space, delta, a, max_den):
-    family = spectral_faces(space, delta)
+def _ratio_from_family(space, delta, family, a, max_den):
+    """The ratio delta a : a, decomposed along the spectral faces of delta."""
     decomposition = []
     recovered = np.zeros(space.dim)
     for lam, F in family.nonzero_entries():
@@ -189,13 +189,19 @@ def from_derivation(space, delta, max_den=10**6):
     verdict = is_derivation(space, delta.mat)
     if not verdict:
         raise ValueError("not a derivation: %r" % verdict)
-    family = spectral_faces(space, delta)
+    return _ratio_from_verified(space, delta, max_den)
+
+
+def _ratio_from_verified(space, delta, max_den):
+    """from_derivation for a delta already verified to be a derivation:
+    its spectral faces are built once, unchecked."""
+    family = spectral_faces(space, delta.mat)
     a = np.zeros(space.dim)
     for lam, F in family.nonzero_entries():
         a = a + F.witness
     if space.membership(a) is not Membership.INTERIOR:
         raise ValueError("spectral-face units do not sum to an order unit")
-    return _ratio_from_derivation_and_unit(space, delta, a, max_den)
+    return _ratio_from_family(space, delta, family, a, max_den)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +329,9 @@ def compose(r, s, max_den=10**6):
     ds = to_derivation(s)
     prod = dr.mat @ ds.mat
     scale = max(np.linalg.norm(prod), 1.0)
-    if np.linalg.norm(prod - prod.T) <= 1e-8 * scale and is_derivation(r.host, prod):
-        return from_derivation(r.host, prod, max_den=max_den)
+    # only the decision is used: no search for an expelled witness
+    if np.linalg.norm(prod - prod.T) <= 1e-8 * scale and is_derivation(r.host, prod, sample_budget=0):
+        return _ratio_from_verified(r.host, Derivation(r.host, prod), max_den)
     return JordanOnly(jordan_compose(r, s))
 
 

@@ -69,6 +69,27 @@ def test_bad_spec_is_usage_error(tmp_path):
     assert cli.main(["analyze", spec]) == 2
 
 
+@pytest.mark.parametrize("kind,key", [("orthant", "dim"), ("lorentz", "dim"),
+                                      ("psd_real", "k"), ("hermitian", "k")])
+def test_missing_size_is_usage_error(tmp_path, capsys, kind, key):
+    with pytest.raises(cli.SpecError, match="missing %s" % key) as exc:
+        cli.parse_cone_spec("kind = %s\n" % kind)
+    assert exc.value.line_no == 0
+    assert cli.main(["analyze", _write_spec(tmp_path, "kind = %s\n" % kind)]) == 2
+    assert "error: line 0: missing %s" % key in capsys.readouterr().err
+
+
+def test_polyhedral_without_generators_is_usage_error(tmp_path, capsys):
+    assert cli.main(["analyze", _write_spec(tmp_path, "kind = polyhedral\ndim = 2\n")]) == 2
+    assert "error: line 0: polyhedral cone needs gen lines\n" in capsys.readouterr().err
+
+
+def test_non_finite_antecedent_is_usage_error(tmp_path, capsys):
+    spec = _write_spec(tmp_path, "kind = orthant\ndim = 2\n")
+    assert cli.main(["ratio", "make", spec, "--antecedent", "nan,1", "--consequent", "1,1"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_bad_arguments_are_usage_error():
     assert cli.main(["frobnicate"]) == 2
 

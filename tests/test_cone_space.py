@@ -236,3 +236,17 @@ def test_jordan_multiplication_operator():
     assert np.allclose(sp.L(sp.canonical_unit()), np.eye(sp.dim), atol=1e-12)
     with pytest.raises(ValueError):
         ConeSpace.polyhedral([np.array([1.0, 0.0]), np.array([0.0, 1.0])]).L(np.ones(2))
+
+
+@pytest.mark.parametrize("sp", all_kinds() + [ConeSpace.polyhedral(
+    [np.array([1.0, 0.0]), np.array([1.0, 1.0])])], ids=repr)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_membership_rejects_non_finite_vectors(sp, bad):
+    # a non-finite vector is neither inside the cone nor on its boundary
+    x = sp.canonical_unit()
+    x[-1] = bad
+    for query in (sp.membership, sp.contains):
+        with pytest.raises(ValueError, match="not finite"):
+            query(x)
+    with pytest.raises(ValueError, match="not finite"):  # the norm overflows
+        sp.membership(1e200 * sp.canonical_unit())

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eudoxus import derivation_algebra, ratio_calculus
 from eudoxus.cone_space import ConeSpace, herm_to_vec, sym_to_vec, vec_to_herm, vec_to_sym
 from eudoxus.derivation_algebra import (
     Derivation,
     SpectralFaceFamily,
+    _derivation_residual,
     derivation_basis,
     is_derivation,
     lie_center,
@@ -248,3 +252,160 @@ def test_selfadjoint_basis_is_pinned_for_orthant_and_lorentz(n):
         boosts.append(M)
     got = np.array([b.mat for b in selfadjoint_derivations(ConeSpace.lorentz(n))])
     assert np.array_equal(got, np.array(boosts))
+
+
+# ---------------------------------------------------------------------------
+# membership by projection, against the least-squares reference
+
+def span_residual(basis_mats, M):
+    """Reference: distance of M from the span of basis_mats by one
+    least-squares solve, as is_derivation decided it before the cached
+    orthonormal projection."""
+    A = np.array([b.reshape(-1) for b in basis_mats]).T
+    v = M.reshape(-1)
+    coef, _, _, _ = np.linalg.lstsq(A, v, rcond=None)
+    return float(np.linalg.norm(A @ coef - v))
+
+
+# all five kinds, up to the benchmark's largest sizes
+CONES = ([ConeSpace.orthant(n) for n in (1, 3, 8, 24)]
+         + [ConeSpace.lorentz(n) for n in (2, 3, 8, 24)]
+         + [ConeSpace.psd_real(k) for k in (1, 2, 3, 5)]
+         + [ConeSpace.hermitian(k) for k in (1, 2, 3, 5)]
+         + [_rotated_orthant(n, 5) for n in (3, 6)] + [_ngon_cone(n) for n in (3, 7)])
+cones = st.sampled_from(CONES)
+seeds = st.integers(0, 2**32 - 1)
+scales = st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6])
+
+
+def _combination(sp, rng, scale):
+    basis = derivation_basis(sp)
+    return sum(c * b.mat for c, b in zip(scale * rng.standard_normal(len(basis)), basis))
+
+
+def _off_span(sp, rng):
+    """A unit-norm operator orthogonal to Der(cone), or None when Der is everything."""
+    Q = np.array([b.mat.reshape(-1) for b in derivation_basis(sp)])
+    g = rng.standard_normal(sp.dim * sp.dim)
+    g = g - (g @ Q.T) @ Q
+    if np.linalg.norm(g) < 1e-6:
+        return None
+    return (g / np.linalg.norm(g)).reshape(sp.dim, sp.dim)
+
+
+@pytest.mark.parametrize("sp", CONES, ids=repr)
+def test_derivation_basis_is_orthonormal(sp):
+    Q = np.array([b.mat.reshape(-1) for b in derivation_basis(sp)])
+    assert np.max(np.abs(Q @ Q.T - np.eye(len(Q)))) < 1e-12
+
+
+@given(sp=cones, seed=seeds, scale=scales, off=st.sampled_from([0.0, 1e-12, 1e-6, 1.0]))
+@settings(max_examples=150)
+def test_projection_residual_matches_lstsq_reference(sp, seed, scale, off):
+    rng = np.random.default_rng(seed)
+    E = _off_span(sp, rng)
+    M = _combination(sp, rng, scale)
+    if E is not None:
+        M = M + off * scale * E
+    mats = [b.mat for b in derivation_basis(sp)]
+    got, want = _derivation_residual(sp, M), span_residual(mats, M)
+    assert abs(got - want) <= 1e-12 * max(np.linalg.norm(M), 1.0)
+    G = rng.standard_normal((sp.dim, sp.dim))  # a generic operator, mostly off the span
+    assert abs(_derivation_residual(sp, G) - span_residual(mats, G)) <= 1e-12 * np.linalg.norm(G)
+
+
+@given(sp=cones, seed=seeds, scale=scales)
+@settings(max_examples=100)
+def test_basis_combinations_are_verified(sp, seed, scale):
+    M = _combination(sp, np.random.default_rng(seed), scale)
+    assert is_derivation(sp, M).status == "Verified"
+
+
+@given(sp=cones, seed=seeds, scale=scales, off=st.sampled_from([1e-6, 1e-3, 1.0]))
+@settings(max_examples=100)
+def test_combinations_with_an_off_span_part_are_refuted(sp, seed, scale, off):
+    rng = np.random.default_rng(seed)
+    E = _off_span(sp, rng)
+    if E is None:  # orthant(1), lorentz(2), psd_real(1), hermitian(1): Der is all operators
+        assert len(derivation_basis(sp)) == sp.dim * sp.dim
+        return
+    M = _combination(sp, rng, scale) + off * max(scale, 1.0) * E
+    verdict = is_derivation(sp, M, sample_budget=2, rng=rng)
+    assert verdict.status == "Refuted"
+    assert "residual" in verdict.detail
+
+
+def _pairwise_closure_residual(mats):
+    """Reference: one least-squares solve per commutator."""
+    return max([span_residual(mats, A @ B - B @ A)
+                for i, A in enumerate(mats) for B in mats[i + 1:]], default=0.0)
+
+
+@given(sp=cones, seed=seeds, generic=st.integers(0, 3), size=st.integers(1, 12))
+@settings(max_examples=60)
+def test_batched_lie_closure_residual_matches_pairwise(sp, seed, generic, size):
+    # a subset of the basis (often not closed under brackets) and some generic operators
+    rng = np.random.default_rng(seed)
+    basis = derivation_basis(sp)
+    mats = [basis[i].mat for i in rng.permutation(len(basis))[:size]]
+    mats += [rng.standard_normal((sp.dim, sp.dim)) for _ in range(generic)]
+    got = lie_closure_residual([Derivation(sp, m) for m in mats])
+    want = _pairwise_closure_residual(mats)
+    assert abs(got - want) <= 1e-12 * max(1.0, max(np.linalg.norm(m) for m in mats) ** 2)
+
+
+@pytest.mark.parametrize("sp", CONES, ids=repr)
+def test_full_basis_is_closed_as_in_the_reference(sp):
+    mats = [b.mat for b in derivation_basis(sp)]
+    got = lie_closure_residual(derivation_basis(sp))
+    assert got < 1e-9
+    if len(mats) <= 30:  # the pairwise reference costs n^2 / 2 solves
+        assert abs(got - _pairwise_closure_residual(mats)) <= 1e-12
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.lorentz(3), _ngon_cone(5)], ids=repr)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_is_derivation_rejects_non_finite_operators(sp, bad):
+    M = np.eye(sp.dim)
+    M[0, -1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        is_derivation(sp, M)
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(4), ConeSpace.psd_real(1), _rotated_orthant(3, 2)],
+                         ids=repr)
+def test_each_operator_is_verified_once(monkeypatch, sp):
+    # products of commuting derivations stay derivations on these cones, so compose gives a Ratio
+    delta = _random_selfadjoint(sp, np.random.default_rng(4)).mat
+    partner = 1.5 * np.eye(sp.dim) + 0.5 * delta  # commutes with delta
+    r = ratio_calculus.from_derivation(sp, delta, max_den=64)
+    s = ratio_calculus.from_derivation(sp, partner, max_den=64)
+    calls = []
+
+    def counting(space, M, *args, **kwargs):
+        calls.append(1)
+        return is_derivation(space, M, *args, **kwargs)
+    monkeypatch.setattr(derivation_algebra, "is_derivation", counting)
+    monkeypatch.setattr(ratio_calculus, "is_derivation", counting)
+    for run in (lambda: ratio_calculus.from_derivation(sp, delta, max_den=64),
+                lambda: ratio_calculus.compose(r, s, max_den=64),
+                lambda: ratio_calculus.add(r, s, max_den=64),
+                lambda: ratio_calculus.ratio_from_pair(sp, delta @ sp.canonical_unit(),
+                                                       sp.canonical_unit(), max_den=64)):
+        calls.clear()
+        out = run()
+        assert isinstance(out, ratio_calculus.Ratio)
+        assert len(calls) == 1
+
+
+def test_compose_outside_der_skips_the_witness_search(monkeypatch):
+    # compose needs only the decision; an expelled witness would be thrown away
+    sp = ConeSpace.lorentz(4)
+    delta = _random_selfadjoint(sp, np.random.default_rng(4)).mat
+    r = ratio_calculus.from_derivation(sp, delta, max_den=64)
+    s = ratio_calculus.from_derivation(sp, 1.5 * np.eye(sp.dim) + 0.5 * delta, max_den=64)
+
+    def no_expm(*args):
+        raise AssertionError("witness search in compose")
+    monkeypatch.setattr(derivation_algebra, "expm", no_expm)
+    assert isinstance(ratio_calculus.compose(r, s, max_den=64), ratio_calculus.JordanOnly)
