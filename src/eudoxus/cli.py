@@ -38,7 +38,10 @@ from eudoxus.ratio_calculus import (
 from eudoxus import suite
 
 
-KINDS = ("orthant", "lorentz", "psd_real", "hermitian", "polyhedral")
+# the size key each kind takes: matrix kinds their order k, the others dim
+SIZE_KEYS = {"orthant": "dim", "lorentz": "dim", "psd_real": "k", "hermitian": "k",
+             "polyhedral": "dim"}
+KINDS = tuple(SIZE_KEYS)
 
 
 class SpecError(ValueError):
@@ -48,10 +51,16 @@ class SpecError(ValueError):
 
 
 def parse_cone_spec(text):
-    """Parse the cone-spec text format into a ConeSpace."""
+    """Parse the cone-spec text format into a ConeSpace.
+
+    Each kind takes only its own size key (SIZE_KEYS).  Polyhedral cones
+    take gen lines of one length, which an optional dim must equal; the
+    other kinds take none.  Errors name the offending line (0 for
+    something missing).
+    """
     kind = None
-    dim = None
-    gens = []
+    size = None  # (line_no, key, value)
+    gens = []  # (line_no, generator)
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -67,28 +76,44 @@ def parse_cone_spec(text):
             kind = value
         elif key in ("dim", "k"):
             try:
-                dim = int(value)
+                n = int(value)
             except ValueError:
                 raise SpecError(line_no, "bad integer %r for %s" % (value, key))
-            if dim < 1:
+            if n < 1:
                 raise SpecError(line_no, "%s must be positive" % key)
+            size = (line_no, key, n)
         elif key == "gen":
             try:
-                gens.append([float(v) for v in value.split(",")])
+                gens.append((line_no, [float(v) for v in value.split(",")]))
             except ValueError:
                 raise SpecError(line_no, "bad generator %r" % value)
         else:
             raise SpecError(line_no, "unknown key %r" % key)
     if kind is None:
         raise SpecError(0, "missing kind")
-    if kind == "polyhedral" and not gens:
+    want = SIZE_KEYS[kind]
+    if size is not None and size[1] != want:
+        raise SpecError(size[0], "%s takes %s, not %s" % (kind, want, size[1]))
+    if kind != "polyhedral":
+        if gens:
+            raise SpecError(gens[0][0], "%s takes no gen lines" % kind)
+        if size is None:
+            raise SpecError(0, "missing %s" % want)
+    elif not gens:
         raise SpecError(0, "polyhedral cone needs gen lines")
-    if kind != "polyhedral" and dim is None:
-        raise SpecError(0, "missing %s" % ("k" if kind in ("psd_real", "hermitian") else "dim"))
+    else:
+        length = len(gens[0][1])
+        for line_no, g in gens:
+            if len(g) != length:
+                raise SpecError(line_no, "generator has %d entries, the first has %d"
+                                % (len(g), length))
+        if size is not None and size[2] != length:
+            raise SpecError(size[0], "dim = %d but the generators have %d entries"
+                            % (size[2], length))
     try:
         if kind != "polyhedral":
-            return getattr(ConeSpace, kind)(dim)
-        return ConeSpace.polyhedral(gens)
+            return getattr(ConeSpace, kind)(size[2])
+        return ConeSpace.polyhedral([g for _, g in gens])
     except ValueError as exc:
         raise SpecError(0, str(exc))
 

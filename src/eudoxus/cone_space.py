@@ -40,6 +40,9 @@ TOL = 1e-9
 # eigenvalues closer than this share a spectral face
 CLUSTER_TOL = 1e-8
 
+# generator subsets tried by the polyhedral facial-homogeneity check
+MAX_SUBSETS = 4096
+
 SQRT2 = np.sqrt(2.0)
 
 
@@ -452,6 +455,8 @@ class _JordanSpace(ConeSpace):
         return [(float(lam), C[:, i].copy()) for i, lam in enumerate(w) if lam > band]
 
     def _face_points(self, budget, rng):
+        # drawn up front: a refuted face's witness search then starts from
+        # one rng state, whichever face refutes
         points = [self.sample_cone_point(rng) for _ in range(budget)]
         return [x for x in points if np.linalg.norm(x) > 1e-9], "sampled faces"
 
@@ -685,12 +690,16 @@ class _Polyhedral(ConeSpace):
         return [(float(c[i]), self._rays[:, i].copy()) for i in range(self.dim) if c[i] > band]
 
     def _face_points(self, budget, rng):
+        """Sums of generator subsets, smallest subsets first, lazily: all
+        2^m - 1 of them up to MAX_SUBSETS, else the first MAX_SUBSETS."""
         G = self.generators
         m = G.shape[1]
         subsets = itertools.chain.from_iterable(
             itertools.combinations(range(m), r) for r in range(1, m + 1))
-        return ([np.sum(G[:, list(s)], axis=1)
-                 for s in itertools.islice(subsets, min(2 ** m, 4096))], "exhaustive")
+        how = ("exhaustive" if 2 ** m - 1 <= MAX_SUBSETS
+               else "first %d generator subsets" % MAX_SUBSETS)
+        return (np.sum(G[:, list(s)], axis=1)
+                for s in itertools.islice(subsets, MAX_SUBSETS)), how
 
     def _riesz(self):
         m = self.generators.shape[1]

@@ -194,10 +194,6 @@ def selfadjoint_derivations(space):
     return [Derivation(space, m) for m in space._derivation_mats(selfadjoint=True)]
 
 
-def _commutator(A, B):
-    return A @ B - B @ A
-
-
 def lie_closure_residual(basis):
     """Largest distance of a commutator of two basis elements from the
     span of the basis: zero when the span is a Lie algebra.  The
@@ -213,30 +209,34 @@ def lie_closure_residual(basis):
     return worst
 
 
+def _null_rows(A):
+    """Orthonormal rows spanning the null space of A, by a thin SVD with
+    the rank cut 1e-8 max(s_max, 1)."""
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(s > 1e-8 * max(s[0] if len(s) else 1.0, 1.0)))
+    return vt[rank:]
+
+
 def lie_center(basis):
     """Elements of span(basis) commuting with the whole basis."""
     res = lie_closure_residual(basis)
     if res > 1e-9:
         raise ValueError("basis not closed under commutator (residual %.3g)" % res)
-    mats = [b.mat for b in basis]
+    mats = np.array([b.mat for b in basis])
     n = len(mats)
-    rows = []
-    for Bj in mats:
-        row = np.array([_commutator(Bi, Bj).reshape(-1) for Bi in mats]).T
-        rows.append(row)
-    A = np.vstack(rows)
-    _, s, vt = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > 1e-8 * max(s[0] if len(s) else 1.0, 1.0)))
-    ns = vt[rank:]
+    # block j holds the columns vec [B_i, B_j] over i
+    A = np.vstack([(mats @ B - B @ mats).reshape(n, -1).T for B in mats])
+    ns = _null_rows(A)
     host = basis[0].host
-    return [Derivation(host, sum(c[i] * mats[i] for i in range(n))) for c in ns]
+    return [Derivation(host, np.tensordot(c, mats, axes=1)) for c in ns]
 
 
 def _quotient_adjoint(basis, center):
     """Adjoint action of the basis on Der/center in an orthonormal
-    complement basis; returns (complement mats, list of ad matrices)."""
-    mats = [b.mat for b in basis]
-    Q = scipy.linalg.orth(np.array([m.reshape(-1) for m in mats]).T)
+    complement basis; returns the complement matrices, shape (q, d, d),
+    and the ad matrices, shape (n, q, q)."""
+    mats = np.array([b.mat for b in basis])
+    Q = scipy.linalg.orth(mats.reshape(len(mats), -1).T)
     if center:
         Qc = scipy.linalg.orth(np.array([c.mat.reshape(-1) for c in center]).T)
         # Q is orthonormal, so the complement keeps singular values near 1
@@ -244,23 +244,38 @@ def _quotient_adjoint(basis, center):
         u, s, _ = np.linalg.svd(Q - Qc @ (Qc.T @ Q), full_matrices=False)
         Q = u[:, s > 1e-8]
     q = Q.shape[1]
-    d = mats[0].shape[0]
-    comp_mats = [Q[:, i].reshape(d, d) for i in range(q)]
-    ads = []
-    for B in mats:
-        ad = np.zeros((q, q))
-        for i, X in enumerate(comp_mats):
-            bracket = _commutator(B, X).reshape(-1)
-            ad[:, i] = Q.T @ bracket
-        ads.append(ad)
-    return comp_mats, ads
+    d = mats.shape[1]
+    comp = Q.T.reshape(q, d, d)
+    # column i of ad(B) holds the coordinates of [B, X_i]
+    ads = np.array([((B @ comp - comp @ B).reshape(q, d * d) @ Q).T for B in mats])
+    return comp, ads
+
+
+def _centroid(ads):
+    """Orthonormal basis of the q x q matrices commuting with every ad_i,
+    found in the two stages orientability describes."""
+    q = ads.shape[1]
+    I = np.eye(q)
+    X = np.tensordot(np.random.default_rng(13).standard_normal(len(ads)), ads, axes=1)
+    # row-major vec: vec(X C - C X) = (X (x) I - I (x) X^T) vec C
+    N = _null_rows(np.kron(X, I) - np.kron(I, X.T)).reshape(-1, q, q)
+    A = np.vstack([(ad @ N - N @ ad).reshape(len(N), q * q).T for ad in ads])
+    return list(np.tensordot(_null_rows(A), N, axes=1))
 
 
 def orientability(space):
     """Connes dichotomy for the quotient of Der(cone) by its center.
 
     Odd quotient dimension refutes immediately; otherwise the centroid
-    of the quotient is searched for a complex structure J, J^2 = -I.
+    of the quotient, the q x q matrices commuting with every adjoint map
+    ad_i, is searched for a complex structure J, J^2 = -I.  The centroid
+    is found in two stages: the commutant N of one generic combination
+    X = sum c_i ad_i (fixed-seed coefficients) by one q^2 x q^2 SVD, then
+    the elements of N commuting with every ad_i by one thin SVD over a
+    basis of N, which has a few dozen elements at most.  The centroid
+    lies in the commutant of every element of the span of the ad_i, and
+    the second stage checks each ad_i, so the choice of X changes only
+    the cost, never the result.
     """
     basis = derivation_basis(space)
     center = lie_center(basis)
@@ -270,14 +285,7 @@ def orientability(space):
         return Verdict("Orientable", "commutative degenerate case (quotient dimension 0)")
     if q % 2 == 1:
         return Verdict("NotOrientable", "odd dimension %d" % q)
-    # centroid: q x q matrices commuting with every adjoint map
-    rows = []
-    for ad in ads:
-        rows.append(np.kron(np.eye(q), ad) - np.kron(ad.T, np.eye(q)))
-    A = np.vstack(rows)
-    _, s, vt = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > 1e-8 * max(s[0] if len(s) else 1.0, 1.0)))
-    cent = [c.reshape(q, q) for c in vt[rank:]]
+    cent = _centroid(ads)
     J = _complex_structure(cent)
     if J is not None:
         return Verdict("Orientable", "centroid contains a complex structure", witness=J)
@@ -353,7 +361,8 @@ def spectral_faces(space, delta):
     them can be.  On a Jordan kind delta = L(delta e), and the face of an
     eigenvalue is U_c for the frame elements c of delta e there."""
     if isinstance(delta, Derivation):
-        verdict = is_derivation(space, delta.mat)
+        # only the decision is needed: skip the witness search
+        verdict = is_derivation(space, delta.mat, sample_budget=0)
         if not verdict:
             raise ValueError("operator is not a derivation: %r" % verdict)
         M = delta.mat

@@ -7,6 +7,8 @@ need: the facial derivative of F is (1/2)(I + P_F - P_{F'}) with F' the
 orthogonal face.
 """
 
+import itertools
+
 import numpy as np
 
 from eudoxus.cone_space import TOL, Membership
@@ -141,15 +143,21 @@ def is_minimal(space, a):
 
 
 def _candidate_faces(space, sample_budget, rng):
+    """(faces, how): the zero face, the whole cone, then the faces of the
+    kind's face points, built only as they are consumed."""
     points, how = space._face_points(sample_budget, rng)
-    return [zero_face(space), whole_face(space)] + [face_of(space, x) for x in points], how
+    faces = itertools.chain([zero_face(space), whole_face(space)],
+                            (face_of(space, x) for x in points))
+    return faces, how
 
 
 def is_facially_homogeneous(space, sample_budget=25, rng=None):
     """Check that P_F - P_{F-perp} is a derivation for the tested faces.
 
-    Exhaustive over generator subsets for polyhedral cones; sampled faces
-    otherwise, so Verified means verified on the tested family there.
+    Over generator subsets for polyhedral cones (all of them up to 12
+    generators); sampled faces otherwise, so Verified means verified on
+    the tested family.  Faces are built lazily: the check stops at the
+    first face that refutes or is undecided.
     """
     from eudoxus.derivation_algebra import Verdict, is_derivation
 

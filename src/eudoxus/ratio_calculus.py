@@ -186,7 +186,8 @@ def from_derivation(space, delta, max_den=10**6):
     the units of its nonzero spectral faces, antecedent its image."""
     if not isinstance(delta, Derivation):
         delta = Derivation(space, delta)
-    verdict = is_derivation(space, delta.mat)
+    # only the decision is needed: skip the witness search
+    verdict = is_derivation(space, delta.mat, sample_budget=0)
     if not verdict:
         raise ValueError("not a derivation: %r" % verdict)
     return _ratio_from_verified(space, delta, max_den)

@@ -43,9 +43,11 @@ def test_emit_parse_roundtrip():
     for sp in (ConeSpace.orthant(3), ConeSpace.lorentz(4), ConeSpace.psd_real(2),
                ConeSpace.hermitian(2),
                ConeSpace.polyhedral([np.array([1.0, 0.0]), np.array([1.0, 1.0])])):
-        back = cli.parse_cone_spec(cli.emit_cone_spec(sp))
+        text = cli.emit_cone_spec(sp)
+        back = cli.parse_cone_spec(text)
         assert back.kind == sp.kind
         assert back.dim == sp.dim
+        assert cli.emit_cone_spec(back) == text
 
 
 def test_analyze_command(tmp_path, capsys):
@@ -82,6 +84,36 @@ def test_missing_size_is_usage_error(tmp_path, capsys, kind, key):
 def test_polyhedral_without_generators_is_usage_error(tmp_path, capsys):
     assert cli.main(["analyze", _write_spec(tmp_path, "kind = polyhedral\ndim = 2\n")]) == 2
     assert "error: line 0: polyhedral cone needs gen lines\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,line_no,message", [
+    ("kind = psd_real\ndim = 3\n", 2, "psd_real takes k, not dim"),
+    ("kind = hermitian\ndim = 4\n", 2, "hermitian takes k, not dim"),
+    ("k = 3\nkind = orthant\n", 1, "orthant takes dim, not k"),
+    ("kind = lorentz\nk = 3\n", 2, "lorentz takes dim, not k"),
+    ("kind = polyhedral\nk = 2\ngen = 1,0\ngen = 0,1\n", 2, "polyhedral takes dim, not k"),
+    ("kind = polyhedral\ndim = 5\ngen = 1,0\ngen = 0,1\n", 2,
+     "dim = 5 but the generators have 2 entries"),
+    ("kind = polyhedral\ngen = 1,0\ngen = 0,1\ndim = 3\n", 4,
+     "dim = 3 but the generators have 2 entries"),
+    ("kind = polyhedral\ndim = 2\ngen = 1,0\ngen = 0,1,2\ngen = 1,1\n", 4,
+     "generator has 3 entries, the first has 2"),
+    ("kind = polyhedral\ngen = 1,0,0\ngen = 0,1,0\n\ngen = 0,1\n", 5,
+     "generator has 2 entries, the first has 3"),
+    ("kind = orthant\ndim = 2\ngen = 1,0\n", 3, "orthant takes no gen lines"),
+])
+def test_strict_spec_errors_name_their_line(tmp_path, capsys, text, line_no, message):
+    with pytest.raises(cli.SpecError) as exc:
+        cli.parse_cone_spec(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == "line %d: %s" % (line_no, message)
+    assert cli.main(["analyze", _write_spec(tmp_path, text)]) == 2
+    assert "error: line %d: %s\n" % (line_no, message) in capsys.readouterr().err
+
+
+def test_polyhedral_dim_is_optional():
+    sp = cli.parse_cone_spec("kind = polyhedral\ngen = 1,0\ngen = 1,1\n")
+    assert sp.dim == 2
 
 
 def test_non_finite_antecedent_is_usage_error(tmp_path, capsys):

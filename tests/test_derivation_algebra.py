@@ -8,7 +8,10 @@ from eudoxus.cone_space import ConeSpace, herm_to_vec, sym_to_vec, vec_to_herm, 
 from eudoxus.derivation_algebra import (
     Derivation,
     SpectralFaceFamily,
+    _centroid,
+    _complex_structure,
     _derivation_residual,
+    _quotient_adjoint,
     derivation_basis,
     is_derivation,
     lie_center,
@@ -409,3 +412,124 @@ def test_compose_outside_der_skips_the_witness_search(monkeypatch):
         raise AssertionError("witness search in compose")
     monkeypatch.setattr(derivation_algebra, "expm", no_expm)
     assert isinstance(ratio_calculus.compose(r, s, max_den=64), ratio_calculus.JordanOnly)
+
+
+def test_from_derivation_outside_der_skips_the_witness_search(monkeypatch):
+    # from_derivation and spectral_faces only raise on a refuted operator
+    sp = ConeSpace.lorentz(4)
+    M = np.zeros((4, 4))
+    M[1, 0] = 1.0  # not a derivation: a shear into the spatial part
+
+    def no_expm(*args):
+        raise AssertionError("witness search for a dropped witness")
+    monkeypatch.setattr(derivation_algebra, "expm", no_expm)
+    with pytest.raises(ValueError, match=r"not a derivation: Refuted\(outside"):
+        ratio_calculus.from_derivation(sp, M)
+    with pytest.raises(ValueError, match=r"not a derivation: Refuted\(outside"):
+        spectral_faces(sp, Derivation(sp, M))
+
+
+# ---------------------------------------------------------------------------
+# the Lie centre and the centroid, against the commutator-loop and
+# stacked-Kronecker references
+
+def loop_center_and_adjoint(basis, center):
+    """Reference: the commutator tables of lie_center and _quotient_adjoint
+    built one commutator at a time."""
+    mats = [b.mat for b in basis]
+    A = np.vstack([np.array([(Bi @ Bj - Bj @ Bi).reshape(-1) for Bi in mats]).T
+                   for Bj in mats])
+    comp, _ = _quotient_adjoint(basis, center)
+    Q = np.array([X.reshape(-1) for X in comp]).T
+    ads = []
+    for B in mats:
+        ad = np.zeros((len(comp), len(comp)))
+        for i, X in enumerate(comp):
+            ad[:, i] = Q.T @ (B @ X - X @ B).reshape(-1)
+        ads.append(ad)
+    return A, ads
+
+
+def kron_centroid(ads):
+    """Reference: the centroid from one SVD of the stacked Kronecker
+    systems I (x) ad - ad^T (x) I, as orientability found it before its
+    two stages.  In row-major vec this solves C ad^T = ad^T C, the
+    transposed system; the spans agree because each ad of the
+    Frobenius-orthonormal Der basis is self- or skew-adjoint."""
+    q = ads[0].shape[0]
+    A = np.vstack([np.kron(np.eye(q), ad) - np.kron(ad.T, np.eye(q)) for ad in ads])
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(s > 1e-8 * max(s[0] if len(s) else 1.0, 1.0)))
+    return [c.reshape(q, q) for c in vt[rank:]]
+
+
+def kron_orientability(sp):
+    """Reference: orientability with the stacked-Kronecker centroid."""
+    basis = derivation_basis(sp)
+    comp, ads = _quotient_adjoint(basis, lie_center(basis))
+    cent = kron_centroid(ads)
+    if _complex_structure(cent) is not None:
+        return "Orientable(centroid contains a complex structure)"
+    if len(cent) <= 2:
+        return "NotOrientable(no complex structure in centroid)"
+    return "Unknown(centroid of dimension %d not searched exhaustively)" % len(cent)
+
+
+def _span_projector(mats):
+    V = np.array([m.reshape(-1) for m in mats])
+    return V.T @ np.linalg.pinv(V.T)
+
+
+# the Jordan cones with an even quotient dimension up to hermitian(3)
+EVEN_QUOTIENT = [ConeSpace.lorentz(4), ConeSpace.lorentz(5), ConeSpace.psd_real(3),
+                 ConeSpace.hermitian(2), ConeSpace.hermitian(3)]
+
+
+@pytest.mark.parametrize("sp", EVEN_QUOTIENT + [ConeSpace.lorentz(3), ConeSpace.psd_real(2),
+                                                _rotated_orthant(4, 1), _ngon_cone(5)], ids=repr)
+def test_commutator_tables_match_the_loop_reference(sp):
+    basis = derivation_basis(sp)
+    center = lie_center(basis)
+    A, ads = loop_center_and_adjoint(basis, center)
+    # the centre spans the null space of the loop table, as combinations of the basis
+    mats = np.array([b.mat.reshape(-1) for b in basis])
+    null = np.linalg.svd(A)[2][np.linalg.matrix_rank(A, tol=1e-8 * max(np.abs(A).max(), 1.0)):]
+    want = [c @ mats for c in null]
+    assert np.linalg.norm(_span_projector([c.mat for c in center]) - _span_projector(want)) < 1e-8
+    got = _quotient_adjoint(basis, center)[1]
+    assert got.shape == np.shape(ads)
+    assert np.max(np.abs(got - np.array(ads)), initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("sp", EVEN_QUOTIENT, ids=repr)
+def test_centroid_matches_the_kronecker_reference(sp):
+    basis = derivation_basis(sp)
+    comp, ads = _quotient_adjoint(basis, lie_center(basis))
+    assert len(comp) % 2 == 0
+    got, want = _centroid(ads), kron_centroid(ads)
+    assert len(got) == len(want)
+    assert np.linalg.norm(_span_projector(got) - _span_projector(want)) < 1e-8
+    # orthonormal, and commuting with the whole adjoint action
+    G = np.array([C.reshape(-1) for C in got])
+    assert np.max(np.abs(G @ G.T - np.eye(len(got)))) < 1e-10
+    assert max(np.linalg.norm(ad @ C - C @ ad) for ad in ads for C in got) < 1e-9
+    assert repr(orientability(sp)) == kron_orientability(sp)
+
+
+def test_orientability_witness_commutes_with_the_adjoint_action():
+    sp = ConeSpace.hermitian(3)
+    J = orientability(sp).witness
+    basis = derivation_basis(sp)
+    _, ads = _quotient_adjoint(basis, lie_center(basis))
+    assert np.linalg.norm(J @ J + np.eye(len(J))) < 1e-7
+    assert max(np.linalg.norm(ad @ J - J @ ad) for ad in ads) < 1e-8
+
+
+@pytest.mark.parametrize("sp,want", [
+    (ConeSpace.hermitian(4), "Orientable(centroid contains a complex structure)"),
+    (ConeSpace.lorentz(8), "NotOrientable(no complex structure in centroid)"),
+    (ConeSpace.psd_real(5), "NotOrientable(no complex structure in centroid)"),
+], ids=repr)
+def test_orientability_closed_forms_beyond_the_reference(sp, want):
+    # Der/centre is sl(4, C) (complex), so(1, 7) and sl(5, R) (simple real forms)
+    assert repr(orientability(sp)) == want

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eudoxus import face_lattice
 from eudoxus.cone_space import ConeSpace, Membership, sym_to_vec
 from eudoxus.face_lattice import (
     face_of,
@@ -188,3 +189,42 @@ def test_face_contains_rejects_outside_points():
     assert F.contains(np.array([2.0, 1.0, 0.0]))
     assert not F.contains(np.array([0.0, 0.0, 1.0]))
     assert not F.contains(np.array([1.0, -1.0, 0.0]))
+
+
+def _ngon_cone(n):
+    r = np.cos(np.pi / n) ** -0.5
+    return ConeSpace.polyhedral([np.array([1.0, r * np.cos(2 * np.pi * i / n),
+                                           r * np.sin(2 * np.pi * i / n)])
+                                 for i in range(n)])
+
+
+def _counting_face_of(monkeypatch):
+    calls = []
+
+    def counting(space, a):
+        calls.append(1)
+        return face_of(space, a)
+    monkeypatch.setattr(face_lattice, "face_of", counting)
+    return calls
+
+
+def test_facial_homogeneity_stops_at_the_first_refuting_face(monkeypatch):
+    # the 4,096 candidate faces of the 13-gon cone are built only as tested
+    calls = _counting_face_of(monkeypatch)
+    verdict = is_facially_homogeneous(_ngon_cone(13))
+    assert repr(verdict) == "Refuted(face of dim 1)"
+    assert verdict.witness[1] is not None
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("n,how", [(12, "exhaustive"), (13, "first 4096 generator subsets")])
+def test_polyhedral_homogeneity_says_how_many_subsets_it_tried(monkeypatch, n, how):
+    # 2^12 - 1 subsets fit under the cap, 2^13 - 1 do not
+    calls = _counting_face_of(monkeypatch)
+    assert repr(is_facially_homogeneous(_rotated_orthant(n))) == "Verified(%s)" % how
+    assert len(calls) == min(2 ** n - 1, 4096)
+
+
+def test_sampled_homogeneity_keeps_its_label():
+    assert repr(is_facially_homogeneous(ConeSpace.hermitian(2))) == "Verified(sampled faces)"
+    assert repr(is_facially_homogeneous(_ngon_cone(3))) == "Verified(exhaustive)"
