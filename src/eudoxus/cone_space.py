@@ -268,13 +268,23 @@ class ConeSpace:
             raise ValueError("dimension mismatch: expected %d, got %s" % (self.dim, x.shape))
         return x
 
+    def _check_finite(self, x):
+        # not on membership: its norm check rejects these vectors too, so
+        # contains, leq, lt and the bisection norm pay for no second check
+        x = self._check_dim(x)
+        if not np.isfinite(x).all():
+            raise ValueError("vector entries are not finite")
+        return x
+
     def margin(self, x):
         """Signed distance-like quantity: positive inside, negative outside.
 
         Jordan kinds: minimal eigenvalue (for lorentz t - ||z||);
-        polyhedral: minimal pairing with normalized dual rays.
+        polyhedral: minimal pairing with normalized dual rays.  A nan or
+        inf entry raises ValueError, as in project, jordan_decompose and
+        order_unit_norm.
         """
-        return self._margin(self._check_dim(x))
+        return self._margin(self._check_finite(x))
 
     def membership(self, x):
         """INTERIOR, BOUNDARY or OUTSIDE within the band TOL max(|x|, 1).
@@ -286,7 +296,7 @@ class ConeSpace:
             raise ValueError("vector norm is not finite")
         if nrm == 0.0:
             return Membership.BOUNDARY
-        m = self.margin(x)
+        m = self._margin(x)
         # absolute floor so roundoff-sized vectors stay on the boundary
         band = TOL * max(nrm, 1.0)
         if m > band:
@@ -329,12 +339,12 @@ class ConeSpace:
 
     def project(self, x):
         """Nearest point of the cone (metric projection)."""
-        return self._project(self._check_dim(x))
+        return self._project(self._check_finite(x))
 
     def jordan_decompose(self, x):
         """x = x_plus - x_minus with both parts in the cone and orthogonal."""
-        x = self._check_dim(x)
-        x_plus = self.project(x)
+        x = self._check_finite(x)
+        x_plus = self._project(x)
         x_minus = x_plus - x
         return x_plus, x_minus
 
@@ -343,7 +353,7 @@ class ConeSpace:
     def order_unit_norm(self, x, u=None):
         """inf {t >= 0 : -t u <= x <= t u} for an order unit u (default
         the canonical unit)."""
-        x = self._check_dim(x)
+        x = self._check_finite(x)
         if u is not None:
             u = self._check_dim(u)
             if not self.is_order_unit(u):
@@ -427,12 +437,19 @@ class _JordanSpace(ConeSpace):
         Lc = self._L(c)
         return 2.0 * Lc @ Lc - Lc
 
+    def _support(self, a, band):
+        """The support idempotent of a cone element a: the sum of its frame
+        elements with eigenvalue above band.  An eigenvalue below -band
+        puts a outside the cone and raises ValueError."""
+        w, C = self._spectral(a)
+        if not np.min(w) >= -band:
+            raise ValueError("point is outside the cone")
+        return C @ (w > band).astype(float)
+
     # -- faces (projector, witness) -------------------------------------------
 
     def _face_of(self, a, band):
-        # the support idempotent: frame elements with eigenvalue above band
-        w, C = self._spectral(a)
-        c = C @ (w > band).astype(float)
+        c = self._support(a, band)
         return self._U(c), c
 
     def _orthogonal_face(self, F):
@@ -476,6 +493,17 @@ class _JordanSpace(ConeSpace):
         return False, {"a": a, "c": c, "x": (a + c + h / np.linalg.norm(h)) / 2.0}
 
     # -- derivations ----------------------------------------------------------
+
+    def _ratio_derivation(self, terms):
+        """sum lam_i delta_F_i over the faces F_i = U_(c_i) of the pieces of
+        (lam_i, piece_i).  By the Peirce decomposition the facial derivative
+        of U_c is L(c), which is 1 on V(c, 1), 1/2 on V(c, 1/2) and 0 on
+        V(c, 0); so the sum is the one operator L(sum lam_i c_i), with c_i
+        the support idempotent of piece_i under face_of's band."""
+        c = np.zeros(self.dim)
+        for lam, piece in terms:
+            c = c + lam * self._support(piece, TOL * max(1.0, np.linalg.norm(piece)))
+        return self._L(c)
 
     def _selfadjoint_units(self):
         return np.eye(self.dim)
@@ -709,6 +737,14 @@ class _Polyhedral(ConeSpace):
                        % (m, self.dim)}
 
     # -- derivations ----------------------------------------------------------
+
+    def _ratio_derivation(self, terms):
+        """sum lam_i (1/2)(I + P_F_i - P_F_i-perp) over the faces F_i of the
+        pieces of (lam_i, piece_i): no Jordan product, so the projectors."""
+        from eudoxus.face_lattice import face_of, facial_derivative
+
+        return sum((lam * facial_derivative(face_of(self, piece)).mat for lam, piece in terms),
+                   np.zeros((self.dim, self.dim)))
 
     def _derivation_mats(self, selfadjoint=False):
         """Operators M keeping every extreme ray g an eigenvector,

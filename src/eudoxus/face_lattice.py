@@ -2,9 +2,12 @@
 
 A face is a hereditary subcone (0 <= x <= a in F forces x in F), carried
 here as the orthogonal projector onto its span together with a
-relative-interior witness.  Projectors are all the downstream formulas
-need: the facial derivative of F is (1/2)(I + P_F - P_{F'}) with F' the
-orthogonal face.
+relative-interior witness.  The facial derivative of F is
+(1/2)(I + P_F - P_{F'}) with F' the orthogonal face; facial_derivative,
+is_facially_homogeneous and reconstruct_from_faces use this projector
+formula on every kind.  On a Jordan kind it equals L(c) for the face U_c
+(Peirce decomposition), so ratio_calculus.to_derivation builds no faces
+there: it is the one operator L(sum lam_i c_i).
 """
 
 import itertools
@@ -30,10 +33,7 @@ class Face:
         self.host = host
         self.projector = projector
         self.witness = np.asarray(witness, dtype=float)
-
-    @property
-    def dim(self):
-        return int(round(np.trace(self.projector)))
+        self.dim = int(round(np.trace(projector)))
 
     def is_zero(self):
         return self.dim == 0

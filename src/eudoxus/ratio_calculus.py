@@ -28,7 +28,7 @@ from eudoxus.exact_rational import (
     classify_fraction,
     stern_brocot_bracket,
 )
-from eudoxus.face_lattice import face_of, facial_derivative, minimal_decomposition
+from eudoxus.face_lattice import minimal_decomposition
 from eudoxus.derivation_algebra import (
     Derivation,
     is_derivation,
@@ -171,14 +171,14 @@ def to_derivation(r):
     For a complete pairwise-incomparable family the facial derivatives
     act as identity on their own face, zero on its orthogonal face and
     one half in between, so the cross directions automatically pick up
-    the mean of the adjacent multipliers.
+    the mean of the adjacent multipliers.  On a Jordan kind the facial
+    derivative of the face U_c is L(c), so the sum is the closed form
+    L(sum lam_i c_i) over the support idempotents c_i of the components,
+    and no face is built; polyhedral cones sum the projector formula
+    (1/2)(I + P_F - P_F-perp).
     """
-    space = r.host
-    total = np.zeros((space.dim, space.dim))
-    for lam, _, piece in r.decomposition:
-        F = face_of(space, piece)
-        total = total + lam * facial_derivative(F).mat
-    return Derivation(space, total)
+    pairs = [(lam, piece) for lam, _, piece in r.decomposition]
+    return Derivation(r.host, r.host._ratio_derivation(pairs))
 
 
 def from_derivation(space, delta, max_den=10**6):
@@ -208,11 +208,10 @@ def _ratio_from_verified(space, delta, max_den):
 # ---------------------------------------------------------------------------
 # equality
 
-def _comparable(r, s):
+def _comparable(r, s, dr, ds):
+    """Same cone and commuting derivation matrices dr, ds of r and s."""
     if r.host is not s.host and r.host._key != s.host._key:
         return False
-    dr = to_derivation(r).mat
-    ds = to_derivation(s).mat
     scale = max(np.linalg.norm(dr) * np.linalg.norm(ds), 1.0)
     return np.linalg.norm(dr @ ds - ds @ dr) <= 1e-8 * scale
 
@@ -227,10 +226,10 @@ def ratio_equal(r, s, max_den=None):
     three-class and the two-condition cut criteria, which must agree);
     without it, matched multipliers are compared at tolerance.
     """
-    if not _comparable(r, s):
-        raise NotComparable("ratios do not admit a matched decomposition")
     dr = to_derivation(r)
     ds = to_derivation(s)
+    if not _comparable(r, s, dr.mat, ds.mat):
+        raise NotComparable("ratios do not admit a matched decomposition")
     if max_den is None:
         scale = max(dr.norm(), ds.norm(), 1.0)
         return np.linalg.norm(dr.mat - ds.mat, 2) <= 1e-8 * scale
@@ -333,14 +332,16 @@ def compose(r, s, max_den=10**6):
     # only the decision is used: no search for an expelled witness
     if np.linalg.norm(prod - prod.T) <= 1e-8 * scale and is_derivation(r.host, prod, sample_budget=0):
         return _ratio_from_verified(r.host, Derivation(r.host, prod), max_den)
-    return JordanOnly(jordan_compose(r, s))
+    return JordanOnly(_jordan_product(dr, ds))
 
 
 def jordan_compose(r, s):
     """The symmetrized product (dr ds + ds dr) / 2, always defined."""
-    dr = to_derivation(r)
-    ds = to_derivation(s)
-    return Derivation(r.host, 0.5 * (dr.mat @ ds.mat + ds.mat @ dr.mat))
+    return _jordan_product(to_derivation(r), to_derivation(s))
+
+
+def _jordan_product(dr, ds):
+    return Derivation(dr.host, 0.5 * (dr.mat @ ds.mat + ds.mat @ dr.mat))
 
 
 def add(r, s, max_den=10**6):

@@ -250,3 +250,18 @@ def test_membership_rejects_non_finite_vectors(sp, bad):
             query(x)
     with pytest.raises(ValueError, match="not finite"):  # the norm overflows
         sp.membership(1e200 * sp.canonical_unit())
+
+
+@pytest.mark.parametrize("sp", all_kinds() + [ConeSpace.polyhedral(
+    [np.array([1.0, 0.0]), np.array([1.0, 1.0])])], ids=repr)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_queries_reject_non_finite_vectors(sp, bad):
+    # an error, not a nan answer; the polyhedral cone here is not
+    # self-dual, and its project checks the entries before saying so
+    x = sp.canonical_unit()
+    x[-1] = bad
+    for query in (sp.margin, sp.project, sp.jordan_decompose, sp.order_unit_norm):
+        with pytest.raises(ValueError, match="not finite"):
+            query(x)
+    with pytest.raises(ValueError, match="not finite"):
+        sp.order_unit_norm(sp.canonical_unit(), u=x)

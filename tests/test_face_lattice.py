@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eudoxus import face_lattice
 from eudoxus.cone_space import ConeSpace, Membership, sym_to_vec
@@ -114,6 +116,23 @@ def test_facial_derivative_acts_as_expected():
     assert np.allclose(d(x), x, atol=1e-9)
     assert np.allclose(d(np.array([1.0, -1.0, 0.0])), 0.0, atol=1e-9)
     assert np.allclose(d(np.array([0.0, 0.0, 1.0])), [0.0, 0.0, 0.5], atol=1e-9)
+
+
+JORDAN_KINDS = ([ConeSpace.orthant(n) for n in (1, 3, 8, 24)]
+                + [ConeSpace.lorentz(n) for n in (2, 3, 8, 24)]
+                + [ConeSpace.psd_real(k) for k in (1, 2, 3, 5)]
+                + [ConeSpace.hermitian(k) for k in (1, 2, 3, 5)])
+
+
+@given(sp=st.sampled_from(JORDAN_KINDS), seed=st.integers(0, 2**16), shift=st.floats(-1.0, 1.5))
+@settings(max_examples=150)
+def test_facial_derivative_is_L_of_the_face_unit(sp, seed, shift):
+    # Peirce: L(c) is 1 on V(c, 1), 1/2 on V(c, 1/2), 0 on V(c, 0); the
+    # shift draws faces of every rank, from the whole cone to the zero face
+    x = sp.project(np.random.default_rng(seed).standard_normal(sp.dim)
+                   - shift * sp.canonical_unit())
+    F = face_of(sp, x)
+    assert np.linalg.norm(facial_derivative(F).mat - sp.L(F.witness)) <= 1e-12
 
 
 def test_incomparable():

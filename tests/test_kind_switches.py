@@ -1,7 +1,9 @@
 """Guard: only the cone kind classes may know which kind they are.
 
 Outside them, the sole comparison of a `kind` allowed is parse_cone_spec
-checking an input string against the known kinds.
+checking an input string against the known kinds.  Outside cone_space
+no code tests a space against a kind class with isinstance or probes it
+for a private hook with hasattr: what differs by kind is a hook.
 """
 
 import ast
@@ -39,6 +41,49 @@ def _kind_classes(tree):
                 isinstance(b, ast.Name) and b.id in names for b in node.bases):
             names.add(node.name)
     return names - {"ConeSpace"}
+
+
+def _kind_probes(tree, kind_classes):
+    """Yield the line of each isinstance test against one of kind_classes
+    and of each hasattr probe of a private name."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and len(node.args) == 2):
+            continue
+        target = node.args[1]
+        if node.func.id == "isinstance":
+            names = {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(target) if isinstance(n, ast.Attribute)}
+            if names & kind_classes:
+                yield node.lineno
+        elif (node.func.id == "hasattr" and isinstance(target, ast.Constant)
+              and isinstance(target.value, str) and target.value.startswith("_")):
+            yield node.lineno
+
+
+def _cone_space_kind_classes():
+    return _kind_classes(ast.parse((SRC / "cone_space.py").read_text()))
+
+
+def test_no_kind_probes_outside_cone_space():
+    kind_classes = _cone_space_kind_classes()
+    offenders = ["%s:%d" % (path.name, line)
+                 for path in sorted(SRC.glob("*.py")) if path.name != "cone_space.py"
+                 for line in _kind_probes(ast.parse(path.read_text()), kind_classes)]
+    assert not offenders, "kind probes outside cone_space: %s" % offenders
+
+
+def test_guard_sees_kind_probes():
+    assert {"_JordanSpace", "_Polyhedral"} <= _cone_space_kind_classes()
+    tree = ast.parse("def f(space):\n"
+                     "    if isinstance(space, _Polyhedral):\n"
+                     "        return 1\n"
+                     "    if isinstance(space, (int, cone_space._JordanSpace)):\n"
+                     "        return 2\n"
+                     "    if hasattr(space, '_L') or hasattr(space, 'dim'):\n"
+                     "        return 3\n"
+                     "    return isinstance(space, ConeSpace)\n")
+    assert sorted(_kind_probes(tree, _cone_space_kind_classes())) == [2, 4, 6]
 
 
 def test_no_kind_switches_outside_the_kind_classes():

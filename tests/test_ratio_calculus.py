@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eudoxus import face_lattice, ratio_calculus
 from eudoxus.cone_space import ConeSpace, sym_to_vec
-from eudoxus.derivation_algebra import Derivation, selfadjoint_derivations
+from eudoxus.derivation_algebra import Derivation, selfadjoint_derivations, spectral_faces
+from eudoxus.face_lattice import face_of, facial_derivative
 from eudoxus.ratio_calculus import (
     FractionCutOracle,
     JordanOnly,
@@ -262,3 +264,102 @@ def test_quadrature_rejects_non_monotone():
 def test_classic_ratio_equal():
     assert classic_ratio_equal(2, 3, 4, 6)
     assert not classic_ratio_equal(2, 3, 5, 6)
+
+
+# ---------------------------------------------------------------------------
+# to_derivation: the closed form L(sum lam_i c_i) against the projector sum
+
+def projector_to_derivation(r):
+    """The projector form of to_derivation, the reference for the closed
+    form: sum lam_i (1/2)(I + P_F_i - P_F_i-perp) over the faces F_i of
+    the decomposition pieces."""
+    total = np.zeros((r.host.dim, r.host.dim))
+    for lam, _, piece in r.decomposition:
+        total = total + lam * facial_derivative(face_of(r.host, piece)).mat
+    return total
+
+
+def _rotated_orthant(n, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return ConeSpace.polyhedral(list(q.T))
+
+
+def _ngon_cone(n):
+    r = np.cos(np.pi / n) ** -0.5
+    return ConeSpace.polyhedral([np.array([1.0, r * np.cos(2 * np.pi * i / n),
+                                           r * np.sin(2 * np.pi * i / n)])
+                                 for i in range(n)])
+
+
+ALL_KINDS = ([ConeSpace.orthant(n) for n in (1, 3, 8, 24)]
+             + [ConeSpace.lorentz(n) for n in (2, 3, 8, 24)]
+             + [ConeSpace.psd_real(k) for k in (1, 2, 3, 5)]
+             + [ConeSpace.hermitian(k) for k in (1, 2, 3, 5)]
+             + [_rotated_orthant(3, 1), _rotated_orthant(5, 2), _ngon_cone(3), _ngon_cone(5)])
+
+
+def _random_ratio(sp, seed, repeated, unit):
+    """A ratio over sp from a random self-adjoint derivation: integer
+    coefficients give repeated eigenvalues; unit picks the sum of the
+    spectral-face units as consequent, else a random element split
+    along the spectral faces (pieces that are not idempotents)."""
+    rng = np.random.default_rng(seed)
+    basis = selfadjoint_derivations(sp)
+    coef = rng.integers(-2, 3, len(basis)) if repeated else rng.standard_normal(len(basis))
+    delta = sum(c * b.mat for c, b in zip(coef, basis))
+    if unit:
+        return from_derivation(sp, delta, max_den=64)
+    x = sp.sample_interior_point(rng)
+    a = sum(F.projector @ x for _, F in spectral_faces(sp, delta).nonzero_entries())
+    return ratio_from_pair(sp, delta @ a, a, max_den=64)
+
+
+@given(sp=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**16),
+       repeated=st.booleans(), unit=st.booleans())
+@settings(max_examples=150)
+def test_to_derivation_matches_the_projector_sum(sp, seed, repeated, unit):
+    r = _random_ratio(sp, seed, repeated, unit)
+    want = projector_to_derivation(r)
+    got = to_derivation(r).mat
+    assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+
+def _counting(calls, name, f):
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return f(*args, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("sp, builds_faces", [
+    (ConeSpace.orthant(4), False), (ConeSpace.lorentz(5), False),
+    (ConeSpace.psd_real(3), False), (ConeSpace.hermitian(3), False),
+    (_rotated_orthant(3, 1), True)], ids=repr)
+def test_to_derivation_builds_no_face_on_a_jordan_kind(monkeypatch, sp, builds_faces):
+    r = _random_ratio(sp, 5, False, True)
+    calls = []
+    for name in ("face_of", "orthogonal_face"):
+        monkeypatch.setattr(face_lattice, name, _counting(calls, name, getattr(face_lattice, name)))
+    monkeypatch.setattr(face_lattice.Face, "__init__",
+                        _counting(calls, "Face", face_lattice.Face.__init__))
+    to_derivation(r)
+    # a polyhedral cone keeps the projector sum, which the wrappers see
+    assert set(calls) == ({"face_of", "orthogonal_face", "Face"} if builds_faces else set())
+
+
+def test_ratio_equal_and_compose_build_each_derivation_once(monkeypatch):
+    sp = ConeSpace.psd_real(2)
+    u = sp.canonical_unit()
+    r = ratio_from_pair(sp, sym_to_vec(np.diag([1.0, 2.0])), u)
+    s = ratio_from_pair(sp, sym_to_vec(np.array([[2.0, 1.0], [1.0, 2.0]])), u)
+    calls = []
+    monkeypatch.setattr(ratio_calculus, "to_derivation", _counting(calls, "to", to_derivation))
+    for run in (lambda: ratio_equal(r, r), lambda: ratio_equal(r, r, max_den=1000),
+                lambda: compose(r, s)):
+        calls.clear()
+        run()
+        assert len(calls) == 2
+    calls.clear()
+    with pytest.raises(NotComparable):
+        ratio_equal(r, s)
+    assert len(calls) == 2
