@@ -19,8 +19,8 @@ c of a, its orthogonal face is U_(e - c), the order-unit norm is
 max |lam(U_y x)| for the quadratic representation U_y of y = u^(-1/2),
 and the derivations are L(V) + [L(V), L(V)].
 Polyhedral cones carry no Jordan product and answer the same private
-hooks from their generators and dual generators.  The public methods
-all live on ConeSpace; the kind classes only supply the hooks.
+hooks from their extreme rays and facet incidence table.  The public
+methods all live on ConeSpace; the kind classes only supply the hooks.
 
 The single tolerance knob TOL classifies membership: Boundary is a band
 of relative width TOL around the topological boundary, and every strict
@@ -34,6 +34,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog, nnls
+from scipy.spatial import ConvexHull
 
 TOL = 1e-9
 
@@ -123,45 +124,29 @@ def vec_to_herm(v):
 # ---------------------------------------------------------------------------
 # polyhedral helpers
 
-def _in_cone(G, X):
-    """Is every column of X in cone(columns of G)?  Nonnegative least
-    squares residuals within the membership band."""
-    return all(nnls(G, x)[1] <= TOL * max(1.0, np.linalg.norm(x)) for x in X.T)
+def _incidence(R, D):
+    """Generator-facet table: a unit generator lies on a unit facet normal
+    when it pairs with it at most TOL times the facet's largest pairing."""
+    P = R.T @ D
+    return P <= TOL * np.max(P, axis=0)
 
 
 def polyhedral_dual_generators(G):
-    """Extreme rays of {y : G^T y >= 0} for full-dimensional cone(G).
-
-    Facet enumeration by brute force over generator subsets; adequate for
-    the low dimensions polyhedral cones are used in here.
-    """
+    """Extreme rays of {y : G^T y >= 0} for full-dimensional pointed cone(G):
+    the inner unit normals of the facets of conv(0, unit generators) through
+    0 (Qhull; Barber, Dobkin & Huhdanpaa, ACM TOMS 22, 1996), once per set
+    of generators held, since Qhull splits facets into simplices."""
     G = np.asarray(G, dtype=float)
-    dim, m = G.shape
+    dim = G.shape[0]
     if dim == 1:
         return np.array([[1.0]]) if np.all(G > 0) else np.array([[-1.0]])
-    rays = []
-    for subset in itertools.combinations(range(m), dim - 1):
-        A = G[:, subset].T
-        # null space of the chosen generators
-        _, s, vt = np.linalg.svd(A, full_matrices=True)
-        rank = int(np.sum(s > 1e-10)) if len(s) else 0
-        if rank != dim - 1:
-            continue
-        y = vt[-1]
-        pair = G.T @ y
-        scale = max(np.max(np.abs(pair)), 1.0)
-        if np.all(pair >= -1e-10 * scale):
-            cand = y
-        elif np.all(pair <= 1e-10 * scale):
-            cand = -y
-        else:
-            continue
-        cand = cand / np.linalg.norm(cand)
-        if not any(np.allclose(cand, r, atol=1e-9) for r in rays):
-            rays.append(cand)
-    if not rays:
+    R = G / np.linalg.norm(G, axis=0)
+    hull = ConvexHull(np.vstack([np.zeros(dim), R.T]))
+    D = -hull.equations[np.any(hull.simplices == 0, axis=1), :-1].T
+    if D.shape[1] == 0:
         raise ValueError("could not enumerate dual generators; cone degenerate?")
-    return np.column_stack(rays)
+    _, first = np.unique(_incidence(R, D), axis=1, return_index=True)
+    return D[:, np.sort(first)]
 
 
 def _is_pointed(G):
@@ -327,7 +312,7 @@ class ConeSpace:
 
     def canonical_unit(self):
         """A distinguished order unit: the Jordan unit (all-ones / apex
-        direction / identity matrix) or the sum of normalized generators."""
+        direction / identity matrix) or the sum of unit extreme rays."""
         return self._e.copy()
 
     def L(self, a):
@@ -653,15 +638,25 @@ class _MatrixSpace(_JordanSpace):
 # polyhedral cones
 
 class _Polyhedral(ConeSpace):
-    """cone(G) for a full-dimensional pointed generator matrix G with dual
-    generators D; faces are spans of generator subsets."""
+    """cone(G) with unit dual generators D.  The hooks read the unit
+    extreme rays R and their facet incidence, never the presentation G
+    (Kaibel & Pfetsch, Comput. Geom. 23, 2002): a generator is extreme
+    when its facets meet in a line, i.e. no generator lies on a strict
+    superset of them, and one is kept per incidence row.  Self-dual means
+    min R^T R >= -TOL and min D^T D >= -TOL."""
 
     def __init__(self, G, D):
         super().__init__("polyhedral", G.shape[0], generators=G, dual_generators=D)
-        self._key = ("polyhedral", G.shape, G.tobytes())
-        self._rays = G / np.linalg.norm(G, axis=0)
+        R = G / np.linalg.norm(G, axis=0)
+        T = _incidence(R, D)
+        n = np.sum(T, axis=1)
+        inside = np.any((T.astype(int) @ T.T == n[:, None]) & (n > n[:, None]), axis=1)
+        _, first = np.unique(T, axis=0, return_index=True)
+        keep = np.sort(first[~inside[first]])
+        self._rays, self._incidence = R[:, keep], T[keep]
+        self._key = ("polyhedral", self._rays.shape, self._rays.tobytes())
         self._e = np.sum(self._rays, axis=1)
-        self._self_dual = _in_cone(D, G) and _in_cone(G, D)
+        self._self_dual = bool(min(np.min(self._rays.T @ self._rays), np.min(D.T @ D)) >= -TOL)
 
     def __repr__(self):
         return "ConeSpace(polyhedral, dim=%d, %d generators)" % (
@@ -673,8 +668,8 @@ class _Polyhedral(ConeSpace):
     def _project(self, x):
         if not self._self_dual:
             raise ValueError("Jordan decomposition needs a self-dual cone")
-        coeff, _ = nnls(self.generators, x)
-        return self.generators @ coeff
+        coeff, _ = nnls(self._rays, x)
+        return self._rays @ coeff
 
     def _unit_norm(self, x, u):
         return self._norm_by_bisection(x, self._e if u is None else u)
@@ -688,7 +683,7 @@ class _Polyhedral(ConeSpace):
     # -- faces (projector, witness) -------------------------------------------
 
     def _generator_face(self, keep):
-        """The face spanned by the unit generators selected by the mask
+        """The face spanned by the unit extreme rays selected by the mask
         keep, witnessed by their sum."""
         B = self._rays[:, keep]
         if B.shape[1] == 0:
@@ -697,9 +692,9 @@ class _Polyhedral(ConeSpace):
         return Q @ Q.T, np.sum(B, axis=1)
 
     def _face_of(self, a, band):
-        D = self.dual_generators
-        active = D.T @ a <= band * np.linalg.norm(D, axis=0)
-        return self._generator_face(np.all(np.abs(D[:, active].T @ self._rays) <= 1e-8, axis=0))
+        # the extreme rays on every facet that a lies on
+        active = self.dual_generators.T @ a <= band
+        return self._generator_face(np.all(self._incidence[:, active], axis=1))
 
     def _orthogonal_face(self, F):
         return self._generator_face(np.linalg.norm(F.projector @ self._rays, axis=0) <= 1e-8)
@@ -710,27 +705,27 @@ class _Polyhedral(ConeSpace):
                 for lam in lams]
 
     def _frame_terms(self, a, band):
-        G = self.generators
-        if G.shape[1] != self.dim:
+        R = self._rays
+        if R.shape[1] != self.dim:
             # no incomparable split available in general: single block
             return [(1.0, a)]
-        c = np.linalg.solve(G, a) * np.linalg.norm(G, axis=0)
-        return [(float(c[i]), self._rays[:, i].copy()) for i in range(self.dim) if c[i] > band]
+        c = np.linalg.solve(R, a)
+        return [(float(c[i]), R[:, i].copy()) for i in range(self.dim) if c[i] > band]
 
     def _face_points(self, budget, rng):
-        """Sums of generator subsets, smallest subsets first, lazily: all
+        """Sums of extreme-ray subsets, smallest subsets first, lazily: all
         2^m - 1 of them up to MAX_SUBSETS, else the first MAX_SUBSETS."""
-        G = self.generators
-        m = G.shape[1]
+        R = self._rays
+        m = R.shape[1]
         subsets = itertools.chain.from_iterable(
             itertools.combinations(range(m), r) for r in range(1, m + 1))
         how = ("exhaustive" if 2 ** m - 1 <= MAX_SUBSETS
                else "first %d generator subsets" % MAX_SUBSETS)
-        return (np.sum(G[:, list(s)], axis=1)
+        return (np.sum(R[:, list(s)], axis=1)
                 for s in itertools.islice(subsets, MAX_SUBSETS)), how
 
     def _riesz(self):
-        m = self.generators.shape[1]
+        m = self._rays.shape[1]
         if m == self.dim:
             return True, None
         return False, {"reason": "non-simplicial: %d extreme rays in dimension %d"
@@ -759,11 +754,9 @@ class _Polyhedral(ConeSpace):
         return [(S @ c).reshape(d, d) for c in vt[np.sum(s > 1e-8 * max(s[0], 1.0)):]]
 
     def _complementary_pairs(self, samples, rng):
-        """Generator / dual-generator pairs with zero pairing."""
-        G, D = self.generators, self.dual_generators
-        zero = np.abs(G.T @ D) <= 1e-9 * np.outer(np.linalg.norm(G, axis=0),
-                                                  np.linalg.norm(D, axis=0))
-        return [(G[:, i], D[:, j]) for i, j in zip(*np.nonzero(zero))]
+        """Extreme-ray / dual-generator pairs with zero pairing."""
+        return [(self._rays[:, i], self.dual_generators[:, j])
+                for i, j in zip(*np.nonzero(self._incidence))]
 
     def _spec_lines(self):
         return ["dim = %d" % self.dim] + ["gen = " + ",".join(repr(float(v)) for v in g)

@@ -141,15 +141,16 @@ def _derivation_residual(space, M):
     return float(np.linalg.norm(v - (Q @ v) @ Q))
 
 
-def is_derivation(space, M, t_grid=DEFAULT_T_GRID, sample_budget=60, rng=None):
+def is_derivation(space, M, sample_budget=60, rng=None):
     """Does exp(tM) preserve the cone for every real t?
 
     Decided exactly by membership in the span of derivation_basis (for
     polyhedral cones, the extreme-ray eigenvector condition): M is
     projected onto the cached orthonormal basis of Der(cone), and M is a
     derivation when the residual is at most 1e-9 max(||M||, 1).  A
-    Refuted verdict carries a (t, x) witness expelled from the cone when
-    sampling finds one.  Non-finite entries raise ValueError.
+    Refuted verdict carries a (t, x) witness, t on DEFAULT_T_GRID,
+    expelled from the cone when sampling finds one.  Non-finite entries
+    raise ValueError.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (space.dim, space.dim):
@@ -162,17 +163,17 @@ def is_derivation(space, M, t_grid=DEFAULT_T_GRID, sample_budget=60, rng=None):
     res = _derivation_residual(space, M)
     if res <= 1e-9 * scale:
         return Verdict("Verified", "inside the derivation parametrization")
-    witness = _expel_witness(space, M, t_grid, sample_budget, rng)
+    witness = _expel_witness(space, M, sample_budget, rng)
     return Verdict("Refuted", "outside the derivation parametrization (residual %.3g)" % res,
                    witness=witness)
 
 
-def _expel_witness(space, M, t_grid, sample_budget, rng):
+def _expel_witness(space, M, sample_budget, rng):
     for _ in range(sample_budget):
         x = space.sample_cone_point(rng)
         if np.linalg.norm(x) < 1e-9:
             continue
-        for t in t_grid:
+        for t in DEFAULT_T_GRID:
             y = expm(t * M) @ x
             # an image too large for its norm to be finite says nothing
             if np.isfinite(np.linalg.norm(y)) and space.membership(y) is Membership.OUTSIDE:

@@ -69,18 +69,16 @@ def face_of(space, a):
     One rank band for every kind: eigenvalues of a (dual pairings, for
     polyhedral cones) at most TOL * max(1, |a|) count as zero.  For a
     Jordan kind the face is the Peirce compression U_c of the support
-    idempotent c of a (the frame elements above the band), witnessed by c.
+    idempotent c of a (the frame elements above the band), witnessed by c;
+    the band alone decides the zero face.
     """
     a = np.asarray(a, dtype=float)
     mem = space.membership(a)
     if mem is Membership.OUTSIDE:
         raise ValueError("point is outside the cone")
-    nrm = np.linalg.norm(a)
-    if nrm <= TOL:
-        return zero_face(space)
     if mem is Membership.INTERIOR:
         return whole_face(space)
-    return Face(space, *space._face_of(a, TOL * max(1.0, nrm)))
+    return Face(space, *space._face_of(a, TOL * max(1.0, np.linalg.norm(a))))
 
 
 def orthogonal_face(F):
@@ -154,8 +152,8 @@ def _candidate_faces(space, sample_budget, rng):
 def is_facially_homogeneous(space, sample_budget=25, rng=None):
     """Check that P_F - P_{F-perp} is a derivation for the tested faces.
 
-    Over generator subsets for polyhedral cones (all of them up to 12
-    generators); sampled faces otherwise, so Verified means verified on
+    Over extreme-ray subsets for polyhedral cones (all of them up to 12
+    extreme rays); sampled faces otherwise, so Verified means verified on
     the tested family.  Faces are built lazily: the check stops at the
     first face that refutes or is undecided.
     """

@@ -52,15 +52,24 @@ def test_orthant_face_is_support():
 def test_interior_point_gives_whole_face():
     for sp in all_kinds():
         F = face_of(sp, sp.canonical_unit())
-        assert F.is_whole
-        assert orthogonal_face(F).is_zero
+        assert F.is_whole()
+        assert orthogonal_face(F).is_zero()
 
 
 def test_zero_gives_zero_face():
     sp = ConeSpace.orthant(3)
-    assert face_of(sp, np.zeros(3)).is_zero
+    assert face_of(sp, np.zeros(3)).is_zero()
     assert zero_face(sp).dim == 0
     assert whole_face(sp).dim == 3
+
+
+def test_face_of_and_decomposition_share_one_zero_band():
+    # norm 9.9e-10 but eigenvalue 1.4e-9: above the band TOL * max(1, |a|)
+    sp = ConeSpace.lorentz(3)
+    a = 0.7e-9 * np.array([1.0, 1.0, 0.0])
+    assert face_of(sp, a).dim == len(minimal_decomposition(sp, a)) == 1
+    for space in all_kinds() + [_rotated_orthant(3)]:
+        assert face_of(space, np.zeros(space.dim)).is_zero()
 
 
 def test_lorentz_boundary_ray_face():
