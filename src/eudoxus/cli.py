@@ -9,6 +9,7 @@ parse error.
 """
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -289,7 +290,10 @@ def cmd_suite(args, report):
         report.check(name, _status(passed), "%s (%.2fs)" % (detail, secs))
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    main call: parse_args keeps no state between calls."""
     p = argparse.ArgumentParser(prog="eudoxus",
                                 description="cone ratios, derivations and demos")
     p.add_argument("--seed", type=int, default=0)

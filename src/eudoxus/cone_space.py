@@ -32,7 +32,6 @@ import math
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import linprog, nnls
 from scipy.spatial import ConvexHull
 
@@ -41,8 +40,10 @@ TOL = 1e-9
 # eigenvalues closer than this share a spectral face
 CLUSTER_TOL = 1e-8
 
-# generator subsets tried by the polyhedral facial-homogeneity check
+# generator subsets tried by the polyhedral facial-homogeneity check, and
+# the entries of one stack of face projectors it builds (8 MB of floats)
 MAX_SUBSETS = 4096
+CHUNK_ENTRIES = 2 ** 20
 
 SQRT2 = np.sqrt(2.0)
 
@@ -131,6 +132,13 @@ def _incidence(R, D):
     return P <= TOL * np.max(P, axis=0)
 
 
+def _unit_columns(G):
+    """G with every column scaled to unit norm; scaling by the largest
+    entry first keeps the norms finite and nonzero across the float range."""
+    G = G / np.max(np.abs(G), axis=0)
+    return G / np.linalg.norm(G, axis=0)
+
+
 def polyhedral_dual_generators(G):
     """Extreme rays of {y : G^T y >= 0} for full-dimensional pointed cone(G):
     the inner unit normals of the facets of conv(0, unit generators) through
@@ -140,7 +148,7 @@ def polyhedral_dual_generators(G):
     dim = G.shape[0]
     if dim == 1:
         return np.array([[1.0]]) if np.all(G > 0) else np.array([[-1.0]])
-    R = G / np.linalg.norm(G, axis=0)
+    R = _unit_columns(G)
     hull = ConvexHull(np.vstack([np.zeros(dim), R.T]))
     D = -hull.equations[np.any(hull.simplices == 0, axis=1), :-1].T
     if D.shape[1] == 0:
@@ -232,13 +240,15 @@ class ConeSpace:
     @classmethod
     def polyhedral(cls, generators):
         G = np.column_stack([np.asarray(g, dtype=float) for g in generators])
-        dim = G.shape[0]
-        norms = np.linalg.norm(G, axis=0)
-        if np.any(norms < 1e-12):
+        if not np.isfinite(G).all():
+            raise ValueError("generator entries are not finite")
+        if not np.all(np.any(G, axis=0)):
             raise ValueError("zero generator")
-        if np.linalg.matrix_rank(G, tol=1e-10) < dim:
+        # the presentation checks see unit generators, so no scale decides them
+        R = _unit_columns(G)
+        if np.linalg.matrix_rank(R, tol=1e-10) < G.shape[0]:
             raise ValueError("generators do not span the space; cone has empty interior")
-        if not _is_pointed(G):
+        if not _is_pointed(R):
             raise ValueError("cone contains a line")
         return _Polyhedral(G, polyhedral_dual_generators(G))
 
@@ -456,11 +466,19 @@ class _JordanSpace(ConeSpace):
         w, C = self._spectral(a)
         return [(float(lam), C[:, i].copy()) for i, lam in enumerate(w) if lam > band]
 
-    def _face_points(self, budget, rng):
+    def _face_stacks(self, budget, rng):
+        """One chunk: the faces U_c of budget sampled cone points, c their
+        support idempotents under face_of's band.  L is linear, so the
+        L(c) come from one tensordot with the L(e_j); then P_F = 2 L^2 - L
+        and P_F-perp = U_(e - c) = 2 (I - L)^2 - (I - L)."""
         # drawn up front: a refuted face's witness search then starts from
         # one rng state, whichever face refutes
         points = [self.sample_cone_point(rng) for _ in range(budget)]
-        return [x for x in points if np.linalg.norm(x) > 1e-9], "sampled faces"
+        C = np.array([self._support(x, TOL * max(1.0, np.linalg.norm(x)))
+                      for x in points if np.linalg.norm(x) > 1e-9]).reshape(-1, self.dim)
+        L = np.tensordot(C, self._L_units(), axes=1)
+        K = np.eye(self.dim) - L
+        return [(2.0 * L @ L - L, 2.0 * K @ K - K, C)], "sampled faces"
 
     def _riesz(self):
         """A lattice exactly when the Peirce 1/2-space of a frame is zero.
@@ -493,12 +511,16 @@ class _JordanSpace(ConeSpace):
     def _selfadjoint_units(self):
         return np.eye(self.dim)
 
+    def _L_units(self):
+        """The L(e_j) of the coordinate units, shape (dim, dim, dim)."""
+        return np.array([self._L(u) for u in np.eye(self.dim)])
+
     def _derivation_mats(self, selfadjoint=False):
         """Self-adjoint derivations L(s) over the kind's units; all
         derivations as an orthonormal basis of L(V) + [L(V), L(V)]."""
         if selfadjoint:
             return [self._L(s) for s in self._selfadjoint_units()]
-        Ls = [self._L(a) for a in np.eye(self.dim)]
+        Ls = list(self._L_units())
         brackets = [A @ B - B @ A for A, B in itertools.combinations(Ls, 2)]
         return _orthonormal_span(Ls) + _orthonormal_span(brackets)
 
@@ -647,7 +669,7 @@ class _Polyhedral(ConeSpace):
 
     def __init__(self, G, D):
         super().__init__("polyhedral", G.shape[0], generators=G, dual_generators=D)
-        R = G / np.linalg.norm(G, axis=0)
+        R = _unit_columns(G)
         T = _incidence(R, D)
         n = np.sum(T, axis=1)
         inside = np.any((T.astype(int) @ T.T == n[:, None]) & (n > n[:, None]), axis=1)
@@ -682,27 +704,44 @@ class _Polyhedral(ConeSpace):
 
     # -- faces (projector, witness) -------------------------------------------
 
-    def _generator_face(self, keep):
-        """The face spanned by the unit extreme rays selected by the mask
-        keep, witnessed by their sum."""
-        B = self._rays[:, keep]
-        if B.shape[1] == 0:
-            return np.zeros((self.dim, self.dim)), np.zeros(self.dim)
-        Q = scipy.linalg.orth(B)
-        return Q @ Q.T, np.sum(B, axis=1)
+    def _generator_faces(self, masks):
+        """The faces spanned by the unit extreme rays each row of the boolean
+        masks (f, m) selects: projectors (f, dim, dim) and witnesses (f, dim),
+        the sums of the rays.  Each distinct mask is built once, by stacked
+        SVDs grouped by ray count under scipy.linalg.orth's rank cut; no ray
+        gives the zero face, all of them the identity."""
+        R, d = self._rays, self.dim
+        m = R.shape[1]
+        u, inv = np.unique(masks, axis=0, return_inverse=True)
+        counts = np.sum(u, axis=1)
+        P = np.zeros((len(u), d, d))
+        P[counts == m] = np.eye(d)
+        for k in set(counts.tolist()) - {0, m}:
+            rows = np.flatnonzero(counts == k)
+            B = R.T[np.nonzero(u[rows])[1].reshape(len(rows), k)].transpose(0, 2, 1)
+            U, s, _ = np.linalg.svd(B, full_matrices=False)
+            U = U * (s > max(d, k) * np.finfo(float).eps * s[:, :1])[:, None, :]
+            P[rows] = U @ U.transpose(0, 2, 1)
+        return P[inv.reshape(-1)], masks @ R.T
+
+    def _perp_masks(self, P):
+        """The extreme rays each projector (or stack of them) kills."""
+        return np.linalg.norm(P @ self._rays, axis=-2) <= 1e-8
 
     def _face_of(self, a, band):
         # the extreme rays on every facet that a lies on
         active = self.dual_generators.T @ a <= band
-        return self._generator_face(np.all(self._incidence[:, active], axis=1))
+        P, W = self._generator_faces(np.all(self._incidence[:, active], axis=1)[None])
+        return P[0], W[0]
 
     def _orthogonal_face(self, F):
-        return self._generator_face(np.linalg.norm(F.projector @ self._rays, axis=0) <= 1e-8)
+        P, W = self._generator_faces(self._perp_masks(F.projector)[None])
+        return P[0], W[0]
 
     def _eigenfaces(self, M, lams):
         R = self._rays
-        return [self._generator_face(np.linalg.norm(M @ R - lam * R, axis=0) <= 1e-7)
-                for lam in lams]
+        return list(zip(*self._generator_faces(np.array(
+            [np.linalg.norm(M @ R - lam * R, axis=0) <= 1e-7 for lam in lams]))))
 
     def _frame_terms(self, a, band):
         R = self._rays
@@ -712,17 +751,31 @@ class _Polyhedral(ConeSpace):
         c = np.linalg.solve(R, a)
         return [(float(c[i]), R[:, i].copy()) for i in range(self.dim) if c[i] > band]
 
-    def _face_points(self, budget, rng):
-        """Sums of extreme-ray subsets, smallest subsets first, lazily: all
-        2^m - 1 of them up to MAX_SUBSETS, else the first MAX_SUBSETS."""
-        R = self._rays
-        m = R.shape[1]
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(range(m), r) for r in range(1, m + 1))
+    def _face_stacks(self, budget, rng):
+        """The faces of extreme-ray subset sums, smallest subsets first: all
+        2^m - 1 of them up to MAX_SUBSETS, else the first MAX_SUBSETS.  One
+        chunk per subset size (at most CHUNK_ENTRIES / dim^2 faces), each
+        built only when the one before it is consumed."""
+        m = self._rays.shape[1]
+        subsets = itertools.islice(itertools.chain.from_iterable(
+            itertools.combinations(range(m), r) for r in range(1, m + 1)), MAX_SUBSETS)
         how = ("exhaustive" if 2 ** m - 1 <= MAX_SUBSETS
                else "first %d generator subsets" % MAX_SUBSETS)
-        return (np.sum(R[:, list(s)], axis=1)
-                for s in itertools.islice(subsets, MAX_SUBSETS)), how
+        return self._subset_chunks(subsets), how
+
+    def _subset_chunks(self, subsets):
+        R, D = self._rays, self.dual_generators
+        size = max(1, CHUNK_ENTRIES // self.dim ** 2)
+        for _, group in itertools.groupby(subsets, key=len):
+            while block := list(itertools.islice(group, size)):
+                S = np.zeros((len(block), R.shape[1]), dtype=bool)
+                S[np.arange(len(block))[:, None], block] = True
+                X = S @ R.T
+                # face_of per row: the rays on every facet the point lies on
+                active = X @ D <= TOL * np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
+                keep = active.astype(int) @ self._incidence.T == np.sum(active, axis=1)[:, None]
+                P, W = self._generator_faces(keep)
+                yield P, self._generator_faces(self._perp_masks(P))[0], W
 
     def _riesz(self):
         m = self._rays.shape[1]

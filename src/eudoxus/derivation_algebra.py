@@ -20,6 +20,10 @@ from eudoxus.face_lattice import Face, face_of
 
 DEFAULT_T_GRID = (-4.0, -2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0, 4.0)
 
+# an operator is a derivation when its distance from Der(cone) is at most
+# DER_TOL max(||M||, 1) (Frobenius)
+DER_TOL = 1e-9
+
 
 class Verdict:
     """Outcome of a check that cannot always be decided exactly."""
@@ -87,7 +91,7 @@ def _derivation_frame(space):
     frame = _basis_cache.get(space._key)
     if frame is None:
         Q = np.array([m.reshape(-1) for m in space._derivation_mats()])
-        # round-off far below the 1e-9 relative threshold of is_derivation
+        # round-off far below the relative threshold DER_TOL of is_derivation
         err = np.max(np.abs(Q @ Q.T - np.eye(len(Q))))
         assert err <= 1e-12, "derivation basis is not orthonormal (%.3g)" % err
         basis = [Derivation(space, q.reshape(space.dim, space.dim)) for q in Q]
@@ -141,13 +145,23 @@ def _derivation_residual(space, M):
     return float(np.linalg.norm(v - (Q @ v) @ Q))
 
 
+def _outside_der(space, Ms):
+    """Which operators of a stack (f, dim, dim) is_derivation refutes: one
+    projection of all of them onto the cached orthonormal basis, against
+    the threshold DER_TOL max(||M||, 1)."""
+    Q = _derivation_frame(space)[0]
+    V = Ms.reshape(len(Ms), Q.shape[1])
+    res = np.linalg.norm(V - (V @ Q.T) @ Q, axis=1)
+    return res > DER_TOL * np.maximum(np.linalg.norm(V, axis=1), 1.0)
+
+
 def is_derivation(space, M, sample_budget=60, rng=None):
     """Does exp(tM) preserve the cone for every real t?
 
     Decided exactly by membership in the span of derivation_basis (for
     polyhedral cones, the extreme-ray eigenvector condition): M is
     projected onto the cached orthonormal basis of Der(cone), and M is a
-    derivation when the residual is at most 1e-9 max(||M||, 1).  A
+    derivation when the residual is at most DER_TOL max(||M||, 1).  A
     Refuted verdict carries a (t, x) witness, t on DEFAULT_T_GRID,
     expelled from the cone when sampling finds one.  Non-finite entries
     raise ValueError.
@@ -161,7 +175,7 @@ def is_derivation(space, M, sample_budget=60, rng=None):
         rng = np.random.default_rng(3)
     scale = max(np.linalg.norm(M), 1.0)
     res = _derivation_residual(space, M)
-    if res <= 1e-9 * scale:
+    if res <= DER_TOL * scale:
         return Verdict("Verified", "inside the derivation parametrization")
     witness = _expel_witness(space, M, sample_budget, rng)
     return Verdict("Refuted", "outside the derivation parametrization (residual %.3g)" % res,
@@ -298,14 +312,20 @@ def orientability(space):
 def _complex_structure(cent):
     """An element J of the span with J^2 = -I, if the (at most
     two-dimensional commutative) centroid admits one: the basis elements
-    first, then random combinations as a fallback."""
+    first, then random combinations as a fallback.  A one-dimensional
+    centroid holds only multiples of its element, so that element alone,
+    at unit Frobenius norm, decides it."""
     if not cent:
         return None
     q = cent[0].shape[0]
     I = np.eye(q)
-    rng = np.random.default_rng(11)
-    randoms = (sum(rng.standard_normal() * C for C in cent) for _ in range(200))
-    for T in itertools.chain(cent, randoms):
+    if len(cent) == 1:
+        candidates = [cent[0] / np.linalg.norm(cent[0])]
+    else:
+        rng = np.random.default_rng(11)
+        candidates = itertools.chain(
+            cent, (sum(rng.standard_normal() * C for C in cent) for _ in range(200)))
+    for T in candidates:
         # remove the trace part, then rescale the remainder
         T0 = T - (np.trace(T) / q) * I
         sq = T0 @ T0

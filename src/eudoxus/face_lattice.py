@@ -10,11 +10,18 @@ formula on every kind.  On a Jordan kind it equals L(c) for the face U_c
 there: it is the one operator L(sum lam_i c_i).
 """
 
-import itertools
-
 import numpy as np
 
 from eudoxus.cone_space import TOL, Membership
+
+
+def _check_projectors(P):
+    """Face's checks on a stack of projectors (f, dim, dim): raise unless
+    each is idempotent and symmetric to 1e-10 (Frobenius)."""
+    if np.any(np.linalg.norm(P @ P - P, axis=(1, 2)) > 1e-10):
+        raise ValueError("projector is not idempotent")
+    if np.any(np.linalg.norm(P - P.transpose(0, 2, 1), axis=(1, 2)) > 1e-10):
+        raise ValueError("projector is not symmetric")
 
 
 class Face:
@@ -140,36 +147,33 @@ def is_minimal(space, a):
     return face_of(space, a).dim == 1
 
 
-def _candidate_faces(space, sample_budget, rng):
-    """(faces, how): the zero face, the whole cone, then the faces of the
-    kind's face points, built only as they are consumed."""
-    points, how = space._face_points(sample_budget, rng)
-    faces = itertools.chain([zero_face(space), whole_face(space)],
-                            (face_of(space, x) for x in points))
-    return faces, how
-
-
 def is_facially_homogeneous(space, sample_budget=25, rng=None):
     """Check that P_F - P_{F-perp} is a derivation for the tested faces.
 
-    Over extreme-ray subsets for polyhedral cones (all of them up to 12
-    extreme rays); sampled faces otherwise, so Verified means verified on
-    the tested family.  Faces are built lazily: the check stops at the
-    first face that refutes or is undecided.
+    Polyhedral cones test the faces of extreme-ray subset sums, smallest
+    subsets first (all of them up to 12 extreme rays), in one chunk per
+    subset size; Jordan kinds test the faces of sample_budget sampled
+    points in one chunk, so Verified means verified on the tested family.
+    The zero face and the whole cone give -I and I, derivations of every
+    cone, and are not tested.  A chunk is a stack of face projectors,
+    orthogonal-face projectors and witnesses, decided by one projection
+    onto the Der frame; chunks after a refuting face are never built, and
+    only that face becomes a Face, with is_derivation's witness.
     """
-    from eudoxus.derivation_algebra import Verdict, is_derivation
+    from eudoxus.derivation_algebra import Verdict, _outside_der, is_derivation
 
     if rng is None:
         rng = np.random.default_rng(0)
-    faces, how = _candidate_faces(space, sample_budget, rng)
-    for F in faces:
-        M = F.projector - orthogonal_face(F).projector
-        verdict = is_derivation(space, M, rng=rng)
-        if verdict.status == "Refuted":
-            return Verdict("Refuted", "face of dim %d" % F.dim,
-                           witness=(F, verdict.witness))
-        if verdict.status == "Unknown":
-            return Verdict("Unknown", "face of dim %d undecided" % F.dim)
+    chunks, how = space._face_stacks(sample_budget, rng)
+    for P, Pp, W in chunks:
+        _check_projectors(P)
+        _check_projectors(Pp)
+        M = P - Pp
+        for i in np.flatnonzero(_outside_der(space, M)):
+            verdict = is_derivation(space, M[i], rng=rng)
+            if not verdict:
+                F = Face(space, P[i], W[i])
+                return Verdict("Refuted", "face of dim %d" % F.dim, witness=(F, verdict.witness))
     return Verdict("Verified", how)
 
 

@@ -198,3 +198,34 @@ def test_report_rejects_duplicate_checks():
     report.check("x", "PASS")
     with pytest.raises(AssertionError):
         report.check("x", "FAIL")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the shared parser gives what a fresh one gives: no state leaks
+    # between parses, whatever the order of calls and flags
+    spec = _write_spec(tmp_path, "kind = lorentz\ndim = 3\n")
+    calls = [
+        ["ratio", "make", spec],  # missing --antecedent and --consequent
+        ["--seed", "3", "analyze", spec],
+        ["--max-den", "64", "ratio", "make", spec, "--antecedent", "2,1,0",
+         "--consequent", "3,1,0"],
+        ["analyze", spec],
+        ["--bogus", "analyze", spec],
+    ]
+
+    def run(argv):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli.build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 2]
+    assert shared[1][1].startswith("# seed = 3") and shared[3][1].startswith("# seed = 0")
+    assert "the following arguments are required" in shared[0][2]

@@ -11,6 +11,7 @@ from eudoxus.derivation_algebra import (
     _centroid,
     _complex_structure,
     _derivation_residual,
+    _outside_der,
     _quotient_adjoint,
     derivation_basis,
     is_derivation,
@@ -319,6 +320,22 @@ def test_projection_residual_matches_lstsq_reference(sp, seed, scale, off):
 
 @given(sp=cones, seed=seeds, scale=scales)
 @settings(max_examples=100)
+def test_stacked_decision_matches_is_derivation(sp, seed, scale):
+    # derivations, ones pushed off Der by 1e-12 .. 1 of their scale (no
+    # product of scale and push near the threshold), and a generic
+    # operator, decided in one stack
+    rng = np.random.default_rng(seed)
+    E = _off_span(sp, rng)
+    Ms = [_combination(sp, rng, scale) for _ in range(4)]
+    if E is not None:
+        Ms = [M + off * scale * E for M, off in zip(Ms, [0.0, 1e-12, 1e-5, 1.0])]
+    Ms.append(scale * rng.standard_normal((sp.dim, sp.dim)))
+    want = [not is_derivation(sp, M, sample_budget=0) for M in Ms]
+    assert list(_outside_der(sp, np.array(Ms))) == want
+
+
+@given(sp=cones, seed=seeds, scale=scales)
+@settings(max_examples=100)
 def test_basis_combinations_are_verified(sp, seed, scale):
     M = _combination(sp, np.random.default_rng(seed), scale)
     assert is_derivation(sp, M).status == "Verified"
@@ -533,3 +550,13 @@ def test_orientability_witness_commutes_with_the_adjoint_action():
 def test_orientability_closed_forms_beyond_the_reference(sp, want):
     # Der/centre is sl(4, C) (complex), so(1, 7) and sl(5, R) (simple real forms)
     assert repr(orientability(sp)) == want
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+def test_one_dimensional_centroid_is_decided_at_any_scale(scale):
+    # its element, at unit norm, decides: the absolute floors cannot
+    J0 = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])
+    J = _complex_structure([scale * J0])
+    assert J is not None and np.linalg.norm(J @ J + np.eye(4)) < 1e-7
+    assert _complex_structure([scale * np.eye(4)]) is None
+    assert _complex_structure([scale * np.diag([1.0, 1.0, -1.0, -1.0])]) is None

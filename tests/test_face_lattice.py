@@ -1,10 +1,14 @@
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eudoxus import face_lattice
-from eudoxus.cone_space import ConeSpace, Membership, sym_to_vec
+from eudoxus import cone_space, derivation_algebra, face_lattice
+from eudoxus.cone_space import MAX_SUBSETS, ConeSpace, Membership, sym_to_vec
+from eudoxus.derivation_algebra import Verdict, is_derivation
 from eudoxus.face_lattice import (
     face_of,
     facial_derivative,
@@ -226,31 +230,166 @@ def _ngon_cone(n):
                                  for i in range(n)])
 
 
-def _counting_face_of(monkeypatch):
-    calls = []
+def loop_facially_homogeneous(space, sample_budget=25, rng=None):
+    """Reference: the check one face at a time, as it was before the faces
+    were stacked.  The zero face, the whole cone, then face_of of each face
+    point (extreme-ray subset sums, or sample_budget sampled points), each
+    with its own orthogonal_face and is_derivation call, up to the first
+    face that refutes."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if space.kind == "polyhedral":
+        R = space._rays
+        m = R.shape[1]
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(m), r) for r in range(1, m + 1))
+        points = (np.sum(R[:, list(s)], axis=1) for s in itertools.islice(subsets, MAX_SUBSETS))
+        how = ("exhaustive" if 2 ** m - 1 <= MAX_SUBSETS
+               else "first %d generator subsets" % MAX_SUBSETS)
+    else:
+        points = [space.sample_cone_point(rng) for _ in range(sample_budget)]
+        points = [x for x in points if np.linalg.norm(x) > 1e-9]
+        how = "sampled faces"
+    faces = itertools.chain([zero_face(space), whole_face(space)],
+                            (face_of(space, x) for x in points))
+    for F in faces:
+        verdict = is_derivation(space, F.projector - orthogonal_face(F).projector, rng=rng)
+        if verdict.status == "Refuted":
+            return Verdict("Refuted", "face of dim %d" % F.dim, witness=(F, verdict.witness))
+    return Verdict("Verified", how)
 
-    def counting(space, a):
-        calls.append(1)
-        return face_of(space, a)
-    monkeypatch.setattr(face_lattice, "face_of", counting)
-    return calls
+
+def _redundant(sp, seed):
+    # a conic combination and a repeated direction add no extreme ray
+    G = sp._rays
+    rng = np.random.default_rng(seed)
+    extra = np.column_stack([G @ rng.exponential(size=G.shape[1]), 2.5 * G[:, 0]])
+    return ConeSpace.polyhedral(list(np.column_stack([G, extra])[:, rng.permutation(G.shape[1] + 2)].T))
+
+
+HOMOGENEITY_CASES = (
+    [ConeSpace.orthant(n) for n in (1, 2, 5, 12, 24)]
+    + [ConeSpace.lorentz(n) for n in (2, 3, 6, 24)]
+    + [ConeSpace.psd_real(k) for k in (1, 2, 3, 4, 5)]
+    + [ConeSpace.hermitian(k) for k in (1, 2, 3, 4, 5)]
+    + [_rotated_orthant(n, seed) for n in (2, 3, 5, 8) for seed in (1, 4)]
+    + [_ngon_cone(n) for n in range(3, 14)]
+    + [_redundant(sp, seed) for seed, sp in enumerate(
+        [_rotated_orthant(3), _rotated_orthant(5), _ngon_cone(3), _ngon_cone(4), _ngon_cone(7)])])
+
+
+@given(sp=st.sampled_from(HOMOGENEITY_CASES), seed=st.integers(0, 2**16),
+       budget=st.sampled_from([0, 1, 5, 25, 60]))
+@settings(max_examples=120)
+def test_stacked_homogeneity_matches_the_loop_reference(sp, seed, budget):
+    got = is_facially_homogeneous(sp, budget, np.random.default_rng(seed))
+    want = loop_facially_homogeneous(sp, budget, np.random.default_rng(seed))
+    assert repr(got) == repr(want)
+    if want.witness is None:
+        assert got.witness is None
+        return
+    (F, expelled), (G, want_expelled) = got.witness, want.witness
+    assert F.dim == G.dim
+    assert np.linalg.norm(F.projector - G.projector) <= 1e-12
+    assert np.linalg.norm(F.witness - G.witness) <= 1e-12
+    if want_expelled is None:
+        assert expelled is None
+    else:
+        assert expelled[0] == want_expelled[0]
+        assert np.array_equal(expelled[1], want_expelled[1])
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(5), ConeSpace.lorentz(6), ConeSpace.psd_real(4),
+                                ConeSpace.hermitian(3), _rotated_orthant(5), _ngon_cone(7),
+                                _redundant(_ngon_cone(4), 1)], ids=repr)
+def test_each_stacked_face_is_the_face_of_its_point(sp):
+    # the points the reference draws, face by face: subset sums of one or
+    # two rays, or the nonzero ones of 25 sampled points
+    rng = np.random.default_rng(5)
+    if sp.kind == "polyhedral":
+        points = [np.sum(sp._rays[:, list(s)], axis=1) for s in itertools.chain.from_iterable(
+            itertools.combinations(range(sp._rays.shape[1]), r) for r in (1, 2))]
+    else:
+        points = [x for x in (sp.sample_cone_point(rng) for _ in range(25))
+                  if np.linalg.norm(x) > 1e-9]
+    chunks, _ = sp._face_stacks(25, np.random.default_rng(5))
+    P, Pp, W = (np.concatenate(parts)[:len(points)] for parts in zip(*itertools.islice(chunks, 2)))
+    assert len(P) == len(points)
+    for x, p, pp, w in zip(points, P, Pp, W):
+        F = face_of(sp, x)
+        assert np.linalg.norm(p - F.projector) <= 1e-12
+        assert np.linalg.norm(pp - orthogonal_face(F).projector) <= 1e-12
+        assert np.linalg.norm(w - F.witness) <= 1e-12
+
+
+def _counting_chunks(monkeypatch, sp):
+    """The number of faces in each chunk the check builds."""
+    sizes = []
+    face_stacks = sp._face_stacks
+
+    def counting(budget, rng):
+        chunks, how = face_stacks(budget, rng)
+
+        def counted():
+            for chunk in chunks:
+                sizes.append(len(chunk[0]))
+                yield chunk
+        return counted(), how
+    monkeypatch.setattr(sp, "_face_stacks", counting)
+    return sizes
 
 
 def test_facial_homogeneity_stops_at_the_first_refuting_face(monkeypatch):
-    # the 4,096 candidate faces of the 13-gon cone are built only as tested
-    calls = _counting_face_of(monkeypatch)
-    verdict = is_facially_homogeneous(_ngon_cone(13))
+    # of the 4,096 candidate faces of the 13-gon cone only the singleton
+    # chunk is built
+    sp = _ngon_cone(13)
+    sizes = _counting_chunks(monkeypatch, sp)
+    verdict = is_facially_homogeneous(sp)
     assert repr(verdict) == "Refuted(face of dim 1)"
     assert verdict.witness[1] is not None
-    assert len(calls) <= 3
+    assert sizes == [13]
 
 
 @pytest.mark.parametrize("n,how", [(12, "exhaustive"), (13, "first 4096 generator subsets")])
 def test_polyhedral_homogeneity_says_how_many_subsets_it_tried(monkeypatch, n, how):
-    # 2^12 - 1 subsets fit under the cap, 2^13 - 1 do not
-    calls = _counting_face_of(monkeypatch)
-    assert repr(is_facially_homogeneous(_rotated_orthant(n))) == "Verified(%s)" % how
-    assert len(calls) == min(2 ** n - 1, 4096)
+    # 2^12 - 1 subsets fit under the cap, 2^13 - 1 do not; one chunk per size
+    sp = _rotated_orthant(n)
+    sizes = _counting_chunks(monkeypatch, sp)
+    assert repr(is_facially_homogeneous(sp)) == "Verified(%s)" % how
+    assert sum(sizes) == min(2 ** n - 1, 4096)
+    assert sizes[:6] == [comb(n, r) for r in range(1, 7)]
+
+
+def test_large_subset_chunks_are_split(monkeypatch):
+    # at most CHUNK_ENTRIES / dim^2 faces per chunk, in the same order
+    sp = _rotated_orthant(8)
+    monkeypatch.setattr(cone_space, "CHUNK_ENTRIES", 3 * 64)
+    sizes = _counting_chunks(monkeypatch, sp)
+    assert repr(is_facially_homogeneous(sp)) == "Verified(exhaustive)"
+    assert sizes == [min(3, comb(8, r) - i) for r in range(1, 9) for i in range(0, comb(8, r), 3)]
+
+
+def test_only_the_refuting_face_is_built(monkeypatch):
+    # faces that verify are decided in the stack alone
+    calls = []
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    for module, name in [(face_lattice, "Face"), (face_lattice, "face_of"),
+                         (face_lattice, "orthogonal_face"), (derivation_algebra, "is_derivation")]:
+        counting(module, name)
+    for sp in [ConeSpace.orthant(5), ConeSpace.lorentz(6), ConeSpace.psd_real(3),
+               ConeSpace.hermitian(3), _rotated_orthant(6), _ngon_cone(3)]:
+        assert is_facially_homogeneous(sp)
+    assert calls == []
+    for n in (5, 13):
+        assert not is_facially_homogeneous(_ngon_cone(n))
+    assert calls == ["is_derivation", "Face"] * 2
 
 
 def test_sampled_homogeneity_keeps_its_label():

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
+from eudoxus import cli
 from eudoxus.cone_space import TOL, ConeSpace, polyhedral_dual_generators
 from eudoxus.derivation_algebra import derivation_basis, orientability, selfadjoint_derivations
-from eudoxus.face_lattice import is_facially_homogeneous, is_riesz
+from eudoxus.face_lattice import face_of, is_facially_homogeneous, is_riesz
 
 
 def subset_dual_generators(G):
@@ -130,6 +131,37 @@ def test_verdicts_do_not_depend_on_the_presentation(name, seed):
     sp = _cone(noisy)
     assert sp.generators.shape[1] == G.shape[1] + 2  # the spec keeps the presentation
     assert _verdicts(sp) == _verdicts(_cone(G))
+
+
+def _analyze_lines(tmp_path, capsys, sp):
+    path = tmp_path / "cone.txt"
+    path.write_text(cli.emit_cone_spec(sp))
+    code = cli.main(["analyze", str(path)])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-11, 1e-9, 1e13])
+@pytest.mark.parametrize("name", ["quadrant", "5-gon"])
+def test_presentation_checks_do_not_depend_on_scale(tmp_path, capsys, name, scale):
+    G = _plain_presentations()[name]
+    base, sp = _cone(G), _cone(scale * G)
+    assert np.allclose(sp._rays, base._rays, rtol=0, atol=1e-15)
+    # the faces of single rays and of pairs of rays
+    m = G.shape[1]
+    for s in itertools.chain(itertools.combinations(range(m), 1), itertools.combinations(range(m), 2)):
+        x = np.sum(base._rays[:, list(s)], axis=1)
+        assert np.linalg.norm(face_of(sp, x).projector - face_of(base, x).projector) <= 1e-12
+    assert _analyze_lines(tmp_path, capsys, sp) == _analyze_lines(tmp_path, capsys, base)
+
+
+def test_only_zero_or_non_finite_generators_are_rejected():
+    quadrant = _cone(np.array([[1e-200, 0.0], [0.0, 1e300]]))
+    assert np.allclose(quadrant._rays, np.eye(2), rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="zero generator"):
+        ConeSpace.polyhedral([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            ConeSpace.polyhedral([[1.0, 0.0], [bad, 1.0]])
 
 
 SIGN_CASES = dict(_plain_presentations(), square=_square_with_facet_generators(),
