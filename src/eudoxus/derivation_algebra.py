@@ -137,22 +137,15 @@ def tangency_dimension_oracle(space, samples=120, rng=None, symmetric_only=False
     return ncols - int(np.sum(s > 1e-7 * max(s[0], 1.0)))
 
 
-def _derivation_residual(space, M):
-    """Frobenius distance of M from Der(cone): one projection onto the
+def _derivation_residuals(space, Ms):
+    """Frobenius distances of a stack of operators (f, dim, dim) from
+    Der(cone), and which of them is_derivation refutes: residual above
+    DER_TOL max(||M||, 1).  One projection of the whole stack onto the
     cached orthonormal basis."""
-    Q = _derivation_frame(space)[0]
-    v = M.reshape(-1)
-    return float(np.linalg.norm(v - (Q @ v) @ Q))
-
-
-def _outside_der(space, Ms):
-    """Which operators of a stack (f, dim, dim) is_derivation refutes: one
-    projection of all of them onto the cached orthonormal basis, against
-    the threshold DER_TOL max(||M||, 1)."""
     Q = _derivation_frame(space)[0]
     V = Ms.reshape(len(Ms), Q.shape[1])
     res = np.linalg.norm(V - (V @ Q.T) @ Q, axis=1)
-    return res > DER_TOL * np.maximum(np.linalg.norm(V, axis=1), 1.0)
+    return res, res > DER_TOL * np.maximum(np.linalg.norm(V, axis=1), 1.0)
 
 
 def is_derivation(space, M, sample_budget=60, rng=None):
@@ -173,9 +166,8 @@ def is_derivation(space, M, sample_budget=60, rng=None):
         raise ValueError("operator has non-finite entries")
     if rng is None:
         rng = np.random.default_rng(3)
-    scale = max(np.linalg.norm(M), 1.0)
-    res = _derivation_residual(space, M)
-    if res <= DER_TOL * scale:
+    (res,), (outside,) = _derivation_residuals(space, M[None])
+    if not outside:
         return Verdict("Verified", "inside the derivation parametrization")
     witness = _expel_witness(space, M, sample_budget, rng)
     return Verdict("Refuted", "outside the derivation parametrization (residual %.3g)" % res,
@@ -312,20 +304,20 @@ def orientability(space):
 def _complex_structure(cent):
     """An element J of the span with J^2 = -I, if the (at most
     two-dimensional commutative) centroid admits one: the basis elements
-    first, then random combinations as a fallback.  A one-dimensional
-    centroid holds only multiples of its element, so that element alone,
-    at unit Frobenius norm, decides it."""
+    first, then, for a two-dimensional centroid, random combinations as
+    a fallback (a one-dimensional one holds only multiples of its
+    element).  Each candidate is taken at unit Frobenius norm, so the
+    absolute floors below do not see the centroid's scale."""
     if not cent:
         return None
     q = cent[0].shape[0]
     I = np.eye(q)
-    if len(cent) == 1:
-        candidates = [cent[0] / np.linalg.norm(cent[0])]
-    else:
+    randoms = ()
+    if len(cent) > 1:
         rng = np.random.default_rng(11)
-        candidates = itertools.chain(
-            cent, (sum(rng.standard_normal() * C for C in cent) for _ in range(200)))
-    for T in candidates:
+        randoms = (sum(rng.standard_normal() * C for C in cent) for _ in range(200))
+    for T in itertools.chain(cent, randoms):
+        T = T / np.linalg.norm(T)
         # remove the trace part, then rescale the remainder
         T0 = T - (np.trace(T) / q) * I
         sq = T0 @ T0

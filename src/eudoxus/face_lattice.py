@@ -16,8 +16,8 @@ from eudoxus.cone_space import TOL, Membership
 
 
 def _check_projectors(P):
-    """Face's checks on a stack of projectors (f, dim, dim): raise unless
-    each is idempotent and symmetric to 1e-10 (Frobenius)."""
+    """Raise unless each projector of a stack (f, dim, dim) is idempotent
+    and symmetric to 1e-10 (Frobenius)."""
     if np.any(np.linalg.norm(P @ P - P, axis=(1, 2)) > 1e-10):
         raise ValueError("projector is not idempotent")
     if np.any(np.linalg.norm(P - P.transpose(0, 2, 1), axis=(1, 2)) > 1e-10):
@@ -33,10 +33,7 @@ class Face:
 
     def __init__(self, host, projector, witness):
         projector = np.asarray(projector, dtype=float)
-        if np.linalg.norm(projector @ projector - projector) > 1e-10:
-            raise ValueError("projector is not idempotent")
-        if np.linalg.norm(projector - projector.T) > 1e-10:
-            raise ValueError("projector is not symmetric")
+        _check_projectors(projector[None])
         self.host = host
         self.projector = projector
         self.witness = np.asarray(witness, dtype=float)
@@ -160,7 +157,7 @@ def is_facially_homogeneous(space, sample_budget=25, rng=None):
     onto the Der frame; chunks after a refuting face are never built, and
     only that face becomes a Face, with is_derivation's witness.
     """
-    from eudoxus.derivation_algebra import Verdict, _outside_der, is_derivation
+    from eudoxus.derivation_algebra import Verdict, _derivation_residuals, is_derivation
 
     if rng is None:
         rng = np.random.default_rng(0)
@@ -169,7 +166,7 @@ def is_facially_homogeneous(space, sample_budget=25, rng=None):
         _check_projectors(P)
         _check_projectors(Pp)
         M = P - Pp
-        for i in np.flatnonzero(_outside_der(space, M)):
+        for i in np.flatnonzero(_derivation_residuals(space, M)[1]):
             verdict = is_derivation(space, M[i], rng=rng)
             if not verdict:
                 F = Face(space, P[i], W[i])

@@ -10,8 +10,7 @@ from eudoxus.derivation_algebra import (
     SpectralFaceFamily,
     _centroid,
     _complex_structure,
-    _derivation_residual,
-    _outside_der,
+    _derivation_residuals,
     _quotient_adjoint,
     derivation_basis,
     is_derivation,
@@ -312,10 +311,10 @@ def test_projection_residual_matches_lstsq_reference(sp, seed, scale, off):
     if E is not None:
         M = M + off * scale * E
     mats = [b.mat for b in derivation_basis(sp)]
-    got, want = _derivation_residual(sp, M), span_residual(mats, M)
-    assert abs(got - want) <= 1e-12 * max(np.linalg.norm(M), 1.0)
     G = rng.standard_normal((sp.dim, sp.dim))  # a generic operator, mostly off the span
-    assert abs(_derivation_residual(sp, G) - span_residual(mats, G)) <= 1e-12 * np.linalg.norm(G)
+    got = _derivation_residuals(sp, np.array([M, G]))[0]
+    assert abs(got[0] - span_residual(mats, M)) <= 1e-12 * max(np.linalg.norm(M), 1.0)
+    assert abs(got[1] - span_residual(mats, G)) <= 1e-12 * np.linalg.norm(G)
 
 
 @given(sp=cones, seed=seeds, scale=scales)
@@ -331,7 +330,7 @@ def test_stacked_decision_matches_is_derivation(sp, seed, scale):
         Ms = [M + off * scale * E for M, off in zip(Ms, [0.0, 1e-12, 1e-5, 1.0])]
     Ms.append(scale * rng.standard_normal((sp.dim, sp.dim)))
     want = [not is_derivation(sp, M, sample_budget=0) for M in Ms]
-    assert list(_outside_der(sp, np.array(Ms))) == want
+    assert list(_derivation_residuals(sp, np.array(Ms))[1]) == want
 
 
 @given(sp=cones, seed=seeds, scale=scales)
