@@ -41,7 +41,9 @@ TOL = 1e-9
 CLUSTER_TOL = 1e-8
 
 # generator subsets tried by the polyhedral facial-homogeneity check, and
-# the entries of one stack of face projectors it builds (8 MB of floats)
+# the most entries of one stack of face projectors it builds (8 MB of
+# floats): unsplit, the 2,016 two-ray faces of a rotated orthant in R^64
+# would be 66 MB per stack
 MAX_SUBSETS = 4096
 CHUNK_ENTRIES = 2 ** 20
 

@@ -144,8 +144,9 @@ def _derivation_residuals(space, Ms):
     cached orthonormal basis."""
     Q = _derivation_frame(space)[0]
     V = Ms.reshape(len(Ms), Q.shape[1])
-    res = np.linalg.norm(V - (V @ Q.T) @ Q, axis=1)
-    return res, res > DER_TOL * np.maximum(np.linalg.norm(V, axis=1), 1.0)
+    R = V - (V @ Q.T) @ Q
+    res = np.sqrt(np.vecdot(R, R))
+    return res, res > DER_TOL * np.maximum(np.sqrt(np.vecdot(V, V)), 1.0)
 
 
 def is_derivation(space, M, sample_budget=60, rng=None):

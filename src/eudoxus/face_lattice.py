@@ -17,10 +17,13 @@ from eudoxus.cone_space import TOL, Membership
 
 def _check_projectors(P):
     """Raise unless each projector of a stack (f, dim, dim) is idempotent
-    and symmetric to 1e-10 (Frobenius)."""
-    if np.any(np.linalg.norm(P @ P - P, axis=(1, 2)) > 1e-10):
+    and symmetric to 1e-10 (Frobenius; squared norms against 1e-20)."""
+    f, d, _ = P.shape
+    E = (P @ P - P).reshape(f, d * d)
+    if np.vecdot(E, E).max(initial=0.0) > 1e-20:
         raise ValueError("projector is not idempotent")
-    if np.any(np.linalg.norm(P - P.transpose(0, 2, 1), axis=(1, 2)) > 1e-10):
+    A = (P - P.transpose(0, 2, 1)).reshape(f, d * d)
+    if np.vecdot(A, A).max(initial=0.0) > 1e-20:
         raise ValueError("projector is not symmetric")
 
 
