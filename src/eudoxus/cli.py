@@ -18,6 +18,7 @@ import numpy as np
 from eudoxus.cone_space import ConeSpace
 from eudoxus.conjunct_product import DimWord, Quantity, conjunct
 from eudoxus.derivation_algebra import (
+    Derivation,
     derivation_basis,
     orientability,
     reconstruct_from_faces,
@@ -234,12 +235,16 @@ def cmd_ratio(args, report):
 def cmd_derivation(args, report):
     space = _load_space(args.spec)
     if args.action == "spectrum":
-        M = _parse_matrix(args.matrix)
-        fam = spectral_faces(space, M)
+        # a Derivation, so that its shape, entries and Der membership are checked
+        fam = spectral_faces(space, Derivation(space, _parse_matrix(args.matrix)))
         for lam, F in fam:
             report.section("lambda %.9g: face dim %d" % (lam, F.dim))
         report.check("derivation_spectrum", "PASS", "%d spectral faces" % len(fam))
     elif args.action == "roundtrip":
+        if args.samples < 1:
+            raise ValueError("--samples must be at least 1, got %d" % args.samples)
+        if not 0.0 < args.tol < np.inf:
+            raise ValueError("--tol must be finite and positive, got %r" % args.tol)
         rng = np.random.default_rng(args.seed)
         basis = selfadjoint_derivations(space)
         worst = 0.0
@@ -297,9 +302,6 @@ def build_parser():
     p = argparse.ArgumentParser(prog="eudoxus",
                                 description="cone ratios, derivations and demos")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-den", type=int, default=10**6, dest="max_den")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--samples", type=int, default=500)
     p.add_argument("--out", type=str, default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -313,11 +315,14 @@ def build_parser():
     pr.add_argument("--consequent", required=True)
     pr.add_argument("--antecedent2")
     pr.add_argument("--consequent2")
+    pr.add_argument("--max-den", type=int, default=10**6, dest="max_den")
 
     pd = sub.add_parser("derivation")
     pd.add_argument("action", choices=["spectrum", "roundtrip"])
     pd.add_argument("spec")
     pd.add_argument("--matrix")
+    pd.add_argument("--tol", type=float, default=1e-9)
+    pd.add_argument("--samples", type=int, default=500)
 
     pm = sub.add_parser("demo")
     pm.add_argument("what", choices=["quadrature", "conjunct", "krein"])

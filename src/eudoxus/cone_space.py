@@ -22,11 +22,16 @@ Polyhedral cones carry no Jordan product and answer the same private
 hooks from their extreme rays and facet incidence table.  The public
 methods all live on ConeSpace; the kind classes only supply the hooks.
 
+Every kind builds faces in stacks through one pair of hooks: _faces_of
+maps points (f, dim) to span projectors (f, dim, dim) and witnesses, and
+_orthogonal_faces maps those to the orthogonal faces'.
+
 The single tolerance knob TOL classifies membership: Boundary is a band
 of relative width TOL around the topological boundary, and every strict
-comparison downstream routes through it.
+comparison downstream routes through it, as does the face band.
 """
 
+import functools
 import itertools
 import math
 from enum import Enum
@@ -122,6 +127,15 @@ def vec_to_herm(v):
             A[i, j] = re + 1j * im
             A[j, i] = re - 1j * im
     return A
+
+
+def _face_band(X):
+    """TOL max(1, |x|) for a point or each row of a stack: eigenvalues (dual
+    pairings) up to it count as zero.  A norm that is not finite raises."""
+    band = TOL * np.maximum(1.0, np.linalg.norm(X, axis=-1))
+    if not np.isfinite(band).all():
+        raise ValueError("vector norm is not finite")
+    return band
 
 
 # ---------------------------------------------------------------------------
@@ -428,59 +442,54 @@ class _JordanSpace(ConeSpace):
     def _sample_cone_point(self, rng):
         return self.project(rng.standard_normal(self.dim))
 
-    def _U(self, c):
-        """Peirce compression 2 L(c)^2 - L(c) of an idempotent c: the
-        projector onto the span of the face c supports."""
-        Lc = self._L(c)
-        return 2.0 * Lc @ Lc - Lc
+    def _U(self, C):
+        """Peirce compressions 2 L(c)^2 - L(c) of a stack of idempotents
+        (f, dim): the projectors onto the spans of the faces they support.
+        L is linear, so the L(c) come from one tensordot with the L(e_j)."""
+        L = np.tensordot(C, self._L_units, axes=1)
+        return 2.0 * L @ L - L
 
-    def _support(self, a, band):
-        """The support idempotent of a cone element a: the sum of its frame
-        elements with eigenvalue above band.  An eigenvalue below -band
-        puts a outside the cone and raises ValueError."""
-        w, C = self._spectral(a)
-        if not np.min(w) >= -band:
-            raise ValueError("point is outside the cone")
-        return C @ (w > band).astype(float)
+    def _supports(self, X):
+        """The support idempotent of each row of X: the sum of its frame
+        elements above the face band; one below minus the band raises."""
+        C = np.empty(X.shape)
+        for i, (x, band) in enumerate(zip(X, _face_band(X))):
+            w, frame = self._spectral(x)
+            if not np.min(w) >= -band:
+                raise ValueError("point is outside the cone")
+            C[i] = frame @ (w > band)
+        return C
 
-    # -- faces (projector, witness) -------------------------------------------
+    # -- faces (projectors, witnesses) ------------------------------------------
 
-    def _face_of(self, a, band):
-        c = self._support(a, band)
-        return self._U(c), c
+    def _faces_of(self, X):
+        C = self._supports(X)
+        return self._U(C), C
 
-    def _orthogonal_face(self, F):
+    def _orthogonal_faces(self, P, W):
         # the witness of a Jordan face is its unit, the idempotent c
-        c = self._e - F.witness
-        return self._U(c), c
+        C = self._e - W
+        return self._U(C), C
 
     def _eigenfaces(self, M, lams):
         """M = L(M e) for a self-adjoint derivation, so the face of its
         eigenvalue lam is U_c for c the frame elements of M e at lam."""
-        w, C = self._spectral(M @ self._e)
-        out = []
-        for lam in lams:
-            c = C @ (np.abs(w - lam) <= 2.0 * CLUSTER_TOL).astype(float)
-            out.append((self._U(c), c))
-        return out
+        w, frame = self._spectral(M @ self._e)
+        C = (np.abs(w - np.asarray(lams)[:, None]) <= 2.0 * CLUSTER_TOL) @ frame.T
+        return self._U(C), C
 
-    def _frame_terms(self, a, band):
+    def _frame_terms(self, a):
         w, C = self._spectral(a)
+        band = _face_band(a)
         return [(float(lam), C[:, i].copy()) for i, lam in enumerate(w) if lam > band]
 
-    def _face_stacks(self, budget, rng):
-        """One chunk: the faces U_c of budget sampled cone points, c their
-        support idempotents under face_of's band.  L is linear, so the
-        L(c) come from one tensordot with the L(e_j); then P_F = 2 L^2 - L
-        and P_F-perp = U_(e - c) = 2 (I - L)^2 - (I - L)."""
+    def _face_points(self, budget, rng):
+        """One chunk: the nonzero ones of budget sampled cone points."""
         # drawn up front: a refuted face's witness search then starts from
         # one rng state, whichever face refutes
         points = [self.sample_cone_point(rng) for _ in range(budget)]
-        C = np.array([self._support(x, TOL * max(1.0, np.linalg.norm(x)))
-                      for x in points if np.linalg.norm(x) > 1e-9]).reshape(-1, self.dim)
-        L = np.tensordot(C, self._L_units(), axes=1)
-        K = np.eye(self.dim) - L
-        return [(2.0 * L @ L - L, 2.0 * K @ K - K, C)], "sampled faces"
+        X = np.array([x for x in points if np.linalg.norm(x) > 1e-9]).reshape(-1, self.dim)
+        return [X], "sampled faces"
 
     def _riesz(self):
         """A lattice exactly when the Peirce 1/2-space of a frame is zero.
@@ -489,32 +498,31 @@ class _JordanSpace(ConeSpace):
         them: x = (c0 + c1 + h)/2 with unit h in V_01 lies in the face of
         c0 + c1 but not in face(c0) + face(c1)."""
         _, C = self._spectral(self._e)
-        U = [self._U(c) for c in C.T]
-        if np.trace(np.eye(self.dim) - sum(U)) < 0.5:
+        U = self._U(C.T)
+        if np.trace(np.eye(self.dim) - U.sum(axis=0)) < 0.5:
             return True, None
         a, c = C[:, 0].copy(), C[:, 1].copy()
-        V = self._U(a + c) - U[0] - U[1]
+        V = self._U((a + c)[None])[0] - U[0] - U[1]
         h = V[:, np.argmax(np.linalg.norm(V, axis=0))]
         return False, {"a": a, "c": c, "x": (a + c + h / np.linalg.norm(h)) / 2.0}
 
     # -- derivations ----------------------------------------------------------
 
-    def _ratio_derivation(self, terms):
-        """sum lam_i delta_F_i over the faces F_i = U_(c_i) of the pieces of
-        (lam_i, piece_i).  By the Peirce decomposition the facial derivative
+    def _ratio_derivation(self, lams, X):
+        """sum lam_i delta_F_i over the faces F_i = U_(c_i) of the pieces x_i
+        (rows of X).  By the Peirce decomposition the facial derivative
         of U_c is L(c), which is 1 on V(c, 1), 1/2 on V(c, 1/2) and 0 on
         V(c, 0); so the sum is the one operator L(sum lam_i c_i), with c_i
-        the support idempotent of piece_i under face_of's band."""
-        c = np.zeros(self.dim)
-        for lam, piece in terms:
-            c = c + lam * self._support(piece, TOL * max(1.0, np.linalg.norm(piece)))
-        return self._L(c)
+        the support idempotent of x_i under the face band."""
+        return self._L(lams @ self._supports(X))
 
     def _selfadjoint_units(self):
         return np.eye(self.dim)
 
+    @functools.cached_property
     def _L_units(self):
-        """The L(e_j) of the coordinate units, shape (dim, dim, dim)."""
+        """The L(e_j) of the coordinate units, shape (dim, dim, dim), built
+        on first use."""
         return np.array([self._L(u) for u in np.eye(self.dim)])
 
     def _derivation_mats(self, selfadjoint=False):
@@ -522,7 +530,7 @@ class _JordanSpace(ConeSpace):
         derivations as an orthonormal basis of L(V) + [L(V), L(V)]."""
         if selfadjoint:
             return [self._L(s) for s in self._selfadjoint_units()]
-        Ls = list(self._L_units())
+        Ls = list(self._L_units)
         brackets = [A @ B - B @ A for A, B in itertools.combinations(Ls, 2)]
         return _orthonormal_span(Ls) + _orthonormal_span(brackets)
 
@@ -726,38 +734,40 @@ class _Polyhedral(ConeSpace):
             P[rows] = U @ U.transpose(0, 2, 1)
         return P[inv.reshape(-1)], masks @ R.T
 
-    def _perp_masks(self, P):
-        """The extreme rays each projector (or stack of them) kills."""
-        return np.linalg.norm(P @ self._rays, axis=-2) <= 1e-8
+    def _faces_of(self, X):
+        """The face of each row of X: the extreme rays on every facet it lies
+        on within the face band; a pairing below minus the band raises."""
+        pairing = X @ self.dual_generators
+        band = _face_band(X)[:, None]
+        if not np.all(pairing >= -band):
+            raise ValueError("point is outside the cone")
+        active = pairing <= band
+        return self._generator_faces(
+            active.astype(int) @ self._incidence.T == np.sum(active, axis=1)[:, None])
 
-    def _face_of(self, a, band):
-        # the extreme rays on every facet that a lies on
-        active = self.dual_generators.T @ a <= band
-        P, W = self._generator_faces(np.all(self._incidence[:, active], axis=1)[None])
-        return P[0], W[0]
-
-    def _orthogonal_face(self, F):
-        P, W = self._generator_faces(self._perp_masks(F.projector)[None])
-        return P[0], W[0]
+    def _orthogonal_faces(self, P, W):
+        # the extreme rays each projector kills
+        return self._generator_faces(np.linalg.norm(P @ self._rays, axis=-2) <= 1e-8)
 
     def _eigenfaces(self, M, lams):
         R = self._rays
-        return list(zip(*self._generator_faces(np.array(
-            [np.linalg.norm(M @ R - lam * R, axis=0) <= 1e-7 for lam in lams]))))
+        lams = np.asarray(lams)[:, None, None]
+        return self._generator_faces(np.linalg.norm(M @ R - lams * R, axis=1) <= 1e-7)
 
-    def _frame_terms(self, a, band):
+    def _frame_terms(self, a):
         R = self._rays
         if R.shape[1] != self.dim:
             # no incomparable split available in general: single block
             return [(1.0, a)]
         c = np.linalg.solve(R, a)
+        band = _face_band(a)
         return [(float(c[i]), R[:, i].copy()) for i in range(self.dim) if c[i] > band]
 
-    def _face_stacks(self, budget, rng):
-        """The faces of extreme-ray subset sums, smallest subsets first: all
-        2^m - 1 of them up to MAX_SUBSETS, else the first MAX_SUBSETS.  One
-        chunk per subset size (at most CHUNK_ENTRIES / dim^2 faces), each
-        built only when the one before it is consumed."""
+    def _face_points(self, budget, rng):
+        """The extreme-ray subset sums, smallest subsets first: all 2^m - 1
+        of them up to MAX_SUBSETS, else the first MAX_SUBSETS.  One chunk
+        per subset size (at most CHUNK_ENTRIES / dim^2 points), each built
+        only when the one before it is consumed."""
         m = self._rays.shape[1]
         subsets = itertools.islice(itertools.chain.from_iterable(
             itertools.combinations(range(m), r) for r in range(1, m + 1)), MAX_SUBSETS)
@@ -766,18 +776,13 @@ class _Polyhedral(ConeSpace):
         return self._subset_chunks(subsets), how
 
     def _subset_chunks(self, subsets):
-        R, D = self._rays, self.dual_generators
+        R = self._rays
         size = max(1, CHUNK_ENTRIES // self.dim ** 2)
         for _, group in itertools.groupby(subsets, key=len):
             while block := list(itertools.islice(group, size)):
                 S = np.zeros((len(block), R.shape[1]), dtype=bool)
                 S[np.arange(len(block))[:, None], block] = True
-                X = S @ R.T
-                # face_of per row: the rays on every facet the point lies on
-                active = X @ D <= TOL * np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
-                keep = active.astype(int) @ self._incidence.T == np.sum(active, axis=1)[:, None]
-                P, W = self._generator_faces(keep)
-                yield P, self._generator_faces(self._perp_masks(P))[0], W
+                yield S @ R.T
 
     def _riesz(self):
         m = self._rays.shape[1]
@@ -788,13 +793,13 @@ class _Polyhedral(ConeSpace):
 
     # -- derivations ----------------------------------------------------------
 
-    def _ratio_derivation(self, terms):
+    def _ratio_derivation(self, lams, X):
         """sum lam_i (1/2)(I + P_F_i - P_F_i-perp) over the faces F_i of the
-        pieces of (lam_i, piece_i): no Jordan product, so the projectors."""
-        from eudoxus.face_lattice import face_of, facial_derivative
+        pieces x_i (rows of X): no Jordan product, so the projectors."""
+        from eudoxus.face_lattice import _checked_faces
 
-        return sum((lam * facial_derivative(face_of(self, piece)).mat for lam, piece in terms),
-                   np.zeros((self.dim, self.dim)))
+        P, _, Pp = _checked_faces(self, X)
+        return 0.5 * np.tensordot(lams, np.eye(self.dim) + P - Pp, axes=1)
 
     def _derivation_mats(self, selfadjoint=False):
         """Operators M keeping every extreme ray g an eigenvector,

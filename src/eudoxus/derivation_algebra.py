@@ -15,8 +15,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import expm
 
-from eudoxus.cone_space import CLUSTER_TOL, TOL, Membership
-from eudoxus.face_lattice import Face, face_of
+from eudoxus.cone_space import CLUSTER_TOL, Membership
+from eudoxus.face_lattice import Face, _checked_faces
 
 DEFAULT_T_GRID = (-4.0, -2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -53,7 +53,11 @@ class Derivation:
             raise ValueError("operator shape does not match the space")
         self.host = host
         self.mat = mat
-        self.selfadjoint = bool(np.linalg.norm(mat - mat.T) <= 1e-12 * max(1.0, np.linalg.norm(mat)))
+
+    @property
+    def selfadjoint(self):
+        m = self.mat
+        return bool(np.linalg.norm(m - m.T) <= 1e-12 * max(1.0, np.linalg.norm(m)))
 
     def __call__(self, x):
         return self.mat @ np.asarray(x, dtype=float)
@@ -386,31 +390,19 @@ def spectral_faces(space, delta):
         raise ValueError("spectral faces need a self-adjoint derivation")
 
     lams = _cluster(np.linalg.eigvalsh(M))
-    return SpectralFaceFamily(space, [(lam, Face(space, P, w)) for lam, (P, w)
-                                      in zip(lams, space._eigenfaces(M, lams))])
+    return SpectralFaceFamily(space, [(lam, Face(space, P, w)) for lam, P, w
+                                      in zip(lams, *space._eigenfaces(M, lams))])
 
 
 def reconstruct_from_faces(space, family):
-    """Sum the facial-derivative increments of the cumulative faces:
-    the finite facial spectral theorem.  Round-trips spectral_faces."""
-    from eudoxus.face_lattice import facial_derivative
-
+    """The finite facial spectral theorem: sum_k (lam_k - lam_(k+1)) delta_k,
+    lam_(n+1) = 0, over the facial derivatives delta_k of the faces of the
+    cumulative witnesses w_1 + ... + w_k, built as one stack (a zero face
+    has witness 0 and derivative 0).  Round-trips spectral_faces."""
     entries = list(family)
     if not entries:
         return Derivation(space, np.zeros((space.dim, space.dim)))
-    acc = np.zeros(space.dim)
-    mat = np.zeros((space.dim, space.dim))
-    prev = None  # facial derivative of the previous cumulative face
-    for lam, F in entries:
-        if not F.is_zero():
-            acc = acc + F.witness
-        if np.linalg.norm(acc) <= TOL:
-            cur = np.zeros((space.dim, space.dim))
-        else:
-            cur = facial_derivative(face_of(space, acc)).mat
-        if prev is None:
-            mat = mat + lam * cur
-        else:
-            mat = mat + lam * (cur - prev)
-        prev = cur
-    return Derivation(space, mat)
+    lams = np.array([lam for lam, _ in entries])
+    P, _, Pp = _checked_faces(space, np.cumsum([F.witness for _, F in entries], axis=0))
+    steps = lams - np.append(lams[1:], 0.0)
+    return Derivation(space, 0.5 * np.tensordot(steps, np.eye(space.dim) + P - Pp, axes=1))

@@ -2,12 +2,13 @@
 
 A face is a hereditary subcone (0 <= x <= a in F forces x in F), carried
 here as the orthogonal projector onto its span together with a
-relative-interior witness.  The facial derivative of F is
-(1/2)(I + P_F - P_{F'}) with F' the orthogonal face; facial_derivative,
-is_facially_homogeneous and reconstruct_from_faces use this projector
-formula on every kind.  On a Jordan kind it equals L(c) for the face U_c
-(Peirce decomposition), so ratio_calculus.to_derivation builds no faces
-there: it is the one operator L(sum lam_i c_i).
+relative-interior witness, from the kind's stacked hooks _faces_of and
+_orthogonal_faces.  The facial derivative of F is (1/2)(I + P_F - P_{F'})
+with F' the orthogonal face; facial_derivative, is_facially_homogeneous
+and reconstruct_from_faces use this projector formula on every kind.  On
+a Jordan kind it equals L(c) for the face U_c (Peirce decomposition), so
+ratio_calculus.to_derivation builds no faces there: it is the one
+operator L(sum lam_i c_i).
 """
 
 import numpy as np
@@ -62,6 +63,16 @@ class Face:
         return "Face(dim=%d of %r)" % (self.dim, self.host)
 
 
+def _checked_faces(space, X):
+    """Stacks (P, W, Pp) of the face projectors and witnesses of the rows of
+    X and of their orthogonal faces' projectors, every projector checked."""
+    P, W = space._faces_of(X)
+    Pp, _ = space._orthogonal_faces(P, W)
+    _check_projectors(P)
+    _check_projectors(Pp)
+    return P, W, Pp
+
+
 def zero_face(space):
     return Face(space, np.zeros((space.dim, space.dim)), np.zeros(space.dim))
 
@@ -73,30 +84,20 @@ def whole_face(space):
 def face_of(space, a):
     """Smallest closed face of the cone containing a.
 
-    One rank band for every kind: eigenvalues of a (dual pairings, for
-    polyhedral cones) at most TOL * max(1, |a|) count as zero.  For a
-    Jordan kind the face is the Peirce compression U_c of the support
-    idempotent c of a (the frame elements above the band), witnessed by c;
-    the band alone decides the zero face.
+    Eigenvalues of a (dual pairings, for polyhedral cones) up to the face
+    band TOL * max(1, |a|) count as zero.  For a Jordan kind the face is
+    the Peirce compression U_c of the support idempotent c of a, witnessed
+    by c.  A point outside the cone raises ValueError.
     """
-    a = np.asarray(a, dtype=float)
-    mem = space.membership(a)
-    if mem is Membership.OUTSIDE:
-        raise ValueError("point is outside the cone")
-    if mem is Membership.INTERIOR:
-        return whole_face(space)
-    return Face(space, *space._face_of(a, TOL * max(1.0, np.linalg.norm(a))))
+    (P,), (W,) = space._faces_of(space._check_dim(a)[None])
+    return Face(space, P, W)
 
 
 def orthogonal_face(F):
     """F-perp: cone elements orthogonal to every element of F (U_(e - c)
     for a Jordan face U_c)."""
-    space = F.host
-    if F.is_zero():
-        return whole_face(space)
-    if F.is_whole():
-        return zero_face(space)
-    return Face(space, *space._orthogonal_face(F))
+    (P,), (W,) = F.host._orthogonal_faces(F.projector[None], F.witness[None])
+    return Face(F.host, P, W)
 
 
 def facial_derivative(F):
@@ -130,7 +131,7 @@ def minimal_decomposition(space, a):
 
     Returns a list of (coefficient, component) with a = sum coeff *
     component; components are the Jordan frame elements of a with
-    eigenvalue above the band TOL * max(1, |a|) of face_of (coordinate
+    eigenvalue above face_of's band TOL * max(1, |a|) (coordinate
     units, the half-(1, +-w) idempotent pair, rank-one eigenprojections)
     or unit extreme rays.  For a degenerate spectrum the frame is not
     unique; equality of ratios must go through the cut classes, never
@@ -139,7 +140,7 @@ def minimal_decomposition(space, a):
     a = np.asarray(a, dtype=float)
     if space.membership(a) is Membership.OUTSIDE:
         raise ValueError("point is outside the cone")
-    return space._frame_terms(a, TOL * max(1.0, np.linalg.norm(a)))
+    return space._frame_terms(a)
 
 
 def is_minimal(space, a):
@@ -155,19 +156,17 @@ def is_facially_homogeneous(space, sample_budget=25, rng=None):
     subset size; Jordan kinds test the faces of sample_budget sampled
     points in one chunk, so Verified means verified on the tested family.
     The zero face and the whole cone give -I and I, derivations of every
-    cone, and are not tested.  A chunk is a stack of face projectors,
-    orthogonal-face projectors and witnesses, decided by one projection
-    onto the Der frame; chunks after a refuting face are never built, and
-    only that face becomes a Face, with is_derivation's witness.
+    cone, and are not tested.  One projection onto the Der frame decides
+    each chunk's stack of faces; chunks after a refuting face are never
+    built, and only that face becomes a Face, with is_derivation's witness.
     """
     from eudoxus.derivation_algebra import Verdict, _derivation_residuals, is_derivation
 
     if rng is None:
         rng = np.random.default_rng(0)
-    chunks, how = space._face_stacks(sample_budget, rng)
-    for P, Pp, W in chunks:
-        _check_projectors(P)
-        _check_projectors(Pp)
+    chunks, how = space._face_points(sample_budget, rng)
+    for X in chunks:
+        P, W, Pp = _checked_faces(space, X)
         M = P - Pp
         for i in np.flatnonzero(_derivation_residuals(space, M)[1]):
             verdict = is_derivation(space, M[i], rng=rng)

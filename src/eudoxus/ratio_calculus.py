@@ -177,8 +177,9 @@ def to_derivation(r):
     and no face is built; polyhedral cones sum the projector formula
     (1/2)(I + P_F - P_F-perp).
     """
-    pairs = [(lam, piece) for lam, _, piece in r.decomposition]
-    return Derivation(r.host, r.host._ratio_derivation(pairs))
+    lams = np.array([lam for lam, _, _ in r.decomposition])
+    X = np.array([piece for _, _, piece in r.decomposition]).reshape(-1, r.host.dim)
+    return Derivation(r.host, r.host._ratio_derivation(lams, X))
 
 
 def from_derivation(space, delta, max_den=10**6):

@@ -164,9 +164,44 @@ def test_derivation_spectrum_command(tmp_path, capsys):
 
 def test_derivation_roundtrip_command(tmp_path, capsys):
     spec = _write_spec(tmp_path, "kind = lorentz\ndim = 3\n")
-    code = cli.main(["--samples", "25", "derivation", "roundtrip", spec])
+    code = cli.main(["derivation", "roundtrip", spec, "--samples", "25"])
     assert code == 0
     assert "CHECK derivation_roundtrip PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ("1,2;2,1", "operator is not a derivation"),
+    ("1,0;0,nan", "operator has non-finite entries"),
+    ("1,0,0;0,1,0;0,0,1", "operator shape does not match the space"),
+])
+def test_derivation_spectrum_checks_its_matrix(tmp_path, capsys, matrix, message):
+    # not a derivation of the orthant, not finite, not 2 x 2
+    spec = _write_spec(tmp_path, "kind = orthant\ndim = 2\n")
+    assert cli.main(["derivation", "spectrum", spec, "--matrix", matrix]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["derivation", "roundtrip", "SPEC", "--samples", "-5"], "--samples must be at least 1"),
+    (["derivation", "roundtrip", "SPEC", "--samples", "0"], "--samples must be at least 1"),
+    (["derivation", "roundtrip", "SPEC", "--tol", "nan"], "--tol must be finite and positive"),
+    (["derivation", "roundtrip", "SPEC", "--tol", "inf"], "--tol must be finite and positive"),
+    (["derivation", "roundtrip", "SPEC", "--tol", "0"], "--tol must be finite and positive"),
+    (["derivation", "roundtrip", "SPEC", "--tol", "-0.5"], "--tol must be finite and positive"),
+    # the flags live on the commands that read them
+    (["--tol", "5", "analyze", "SPEC"], "invalid choice"),
+    (["--samples", "25", "derivation", "roundtrip", "SPEC"], "invalid choice"),
+    (["--max-den", "64", "analyze", "SPEC"], "invalid choice"),
+    (["analyze", "SPEC", "--max-den", "64"], "unrecognized arguments"),
+])
+def test_derivation_knobs_are_checked_where_they_are_read(tmp_path, capsys, argv, message):
+    spec = _write_spec(tmp_path, "kind = lorentz\ndim = 3\n")
+    assert cli.main([spec if a == "SPEC" else a for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
 
 
 def test_demo_quadrature_command(capsys):
@@ -207,7 +242,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     calls = [
         ["ratio", "make", spec],  # missing --antecedent and --consequent
         ["--seed", "3", "analyze", spec],
-        ["--max-den", "64", "ratio", "make", spec, "--antecedent", "2,1,0",
+        ["ratio", "make", spec, "--max-den", "64", "--antecedent", "2,1,0",
          "--consequent", "3,1,0"],
         ["analyze", spec],
         ["--bogus", "analyze", spec],

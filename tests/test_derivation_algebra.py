@@ -22,7 +22,7 @@ from eudoxus.derivation_algebra import (
     spectral_faces,
     tangency_dimension_oracle,
 )
-from eudoxus.face_lattice import whole_face
+from eudoxus.face_lattice import Face, face_of, facial_derivative, minimal_decomposition, whole_face
 
 
 def _random_selfadjoint(space, rng):
@@ -175,6 +175,94 @@ def test_reconstruction_roundtrip():
             d = _random_selfadjoint(sp, rng)
             rec = reconstruct_from_faces(sp, spectral_faces(sp, d))
             assert np.linalg.norm(rec.mat - d.mat) < 1e-9 * max(1.0, d.norm())
+
+
+def loop_reconstruct_from_faces(space, family):
+    """Reference: the reconstruction one face at a time, as it was before
+    the cumulative faces were stacked.  The facial derivative of face_of
+    of each cumulative witness, a witness of norm at most TOL giving 0,
+    summed by increments lam_k (delta_k - delta_(k-1))."""
+    entries = list(family)
+    if not entries:
+        return Derivation(space, np.zeros((space.dim, space.dim)))
+    acc = np.zeros(space.dim)
+    mat = np.zeros((space.dim, space.dim))
+    prev = None  # facial derivative of the previous cumulative face
+    for lam, F in entries:
+        if not F.is_zero():
+            acc = acc + F.witness
+        if np.linalg.norm(acc) <= 1e-9:
+            cur = np.zeros((space.dim, space.dim))
+        else:
+            cur = facial_derivative(face_of(space, acc)).mat
+        if prev is None:
+            mat = mat + lam * cur
+        else:
+            mat = mat + lam * (cur - prev)
+        prev = cur
+    return Derivation(space, mat)
+
+
+# all five kinds up to the largest sizes the benchmark sweeps
+CONES = ([ConeSpace.orthant(n) for n in (1, 3, 8, 24)]
+         + [ConeSpace.lorentz(n) for n in (2, 3, 8, 24)]
+         + [ConeSpace.psd_real(k) for k in (1, 2, 3, 5)]
+         + [ConeSpace.hermitian(k) for k in (1, 2, 3, 5)]
+         + [_rotated_orthant(n, seed) for n in (3, 6) for seed in (1, 2)]
+         + [_ngon_cone(n) for n in (3, 5, 13)])
+
+
+def _spectrum_case(sp, seed, spectrum):
+    """A self-adjoint derivation with a generic spectrum, a repeated one
+    (integer coefficients), or a multiple of I."""
+    rng = np.random.default_rng(seed)
+    basis = selfadjoint_derivations(sp)
+    if spectrum == "identity":
+        return float(rng.integers(-2, 3)) * np.eye(sp.dim)
+    coef = rng.integers(-2, 3, len(basis)) if spectrum == "repeated" else rng.standard_normal(len(basis))
+    return sum(c * b.mat for c, b in zip(coef, basis))
+
+
+@given(sp=st.sampled_from(CONES), seed=st.integers(0, 2**16),
+       spectrum=st.sampled_from(["generic", "repeated", "identity"]))
+@settings(max_examples=150)
+def test_stacked_reconstruction_matches_the_loop_reference(sp, seed, spectrum):
+    delta = _spectrum_case(sp, seed, spectrum)
+    family = spectral_faces(sp, delta)
+    got = reconstruct_from_faces(sp, family).mat
+    want = loop_reconstruct_from_faces(sp, family).mat
+    assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(delta))
+
+
+def test_stacked_reconstruction_matches_the_loop_on_the_psd_zero_face_case():
+    # L = diag(0, 1): the middle spectral face of 2 L is the zero face
+    sp = ConeSpace.psd_real(2)
+    delta = 2.0 * sp.L(sym_to_vec(np.diag([0.0, 1.0])))
+    family = spectral_faces(sp, delta)
+    assert [F.dim for _, F in family] == [1, 0, 1]
+    got = reconstruct_from_faces(sp, family).mat
+    assert np.linalg.norm(got - loop_reconstruct_from_faces(sp, family).mat) <= 1e-12
+    assert np.linalg.norm(got - delta) <= 1e-12
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(3), ConeSpace.lorentz(3), ConeSpace.psd_real(2),
+                                ConeSpace.hermitian(2), _rotated_orthant(3, 1), _ngon_cone(5)],
+                         ids=repr)
+def test_a_point_outside_the_cone_raises_on_every_face_path(sp):
+    # a cumulative witness -2r, r an extreme ray: face_of raised on it one
+    # face at a time, and the stacked face hooks raise as well
+    r = sp._rays[:, 0] if sp.kind == "polyhedral" else minimal_decomposition(sp, sp.canonical_unit())[0][1]
+    P = face_of(sp, r).projector
+    family = SpectralFaceFamily(sp, [(1.0, Face(sp, P, -r)), (2.0, Face(sp, P, -r))])
+    with pytest.raises(ValueError, match="point is outside the cone"):
+        loop_reconstruct_from_faces(sp, family)
+    with pytest.raises(ValueError, match="point is outside the cone"):
+        reconstruct_from_faces(sp, family)
+    with pytest.raises(ValueError, match="point is outside the cone"):
+        face_of(sp, -2.0 * r)
+    with pytest.raises(ValueError, match="point is outside the cone"):
+        ratio_calculus.to_derivation(ratio_calculus.Ratio(
+            sp, r, r, [(1.0, None, sp.canonical_unit()), (2.0, None, -2.0 * r)]))
 
 
 def test_family_requires_increasing_eigenvalues():

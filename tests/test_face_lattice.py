@@ -312,9 +312,10 @@ def test_each_stacked_face_is_the_face_of_its_point(sp):
     else:
         points = [x for x in (sp.sample_cone_point(rng) for _ in range(25))
                   if np.linalg.norm(x) > 1e-9]
-    chunks, _ = sp._face_stacks(25, np.random.default_rng(5))
-    P, Pp, W = (np.concatenate(parts)[:len(points)] for parts in zip(*itertools.islice(chunks, 2)))
-    assert len(P) == len(points)
+    chunks, _ = sp._face_points(25, np.random.default_rng(5))
+    X = np.concatenate(list(itertools.islice(chunks, 2)))[:len(points)]
+    assert np.array_equal(X, np.array(points))
+    P, W, Pp = face_lattice._checked_faces(sp, X)
     for x, p, pp, w in zip(points, P, Pp, W):
         F = face_of(sp, x)
         assert np.linalg.norm(p - F.projector) <= 1e-12
@@ -325,17 +326,17 @@ def test_each_stacked_face_is_the_face_of_its_point(sp):
 def _counting_chunks(monkeypatch, sp):
     """The number of faces in each chunk the check builds."""
     sizes = []
-    face_stacks = sp._face_stacks
+    face_points = sp._face_points
 
     def counting(budget, rng):
-        chunks, how = face_stacks(budget, rng)
+        chunks, how = face_points(budget, rng)
 
         def counted():
             for chunk in chunks:
-                sizes.append(len(chunk[0]))
+                sizes.append(len(chunk))
                 yield chunk
         return counted(), how
-    monkeypatch.setattr(sp, "_face_stacks", counting)
+    monkeypatch.setattr(sp, "_face_points", counting)
     return sizes
 
 

@@ -340,11 +340,14 @@ def test_to_derivation_builds_no_face_on_a_jordan_kind(monkeypatch, sp, builds_f
     calls = []
     for name in ("face_of", "orthogonal_face"):
         monkeypatch.setattr(face_lattice, name, _counting(calls, name, getattr(face_lattice, name)))
+    for name in ("_faces_of", "_orthogonal_faces"):
+        monkeypatch.setattr(sp, name, _counting(calls, name, getattr(sp, name)))
     monkeypatch.setattr(face_lattice.Face, "__init__",
                         _counting(calls, "Face", face_lattice.Face.__init__))
     to_derivation(r)
-    # a polyhedral cone keeps the projector sum, which the wrappers see
-    assert set(calls) == ({"face_of", "orthogonal_face", "Face"} if builds_faces else set())
+    # a polyhedral cone keeps the projector sum: one stacked call of each
+    # face hook over all the pieces, and no Face
+    assert calls == (["_faces_of", "_orthogonal_faces"] if builds_faces else [])
 
 
 def test_ratio_equal_and_compose_build_each_derivation_once(monkeypatch):
