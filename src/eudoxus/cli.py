@@ -235,16 +235,17 @@ def cmd_ratio(args, report):
 def cmd_derivation(args, report):
     space = _load_space(args.spec)
     if args.action == "spectrum":
+        if args.matrix is None:
+            raise ValueError("derivation spectrum needs --matrix")
         # a Derivation, so that its shape, entries and Der membership are checked
         fam = spectral_faces(space, Derivation(space, _parse_matrix(args.matrix)))
         for lam, F in fam:
             report.section("lambda %.9g: face dim %d" % (lam, F.dim))
         report.check("derivation_spectrum", "PASS", "%d spectral faces" % len(fam))
     elif args.action == "roundtrip":
-        if args.samples < 1:
-            raise ValueError("--samples must be at least 1, got %d" % args.samples)
-        if not 0.0 < args.tol < np.inf:
-            raise ValueError("--tol must be finite and positive, got %r" % args.tol)
+        if args.samples < 1 or not 0.0 < args.tol < np.inf:
+            raise ValueError("need --samples >= 1 and a finite --tol > 0, got %d and %r"
+                             % (args.samples, args.tol))
         rng = np.random.default_rng(args.seed)
         basis = selfadjoint_derivations(space)
         worst = 0.0

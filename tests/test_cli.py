@@ -183,13 +183,17 @@ def test_derivation_spectrum_checks_its_matrix(tmp_path, capsys, matrix, message
     assert out.err.startswith("error: " + message)
 
 
+KNOBS = "need --samples >= 1 and a finite --tol > 0"
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["derivation", "roundtrip", "SPEC", "--samples", "-5"], "--samples must be at least 1"),
-    (["derivation", "roundtrip", "SPEC", "--samples", "0"], "--samples must be at least 1"),
-    (["derivation", "roundtrip", "SPEC", "--tol", "nan"], "--tol must be finite and positive"),
-    (["derivation", "roundtrip", "SPEC", "--tol", "inf"], "--tol must be finite and positive"),
-    (["derivation", "roundtrip", "SPEC", "--tol", "0"], "--tol must be finite and positive"),
-    (["derivation", "roundtrip", "SPEC", "--tol", "-0.5"], "--tol must be finite and positive"),
+    (["derivation", "roundtrip", "SPEC", "--samples", "-5"], KNOBS),
+    (["derivation", "roundtrip", "SPEC", "--samples", "0"], KNOBS),
+    (["derivation", "roundtrip", "SPEC", "--tol", "nan"], KNOBS),
+    (["derivation", "roundtrip", "SPEC", "--tol", "inf"], KNOBS),
+    (["derivation", "roundtrip", "SPEC", "--tol", "0"], KNOBS),
+    (["derivation", "roundtrip", "SPEC", "--tol", "-0.5"], KNOBS),
+    (["derivation", "spectrum", "SPEC"], "derivation spectrum needs --matrix"),
     # the flags live on the commands that read them
     (["--tol", "5", "analyze", "SPEC"], "invalid choice"),
     (["--samples", "25", "derivation", "roundtrip", "SPEC"], "invalid choice"),

@@ -219,7 +219,8 @@ def _spectrum_case(sp, seed, spectrum):
     basis = selfadjoint_derivations(sp)
     if spectrum == "identity":
         return float(rng.integers(-2, 3)) * np.eye(sp.dim)
-    coef = rng.integers(-2, 3, len(basis)) if spectrum == "repeated" else rng.standard_normal(len(basis))
+    n = len(basis)
+    coef = rng.integers(-2, 3, n) if spectrum == "repeated" else rng.standard_normal(n)
     return sum(c * b.mat for c, b in zip(coef, basis))
 
 
@@ -249,9 +250,11 @@ def test_stacked_reconstruction_matches_the_loop_on_the_psd_zero_face_case():
                                 ConeSpace.hermitian(2), _rotated_orthant(3, 1), _ngon_cone(5)],
                          ids=repr)
 def test_a_point_outside_the_cone_raises_on_every_face_path(sp):
-    # a cumulative witness -2r, r an extreme ray: face_of raised on it one
-    # face at a time, and the stacked face hooks raise as well
-    r = sp._rays[:, 0] if sp.kind == "polyhedral" else minimal_decomposition(sp, sp.canonical_unit())[0][1]
+    # r an extreme ray (a unit ray, or a frame element of the unit); with
+    # witnesses -r the cumulative witnesses -r and -2r lie outside the cone:
+    # face_of raised on them one face at a time, the stacked hooks raise too
+    r = (sp._rays[:, 0] if sp.kind == "polyhedral"
+         else minimal_decomposition(sp, sp.canonical_unit())[0][1])
     P = face_of(sp, r).projector
     family = SpectralFaceFamily(sp, [(1.0, Face(sp, P, -r)), (2.0, Face(sp, P, -r))])
     with pytest.raises(ValueError, match="point is outside the cone"):
