@@ -163,8 +163,11 @@ def _parse_vector(text):
 
 
 def _parse_matrix(text):
-    return np.array([[float(v) for v in row.split(",")]
-                     for row in text.split(";")])
+    rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows differ in length: %s"
+                         % ", ".join(str(len(row)) for row in rows))
+    return np.array(rows)
 
 
 def _load_space(path):

@@ -132,7 +132,7 @@ def vec_to_herm(v):
 def _face_band(X):
     """TOL max(1, |x|) for a point or each row of a stack: eigenvalues (dual
     pairings) up to it count as zero.  A norm that is not finite raises."""
-    band = TOL * np.maximum(1.0, np.linalg.norm(X, axis=-1))
+    band = TOL * np.maximum(1.0, np.sqrt(np.vecdot(X, X)))
     if not np.isfinite(band).all():
         raise ValueError("vector norm is not finite")
     return band
@@ -449,14 +449,20 @@ class _JordanSpace(ConeSpace):
         L = np.tensordot(C, self._L_units, axes=1)
         return 2.0 * L @ L - L
 
+    def _cone_spectral(self, x, band):
+        """_spectral(x) of a cone point: an eigenvalue below minus the face
+        band raises."""
+        w, frame = self._spectral(x)
+        if not np.min(w) >= -band:
+            raise ValueError("point is outside the cone")
+        return w, frame
+
     def _supports(self, X):
         """The support idempotent of each row of X: the sum of its frame
-        elements above the face band; one below minus the band raises."""
+        elements above the face band."""
         C = np.empty(X.shape)
         for i, (x, band) in enumerate(zip(X, _face_band(X))):
-            w, frame = self._spectral(x)
-            if not np.min(w) >= -band:
-                raise ValueError("point is outside the cone")
+            w, frame = self._cone_spectral(x, band)
             C[i] = frame @ (w > band)
         return C
 
@@ -479,8 +485,8 @@ class _JordanSpace(ConeSpace):
         return self._U(C), C
 
     def _frame_terms(self, a):
-        w, C = self._spectral(a)
         band = _face_band(a)
+        w, C = self._cone_spectral(a, band)
         return [(float(lam), C[:, i].copy()) for i, lam in enumerate(w) if lam > band]
 
     def _face_points(self, budget, rng):
@@ -734,13 +740,19 @@ class _Polyhedral(ConeSpace):
             P[rows] = U @ U.transpose(0, 2, 1)
         return P[inv.reshape(-1)], masks @ R.T
 
-    def _faces_of(self, X):
-        """The face of each row of X: the extreme rays on every facet it lies
-        on within the face band; a pairing below minus the band raises."""
+    def _pairings(self, X):
+        """The pairings of a point, or of each row of a stack, with the unit
+        dual generators, and the face band; one below minus the band raises."""
         pairing = X @ self.dual_generators
-        band = _face_band(X)[:, None]
+        band = _face_band(X)[..., None]
         if not np.all(pairing >= -band):
             raise ValueError("point is outside the cone")
+        return pairing, band
+
+    def _faces_of(self, X):
+        """The face of each row of X: the extreme rays on every facet it lies
+        on within the face band."""
+        pairing, band = self._pairings(X)
         active = pairing <= band
         return self._generator_faces(
             active.astype(int) @ self._incidence.T == np.sum(active, axis=1)[:, None])
@@ -755,12 +767,12 @@ class _Polyhedral(ConeSpace):
         return self._generator_faces(np.linalg.norm(M @ R - lams * R, axis=1) <= 1e-7)
 
     def _frame_terms(self, a):
+        _, (band,) = self._pairings(a)
         R = self._rays
         if R.shape[1] != self.dim:
             # no incomparable split available in general: single block
             return [(1.0, a)]
         c = np.linalg.solve(R, a)
-        band = _face_band(a)
         return [(float(c[i]), R[:, i].copy()) for i in range(self.dim) if c[i] > band]
 
     def _face_points(self, budget, rng):
@@ -794,11 +806,18 @@ class _Polyhedral(ConeSpace):
     # -- derivations ----------------------------------------------------------
 
     def _ratio_derivation(self, lams, X):
-        """sum lam_i (1/2)(I + P_F_i - P_F_i-perp) over the faces F_i of the
-        pieces x_i (rows of X): no Jordan product, so the projectors."""
+        """sum lam (1/2)(I + P_F - P_F-perp) over the faces F of the sums of
+        the pieces (rows of X) that share a multiplier lam: no Jordan
+        product, so the projectors.  The extreme rays of a simplicial cone
+        that is not self-dual are not orthogonal, so its ray pieces are not
+        incomparable and their facial derivatives do not add up; the pieces
+        of one spectral face, summed, are that face's own piece."""
         from eudoxus.face_lattice import _checked_faces
 
-        P, _, Pp = _checked_faces(self, X)
+        lams, which = np.unique(lams, return_inverse=True)
+        pieces = np.zeros((len(lams), self.dim))
+        np.add.at(pieces, which.reshape(-1), X)
+        P, _, Pp = _checked_faces(self, pieces)
         return 0.5 * np.tensordot(lams, np.eye(self.dim) + P - Pp, axes=1)
 
     def _derivation_mats(self, selfadjoint=False):

@@ -9,14 +9,15 @@ spectral theorem: every self-adjoint derivation decomposes over an
 increasing family of faces and is reconstructed from it exactly.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import expm
 
-from eudoxus.cone_space import CLUSTER_TOL, Membership
-from eudoxus.face_lattice import Face, _checked_faces
+from eudoxus.cone_space import CLUSTER_TOL, Membership, _face_band
+from eudoxus.face_lattice import Face, _check_projectors, _checked_faces
 
 DEFAULT_T_GRID = (-4.0, -2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -343,33 +344,73 @@ def _complex_structure(cent):
 class SpectralFaceFamily:
     """Increasing list of (eigenvalue, face) pairs of a self-adjoint
     derivation; zero faces are retained (the ratio construction skips
-    them, the reconstruction needs their eigenvalues)."""
+    them, the reconstruction needs their eigenvalues).
+
+    Carried as three stacks: the eigenvalues lams (f,), the span
+    projectors (f, dim, dim) and the witnesses (f, dim).  Building a
+    family checks every projector (idempotent and symmetric to 1e-10) in
+    one call and every witness against its face, |P_k w_k - w_k| within
+    the face band, in one test.  The public constructor takes a list of
+    (eigenvalue, Face) pairs; spectral_faces builds the stacks directly,
+    and its Faces are built, through Face, only when entries are read or
+    the family is iterated."""
 
     def __init__(self, host, entries):
-        lam = [e[0] for e in entries]
-        if any(b - a <= 0 for a, b in zip(lam, lam[1:])):
-            raise ValueError("eigenvalues must be strictly increasing")
-        self.host = host
+        entries = list(entries)
+        d = host.dim
+        self._init_stacks(host, np.array([lam for lam, _ in entries], dtype=float),
+                  np.array([F.projector for _, F in entries]).reshape(-1, d, d),
+                  np.array([F.witness for _, F in entries]).reshape(-1, d))
         self.entries = entries
+
+    @classmethod
+    def _of_stacks(cls, host, lams, projectors, witnesses):
+        family = cls.__new__(cls)
+        family._init_stacks(host, lams, projectors, witnesses)
+        return family
+
+    def _init_stacks(self, host, lams, projectors, witnesses):
+        if np.any(np.diff(lams) <= 0):
+            raise ValueError("eigenvalues must be strictly increasing")
+        _check_projectors(projectors)
+        off = (projectors @ witnesses[:, :, None])[:, :, 0] - witnesses
+        if np.any(np.vecdot(off, off) > _face_band(witnesses) ** 2):
+            raise ValueError("witness does not lie in its face")
+        self.host = host
+        self.lams = lams
+        self.projectors = projectors
+        self.witnesses = witnesses
+        # a projector's dimension is its trace, as for Face.dim
+        self.nonzero = np.rint(np.trace(projectors, axis1=1, axis2=2)) > 0
+
+    @functools.cached_property
+    def entries(self):
+        return [(float(lam), Face(self.host, P, w))
+                for lam, P, w in zip(self.lams, self.projectors, self.witnesses)]
 
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.lams)
 
     def nonzero_entries(self):
         return [(lam, F) for lam, F in self.entries if not F.is_zero()]
 
 
 def _cluster(values, tol=CLUSTER_TOL):
-    groups = []
-    for v in sorted(values):
-        if groups and v - groups[-1][-1] <= tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return [float(np.mean(g)) for g in groups]
+    """The means of the runs of sorted values whose neighbours lie within
+    tol of each other.  Each run's offsets from its first value are summed,
+    so a mean is within an ulp of the exact one, where a running sum of
+    the values themselves drifts by several ulps over a dozen of them."""
+    v = np.sort(values)
+    new = np.empty(len(v), dtype=bool)  # does v[i] start a run?
+    new[0] = True
+    np.greater(np.diff(v), tol, out=new[1:])
+    starts = np.flatnonzero(new)
+    run = np.cumsum(new) - 1
+    first = v[starts]
+    return first + np.add.reduceat(v - first[run], starts) / np.bincount(run)
 
 
 def spectral_faces(space, delta):
@@ -377,7 +418,9 @@ def spectral_faces(space, delta):
     derivation.  Eigenvalues within CLUSTER_TOL share a face; a face may
     be trivial (eigenspace meeting the cone only at zero), but not all of
     them can be.  On a Jordan kind delta = L(delta e), and the face of an
-    eigenvalue is U_c for the frame elements c of delta e there."""
+    eigenvalue is U_c for the frame elements c of delta e there.  The
+    kind's _eigenfaces builds every face in one stack, which the family
+    checks once; no Face is built unless the family is iterated."""
     if isinstance(delta, Derivation):
         # only the decision is needed: skip the witness search
         verdict = is_derivation(space, delta.mat, sample_budget=0)
@@ -390,19 +433,18 @@ def spectral_faces(space, delta):
         raise ValueError("spectral faces need a self-adjoint derivation")
 
     lams = _cluster(np.linalg.eigvalsh(M))
-    return SpectralFaceFamily(space, [(lam, Face(space, P, w)) for lam, P, w
-                                      in zip(lams, *space._eigenfaces(M, lams))])
+    return SpectralFaceFamily._of_stacks(space, lams, *space._eigenfaces(M, lams))
 
 
 def reconstruct_from_faces(space, family):
     """The finite facial spectral theorem: sum_k (lam_k - lam_(k+1)) delta_k,
     lam_(n+1) = 0, over the facial derivatives delta_k of the faces of the
-    cumulative witnesses w_1 + ... + w_k, built as one stack (a zero face
-    has witness 0 and derivative 0).  Round-trips spectral_faces."""
-    entries = list(family)
-    if not entries:
+    cumulative witnesses w_1 + ... + w_k, built as one stack from the
+    family's witnesses (a zero face has witness 0 and derivative 0).
+    Round-trips spectral_faces."""
+    if not len(family):
         return Derivation(space, np.zeros((space.dim, space.dim)))
-    lams = np.array([lam for lam, _ in entries])
-    P, _, Pp = _checked_faces(space, np.cumsum([F.witness for _, F in entries], axis=0))
+    lams = family.lams
+    P, _, Pp = _checked_faces(space, np.cumsum(family.witnesses, axis=0))
     steps = lams - np.append(lams[1:], 0.0)
     return Derivation(space, 0.5 * np.tensordot(steps, np.eye(space.dim) + P - Pp, axes=1))

@@ -13,7 +13,7 @@ operator L(sum lam_i c_i).
 
 import numpy as np
 
-from eudoxus.cone_space import TOL, Membership
+from eudoxus.cone_space import TOL
 
 
 def _check_projectors(P):
@@ -133,14 +133,15 @@ def minimal_decomposition(space, a):
     component; components are the Jordan frame elements of a with
     eigenvalue above face_of's band TOL * max(1, |a|) (coordinate
     units, the half-(1, +-w) idempotent pair, rank-one eigenprojections)
-    or unit extreme rays.  For a degenerate spectrum the frame is not
-    unique; equality of ratios must go through the cut classes, never
-    through literal component lists.
+    or unit extreme rays.  One spectral decomposition of a (on a
+    simplicial cone, its dual pairings and one solve against the extreme
+    rays) gives both the components and the membership verdict: an
+    eigenvalue (pairing) below minus the band raises "point is outside
+    the cone".  For a degenerate spectrum the frame is not unique;
+    equality of ratios must go through the cut classes, never through
+    literal component lists.
     """
-    a = np.asarray(a, dtype=float)
-    if space.membership(a) is Membership.OUTSIDE:
-        raise ValueError("point is outside the cone")
-    return space._frame_terms(a)
+    return space._frame_terms(space._check_dim(a))
 
 
 def is_minimal(space, a):

@@ -142,21 +142,21 @@ def ratio_from_pair(space, a_prime, a, max_den=10**6):
 
 
 def _ratio_from_family(space, delta, family, a, max_den):
-    """The ratio delta a : a, decomposed along the spectral faces of delta."""
+    """The ratio delta a : a, decomposed along the spectral faces of delta:
+    the consequent is compressed onto every nonzero face at once, and
+    each face's multiplier is bracketed once."""
+    lams = family.lams[family.nonzero]
+    parts = family.projectors[family.nonzero] @ a
     decomposition = []
-    recovered = np.zeros(space.dim)
-    for lam, F in family.nonzero_entries():
-        aF = F.projector @ a
-        recovered = recovered + aF
-        for coeff, comp in minimal_decomposition(space, aF):
-            piece = coeff * comp
-            bracket = None
-            if lam > TOL:
-                bracket = stern_brocot_bracket(RealOracleFromValue(lam), max_den)
-            decomposition.append((float(lam), bracket, piece))
+    for lam, aF in zip(lams.tolist(), parts):
+        terms = minimal_decomposition(space, aF)
+        bracket = None
+        if terms and lam > TOL:
+            bracket = stern_brocot_bracket(RealOracleFromValue(lam), max_den)
+        decomposition += [(lam, bracket, coeff * comp) for coeff, comp in terms]
     # the consequent must split along the spectral faces, otherwise the
     # antecedent is not face-diagonal over any decomposition of it
-    if np.linalg.norm(recovered - a) > 1e-7 * max(1.0, np.linalg.norm(a)):
+    if np.linalg.norm(parts.sum(axis=0) - a) > 1e-7 * max(1.0, np.linalg.norm(a)):
         raise NotComparable("consequent does not decompose along the "
                             "antecedent's spectral faces")
     antecedent = delta.mat @ a
@@ -175,7 +175,8 @@ def to_derivation(r):
     derivative of the face U_c is L(c), so the sum is the closed form
     L(sum lam_i c_i) over the support idempotents c_i of the components,
     and no face is built; polyhedral cones sum the projector formula
-    (1/2)(I + P_F - P_F-perp).
+    (1/2)(I + P_F - P_F-perp) over the faces of the sums of the
+    components that share a multiplier.
     """
     lams = np.array([lam for lam, _, _ in r.decomposition])
     X = np.array([piece for _, _, piece in r.decomposition]).reshape(-1, r.host.dim)
@@ -196,11 +197,9 @@ def from_derivation(space, delta, max_den=10**6):
 
 def _ratio_from_verified(space, delta, max_den):
     """from_derivation for a delta already verified to be a derivation:
-    its spectral faces are built once, unchecked."""
+    its spectral faces are built once, as one checked stack."""
     family = spectral_faces(space, delta.mat)
-    a = np.zeros(space.dim)
-    for lam, F in family.nonzero_entries():
-        a = a + F.witness
+    a = family.witnesses[family.nonzero].sum(axis=0)
     if space.membership(a) is not Membership.INTERIOR:
         raise ValueError("spectral-face units do not sum to an order unit")
     return _ratio_from_family(space, delta, family, a, max_den)

@@ -173,9 +173,10 @@ def test_derivation_roundtrip_command(tmp_path, capsys):
     ("1,2;2,1", "operator is not a derivation"),
     ("1,0;0,nan", "operator has non-finite entries"),
     ("1,0,0;0,1,0;0,0,1", "operator shape does not match the space"),
+    ("1,2;3", "matrix rows differ in length: 2, 1"),
 ])
 def test_derivation_spectrum_checks_its_matrix(tmp_path, capsys, matrix, message):
-    # not a derivation of the orthant, not finite, not 2 x 2
+    # not a derivation of the orthant, not finite, not 2 x 2, ragged
     spec = _write_spec(tmp_path, "kind = orthant\ndim = 2\n")
     assert cli.main(["derivation", "spectrum", spec, "--matrix", matrix]) == 2
     out = capsys.readouterr()

@@ -1,10 +1,22 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eudoxus import derivation_algebra, ratio_calculus
-from eudoxus.cone_space import ConeSpace, herm_to_vec, sym_to_vec, vec_to_herm, vec_to_sym
+from eudoxus import derivation_algebra, face_lattice, ratio_calculus
+from eudoxus.cone_space import (
+    CLUSTER_TOL,
+    TOL,
+    ConeSpace,
+    Membership,
+    herm_to_vec,
+    sym_to_vec,
+    vec_to_herm,
+    vec_to_sym,
+)
 from eudoxus.derivation_algebra import (
     Derivation,
     SpectralFaceFamily,
@@ -22,6 +34,7 @@ from eudoxus.derivation_algebra import (
     spectral_faces,
     tangency_dimension_oracle,
 )
+from eudoxus.exact_rational import stern_brocot_bracket
 from eudoxus.face_lattice import Face, face_of, facial_derivative, minimal_decomposition, whole_face
 
 
@@ -204,19 +217,21 @@ def loop_reconstruct_from_faces(space, family):
 
 
 # all five kinds up to the largest sizes the benchmark sweeps
-CONES = ([ConeSpace.orthant(n) for n in (1, 3, 8, 24)]
-         + [ConeSpace.lorentz(n) for n in (2, 3, 8, 24)]
-         + [ConeSpace.psd_real(k) for k in (1, 2, 3, 5)]
-         + [ConeSpace.hermitian(k) for k in (1, 2, 3, 5)]
-         + [_rotated_orthant(n, seed) for n in (3, 6) for seed in (1, 2)]
-         + [_ngon_cone(n) for n in (3, 5, 13)])
+SPECTRAL_CONES = ([ConeSpace.orthant(n) for n in (1, 3, 8, 24)]
+                  + [ConeSpace.lorentz(n) for n in (2, 3, 8, 24)]
+                  + [ConeSpace.psd_real(k) for k in (1, 2, 3, 5)]
+                  + [ConeSpace.hermitian(k) for k in (1, 2, 3, 5)]
+                  + [_rotated_orthant(n, seed) for n in (3, 6) for seed in (1, 2)]
+                  + [_ngon_cone(n) for n in (3, 5, 13)])
 
 
 def _spectrum_case(sp, seed, spectrum):
     """A self-adjoint derivation with a generic spectrum, a repeated one
-    (integer coefficients), or a multiple of I."""
+    (integer coefficients), a multiple of I, or zero."""
     rng = np.random.default_rng(seed)
     basis = selfadjoint_derivations(sp)
+    if spectrum == "zero":
+        return np.zeros((sp.dim, sp.dim))
     if spectrum == "identity":
         return float(rng.integers(-2, 3)) * np.eye(sp.dim)
     n = len(basis)
@@ -224,7 +239,7 @@ def _spectrum_case(sp, seed, spectrum):
     return sum(c * b.mat for c, b in zip(coef, basis))
 
 
-@given(sp=st.sampled_from(CONES), seed=st.integers(0, 2**16),
+@given(sp=st.sampled_from(SPECTRAL_CONES), seed=st.integers(0, 2**16),
        spectrum=st.sampled_from(["generic", "repeated", "identity"]))
 @settings(max_examples=150)
 def test_stacked_reconstruction_matches_the_loop_reference(sp, seed, spectrum):
@@ -266,6 +281,259 @@ def test_a_point_outside_the_cone_raises_on_every_face_path(sp):
     with pytest.raises(ValueError, match="point is outside the cone"):
         ratio_calculus.to_derivation(ratio_calculus.Ratio(
             sp, r, r, [(1.0, None, sp.canonical_unit()), (2.0, None, -2.0 * r)]))
+
+
+def test_family_rejects_witnesses_outside_their_faces():
+    # the witnesses swapped between the two faces: the projectors describe
+    # diag(1, 2), the cumulative witnesses would reconstruct diag(2, 1)
+    sp = ConeSpace.orthant(2)
+    e0, e1 = np.eye(2)
+    with pytest.raises(ValueError, match="witness does not lie in its face"):
+        SpectralFaceFamily(sp, [(1.0, Face(sp, np.diag([1.0, 0.0]), e1)),
+                                (2.0, Face(sp, np.diag([0.0, 1.0]), e0))])
+    # a witness off its face by less than the face band is kept
+    family = SpectralFaceFamily(sp, [(1.0, Face(sp, np.diag([1.0, 0.0]), e0 + 0.5e-9 * e1)),
+                                     (2.0, Face(sp, np.diag([0.0, 1.0]), e1))])
+    assert np.linalg.norm(reconstruct_from_faces(sp, family).mat - np.diag([1.0, 2.0])) <= 1e-8
+
+
+def loop_clusters(values, tol=CLUSTER_TOL):
+    """Reference: clusters grown one sorted value at a time, each value
+    joining the cluster of its predecessor when within tol of it."""
+    groups = []
+    for v in sorted(values):
+        if groups and v - groups[-1][-1] <= tol:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return groups
+
+
+def loop_cluster(values, tol=CLUSTER_TOL):
+    return [float(np.mean(g)) for g in loop_clusters(values, tol)]
+
+
+def _within_an_ulp_of_the_means(lams, groups):
+    """Each lam is within an ulp of the exact mean of its group (fsum);
+    np.mean's running sum, which loop_cluster keeps, is up to 4 ulps off
+    it over 3 to 24 nearly equal values."""
+    means = [math.fsum(g) / len(g) for g in groups]
+    return len(lams) == len(means) and all(
+        abs(lam - m) <= np.spacing(abs(m)) for lam, m in zip(lams, means))
+
+
+def loop_spectral_faces(space, delta):
+    """Reference: spectral_faces as it was before the faces were kept as
+    stacks, with one checked Face per eigenvalue."""
+    if isinstance(delta, Derivation):
+        verdict = is_derivation(space, delta.mat, sample_budget=0)
+        if not verdict:
+            raise ValueError("operator is not a derivation: %r" % verdict)
+        M = delta.mat
+    else:
+        M = np.asarray(delta, dtype=float)
+    if np.linalg.norm(M - M.T) > 1e-9 * max(1.0, np.linalg.norm(M)):
+        raise ValueError("spectral faces need a self-adjoint derivation")
+    lams = loop_cluster(np.linalg.eigvalsh(M))
+    return SpectralFaceFamily(space, [(lam, Face(space, P, w)) for lam, P, w
+                                      in zip(lams, *space._eigenfaces(M, lams))])
+
+
+def loop_minimal_decomposition(space, a):
+    """Reference: a membership test, then the kind's frame terms."""
+    if space.membership(a) is Membership.OUTSIDE:
+        raise ValueError("point is outside the cone")
+    return space._frame_terms(a)
+
+
+def loop_ratio_from_family(space, delta, family, a, max_den):
+    """Reference: _ratio_from_family one nonzero Face at a time, with a
+    bracket per piece."""
+    decomposition = []
+    recovered = np.zeros(space.dim)
+    for lam, F in family.nonzero_entries():
+        aF = F.projector @ a
+        recovered = recovered + aF
+        for coeff, comp in loop_minimal_decomposition(space, aF):
+            bracket = None
+            if lam > TOL:
+                bracket = stern_brocot_bracket(ratio_calculus.RealOracleFromValue(lam), max_den)
+            decomposition.append((float(lam), bracket, coeff * comp))
+    if np.linalg.norm(recovered - a) > 1e-7 * max(1.0, np.linalg.norm(a)):
+        raise ratio_calculus.NotComparable("consequent does not decompose along the "
+                                           "antecedent's spectral faces")
+    return ratio_calculus.Ratio(space, delta.mat @ a, a, decomposition)
+
+
+SPECTRA = st.sampled_from(["generic", "repeated", "identity", "zero"])
+
+
+@given(sp=st.sampled_from(SPECTRAL_CONES), seed=st.integers(0, 2**16), spectrum=SPECTRA)
+@settings(max_examples=150)
+def test_stacked_spectral_faces_match_the_loop_reference(sp, seed, spectrum):
+    delta = _spectrum_case(sp, seed, spectrum)
+    got, want = spectral_faces(sp, delta), loop_spectral_faces(sp, delta)
+    groups = loop_clusters(np.linalg.eigvalsh(delta))
+    assert len(got) == len(want)
+    assert _within_an_ulp_of_the_means(got.lams, groups)
+    for lam, P, w, (mu, F), g in zip(got.lams, got.projectors, got.witnesses, want, groups):
+        assert abs(lam - mu) <= len(g) * np.spacing(abs(mu))
+        assert np.linalg.norm(P - F.projector) <= 1e-12
+        assert np.linalg.norm(w - F.witness) <= 1e-12
+    assert [F.dim for _, F in got] == [F.dim for _, F in want]
+    assert list(got.nonzero) == [not F.is_zero() for _, F in want]
+
+
+def test_clusters_chain_and_average_as_in_the_loop_reference():
+    # 0, 0.6e-8, 1.2e-8 chain into one cluster though its ends are 1.2e-8 apart
+    values = [3.0, 1.2e-8, 0.0, 0.6e-8, 1.0, 1.0 + 1e-9, -2.0]
+    groups = loop_clusters(values)
+    assert [len(g) for g in groups] == [1, 3, 2, 1]
+    assert _within_an_ulp_of_the_means(derivation_algebra._cluster(values), groups)
+    # n copies of 0.1: the running sum gives 0.1 + 1 ulp at n = 3
+    assert derivation_algebra._cluster([0.1] * 3).tolist() == [0.1]
+    assert loop_cluster([0.1] * 3) == [0.1 + np.spacing(0.1)]
+
+
+def _outcome(run):
+    """(error type, message, None) if run raises a ValueError, else
+    (None, None, result)."""
+    try:
+        return None, None, run()
+    except ValueError as exc:
+        return type(exc), str(exc), None
+
+
+def _consequent(sp, family, seed, kind):
+    """The sum of the nonzero faces' witnesses (from_derivation's), a point
+    split along the faces, an interior point that in general does not
+    split, one face's witness (a boundary point), or a split point's
+    negative (outside the cone)."""
+    x = sp.sample_interior_point(np.random.default_rng(seed))
+    split = sum(F.projector @ x for _, F in family.nonzero_entries())
+    return {"units": sum(F.witness for _, F in family.nonzero_entries()),
+            "split": split, "unsplit": x, "negated": -split,
+            "boundary": family.nonzero_entries()[0][1].witness}[kind]
+
+
+@given(sp=st.sampled_from(SPECTRAL_CONES), seed=st.integers(0, 2**16), spectrum=SPECTRA,
+       kind=st.sampled_from(["units", "split", "unsplit", "negated", "boundary"]))
+@settings(max_examples=150)
+def test_stacked_ratio_from_family_matches_the_loop_reference(sp, seed, spectrum, kind):
+    delta = Derivation(sp, _spectrum_case(sp, seed, spectrum))
+    family = spectral_faces(sp, delta)
+    a = _consequent(sp, family, seed, kind)
+    got = _outcome(lambda: ratio_calculus._ratio_from_family(sp, delta, family, a, 64))
+    want = _outcome(lambda: loop_ratio_from_family(sp, delta, family, a, 64))
+    assert got[:2] == want[:2]
+    if want[2] is None:
+        return
+    r, s = got[2], want[2]
+    assert r.lambdas() == s.lambdas()
+    assert [b for _, b, _ in r.decomposition] == [b for _, b, _ in s.decomposition]
+    tol = 1e-12 * max(1.0, np.linalg.norm(a))
+    for (_, _, p), (_, _, q) in zip(r.decomposition, s.decomposition):
+        assert np.linalg.norm(p - q) <= tol
+    assert np.array_equal(r.antecedent, s.antecedent)
+
+
+@functools.lru_cache(maxsize=None)
+def _generic_cone(kind, n, seed):
+    if kind == "rotated":
+        return _rotated_orthant(n, seed)
+    if kind == "ngon":
+        return _ngon_cone(n)
+    if kind == "random":
+        # n + seed % 7 positive generators in R^n
+        G = np.random.default_rng(seed).uniform(0.1, 1.0, (n, n + seed % 7))
+        return ConeSpace.polyhedral(list(G.T))
+    return getattr(ConeSpace, kind)(n)
+
+
+# every kind at any size up to the benchmark's largest
+generic_cones = st.one_of(
+    st.tuples(st.sampled_from(["orthant", "lorentz"]), st.integers(2, 24), st.just(0)),
+    st.tuples(st.sampled_from(["psd_real", "hermitian"]), st.integers(1, 5), st.just(0)),
+    st.tuples(st.sampled_from(["rotated", "random"]), st.integers(2, 6), st.integers(0, 20)),
+    st.tuples(st.just("ngon"), st.integers(3, 13), st.just(0)),
+).map(lambda args: _generic_cone(*args))
+
+
+@given(sp=generic_cones, seed=st.integers(0, 2**16), spectrum=SPECTRA)
+@settings(max_examples=120)
+def test_spectral_faces_round_trip_at_generic_sizes(sp, seed, spectrum):
+    delta = _spectrum_case(sp, seed, spectrum)
+    back = reconstruct_from_faces(sp, spectral_faces(sp, delta)).mat
+    assert np.linalg.norm(back - delta) <= 1e-9 * max(1.0, np.linalg.norm(delta))
+
+
+@given(sp=generic_cones, seed=st.integers(0, 2**16), spectrum=SPECTRA)
+@settings(max_examples=120)
+def test_from_derivation_round_trips_at_generic_sizes(sp, seed, spectrum):
+    delta = _spectrum_case(sp, seed, spectrum)
+    back = ratio_calculus.to_derivation(ratio_calculus.from_derivation(sp, delta, max_den=64)).mat
+    assert np.linalg.norm(back - delta) <= 1e-9 * max(1.0, np.linalg.norm(delta))
+
+
+def _counting(calls, name, f):
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return f(*args, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(4), ConeSpace.lorentz(5), ConeSpace.psd_real(3),
+                                ConeSpace.hermitian(3), _rotated_orthant(3, 1), _ngon_cone(5)],
+                         ids=repr)
+def test_spectral_paths_check_one_stack_and_build_no_face(monkeypatch, sp):
+    delta = _spectrum_case(sp, 7, "generic")
+    calls = []
+    check = _counting(calls, "check", face_lattice._check_projectors)
+    monkeypatch.setattr(face_lattice, "_check_projectors", check)
+    monkeypatch.setattr(derivation_algebra, "_check_projectors", check)
+    monkeypatch.setattr(Face, "__init__", _counting(calls, "Face", Face.__init__))
+    monkeypatch.setattr(sp, "membership", _counting(calls, "membership", sp.membership))
+    ratio_calculus.from_derivation(sp, delta, max_den=64)
+    # one check of the family's stack, and the order-unit test of the units
+    assert calls == ["check", "membership"]
+    calls.clear()
+    family = spectral_faces(sp, delta)
+    assert calls == ["check"]
+    calls.clear()
+    reconstruct_from_faces(sp, family)
+    # one stack of cumulative faces and one of their orthogonal faces
+    assert calls == ["check", "check"]
+    calls.clear()
+    minimal_decomposition(sp, sp.canonical_unit())
+    assert calls == []
+    # only a caller that reads the faces gets Faces, one per entry
+    assert len(family.entries) == calls.count("Face") == len(family)
+
+
+def _below_the_band(sp, depth):
+    """A point with one eigenvalue (dual pairing) at -depth times its face
+    band and the rest positive or zero: on a Jordan kind e - r - s r for a
+    frame element r of the unit, on a polyhedral cone the sum of the rays
+    on a facet, moved off it by s along the facet's unit normal."""
+    if sp.kind == "polyhedral":
+        d = sp.dual_generators[:, 0]
+        base, direction = sp._rays[:, sp._incidence[:, 0]].sum(axis=1), -d
+    else:
+        r = minimal_decomposition(sp, sp.canonical_unit())[0][1]
+        base, direction = sp.canonical_unit() - r, -r
+    s = depth * TOL * max(1.0, np.linalg.norm(base))
+    return base + s * direction
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(3), ConeSpace.lorentz(3), ConeSpace.psd_real(2),
+                                ConeSpace.hermitian(2), _rotated_orthant(3, 1), _ngon_cone(5)],
+                         ids=repr)
+def test_minimal_decomposition_raises_below_the_face_band(sp):
+    with pytest.raises(ValueError, match="point is outside the cone"):
+        minimal_decomposition(sp, _below_the_band(sp, 2.0))
+    # inside the band the point is a boundary point and decomposes
+    terms = minimal_decomposition(sp, _below_the_band(sp, 0.5))
+    assert terms and all(c > 0 for c, _ in terms)
 
 
 def test_family_requires_increasing_eigenvalues():

@@ -324,6 +324,21 @@ def test_to_derivation_matches_the_projector_sum(sp, seed, repeated, unit):
     assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
 
+def test_to_derivation_on_a_simplicial_cone_that_is_not_self_dual():
+    # a narrow cone in the (x, y) plane times the ray along z: its first two
+    # extreme rays are not orthogonal, so their facial derivatives do not
+    # add up to the derivation that is 1 on their span
+    sp = ConeSpace.polyhedral([np.array([1.0, 0.2, 0.0]), np.array([0.2, 1.0, 0.0]),
+                               np.array([0.0, 0.0, 1.0])])
+    assert not sp.is_self_dual()
+    delta = np.diag([1.0, 1.0, 3.0])
+    r = from_derivation(sp, delta, max_den=64)
+    assert r.lambdas() == [1.0, 1.0, 3.0]
+    assert np.linalg.norm(to_derivation(r).mat - delta) <= 1e-12
+    half = from_derivation(sp, 0.5 * np.eye(3), max_den=64)
+    assert np.linalg.norm(to_derivation(half).mat - 0.5 * np.eye(3)) <= 1e-12
+
+
 def _counting(calls, name, f):
     def wrapped(*args, **kwargs):
         calls.append(name)
