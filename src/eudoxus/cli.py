@@ -31,7 +31,6 @@ from eudoxus.ratio_calculus import (
     JordanOnly,
     add,
     compose,
-    from_derivation,
     quadrature_demo,
     ratio_equal,
     ratio_from_pair,

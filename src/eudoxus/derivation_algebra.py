@@ -10,7 +10,6 @@ increasing family of faces and is reconstructed from it exactly.
 """
 
 import functools
-import itertools
 
 import numpy as np
 import scipy.linalg
@@ -207,61 +206,69 @@ def selfadjoint_derivations(space):
     return [Derivation(space, m) for m in space._derivation_mats(selfadjoint=True)]
 
 
+def _structure_table(mats, Q):
+    """ads (n, r, n), ads[i][:, j] the coordinates of [B_i, B_j] over the
+    orthonormal rows of Q (r, dim^2) spanning mats (n, dim, dim), and the
+    largest distance of such a commutator from the span; one basis
+    element at a time, so no step holds more than n dim^2 entries."""
+    n = len(mats)
+    ads = np.empty((n, len(Q), n))
+    worst = 0.0
+    for i, B in enumerate(mats):
+        C = (B @ mats - mats @ B).reshape(n, -1)
+        coords = C @ Q.T
+        ads[i] = coords.T
+        worst = max(worst, float(np.max(np.linalg.norm(C - coords @ Q, axis=1))))
+    return ads, worst
+
+
+def _span_frame(basis):
+    mats = np.array([b.mat for b in basis])
+    return mats, scipy.linalg.orth(mats.reshape(len(mats), -1).T).T
+
+
 def lie_closure_residual(basis):
     """Largest distance of a commutator of two basis elements from the
-    span of the basis: zero when the span is a Lie algebra.  The
-    commutators with each element are stacked and projected together
-    onto an orthonormal basis of the span, so memory stays at n dim^2."""
-    mats = np.array([b.mat for b in basis])
-    n = len(mats)
-    Q = scipy.linalg.orth(mats.reshape(n, -1).T).T
-    worst = 0.0
-    for i in range(n - 1):
-        C = (mats[i] @ mats[i + 1:] - mats[i + 1:] @ mats[i]).reshape(n - i - 1, -1)
-        worst = max(worst, float(np.max(np.linalg.norm(C - (C @ Q.T) @ Q, axis=1))))
-    return worst
+    span of the basis: zero when the span is a Lie algebra."""
+    return _structure_table(*_span_frame(basis))[1]
 
 
-def _null_rows(A):
-    """Orthonormal rows spanning the null space of A, by a thin SVD with
-    the rank cut 1e-8 max(s_max, 1)."""
+def _rank_split(A):
+    """Orthonormal rows spanning the row space and the null space of A,
+    by one thin SVD with the rank cut 1e-8 max(s_max, 1)."""
     _, s, vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(s > 1e-8 * max(s[0] if len(s) else 1.0, 1.0)))
-    return vt[rank:]
+    return vt[:rank], vt[rank:]
+
+
+def _centre_split(mats, Q):
+    """(centre, K, ads): the structure constants split by one thin SVD of
+    their stack (n r x n) into the centre, the combinations c with
+    sum_j c_j [B_i, B_j] = 0 for every i (null rows), and its orthonormal
+    complement K (row space)."""
+    ads, res = _structure_table(mats, Q)
+    if res > 1e-9:
+        raise ValueError("basis not closed under commutator (residual %.3g)" % res)
+    K, centre = _rank_split(ads.reshape(-1, len(mats)))
+    return centre, K, ads
 
 
 def lie_center(basis):
-    """Elements of span(basis) commuting with the whole basis."""
-    res = lie_closure_residual(basis)
-    if res > 1e-9:
-        raise ValueError("basis not closed under commutator (residual %.3g)" % res)
-    mats = np.array([b.mat for b in basis])
-    n = len(mats)
-    # block j holds the columns vec [B_i, B_j] over i
-    A = np.vstack([(mats @ B - B @ mats).reshape(n, -1).T for B in mats])
-    ns = _null_rows(A)
-    host = basis[0].host
-    return [Derivation(host, np.tensordot(c, mats, axes=1)) for c in ns]
+    """Elements of span(basis) commuting with the whole basis, read from
+    the structure constants over an orthonormal basis of the span.  A
+    basis whose span is not closed under commutator raises ValueError."""
+    mats, Q = _span_frame(basis)
+    return [Derivation(basis[0].host, np.tensordot(c, mats, axes=1))
+            for c in _centre_split(mats, Q)[0]]
 
 
-def _quotient_adjoint(basis, center):
-    """Adjoint action of the basis on Der/center in an orthonormal
-    complement basis; returns the complement matrices, shape (q, d, d),
-    and the ad matrices, shape (n, q, q)."""
-    mats = np.array([b.mat for b in basis])
-    Q = scipy.linalg.orth(mats.reshape(len(mats), -1).T)
-    if center:
-        Qc = scipy.linalg.orth(np.array([c.mat.reshape(-1) for c in center]).T)
-        # Q is orthonormal, so the complement keeps singular values near 1
-        # and leaves the centre's directions at round-off: cut absolutely
-        u, s, _ = np.linalg.svd(Q - Qc @ (Qc.T @ Q), full_matrices=False)
-        Q = u[:, s > 1e-8]
-    q = Q.shape[1]
-    d = mats.shape[1]
-    comp = Q.T.reshape(q, d, d)
-    # column i of ad(B) holds the coordinates of [B, X_i]
-    ads = np.array([((B @ comp - comp @ B).reshape(q, d * d) @ Q).T for B in mats])
-    return comp, ads
+def _quotient_action(space):
+    """The centre of Der(cone) and its complement K, as coefficients over
+    the cached orthonormal Der frame, and the adjoint action of the frame
+    on Der/centre, K ad_i K^T, shape (n, q, q)."""
+    Q = _derivation_frame(space)[0]
+    centre, K, ads = _centre_split(Q.reshape(len(Q), space.dim, space.dim), Q)
+    return centre, K, K @ ads @ K.T
 
 
 def _centroid(ads):
@@ -271,29 +278,29 @@ def _centroid(ads):
     I = np.eye(q)
     X = np.tensordot(np.random.default_rng(13).standard_normal(len(ads)), ads, axes=1)
     # row-major vec: vec(X C - C X) = (X (x) I - I (x) X^T) vec C
-    N = _null_rows(np.kron(X, I) - np.kron(I, X.T)).reshape(-1, q, q)
+    N = _rank_split(np.kron(X, I) - np.kron(I, X.T))[1].reshape(-1, q, q)
     A = np.vstack([(ad @ N - N @ ad).reshape(len(N), q * q).T for ad in ads])
-    return list(np.tensordot(_null_rows(A), N, axes=1))
+    return list(np.tensordot(_rank_split(A)[1], N, axes=1))
 
 
 def orientability(space):
     """Connes dichotomy for the quotient of Der(cone) by its center.
 
+    The quotient and its adjoint maps ad_i come from the structure
+    constants of the cached orthonormal Der frame (_quotient_action).
     Odd quotient dimension refutes immediately; otherwise the centroid
-    of the quotient, the q x q matrices commuting with every adjoint map
-    ad_i, is searched for a complex structure J, J^2 = -I.  The centroid
-    is found in two stages: the commutant N of one generic combination
-    X = sum c_i ad_i (fixed-seed coefficients) by one q^2 x q^2 SVD, then
-    the elements of N commuting with every ad_i by one thin SVD over a
-    basis of N, which has a few dozen elements at most.  The centroid
-    lies in the commutant of every element of the span of the ad_i, and
-    the second stage checks each ad_i, so the choice of X changes only
-    the cost, never the result.
+    of the quotient, the q x q matrices commuting with every ad_i, is
+    searched for a complex structure J, J^2 = -I.  The centroid is found
+    in two stages: the commutant N of one generic combination X = sum
+    c_i ad_i (fixed-seed coefficients) by one q^2 x q^2 SVD, then the
+    elements of N commuting with every ad_i by one thin SVD over a basis
+    of N, which has a few dozen elements at most.  The centroid lies in
+    the commutant of every element of the span of the ad_i, and the
+    second stage checks each ad_i, so the choice of X changes only the
+    cost, never the result.
     """
-    basis = derivation_basis(space)
-    center = lie_center(basis)
-    comp, ads = _quotient_adjoint(basis, center)
-    q = len(comp)
+    ads = _quotient_action(space)[2]
+    q = ads.shape[1]
     if q == 0:
         return Verdict("Orientable", "commutative degenerate case (quotient dimension 0)")
     if q % 2 == 1:
@@ -308,21 +315,15 @@ def orientability(space):
 
 
 def _complex_structure(cent):
-    """An element J of the span with J^2 = -I, if the (at most
-    two-dimensional commutative) centroid admits one: the basis elements
-    first, then, for a two-dimensional centroid, random combinations as
-    a fallback (a one-dimensional one holds only multiples of its
-    element).  Each candidate is taken at unit Frobenius norm, so the
-    absolute floors below do not see the centroid's scale."""
-    if not cent:
-        return None
-    q = cent[0].shape[0]
-    I = np.eye(q)
-    randoms = ()
-    if len(cent) > 1:
-        rng = np.random.default_rng(11)
-        randoms = (sum(rng.standard_normal() * C for C in cent) for _ in range(200))
-    for T in itertools.chain(cent, randoms):
+    """An element J of the span with J^2 = -I, if a basis element gives
+    one.  I lies in every centroid, so in one of dimension two or less
+    the traceless parts of all elements are collinear; in a larger one,
+    the J with J^2 = -I are a measure-zero set of combinations.  Each
+    candidate is taken at unit Frobenius norm, so the absolute floors
+    below do not see the centroid's scale."""
+    for T in cent:
+        q = len(T)
+        I = np.eye(q)
         T = T / np.linalg.norm(T)
         # remove the trace part, then rescale the remainder
         T0 = T - (np.trace(T) / q) * I

@@ -127,13 +127,16 @@ def incomparable(space, a, b):
 
 
 def minimal_decomposition(space, a):
-    """a as a sum of pairwise-incomparable minimal elements.
+    """a as a sum of minimal elements.
 
     Returns a list of (coefficient, component) with a = sum coeff *
     component; components are the Jordan frame elements of a with
     eigenvalue above face_of's band TOL * max(1, |a|) (coordinate
-    units, the half-(1, +-w) idempotent pair, rank-one eigenprojections)
-    or unit extreme rays.  One spectral decomposition of a (on a
+    units, the half-(1, +-w) idempotent pair, rank-one eigenprojections),
+    pairwise incomparable, or the unit extreme rays of a simplicial
+    cone, disjoint in its lattice order but pairwise incomparable only
+    where the rays are orthogonal (not on the cone of (1, 0.2) and
+    (0.2, 1)).  One spectral decomposition of a (on a
     simplicial cone, its dual pairings and one solve against the extreme
     rays) gives both the components and the membership verdict: an
     eigenvalue (pairing) below minus the band raises "point is outside

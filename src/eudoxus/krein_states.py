@@ -12,7 +12,7 @@ fails.
 
 import numpy as np
 
-from eudoxus.cone_space import TOL, Membership
+from eudoxus.cone_space import Membership
 from eudoxus.face_lattice import is_riesz, minimal_decomposition
 
 

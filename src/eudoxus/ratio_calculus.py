@@ -22,9 +22,7 @@ from eudoxus.cone_space import TOL, Membership
 from eudoxus.exact_rational import (
     CLASS_ABOVE,
     CLASS_BELOW,
-    CLASS_EQUAL,
     CutOracle,
-    FractionCutOracle,
     classify_fraction,
     stern_brocot_bracket,
 )
@@ -32,7 +30,6 @@ from eudoxus.face_lattice import minimal_decomposition
 from eudoxus.derivation_algebra import (
     Derivation,
     is_derivation,
-    reconstruct_from_faces,
     selfadjoint_derivations,
     spectral_faces,
 )
@@ -88,12 +85,13 @@ def archimedes_check(space, a, b, N):
 # ratios
 
 class Ratio:
-    """antecedent : consequent with its incomparable decomposition.
+    """antecedent : consequent with its minimal decomposition.
 
     decomposition entries are (lam, bracket, component): the consequent
-    is the sum of the components, the antecedent acts as lam on each,
-    and bracket is the exact rational Stern-Brocot bracket of lam (None
-    when lam is not positive, which is admitted but flagged).
+    is the sum of the components (minimal_decomposition's pieces), the
+    antecedent acts as lam on each, and bracket is the exact rational
+    Stern-Brocot bracket of lam (None when lam is not positive, which is
+    admitted but flagged).
     """
 
     def __init__(self, host, antecedent, consequent, decomposition):

@@ -15,7 +15,6 @@ from eudoxus.cone_space import ConeSpace, Membership, sym_to_vec
 from eudoxus.conjunct_product import DimWord, Quantity, conjunct
 from eudoxus.derivation_algebra import (
     derivation_basis,
-    lie_center,
     orientability,
     reconstruct_from_faces,
     selfadjoint_derivations,
@@ -40,7 +39,6 @@ from eudoxus.ratio_calculus import (
     eudoxus_equal_two,
     ex_aequali_check,
     from_derivation,
-    jordan_compose,
     quadrature_demo,
     quadrature_ratio_demo,
     ratio_equal,

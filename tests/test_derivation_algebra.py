@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from eudoxus.derivation_algebra import (
     _centroid,
     _complex_structure,
     _derivation_residuals,
-    _quotient_adjoint,
+    _quotient_action,
     derivation_basis,
     is_derivation,
     lie_center,
@@ -808,13 +809,14 @@ def test_from_derivation_outside_der_skips_the_witness_search(monkeypatch):
 # the Lie centre and the centroid, against the commutator-loop and
 # stacked-Kronecker references
 
-def loop_center_and_adjoint(basis, center):
-    """Reference: the commutator tables of lie_center and _quotient_adjoint
-    built one commutator at a time."""
+def loop_center_and_adjoint(basis, K):
+    """Reference: the (n d^2) x n commutator table whose null space is the
+    centre, and the quotient action over the complement K (coefficients
+    over the basis), built as d x d matrices one commutator at a time."""
     mats = [b.mat for b in basis]
     A = np.vstack([np.array([(Bi @ Bj - Bj @ Bi).reshape(-1) for Bi in mats]).T
                    for Bj in mats])
-    comp, _ = _quotient_adjoint(basis, center)
+    comp = np.tensordot(K, np.array(mats), axes=1)
     Q = np.array([X.reshape(-1) for X in comp]).T
     ads = []
     for B in mats:
@@ -823,6 +825,22 @@ def loop_center_and_adjoint(basis, center):
             ad[:, i] = Q.T @ (B @ X - X @ B).reshape(-1)
         ads.append(ad)
     return A, ads
+
+
+def matrix_space_quotient(basis, center):
+    """Reference: the adjoint action on Der/centre as orientability found
+    it before the structure constants, in an orthonormal complement of
+    the centre's d x d matrices, shape (n, q, q)."""
+    mats = np.array([b.mat for b in basis])
+    Q = scipy.linalg.orth(mats.reshape(len(mats), -1).T)
+    if center:
+        Qc = scipy.linalg.orth(np.array([c.mat.reshape(-1) for c in center]).T)
+        u, s, _ = np.linalg.svd(Q - Qc @ (Qc.T @ Q), full_matrices=False)
+        Q = u[:, s > 1e-8]
+    q = Q.shape[1]
+    d = mats.shape[1]
+    comp = Q.T.reshape(q, d, d)
+    return np.array([((B @ comp - comp @ B).reshape(q, d * d) @ Q).T for B in mats])
 
 
 def kron_centroid(ads):
@@ -839,10 +857,10 @@ def kron_centroid(ads):
 
 
 def kron_orientability(sp):
-    """Reference: orientability with the stacked-Kronecker centroid."""
+    """Reference: orientability with the matrix-space quotient and the
+    stacked-Kronecker centroid."""
     basis = derivation_basis(sp)
-    comp, ads = _quotient_adjoint(basis, lie_center(basis))
-    cent = kron_centroid(ads)
+    cent = kron_centroid(matrix_space_quotient(basis, lie_center(basis)))
     if _complex_structure(cent) is not None:
         return "Orientable(centroid contains a complex structure)"
     if len(cent) <= 2:
@@ -864,23 +882,26 @@ EVEN_QUOTIENT = [ConeSpace.lorentz(4), ConeSpace.lorentz(5), ConeSpace.psd_real(
                                                 _rotated_orthant(4, 1), _ngon_cone(5)], ids=repr)
 def test_commutator_tables_match_the_loop_reference(sp):
     basis = derivation_basis(sp)
-    center = lie_center(basis)
-    A, ads = loop_center_and_adjoint(basis, center)
-    # the centre spans the null space of the loop table, as combinations of the basis
+    center, K, got = _quotient_action(sp)
+    A, ads = loop_center_and_adjoint(basis, K)
+    # lie_center and the centre rows span the null space of the loop table,
+    # as combinations of the basis, and K is their orthonormal complement
     mats = np.array([b.mat.reshape(-1) for b in basis])
     null = np.linalg.svd(A)[2][np.linalg.matrix_rank(A, tol=1e-8 * max(np.abs(A).max(), 1.0)):]
-    want = [c @ mats for c in null]
-    assert np.linalg.norm(_span_projector([c.mat for c in center]) - _span_projector(want)) < 1e-8
-    got = _quotient_adjoint(basis, center)[1]
+    want = _span_projector([c @ mats for c in null])
+    assert np.linalg.norm(_span_projector([c.mat for c in lie_center(basis)]) - want) < 1e-8
+    assert np.linalg.norm(_span_projector([c @ mats for c in center]) - want) < 1e-8
+    assert len(center) + len(K) == len(basis)
+    assert np.max(np.abs(K @ K.T - np.eye(len(K))), initial=0.0) < 1e-12
+    assert np.max(np.abs(K @ center.T), initial=0.0) < 1e-12
     assert got.shape == np.shape(ads)
     assert np.max(np.abs(got - np.array(ads)), initial=0.0) < 1e-12
 
 
 @pytest.mark.parametrize("sp", EVEN_QUOTIENT, ids=repr)
 def test_centroid_matches_the_kronecker_reference(sp):
-    basis = derivation_basis(sp)
-    comp, ads = _quotient_adjoint(basis, lie_center(basis))
-    assert len(comp) % 2 == 0
+    ads = _quotient_action(sp)[2]
+    assert ads.shape[1] % 2 == 0
     got, want = _centroid(ads), kron_centroid(ads)
     assert len(got) == len(want)
     assert np.linalg.norm(_span_projector(got) - _span_projector(want)) < 1e-8
@@ -894,8 +915,7 @@ def test_centroid_matches_the_kronecker_reference(sp):
 def test_orientability_witness_commutes_with_the_adjoint_action():
     sp = ConeSpace.hermitian(3)
     J = orientability(sp).witness
-    basis = derivation_basis(sp)
-    _, ads = _quotient_adjoint(basis, lie_center(basis))
+    ads = _quotient_action(sp)[2]
     assert np.linalg.norm(J @ J + np.eye(len(J))) < 1e-7
     assert max(np.linalg.norm(ad @ J - J @ ad) for ad in ads) < 1e-8
 
@@ -918,3 +938,74 @@ def test_one_dimensional_centroid_is_decided_at_any_scale(scale):
     assert J is not None and np.linalg.norm(J @ J + np.eye(4)) < 1e-7
     assert _complex_structure([scale * np.eye(4)]) is None
     assert _complex_structure([scale * np.diag([1.0, 1.0, -1.0, -1.0])]) is None
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-9, 1e-3, 0.7, np.pi / 2, 2.5])
+def test_two_dimensional_centroid_is_decided_by_its_basis(theta):
+    # any orthonormal basis of span{I, J}: one element has a traceless part
+    # of norm at least 1/sqrt(2), which rescales to the complex structure
+    q = 6
+    J0 = np.kron(np.eye(q // 2), [[0.0, -1.0], [1.0, 0.0]])
+    I, J0 = np.eye(q) / np.sqrt(q), J0 / np.sqrt(q)
+    c, s = np.cos(theta), np.sin(theta)
+    J = _complex_structure([c * I + s * J0, -s * I + c * J0])
+    assert J is not None and np.linalg.norm(J @ J + np.eye(q)) < 1e-7
+    assert _complex_structure([np.eye(q), np.diag([1.0, -1.0] * 3)]) is None
+
+
+def _closed_forms():
+    # Der/centre: so(1, n-1), sl(k, R) and sl(k, C) (the realification,
+    # q = 2k^2 - 2); so(1, 3) = sl(2, C) is the one complex Lorentz case
+    for n in range(3, 9):
+        yield ConeSpace.lorentz(n), 1, n * (n - 1) // 2, "Orientable" if n == 4 else "NotOrientable"
+    for k in range(2, 6):
+        yield ConeSpace.psd_real(k), 1, k * k - 1, "NotOrientable"
+    for k in range(2, 5):
+        yield ConeSpace.hermitian(k), 1, 2 * k * k - 2, "Orientable"
+    # Der is commutative: all of it is the centre
+    for sp in ([ConeSpace.orthant(n) for n in (1, 3, 8)]
+               + [_rotated_orthant(n, seed) for n in (4, 6) for seed in (1, 2)]
+               + [_ngon_cone(n) for n in (3, 4, 7)]):
+        yield sp, len(derivation_basis(sp)), 0, "Orientable"
+
+
+@pytest.mark.parametrize("sp,centre,q,status", list(_closed_forms()), ids=repr)
+def test_centre_quotient_and_verdict_closed_forms(sp, centre, q, status):
+    got_centre, K, ads = _quotient_action(sp)
+    assert (len(got_centre), len(K)) == (centre, q)
+    assert ads.shape == (len(derivation_basis(sp)), q, q)
+    assert len(lie_center(derivation_basis(sp))) == centre
+    assert orientability(sp).status == status
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.hermitian(3), ConeSpace.hermitian(4), ConeSpace.lorentz(7)],
+                         ids=repr)
+def test_centre_and_quotient_need_no_orth_and_no_tall_svd(monkeypatch, sp):
+    # the centre and the quotient come from one n^2 x n table of structure
+    # constants, where the matrix-space path stacked n d^2 rows and ran
+    # orth three times; _centroid's own systems are not counted
+    n = len(derivation_basis(sp))  # builds the cached frame first
+    orth_calls, svd_rows, in_centroid = [], [], []
+    orth, svd, centroid = scipy.linalg.orth, np.linalg.svd, derivation_algebra._centroid
+
+    def counting_orth(*args, **kwargs):
+        orth_calls.append(1)
+        return orth(*args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        if not in_centroid:
+            svd_rows.append(np.shape(a)[0])
+        return svd(a, *args, **kwargs)
+
+    def uncounted_centroid(ads):
+        in_centroid.append(1)
+        try:
+            return centroid(ads)
+        finally:
+            in_centroid.pop()
+    monkeypatch.setattr(scipy.linalg, "orth", counting_orth)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(derivation_algebra, "_centroid", uncounted_centroid)
+    orientability(sp)
+    assert orth_calls == []
+    assert svd_rows and max(svd_rows) <= n * n

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from eudoxus import face_lattice, ratio_calculus
 from eudoxus.cone_space import ConeSpace, sym_to_vec
 from eudoxus.derivation_algebra import Derivation, selfadjoint_derivations, spectral_faces
-from eudoxus.face_lattice import face_of, facial_derivative
+from eudoxus.exact_rational import FractionCutOracle
+from eudoxus.face_lattice import face_of, facial_derivative, incomparable, minimal_decomposition
 from eudoxus.ratio_calculus import (
-    FractionCutOracle,
     JordanOnly,
     NotAnOrderUnit,
     NotComparable,
@@ -337,6 +337,22 @@ def test_to_derivation_on_a_simplicial_cone_that_is_not_self_dual():
     assert np.linalg.norm(to_derivation(r).mat - delta) <= 1e-12
     half = from_derivation(sp, 0.5 * np.eye(3), max_den=64)
     assert np.linalg.norm(to_derivation(half).mat - 0.5 * np.eye(3)) <= 1e-12
+
+
+def test_simplicial_pieces_are_lattice_disjoint_not_incomparable():
+    # the unit splits into its two extreme-ray pieces, which are not
+    # orthogonal; a ratio over it still round-trips through its derivation
+    sp = ConeSpace.polyhedral([np.array([1.0, 0.2]), np.array([0.2, 1.0])])
+    u = sp.canonical_unit()
+    (a, x), (b, y) = minimal_decomposition(sp, u)
+    assert np.linalg.norm(a * x + b * y - u) <= 1e-12
+    assert not incomparable(sp, a * x, b * y)
+    r = ratio_from_pair(sp, 3.0 * u, u, max_den=64)
+    assert len(r.decomposition) == 2
+    delta = to_derivation(r).mat
+    assert np.linalg.norm(delta - 3.0 * np.eye(2)) <= 1e-12
+    assert np.linalg.norm(delta @ r.consequent - r.antecedent) <= 1e-12
+    assert from_derivation(sp, delta, max_den=64).lambdas() == r.lambdas()
 
 
 def _counting(calls, name, f):
