@@ -271,41 +271,74 @@ def _quotient_action(space):
     return centre, K, K @ ads @ K.T
 
 
-def _centroid(ads):
-    """Orthonormal basis of the q x q matrices commuting with every ad_i,
-    found in the two stages orientability describes."""
-    q = ads.shape[1]
-    I = np.eye(q)
-    X = np.tensordot(np.random.default_rng(13).standard_normal(len(ads)), ads, axes=1)
-    # row-major vec: vec(X C - C X) = (X (x) I - I (x) X^T) vec C
-    N = _rank_split(np.kron(X, I) - np.kron(I, X.T))[1].reshape(-1, q, q)
-    A = np.vstack([(ad @ N - N @ ad).reshape(len(N), q * q).T for ad in ads])
-    return list(np.tensordot(_rank_split(A)[1], N, axes=1))
+def _centroid(K, ads):
+    """(basis, rank): an orthonormal basis (Frobenius) of the centroid of
+    the quotient, the q x q matrices commuting with every ad_i, and the
+    rank of the words W_y of a fixed-seed generic element y of the
+    quotient; basis is None when that rank is below q.
+
+    A centroid element T commutes with ad_y, and [y, y] = 0, so v = T y
+    lies in H = ker ad_y, a Cartan subalgebra when y is regular; T W_y = W_v
+    for the words W = (y, ad_a y, ad_b ad_a y) over the quotient basis
+    (ad_a = sum_i K_ai ad_i).  When W_y has rank q, T = W_v W_y^+, so the
+    candidates T_h over a basis of H span a space that holds the
+    centroid.  The centroid is the null space of T ad_a = ad_a T over an
+    orthonormal basis of that space, folded one ad_a at a time into an
+    r x r triangular factor, whose singular values are those of the
+    stacked system.  No array has more than q (q^2 + q + 1) entries."""
+    q = len(K)
+    A = np.tensordot(K, ads, axes=1)
+
+    def words(v):
+        # rows v, ad_a v and ad_b ad_a v: W_v^T, shape (q^2 + q + 1, q)
+        Av = A @ v
+        return np.vstack([v, Av, (Av @ A.mT).reshape(-1, q)])
+
+    y = np.random.default_rng(13).standard_normal(q)
+    u, s, vt = np.linalg.svd(words(y), full_matrices=False)
+    rank = int(np.sum(s > 1e-8 * max(s[0], 1.0)))
+    if rank < q:
+        return None, rank
+    # Z = W_y^+, so that T_h = W_h W_y^+ = words(h)^T @ Z
+    Z = (u / s) @ vt
+    H = _rank_split(np.tensordot(y, A, axes=1))[1]
+    cands = np.array([(words(h).T @ Z).reshape(-1) for h in H])
+    # an orthonormal basis of a space holding every candidate
+    C = np.linalg.svd(cands, full_matrices=False)[2].reshape(-1, q, q)
+    R = np.empty((0, len(C)))
+    for ad in A:
+        S = (C @ ad - ad @ C).reshape(len(C), -1).T
+        R = np.linalg.qr(np.vstack([R, S]), mode="r")
+    null = _rank_split(R)[1]
+    return list(np.tensordot(null, C, axes=1)), rank
 
 
 def orientability(space):
     """Connes dichotomy for the quotient of Der(cone) by its center.
 
-    The quotient and its adjoint maps ad_i come from the structure
-    constants of the cached orthonormal Der frame (_quotient_action).
-    Odd quotient dimension refutes immediately; otherwise the centroid
-    of the quotient, the q x q matrices commuting with every ad_i, is
-    searched for a complex structure J, J^2 = -I.  The centroid is found
-    in two stages: the commutant N of one generic combination X = sum
-    c_i ad_i (fixed-seed coefficients) by one q^2 x q^2 SVD, then the
-    elements of N commuting with every ad_i by one thin SVD over a basis
-    of N, which has a few dozen elements at most.  The centroid lies in
-    the commutant of every element of the span of the ad_i, and the
-    second stage checks each ad_i, so the choice of X changes only the
-    cost, never the result.
+    The quotient, its orthonormal basis K over the Der frame and the
+    adjoint maps ad_i come from the structure constants of the cached
+    orthonormal Der frame (_quotient_action).  Odd quotient dimension
+    refutes immediately; otherwise the centroid of the quotient, the
+    q x q matrices commuting with every ad_i, is searched for a complex
+    structure J, J^2 = -I.  The centroid is read off one fixed-seed
+    generic element y of the quotient (_centroid): every centroid element
+    is fixed by its value on y, which lies in the Cartan subalgebra
+    ker ad_y, and the commuting conditions are checked against every
+    adjoint map, so any y whose words span the quotient gives the same
+    centroid.  When they span less (y not regular, or the quotient not
+    generated by y), the verdict is Unknown, with their rank and q.
     """
-    ads = _quotient_action(space)[2]
-    q = ads.shape[1]
+    _, K, ads = _quotient_action(space)
+    q = len(K)
     if q == 0:
         return Verdict("Orientable", "commutative degenerate case (quotient dimension 0)")
     if q % 2 == 1:
         return Verdict("NotOrientable", "odd dimension %d" % q)
-    cent = _centroid(ads)
+    cent, rank = _centroid(K, ads)
+    if cent is None:
+        return Verdict("Unknown", "words of a generic element have rank %d, quotient dimension %d"
+                       % (rank, q))
     J = _complex_structure(cent)
     if J is not None:
         return Verdict("Orientable", "centroid contains a complex structure", witness=J)

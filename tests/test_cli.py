@@ -269,3 +269,17 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert [code for code, _, _ in shared] == [2, 0, 0, 0, 2]
     assert shared[1][1].startswith("# seed = 3") and shared[3][1].startswith("# seed = 0")
     assert "the following arguments are required" in shared[0][2]
+
+
+@pytest.mark.parametrize("gens", [
+    ["1,0", "-1,0", "0,1"],                 # a line through two generators
+    ["1,0,0", "-1,0,0", "0,1,0", "0,0,1"],  # a line inside the facet y = 0
+    ["1,0,0", "0,1,0", "-1,-1,0", "0,0,1"],  # a plane, and no generator pair opposite
+], ids=["half_plane", "line_in_facet", "half_space"])
+def test_cone_with_a_line_is_usage_error(tmp_path, capsys, gens):
+    text = "kind = polyhedral\n" + "".join("gen = %s\n" % g for g in gens)
+    with pytest.raises(cli.SpecError) as exc:
+        cli.parse_cone_spec(text)
+    assert str(exc.value) == "line 0: cone contains a line"
+    assert cli.main(["analyze", _write_spec(tmp_path, text)]) == 2
+    assert "error: line 0: cone contains a line\n" in capsys.readouterr().err

@@ -1,5 +1,9 @@
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eudoxus
 from eudoxus import derivation_algebra, face_lattice, ratio_calculus
 from eudoxus.cone_space import (
     CLUSTER_TOL,
@@ -25,6 +30,8 @@ from eudoxus.derivation_algebra import (
     _complex_structure,
     _derivation_residuals,
     _quotient_action,
+    _rank_split,
+    _structure_table,
     derivation_basis,
     is_derivation,
     lie_center,
@@ -856,6 +863,21 @@ def kron_centroid(ads):
     return [c.reshape(q, q) for c in vt[rank:]]
 
 
+def two_stage_centroid(ads):
+    """Reference: the centroid as orientability found it before the
+    regular element, in two stages: the commutant N of one fixed-seed
+    generic combination X of the ad_i by one q^2 x q^2 SVD, then the
+    elements of N commuting with every ad_i by one SVD of their stacked
+    (n q^2) x dim N commutators."""
+    q = ads.shape[1]
+    I = np.eye(q)
+    X = np.tensordot(np.random.default_rng(13).standard_normal(len(ads)), ads, axes=1)
+    # row-major vec: vec(X C - C X) = (X (x) I - I (x) X^T) vec C
+    N = _rank_split(np.kron(X, I) - np.kron(I, X.T))[1].reshape(-1, q, q)
+    A = np.vstack([(ad @ N - N @ ad).reshape(len(N), q * q).T for ad in ads])
+    return list(np.tensordot(_rank_split(A)[1], N, axes=1))
+
+
 def kron_orientability(sp):
     """Reference: orientability with the matrix-space quotient and the
     stacked-Kronecker centroid."""
@@ -898,18 +920,55 @@ def test_commutator_tables_match_the_loop_reference(sp):
     assert np.max(np.abs(got - np.array(ads)), initial=0.0) < 1e-12
 
 
-@pytest.mark.parametrize("sp", EVEN_QUOTIENT, ids=repr)
+@pytest.mark.parametrize("sp", EVEN_QUOTIENT + [ConeSpace.hermitian(4), ConeSpace.psd_real(5),
+                                                ConeSpace.lorentz(8)], ids=repr)
 def test_centroid_matches_the_kronecker_reference(sp):
-    ads = _quotient_action(sp)[2]
+    _, K, ads = _quotient_action(sp)
     assert ads.shape[1] % 2 == 0
-    got, want = _centroid(ads), kron_centroid(ads)
-    assert len(got) == len(want)
-    assert np.linalg.norm(_span_projector(got) - _span_projector(want)) < 1e-8
+    got, rank = _centroid(K, ads)
+    assert rank == len(K)
+    for want in (kron_centroid(ads), two_stage_centroid(ads)):
+        assert len(got) == len(want)
+        assert np.linalg.norm(_span_projector(got) - _span_projector(want)) < 1e-8
     # orthonormal, and commuting with the whole adjoint action
     G = np.array([C.reshape(-1) for C in got])
     assert np.max(np.abs(G @ G.T - np.eye(len(got)))) < 1e-10
     assert max(np.linalg.norm(ad @ C - C @ ad) for ad in ads for C in got) < 1e-9
+
+
+@pytest.mark.parametrize("sp", EVEN_QUOTIENT, ids=repr)
+def test_orientability_matches_the_kronecker_reference(sp):
     assert repr(orientability(sp)) == kron_orientability(sp)
+
+
+def test_centroid_of_a_reductive_action_matches_the_kronecker_reference():
+    # gl(3) = sl(3) + R over an orthonormal basis whose first element is
+    # central (ad = 0): the words of y still span, H has dimension 3, and
+    # only the identities of the two ideals commute with every ad_a, so a
+    # candidate outside the centroid survives unless each ad_a is folded
+    units = np.eye(9).reshape(9, 3, 3)
+    Q = np.linalg.qr(np.vstack([np.eye(3).reshape(1, 9), units.reshape(9, 9)]).T)[0].T
+    ads, residual = _structure_table(Q.reshape(9, 3, 3), Q)
+    assert residual < 1e-12 and np.abs(ads[0]).max() < 1e-12
+    got, rank = _centroid(np.eye(9), ads)
+    want = kron_centroid(ads)
+    assert rank == 9 and len(got) == len(want) == 2
+    assert np.linalg.norm(_span_projector(got) - _span_projector(want)) < 1e-8
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_centroid_of_an_action_its_element_does_not_generate_is_unknown(monkeypatch, q):
+    # with every ad_i = 0 the words of y are y alone: rank 1 < q, so the
+    # centroid (all q x q matrices, which hold a J) is not claimed either way
+    sp = ConeSpace.hermitian(2)
+    n = len(derivation_basis(sp))
+    K, ads = np.eye(n)[:q], np.zeros((n, q, q))
+    assert _centroid(K, ads) == (None, 1)
+    monkeypatch.setattr(derivation_algebra, "_quotient_action",
+                        lambda space: (np.eye(n)[q:], K, ads))
+    v = orientability(sp)
+    assert v.status == "Unknown"
+    assert repr(v) == "Unknown(words of a generic element have rank 1, quotient dimension %d)" % q
 
 
 def test_orientability_witness_commutes_with_the_adjoint_action():
@@ -978,6 +1037,48 @@ def test_centre_quotient_and_verdict_closed_forms(sp, centre, q, status):
     assert orientability(sp).status == status
 
 
+# one fresh process under a 3 GiB address-space limit: orientability's time
+# per cone, and the peak traced allocation of its centroid step
+WORST_CASES = """
+import json, resource, sys, time, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from eudoxus import derivation_algebra
+from eudoxus.cone_space import ConeSpace
+out = []
+for kind, k in json.loads(sys.argv[1]):
+    sp = getattr(ConeSpace, kind)(k)
+    t = time.perf_counter()
+    status = derivation_algebra.orientability(sp).status
+    seconds = time.perf_counter() - t
+    _, K, ads = derivation_algebra._quotient_action(sp)
+    tracemalloc.start()
+    derivation_algebra._centroid(K, ads)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    out.append([status, seconds, len(K), peak])
+print(json.dumps(out))
+"""
+
+
+def test_orientability_worst_cases_within_time_and_memory():
+    # sl(5, C), sl(7, R) and so(1, 11): 8, 8 and 45 s with the q^2 x q^2
+    # Kronecker centroid
+    cones = [("hermitian", 5), ("psd_real", 7), ("lorentz", 12)]
+    src = os.path.dirname(os.path.dirname(eudoxus.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", WORST_CASES, json.dumps(cones)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert [status for status, *_ in got] == ["Orientable", "NotOrientable", "NotOrientable"]
+    for (kind, k), (_, seconds, q, peak) in zip(cones, got):
+        assert seconds <= 5.0, (kind, k, seconds)
+        # a few arrays of at most q (q^2 + q + 1) doubles; one q^2 x q^2
+        # array alone is q / 8 times this bound
+        assert peak <= 8 * 8 * q * (q * q + q + 1), (kind, k, peak)
+
+
 @pytest.mark.parametrize("sp", [ConeSpace.hermitian(3), ConeSpace.hermitian(4), ConeSpace.lorentz(7)],
                          ids=repr)
 def test_centre_and_quotient_need_no_orth_and_no_tall_svd(monkeypatch, sp):
@@ -997,10 +1098,10 @@ def test_centre_and_quotient_need_no_orth_and_no_tall_svd(monkeypatch, sp):
             svd_rows.append(np.shape(a)[0])
         return svd(a, *args, **kwargs)
 
-    def uncounted_centroid(ads):
+    def uncounted_centroid(*args):
         in_centroid.append(1)
         try:
-            return centroid(ads)
+            return centroid(*args)
         finally:
             in_centroid.pop()
     monkeypatch.setattr(scipy.linalg, "orth", counting_orth)
