@@ -24,7 +24,9 @@ methods all live on ConeSpace; the kind classes only supply the hooks.
 
 Every kind builds faces in stacks through one pair of hooks: _faces_of
 maps points (f, dim) to span projectors (f, dim, dim) and witnesses, and
-_orthogonal_faces maps those to the orthogonal faces'.
+_orthogonal_faces maps those to the orthogonal faces'.  _face_points
+gives the faces facial homogeneity is tested on: those of the extreme
+rays of a polyhedral cone, or of sampled points on a Jordan kind.
 
 The single tolerance knob TOL classifies membership: Boundary is a band
 of relative width TOL around the topological boundary, and every strict
@@ -44,13 +46,6 @@ TOL = 1e-9
 
 # eigenvalues closer than this share a spectral face
 CLUSTER_TOL = 1e-8
-
-# generator subsets tried by the polyhedral facial-homogeneity check, and
-# the most entries of one stack of face projectors it builds (8 MB of
-# floats): unsplit, the 2,016 two-ray faces of a rotated orthant in R^64
-# would be 66 MB per stack
-MAX_SUBSETS = 4096
-CHUNK_ENTRIES = 2 ** 20
 
 SQRT2 = np.sqrt(2.0)
 
@@ -490,12 +485,19 @@ class _JordanSpace(ConeSpace):
         return [(float(lam), C[:, i].copy()) for i, lam in enumerate(w) if lam > band]
 
     def _face_points(self, budget, rng):
-        """One chunk: the nonzero ones of budget sampled cone points."""
+        """The faces (P, W) of the projections of budget Gaussians g (those
+        of norm above 1e-9), "sampled faces": one _spectral(g) gives both
+        the projection and its support idempotent."""
         # drawn up front: a refuted face's witness search then starts from
         # one rng state, whichever face refutes
-        points = [self.sample_cone_point(rng) for _ in range(budget)]
-        X = np.array([x for x in points if np.linalg.norm(x) > 1e-9]).reshape(-1, self.dim)
-        return [X], "sampled faces"
+        C = []
+        for g in rng.standard_normal((budget, self.dim)):
+            w, frame = self._spectral(g)
+            x = frame @ np.maximum(w, 0.0)
+            if np.linalg.norm(x) > 1e-9:
+                C.append(frame @ (w > _face_band(x)))
+        C = np.reshape(C, (-1, self.dim))
+        return (self._U(C), C), "sampled faces"
 
     def _riesz(self):
         """A lattice exactly when the Peirce 1/2-space of a frame is zero.
@@ -776,25 +778,9 @@ class _Polyhedral(ConeSpace):
         return [(float(c[i]), R[:, i].copy()) for i in range(self.dim) if c[i] > band]
 
     def _face_points(self, budget, rng):
-        """The extreme-ray subset sums, smallest subsets first: all 2^m - 1
-        of them up to MAX_SUBSETS, else the first MAX_SUBSETS.  One chunk
-        per subset size (at most CHUNK_ENTRIES / dim^2 points), each built
-        only when the one before it is consumed."""
-        m = self._rays.shape[1]
-        subsets = itertools.islice(itertools.chain.from_iterable(
-            itertools.combinations(range(m), r) for r in range(1, m + 1)), MAX_SUBSETS)
-        how = ("exhaustive" if 2 ** m - 1 <= MAX_SUBSETS
-               else "first %d generator subsets" % MAX_SUBSETS)
-        return self._subset_chunks(subsets), how
-
-    def _subset_chunks(self, subsets):
-        R = self._rays
-        size = max(1, CHUNK_ENTRIES // self.dim ** 2)
-        for _, group in itertools.groupby(subsets, key=len):
-            while block := list(itertools.islice(group, size)):
-                S = np.zeros((len(block), R.shape[1]), dtype=bool)
-                S[np.arange(len(block))[:, None], block] = True
-                yield S @ R.T
+        """The faces (P, W) of the unit extreme rays, labelled "exhaustive":
+        they decide every face (face_lattice.is_facially_homogeneous)."""
+        return self._faces_of(self._rays.T), "exhaustive"
 
     def _riesz(self):
         m = self._rays.shape[1]
@@ -817,7 +803,7 @@ class _Polyhedral(ConeSpace):
         lams, which = np.unique(lams, return_inverse=True)
         pieces = np.zeros((len(lams), self.dim))
         np.add.at(pieces, which.reshape(-1), X)
-        P, _, Pp = _checked_faces(self, pieces)
+        P, _, Pp = _checked_faces(self, self._faces_of(pieces))
         return 0.5 * np.tensordot(lams, np.eye(self.dim) + P - Pp, axes=1)
 
     def _derivation_mats(self, selfadjoint=False):

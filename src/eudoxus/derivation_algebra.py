@@ -479,6 +479,6 @@ def reconstruct_from_faces(space, family):
     if not len(family):
         return Derivation(space, np.zeros((space.dim, space.dim)))
     lams = family.lams
-    P, _, Pp = _checked_faces(space, np.cumsum(family.witnesses, axis=0))
+    P, _, Pp = _checked_faces(space, space._faces_of(np.cumsum(family.witnesses, axis=0)))
     steps = lams - np.append(lams[1:], 0.0)
     return Derivation(space, 0.5 * np.tensordot(steps, np.eye(space.dim) + P - Pp, axes=1))

@@ -63,10 +63,10 @@ class Face:
         return "Face(dim=%d of %r)" % (self.dim, self.host)
 
 
-def _checked_faces(space, X):
-    """Stacks (P, W, Pp) of the face projectors and witnesses of the rows of
-    X and of their orthogonal faces' projectors, every projector checked."""
-    P, W = space._faces_of(X)
+def _checked_faces(space, faces):
+    """Stacks (P, W, Pp): faces (P, W) from a face hook and their orthogonal
+    faces' projectors, every projector checked."""
+    P, W = faces
     Pp, _ = space._orthogonal_faces(P, W)
     _check_projectors(P)
     _check_projectors(Pp)
@@ -153,30 +153,37 @@ def is_minimal(space, a):
 
 
 def is_facially_homogeneous(space, sample_budget=25, rng=None):
-    """Check that P_F - P_{F-perp} is a derivation for the tested faces.
+    """Check that P_F - P_{F-perp} is a derivation for every face F.
 
-    Polyhedral cones test the faces of extreme-ray subset sums, smallest
-    subsets first (all of them up to 12 extreme rays), in one chunk per
-    subset size; Jordan kinds test the faces of sample_budget sampled
-    points in one chunk, so Verified means verified on the tested family.
-    The zero face and the whole cone give -I and I, derivations of every
-    cone, and are not tested.  One projection onto the Der frame decides
-    each chunk's stack of faces; chunks after a refuting face are never
-    built, and only that face becomes a Face, with is_derivation's witness.
+    Polyhedral cones test the faces of their m extreme rays, and Verified
+    is exhaustive, as these decide every face.  The ray face {r_i} gives
+    M_i = r_i r_i^T - P_i, P_i the projector onto the span of the rays
+    orthogonal to r_i.  If M_i keeps every ray an eigenvector (the
+    polyhedral Der), a ray r_j with r_i . r_j != 0 has the eigenvalue 1 of
+    r_i, as eigenspaces of a symmetric matrix are orthogonal; then
+    r_j = c r_i + w with w perp r_i gives P_i w = -w, so w = 0: r_j is r_i.
+    So if the m ray faces pass, the rays are pairwise orthogonal and every
+    P_F - P_{F-perp} is +-1 on them, in Der.  The stack of m dim^2 entries
+    is smaller than the Kronecker system that builds Der.
+
+    Jordan kinds test the faces of sample_budget sampled points, so
+    Verified means verified on the sampled family.  The zero face and the
+    whole cone give -I and I, derivations of every cone, and are not
+    tested.  One projection onto the Der frame decides the stack; only a
+    refuting face becomes a Face, with is_derivation's witness.
     """
     from eudoxus.derivation_algebra import Verdict, _derivation_residuals, is_derivation
 
     if rng is None:
         rng = np.random.default_rng(0)
-    chunks, how = space._face_points(sample_budget, rng)
-    for X in chunks:
-        P, W, Pp = _checked_faces(space, X)
-        M = P - Pp
-        for i in np.flatnonzero(_derivation_residuals(space, M)[1]):
-            verdict = is_derivation(space, M[i], rng=rng)
-            if not verdict:
-                F = Face(space, P[i], W[i])
-                return Verdict("Refuted", "face of dim %d" % F.dim, witness=(F, verdict.witness))
+    faces, how = space._face_points(sample_budget, rng)
+    P, W, Pp = _checked_faces(space, faces)
+    M = P - Pp
+    for i in np.flatnonzero(_derivation_residuals(space, M)[1]):
+        verdict = is_derivation(space, M[i], rng=rng)
+        if not verdict:
+            F = Face(space, P[i], W[i])
+            return Verdict("Refuted", "face of dim %d" % F.dim, witness=(F, verdict.witness))
     return Verdict("Verified", how)
 
 

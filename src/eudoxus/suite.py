@@ -58,7 +58,7 @@ def _random_selfadjoint(space, rng, scale=1.0):
     return Derivation(space, mat)
 
 
-def check_conjunct_anchors(seed=0, samples=0):
+def check_conjunct_anchors(seed=0):
     """Definition anchors: density x bulk and velocity x matter."""
     density = Quantity(Fraction(2), DimWord(("mass", "vol^-1"), "free"))
     vol2 = Quantity(Fraction(2), DimWord(("vol",), "free"))
@@ -72,9 +72,10 @@ def check_conjunct_anchors(seed=0, samples=0):
     return ok, "2x2=%s, 2x3=%s, 2x2=%s (exact integers)" % (a, b, c)
 
 
-def check_theorem_roundtrips(seed=0, samples=200):
+def check_theorem_roundtrips(seed=0):
     """Derivation -> ratio -> derivation and ratio -> derivation ->
     ratio round trips on the four worked cone kinds."""
+    samples = 200
     rng = np.random.default_rng(seed)
     worst = 0.0
     for space in _roundtrip_spaces():
@@ -95,13 +96,13 @@ def check_theorem_roundtrips(seed=0, samples=200):
         samples, samples, worst)
 
 
-def check_facial_spectral_theorem(seed=0, samples=200):
+def check_facial_spectral_theorem(seed=0):
     """reconstruct_from_faces after spectral_faces is the identity,
     including the spectrum-with-a-trivial-face example."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for space in _roundtrip_spaces():
-        for _ in range(samples):
+        for _ in range(200):
             delta = _random_selfadjoint(space, rng)
             fam = spectral_faces(space, delta)
             back = reconstruct_from_faces(space, fam)
@@ -121,9 +122,10 @@ def check_facial_spectral_theorem(seed=0, samples=200):
     return True, "worst residual %.2g; zero-face case reconstructed" % worst
 
 
-def check_jordan_moreau(seed=0, samples=1000):
+def check_jordan_moreau(seed=0):
     """Orthogonal positive-part decompositions, with the closed-form
     boundary case on the second-order cone."""
+    samples = 1000
     rng = np.random.default_rng(seed)
     th = 0.3
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
@@ -149,8 +151,9 @@ def check_jordan_moreau(seed=0, samples=1000):
     return True, "%d samples per kind orthogonal to 1e-9; SOC case exact" % samples
 
 
-def check_derivation_dimensions(seed=0, samples=150):
+def check_derivation_dimensions(seed=0):
     """Lie algebra dimensions per kind against the tangency oracle."""
+    samples = 150
     rng = np.random.default_rng(seed)
     expect = [
         (ConeSpace.orthant(3), 3, 3),
@@ -177,7 +180,7 @@ def check_derivation_dimensions(seed=0, samples=150):
     return True, "; ".join(details)
 
 
-def check_dichotomy_table(seed=0, samples=20):
+def check_dichotomy_table(seed=0):
     """Lattice order, ratio commutativity and orientability per kind."""
     rng = np.random.default_rng(seed)
     rows = []
@@ -185,7 +188,7 @@ def check_dichotomy_table(seed=0, samples=20):
     orthant = ConeSpace.orthant(3)
     riesz, _ = is_riesz(orthant)
     commutes = True
-    for _ in range(samples):
+    for _ in range(20):
         d1 = _random_selfadjoint(orthant, rng)
         d2 = _random_selfadjoint(orthant, rng)
         if np.linalg.norm(d1.mat @ d2.mat - d2.mat @ d1.mat) > 1e-9:
@@ -231,9 +234,10 @@ def _noncommuting_pair(space, rng, tries=50):
     return None
 
 
-def check_eudoxus_kernel(seed=0, samples=200):
+def check_eudoxus_kernel(seed=0):
     """Bracket quality for an irrational cut; agreement of the equality
     variants; the two classical proportion laws on exact rationals."""
+    samples = 200
     lo, hi = stern_brocot_bracket(RealCutOracle(math.sqrt(2.0)), 10**6)
     width = hi - lo
     root2 = Fraction(math.sqrt(2.0))
@@ -273,7 +277,7 @@ def check_eudoxus_kernel(seed=0, samples=200):
         float(width), samples, samples)
 
 
-def check_quadrature(seed=0, samples=0):
+def check_quadrature(seed=0):
     """Step-sum bracketing of the parabola area and the fixed-column
     ratio law."""
     lower, upper, ratio_gap = quadrature_demo(lambda x: x * x, 1024)
@@ -287,7 +291,7 @@ def check_quadrature(seed=0, samples=0):
             float(lower), float(upper), upper - lower, rho))
 
 
-def check_krein(seed=0, samples=500):
+def check_krein(seed=0):
     """Pure states, multiplicativity and the isometric function-space
     picture on small lattice cones."""
     rng = np.random.default_rng(seed)
@@ -308,7 +312,7 @@ def check_krein(seed=0, samples=500):
             okm, witness = multiplicative_characterization(kr, mid, rng=rng)
             if okm or witness is None:
                 return False, "orthant(%d): midpoint state looked multiplicative" % n
-        for _ in range(samples if n == 5 else 50):
+        for _ in range(500 if n == 5 else 50):
             x = space.sample_vector(rng)
             lhs = space.order_unit_norm(x, kr.u)
             rhs = float(np.max(np.abs(kr.gelfand_map(x))))
@@ -318,9 +322,10 @@ def check_krein(seed=0, samples=500):
     return True, "orthant(1..5): n pure states, multiplicative iff pure, isometric"
 
 
-def check_refinement_monotonicity(seed=0, samples=100):
+def check_refinement_monotonicity(seed=0):
     """Along random refinement chains of unit decompositions the
     spectral sum operators decrease in the operator order."""
+    samples = 100
     rng = np.random.default_rng(seed)
     space = ConeSpace.orthant(6)
     for _ in range(samples):

@@ -1,13 +1,13 @@
 import itertools
-from math import comb
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eudoxus import cone_space, derivation_algebra, face_lattice
-from eudoxus.cone_space import MAX_SUBSETS, ConeSpace, Membership, sym_to_vec
+from eudoxus import derivation_algebra, face_lattice
+from eudoxus.cone_space import ConeSpace, Membership, sym_to_vec
 from eudoxus.derivation_algebra import Verdict, is_derivation
 from eudoxus.face_lattice import (
     face_of,
@@ -230,6 +230,10 @@ def _ngon_cone(n):
                                  for i in range(n)])
 
 
+# generator subsets the loop reference tries, smallest first
+MAX_SUBSETS = 4096
+
+
 def loop_facially_homogeneous(space, sample_budget=25, rng=None):
     """Reference: the check one face at a time, as it was before the faces
     were stacked.  The zero face, the whole cone, then face_of of each face
@@ -303,19 +307,17 @@ def test_stacked_homogeneity_matches_the_loop_reference(sp, seed, budget):
                                 ConeSpace.hermitian(3), _rotated_orthant(5), _ngon_cone(7),
                                 _redundant(_ngon_cone(4), 1)], ids=repr)
 def test_each_stacked_face_is_the_face_of_its_point(sp):
-    # the points the reference draws, face by face: subset sums of one or
-    # two rays, or the nonzero ones of 25 sampled points
+    # the faces the check tests, face by face: those of the unit extreme
+    # rays, or of the nonzero ones of 25 sampled points
     rng = np.random.default_rng(5)
     if sp.kind == "polyhedral":
-        points = [np.sum(sp._rays[:, list(s)], axis=1) for s in itertools.chain.from_iterable(
-            itertools.combinations(range(sp._rays.shape[1]), r) for r in (1, 2))]
+        points = list(sp._rays.T)
     else:
         points = [x for x in (sp.sample_cone_point(rng) for _ in range(25))
                   if np.linalg.norm(x) > 1e-9]
-    chunks, _ = sp._face_points(25, np.random.default_rng(5))
-    X = np.concatenate(list(itertools.islice(chunks, 2)))[:len(points)]
-    assert np.array_equal(X, np.array(points))
-    P, W, Pp = face_lattice._checked_faces(sp, X)
+    faces, _ = sp._face_points(25, np.random.default_rng(5))
+    P, W, Pp = face_lattice._checked_faces(sp, faces)
+    assert len(P) == len(W) == len(Pp) == len(points)
     for x, p, pp, w in zip(points, P, Pp, W):
         F = face_of(sp, x)
         assert np.linalg.norm(p - F.projector) <= 1e-12
@@ -323,51 +325,118 @@ def test_each_stacked_face_is_the_face_of_its_point(sp):
         assert np.linalg.norm(w - F.witness) <= 1e-12
 
 
-def _counting_chunks(monkeypatch, sp):
-    """The number of faces in each chunk the check builds."""
+def _counting_faces(monkeypatch, sp):
+    """The number of faces in the stack the check builds."""
     sizes = []
     face_points = sp._face_points
 
     def counting(budget, rng):
-        chunks, how = face_points(budget, rng)
-
-        def counted():
-            for chunk in chunks:
-                sizes.append(len(chunk))
-                yield chunk
-        return counted(), how
+        (P, W), how = face_points(budget, rng)
+        sizes.append(len(P))
+        return (P, W), how
     monkeypatch.setattr(sp, "_face_points", counting)
     return sizes
 
 
 def test_facial_homogeneity_stops_at_the_first_refuting_face(monkeypatch):
-    # of the 4,096 candidate faces of the 13-gon cone only the singleton
-    # chunk is built
+    # the 13-gon cone is refuted by a ray face, from the stack of its 13
+    # ray faces alone
     sp = _ngon_cone(13)
-    sizes = _counting_chunks(monkeypatch, sp)
+    sizes = _counting_faces(monkeypatch, sp)
     verdict = is_facially_homogeneous(sp)
     assert repr(verdict) == "Refuted(face of dim 1)"
     assert verdict.witness[1] is not None
     assert sizes == [13]
 
 
-@pytest.mark.parametrize("n,how", [(12, "exhaustive"), (13, "first 4096 generator subsets")])
-def test_polyhedral_homogeneity_says_how_many_subsets_it_tried(monkeypatch, n, how):
-    # 2^12 - 1 subsets fit under the cap, 2^13 - 1 do not; one chunk per size
+@pytest.mark.parametrize("n", [12, 13, 24])
+def test_polyhedral_homogeneity_is_exhaustive_from_the_ray_faces(monkeypatch, n):
+    # 2^n - 1 ray subsets, but the n ray faces decide every face
     sp = _rotated_orthant(n)
-    sizes = _counting_chunks(monkeypatch, sp)
-    assert repr(is_facially_homogeneous(sp)) == "Verified(%s)" % how
-    assert sum(sizes) == min(2 ** n - 1, 4096)
-    assert sizes[:6] == [comb(n, r) for r in range(1, 7)]
-
-
-def test_large_subset_chunks_are_split(monkeypatch):
-    # at most CHUNK_ENTRIES / dim^2 faces per chunk, in the same order
-    sp = _rotated_orthant(8)
-    monkeypatch.setattr(cone_space, "CHUNK_ENTRIES", 3 * 64)
-    sizes = _counting_chunks(monkeypatch, sp)
+    sizes = _counting_faces(monkeypatch, sp)
+    t0 = time.perf_counter()
     assert repr(is_facially_homogeneous(sp)) == "Verified(exhaustive)"
-    assert sizes == [min(3, comb(8, r) - i) for r in range(1, 9) for i in range(0, comb(8, r), 3)]
+    assert time.perf_counter() - t0 < 2.0
+    assert sizes == [n]
+
+
+def _ngon_plus_ray(n):
+    # the direct sum of the n-gon cone in R^3 and a ray: n + 1 rays in R^4
+    gens = [np.append(g, 0.0) for g in _ngon_cone(n).generators.T]
+    return ConeSpace.polyhedral(gens + [np.eye(4)[3]])
+
+
+def _tilted_orthant(n, eps, seed):
+    # a rotated orthant whose generators are moved by eps-sized noise
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return ConeSpace.polyhedral(list((q + eps * rng.standard_normal((n, n))).T))
+
+
+@st.composite
+def polyhedral_cones(draw):
+    """Random generator sets (dim 2-5, at most 10 generators, in the open
+    half-space x_0 > 0, so pointed), simplicial cones near and at rotated
+    orthants, and n-gon + ray sums."""
+    family = draw(st.sampled_from(["generators", "simplicial", "ngon+ray"]))
+    if family == "ngon+ray":
+        return _ngon_plus_ray(draw(st.integers(3, 9)))
+    dim = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**16))
+    if family == "simplicial":
+        return _tilted_orthant(dim, draw(st.sampled_from([0.0, 1e-3, 0.3])), seed)
+    G = np.random.default_rng(seed).standard_normal((draw(st.integers(dim, 10)), dim))
+    G[:, 0] = np.abs(G[:, 0]) + 0.1
+    return ConeSpace.polyhedral(list(G))
+
+
+def _assert_same_verdict(got, want):
+    assert repr(got) == repr(want)
+    if want.witness is None:
+        assert got.witness is None
+        return
+    (F, expelled), (G, want_expelled) = got.witness, want.witness
+    assert np.linalg.norm(F.projector - G.projector) <= 1e-12
+    assert np.linalg.norm(F.witness - G.witness) <= 1e-12
+    assert (expelled is None) == (want_expelled is None)
+    if expelled is not None:
+        assert expelled[0] == want_expelled[0]
+        assert np.array_equal(expelled[1], want_expelled[1])
+
+
+@given(sp=polyhedral_cones(), seed=st.integers(0, 2**16))
+@settings(max_examples=60)
+def test_ray_faces_decide_like_every_generator_subset(sp, seed):
+    got = is_facially_homogeneous(sp, rng=np.random.default_rng(seed))
+    _assert_same_verdict(got, loop_facially_homogeneous(sp, rng=np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("eps,status", [(1e-8, "Refuted"), (1e-11, "Verified")])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_near_orthogonal_rays_outside_the_band_agree_with_every_subset(n, eps, status):
+    # rays orthogonal only to about 3e-10 to 5e-10 may verify where some
+    # larger subset face refutes; to 1e-8 and 1e-11 both decide alike
+    for seed in range(3):
+        sp = _tilted_orthant(n, eps, seed)
+        got = is_facially_homogeneous(sp)
+        assert got.status == status
+        _assert_same_verdict(got, loop_facially_homogeneous(sp))
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(5), ConeSpace.lorentz(6), ConeSpace.psd_real(4),
+                                ConeSpace.hermitian(3)], ids=repr)
+@pytest.mark.parametrize("budget", [0, 1, 25])
+def test_one_spectral_decomposition_per_sampled_face(monkeypatch, sp, budget):
+    # each Gaussian's decomposition gives both its projection and its face
+    calls = []
+    spectral = sp._spectral
+
+    def counting(x):
+        calls.append(x)
+        return spectral(x)
+    monkeypatch.setattr(sp, "_spectral", counting)
+    assert is_facially_homogeneous(sp, budget, np.random.default_rng(1))
+    assert len(calls) == budget
 
 
 def test_only_the_refuting_face_is_built(monkeypatch):
