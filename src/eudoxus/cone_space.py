@@ -204,6 +204,14 @@ def _orthonormal_span(mats):
     return [q.reshape(mats[0].shape) for q in Q]
 
 
+def _rank_split(A):
+    """Orthonormal rows spanning the row space and the null space of A by
+    one SVD, full if A is wide, with the rank cut 1e-8 max(s_max, 1)."""
+    _, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    rank = int(np.sum(s > 1e-8 * np.max(s, initial=1.0)))
+    return vt[:rank], vt[rank:]
+
+
 # ---------------------------------------------------------------------------
 
 class ConeSpace:
@@ -807,16 +815,16 @@ class _Polyhedral(ConeSpace):
         return 0.5 * np.tensordot(lams, np.eye(self.dim) + P - Pp, axes=1)
 
     def _derivation_mats(self, selfadjoint=False):
-        """Operators M keeping every extreme ray g an eigenvector,
-        (I - g g^T) M g = 0, optionally restricted to symmetric M."""
-        d = self.dim
-        A = np.vstack([np.kron(np.eye(d) - np.outer(g, g), g) for g in self._rays.T])
-        S = np.eye(d * d)
+        """derivation_basis's R diag(lam) R^+; selfadjoint adds rows for the antisymmetric
+        parts of the r_i s_i^T, scaled as R^+ may be large, and sums the symmetric parts."""
+        R, Rp = self._rays, np.linalg.pinv(self._rays)
+        K = np.einsum("ai,ib->iab", R, Rp)  # the r_i s_i^T
+        A = np.einsum("ai,ij->aji", R, np.eye(len(K)) - Rp @ R).reshape(-1, len(K))
         if selfadjoint:
-            # parametrize M by its upper triangle through the symmetrizer
-            S = np.array([U.reshape(-1) for U in _symmetric_units(d)]).T
-        _, s, vt = np.linalg.svd(A @ S)
-        return [(S @ c).reshape(d, d) for c in vt[np.sum(s > 1e-8 * max(s[0], 1.0)):]]
+            B = (K - K.mT).reshape(len(K), -1).T
+            A = np.vstack([A, B / max(1.0, np.max(np.abs(B)))])
+            K = (K + K.mT) / 2
+        return _orthonormal_span(list(np.tensordot(_rank_split(A)[1], K, axes=1)))
 
     def _complementary_pairs(self, samples, rng):
         """Extreme-ray / dual-generator pairs with zero pairing."""

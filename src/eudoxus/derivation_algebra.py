@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import expm
 
-from eudoxus.cone_space import CLUSTER_TOL, Membership, _face_band
+from eudoxus.cone_space import CLUSTER_TOL, Membership, _face_band, _rank_split
 from eudoxus.face_lattice import Face, _check_projectors, _checked_faces
 
 DEFAULT_T_GRID = (-4.0, -2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -112,7 +112,8 @@ def derivation_basis(space):
     rotations for lorentz; X -> L X + X L^T for L in M_k(R) for
     psd_real(k); X -> L X + X L^* for complex L for hermitian(k) (the
     anti-Hermitian scalar acts trivially, so the count is 2k^2 - 1).
-    polyhedral: the operators keeping every extreme ray an eigenvector.
+    polyhedral: R diag(lam) R^+ over the unit extreme rays R (exp(tM) fixes
+    each ray), for the lam with R diag(lam) (I - R^+ R) = 0.
     Cached per cone, so fresh spaces of one kind and size share it.
     """
     basis = _derivation_frame(space)[1]
@@ -200,8 +201,8 @@ def selfadjoint_derivations(space):
 
     Jordan kinds: L(e_i) for the orthant and lorentz, 2 L(S) = (X -> S X
     + X S) over the symmetric or Hermitian matrix units S for the matrix
-    kinds; polyhedral: the symmetric operators keeping every extreme ray
-    an eigenvector.
+    kinds; polyhedral: the symmetric R diag(lam) R^+ of derivation_basis,
+    lam also killing the antisymmetric parts of the r_i s_i^T.
     """
     return [Derivation(space, m) for m in space._derivation_mats(selfadjoint=True)]
 
@@ -231,14 +232,6 @@ def lie_closure_residual(basis):
     """Largest distance of a commutator of two basis elements from the
     span of the basis: zero when the span is a Lie algebra."""
     return _structure_table(*_span_frame(basis))[1]
-
-
-def _rank_split(A):
-    """Orthonormal rows spanning the row space and the null space of A,
-    by one thin SVD with the rank cut 1e-8 max(s_max, 1)."""
-    _, s, vt = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > 1e-8 * max(s[0] if len(s) else 1.0, 1.0)))
-    return vt[:rank], vt[rank:]
 
 
 def _centre_split(mats, Q):

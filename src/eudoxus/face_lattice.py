@@ -163,8 +163,7 @@ def is_facially_homogeneous(space, sample_budget=25, rng=None):
     r_i, as eigenspaces of a symmetric matrix are orthogonal; then
     r_j = c r_i + w with w perp r_i gives P_i w = -w, so w = 0: r_j is r_i.
     So if the m ray faces pass, the rays are pairwise orthogonal and every
-    P_F - P_{F-perp} is +-1 on them, in Der.  The stack of m dim^2 entries
-    is smaller than the Kronecker system that builds Der.
+    P_F - P_{F-perp} is +-1 on them, in Der.
 
     Jordan kinds test the faces of sample_budget sampled points, so
     Verified means verified on the sampled family.  The zero face and the

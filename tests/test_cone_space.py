@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from eudoxus.cone_space import (
     ConeSpace,
     Membership,
+    _rank_split,
     herm_to_vec,
     sym_to_vec,
     vec_to_herm,
@@ -265,3 +266,16 @@ def test_queries_reject_non_finite_vectors(sp, bad):
             query(x)
     with pytest.raises(ValueError, match="not finite"):
         sp.order_unit_norm(sp.canonical_unit(), u=x)
+
+
+@pytest.mark.parametrize("A,rank", [(np.array([[1.0, 2.0, 2.0]]), 1), (np.zeros((0, 3)), 0),
+                                    (np.zeros((2, 3)), 0), (np.ones((4, 3)), 1)],
+                         ids=["1x3 row", "0x3", "2x3 zero", "4x3 ones"])
+def test_rank_split_gives_the_whole_null_space(A, rank):
+    # a thin SVD of a wide matrix drops null directions: the 1x3 row would
+    # keep none of its two, the 0x3 matrix none of its three
+    row, null = _rank_split(A)
+    assert (len(row), len(null)) == (rank, 3 - rank)
+    Q = np.vstack([row, null])
+    assert np.allclose(Q @ Q.T, np.eye(3), rtol=0, atol=1e-12)
+    assert np.allclose(A @ null.T, 0.0, rtol=0, atol=1e-12)

@@ -18,6 +18,7 @@ from eudoxus.cone_space import (
     TOL,
     ConeSpace,
     Membership,
+    _rank_split,
     herm_to_vec,
     sym_to_vec,
     vec_to_herm,
@@ -30,7 +31,6 @@ from eudoxus.derivation_algebra import (
     _complex_structure,
     _derivation_residuals,
     _quotient_action,
-    _rank_split,
     _structure_table,
     derivation_basis,
     is_derivation,
@@ -1037,11 +1037,29 @@ def test_centre_quotient_and_verdict_closed_forms(sp, centre, q, status):
     assert orientability(sp).status == status
 
 
-# one fresh process under a 3 GiB address-space limit: orientability's time
-# per cone, and the peak traced allocation of its centroid step
-WORST_CASES = """
-import json, resource, sys, time, tracemalloc
+# the preamble of a script run by run_limited: a 3 GiB address-space limit
+LIMITED = """
+import json, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+"""
+
+
+def run_limited(script, arg):
+    """Run LIMITED + script in one fresh process with one BLAS thread and
+    the JSON of arg as its argument; returns the JSON it prints."""
+    src = os.path.dirname(os.path.dirname(eudoxus.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", LIMITED + script, json.dumps(arg)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+# orientability's time per cone, and the peak traced allocation of its
+# centroid step
+WORST_CASES = """
+import tracemalloc
 from eudoxus import derivation_algebra
 from eudoxus.cone_space import ConeSpace
 out = []
@@ -1064,19 +1082,55 @@ def test_orientability_worst_cases_within_time_and_memory():
     # sl(5, C), sl(7, R) and so(1, 11): 8, 8 and 45 s with the q^2 x q^2
     # Kronecker centroid
     cones = [("hermitian", 5), ("psd_real", 7), ("lorentz", 12)]
-    src = os.path.dirname(os.path.dirname(eudoxus.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", WORST_CASES, json.dumps(cones)], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    got = json.loads(run.stdout)
+    got = run_limited(WORST_CASES, cones)
     assert [status for status, *_ in got] == ["Orientable", "NotOrientable", "NotOrientable"]
     for (kind, k), (_, seconds, q, peak) in zip(cones, got):
         assert seconds <= 5.0, (kind, k, seconds)
         # a few arrays of at most q (q^2 + q + 1) doubles; one q^2 x q^2
         # array alone is q / 8 times this bound
         assert peak <= 8 * 8 * q * (q * q + q + 1), (kind, k, peak)
+
+
+# the analyze command's CHECK lines and time for rotated orthants, each
+# written to a spec file in the given directory
+ANALYZE_ROTATED = """
+import contextlib, io, os
+import numpy as np
+from eudoxus import cli
+from eudoxus.cone_space import ConeSpace
+tmp, dims = json.loads(sys.argv[1])
+out = []
+for d in dims:
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((d, d)))
+    path = os.path.join(tmp, "rotated-%d.txt" % d)
+    with open(path, "w") as fh:
+        fh.write(cli.emit_cone_spec(ConeSpace.polyhedral(list(q.T))))
+    buf = io.StringIO()
+    t = time.perf_counter()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["analyze", path])
+    seconds = time.perf_counter() - t
+    checks = [line for line in buf.getvalue().splitlines() if line.startswith("CHECK")]
+    out.append([code, checks, seconds])
+print(json.dumps(out))
+"""
+
+
+def test_analyze_of_large_rotated_orthants_within_time_and_memory(tmp_path):
+    # about 10 and 58 s when Der came from the m dim x dim^2 Kronecker system
+    dims = [48, 64]
+    got = run_limited(ANALYZE_ROTATED, [str(tmp_path), dims])
+    assert len(got) == len(dims)
+    for d, (code, checks, seconds) in zip(dims, got):
+        assert code == 0
+        assert checks == [
+            "CHECK derivation_dimension PASS full %d, selfadjoint %d" % (d, d),
+            "CHECK facially_homogeneous PASS exhaustive",
+            "CHECK orientability PASS Orientable(commutative degenerate case (quotient dimension 0))",
+            "CHECK riesz PASS lattice",
+            "CHECK self_dual PASS",
+        ]
+        assert seconds <= 3.0, (d, seconds)
 
 
 @pytest.mark.parametrize("sp", [ConeSpace.hermitian(3), ConeSpace.hermitian(4), ConeSpace.lorentz(7)],

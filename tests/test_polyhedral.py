@@ -8,11 +8,19 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
 from scipy.optimize import nnls
+from test_face_lattice import _tilted_orthant, polyhedral_cones
 
 from eudoxus import cli
-from eudoxus.cone_space import TOL, ConeSpace, polyhedral_dual_generators
-from eudoxus.derivation_algebra import derivation_basis, orientability, selfadjoint_derivations
+from eudoxus.cone_space import TOL, ConeSpace, _symmetric_units, polyhedral_dual_generators
+from eudoxus.derivation_algebra import (
+    derivation_basis,
+    orientability,
+    selfadjoint_derivations,
+    tangency_dimension_oracle,
+)
 from eudoxus.face_lattice import face_of, is_facially_homogeneous, is_riesz
 
 
@@ -193,3 +201,69 @@ def test_bench_kernel_targets_resolve():
     spec.loader.exec_module(tracing)
     for owner, name in tracing._kernel_targets():
         assert callable(vars(owner).get(name)), "%s.%s" % (owner.__name__, name)
+
+
+def kron_derivation_mats(space, selfadjoint=False):
+    """Reference, the polyhedral Der before the ray multipliers: the
+    operators M keeping every extreme ray g an eigenvector,
+    (I - g g^T) M g = 0, optionally restricted to symmetric M, as the null
+    space of the m dim x dim^2 Kronecker system by its full SVD."""
+    d = space.dim
+    A = np.vstack([np.kron(np.eye(d) - np.outer(g, g), g) for g in space._rays.T])
+    S = np.eye(d * d)
+    if selfadjoint:
+        # parametrize M by its upper triangle through the symmetrizer
+        S = np.array([U.reshape(-1) for U in _symmetric_units(d)]).T
+    _, s, vt = np.linalg.svd(A @ S)
+    return [(S @ c).reshape(d, d) for c in vt[np.sum(s > 1e-8 * max(s[0], 1.0)):]]
+
+
+def _assert_same_span(got, want):
+    # equal counts, projectors onto the spans within 1e-9 (Frobenius)
+    assert len(got) == len(want)
+    P, Q = (scipy.linalg.orth(np.array([m.reshape(-1) for m in mats]).T) for mats in (got, want))
+    assert np.linalg.norm(P @ P.T - Q @ Q.T) <= 1e-9
+
+
+def _bases(sp):
+    # the self-adjoint basis is symmetric to 1e-12 and Frobenius-orthonormal
+    sym = selfadjoint_derivations(sp)
+    assert all(b.selfadjoint for b in sym)
+    V = np.array([b.mat.reshape(-1) for b in sym])
+    assert np.allclose(V @ V.T, np.eye(len(V)), rtol=0, atol=1e-12)
+    return [b.mat for b in derivation_basis(sp)], [b.mat for b in sym]
+
+
+@given(sp=polyhedral_cones())
+@settings(max_examples=60)
+def test_ray_multipliers_span_the_kronecker_derivations(sp):
+    full, sym = _bases(sp)
+    _assert_same_span(full, kron_derivation_mats(sp))
+    _assert_same_span(sym, kron_derivation_mats(sp, selfadjoint=True))
+    assert len(full) == tangency_dimension_oracle(sp)
+    assert len(sym) == tangency_dimension_oracle(sp, symmetric_only=True)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-10])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_near_orthants_off_the_rank_margin_agree_with_the_kronecker_system(n, eps):
+    # every generator of a rotated orthant moved by eps-sized noise; from
+    # about 1e-9 to 1e-7 the two systems' rank cuts may count self-adjoint
+    # derivations differently, at 1e-6 and 1e-10 they agree
+    for seed in range(4):
+        sp = _tilted_orthant(n, eps, seed)
+        full, sym = _bases(sp)
+        _assert_same_span(full, kron_derivation_mats(sp))
+        _assert_same_span(sym, kron_derivation_mats(sp, selfadjoint=True))
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_wide_ngons_agree_with_the_kronecker_system(n, h):
+    # R^+ grows like 1/h; unscaled, the antisymmetric rows would lift the
+    # rank cut above the dependency rows (the 4-gon at 1e-6 would count
+    # two self-adjoint derivations in a one-dimensional Der)
+    sp = _cone(_ngon(n, h))
+    full, sym = _bases(sp)
+    _assert_same_span(full, kron_derivation_mats(sp))
+    _assert_same_span(sym, kron_derivation_mats(sp, selfadjoint=True))
