@@ -11,13 +11,14 @@ The four built-in kinds are the symmetric cones of the Euclidean Jordan
 algebras R^n, the spin factor, Sym(k, R) and Herm(k, C) (Faraut &
 Koranyi, Analysis on Symmetric Cones, ch. III-IV).  Each kind class
 supplies three primitives: its unit e, its multiplication operator L(a)
-(x -> a o x) as a dim x dim matrix, and its spectral decomposition
-x = sum_i lam_i c_i over a Jordan frame (c_i).  _JordanSpace derives the
-rest once: margin = lam_min, project = sum lam_i^+ c_i, the face of a is
-the Peirce compression U_c = 2 L(c)^2 - L(c) for the support idempotent
-c of a, its orthogonal face is U_(e - c), the order-unit norm is
-max |lam(U_y x)| for the quadratic representation U_y of y = u^(-1/2),
-and the derivations are L(V) + [L(V), L(V)].
+(x -> a o x) as a dim x dim matrix, and the spectral decompositions
+x = sum_i lam_i c_i over Jordan frames (c_i) of a whole stack of points
+in one call.  _JordanSpace derives the rest once: margin = lam_min,
+project = sum lam_i^+ c_i, the face of a is the Peirce compression
+U_c = 2 L(c)^2 - L(c) for the support idempotent c of a, its orthogonal
+face is U_(e - c), the order-unit norm is max |lam(U_y x)| for the
+quadratic representation U_y of y = u^(-1/2), and the derivations are
+L(V) + [L(V), L(V)].
 Polyhedral cones carry no Jordan product and answer the same private
 hooks from their extreme rays and facet incidence table.  The public
 methods all live on ConeSpace; the kind classes only supply the hooks.
@@ -168,9 +169,27 @@ def polyhedral_dual_generators(G):
     return D[:, np.sort(first)]
 
 
+# HiGHS's primal feasibility tolerance: linprog accepts a constraint
+# residual up to this as feasible
+LP_FEASIBILITY_TOL = 1e-7
+
+
 def _is_pointed(G):
-    """cone(G) pointed iff 0 is not a nontrivial nonnegative combination."""
+    """cone(G) of unit generators G is pointed iff 0 is not a nontrivial
+    nonnegative combination of them.
+
+    First a certificate from Gordan's alternative (Schrijver, Theory of
+    Linear and Integer Programming, ch. 7): y = G 1, the sum of the
+    generators, with mu = min G^T y.  Every lambda >= 0 has
+    y . G lambda >= mu sum(lambda), so with sum(lambda) = 1,
+    |G lambda|_inf >= |G lambda| / sqrt(dim) >= mu / (sqrt(dim) |y|).  When
+    that exceeds LP_FEASIBILITY_TOL, no lambda the LP below could accept
+    exists, and the cone is pointed.  Otherwise the LP decides.
+    """
     dim, m = G.shape
+    y = G.sum(axis=1)
+    if np.min(y @ G) > LP_FEASIBILITY_TOL * math.sqrt(dim) * np.linalg.norm(y):
+        return True
     res = linprog(
         c=np.zeros(m),
         A_eq=np.vstack([G, np.ones((1, m))]),
@@ -356,11 +375,11 @@ class ConeSpace:
         return self._project(self._check_finite(x))
 
     def jordan_decompose(self, x):
-        """x = x_plus - x_minus with both parts in the cone and orthogonal."""
-        x = self._check_finite(x)
-        x_plus = self._project(x)
-        x_minus = x_plus - x
-        return x_plus, x_minus
+        """x = x_plus - x_minus with both parts in the cone and orthogonal.
+        Each part is computed on its own, not as the difference of x and
+        the other, so it lies in the cone to its own roundoff, not to that
+        of x."""
+        return self._jordan_parts(self._check_finite(x))
 
     # -- order-unit norm -----------------------------------------------------
 
@@ -413,8 +432,10 @@ class ConeSpace:
 
 class _JordanSpace(ConeSpace):
     """The symmetric cone of a Euclidean Jordan algebra, derived from the
-    kind's unit _e, its _L(a) and its _spectral(x) = (eigenvalues, frame
-    elements as columns).  _eigvals may skip the frame."""
+    kind's unit _e, its _L(a) and its _spectral(X), which decomposes a
+    stack of points X (f, dim) in one call: eigenvalues w (f, r) and frame
+    elements as columns C (f, dim, r), so X[i] = C[i] @ w[i].  A single
+    point goes in as x[None].  _eigvals may skip the frame."""
 
     _self_dual = True
     _size_key = "dim"
@@ -425,21 +446,25 @@ class _JordanSpace(ConeSpace):
         self._key = (kind, param)
 
     def _eigvals(self, x):
-        return self._spectral(x)[0]
+        return self._spectral(x[None])[0][0]
 
     def _margin(self, x):
         return float(np.min(self._eigvals(x)))
 
     def _project(self, x):
-        w, C = self._spectral(x)
-        return C @ np.maximum(w, 0.0)
+        w, C = self._spectral(x[None])
+        return C[0] @ np.maximum(w[0], 0.0)
+
+    def _jordan_parts(self, x):
+        w, C = self._spectral(x[None])
+        return C[0] @ np.maximum(w[0], 0.0), C[0] @ np.maximum(-w[0], 0.0)
 
     def _unit_norm(self, x, u):
         if u is not None:
             # quadratic representation 2 L(y)^2 - L(y^2) of y = u^(-1/2)
-            w, C = self._spectral(u)
-            Ly = self._L(C @ w ** -0.5)
-            x = (2.0 * Ly @ Ly - self._L(C @ (1.0 / w))) @ x
+            w, C = self._spectral(u[None])
+            Ly = self._L(C[0] @ w[0] ** -0.5)
+            x = (2.0 * Ly @ Ly - self._L(C[0] @ (1.0 / w[0]))) @ x
         return float(np.max(np.abs(self._eigvals(x))))
 
     def _sample_cone_point(self, rng):
@@ -452,22 +477,20 @@ class _JordanSpace(ConeSpace):
         L = np.tensordot(C, self._L_units, axes=1)
         return 2.0 * L @ L - L
 
-    def _cone_spectral(self, x, band):
-        """_spectral(x) of a cone point: an eigenvalue below minus the face
-        band raises."""
-        w, frame = self._spectral(x)
-        if not np.min(w) >= -band:
+    def _cone_spectral(self, X, band):
+        """_spectral(X) of a stack of cone points: an eigenvalue below minus
+        its row's face band raises."""
+        w, frame = self._spectral(X)
+        if not np.all(np.min(w, axis=1) >= -band):
             raise ValueError("point is outside the cone")
         return w, frame
 
     def _supports(self, X):
         """The support idempotent of each row of X: the sum of its frame
-        elements above the face band."""
-        C = np.empty(X.shape)
-        for i, (x, band) in enumerate(zip(X, _face_band(X))):
-            w, frame = self._cone_spectral(x, band)
-            C[i] = frame @ (w > band)
-        return C
+        elements above the face band, from one _spectral(X)."""
+        band = _face_band(X)
+        w, frame = self._cone_spectral(X, band)
+        return (frame @ (w > band[:, None])[..., None])[..., 0]
 
     # -- faces (projectors, witnesses) ------------------------------------------
 
@@ -483,28 +506,27 @@ class _JordanSpace(ConeSpace):
     def _eigenfaces(self, M, lams):
         """M = L(M e) for a self-adjoint derivation, so the face of its
         eigenvalue lam is U_c for c the frame elements of M e at lam."""
-        w, frame = self._spectral(M @ self._e)
+        (w,), (frame,) = self._spectral((M @ self._e)[None])
         C = (np.abs(w - np.asarray(lams)[:, None]) <= 2.0 * CLUSTER_TOL) @ frame.T
         return self._U(C), C
 
     def _frame_terms(self, a):
         band = _face_band(a)
-        w, C = self._cone_spectral(a, band)
+        (w,), (C,) = self._cone_spectral(a[None], band)
         return [(float(lam), C[:, i].copy()) for i, lam in enumerate(w) if lam > band]
 
     def _face_points(self, budget, rng):
-        """The faces (P, W) of the projections of budget Gaussians g (those
-        of norm above 1e-9), "sampled faces": one _spectral(g) gives both
-        the projection and its support idempotent."""
+        """The faces (P, W) of the projections x of budget Gaussians (those
+        of norm above 1e-9), "sampled faces": one _spectral of the (budget,
+        dim) stack gives both the projections and their support idempotents,
+        the frame elements (f, dim, r) summed over the eigenvalues above
+        the face band of x."""
         # drawn up front: a refuted face's witness search then starts from
         # one rng state, whichever face refutes
-        C = []
-        for g in rng.standard_normal((budget, self.dim)):
-            w, frame = self._spectral(g)
-            x = frame @ np.maximum(w, 0.0)
-            if np.linalg.norm(x) > 1e-9:
-                C.append(frame @ (w > _face_band(x)))
-        C = np.reshape(C, (-1, self.dim))
+        w, frame = self._spectral(rng.standard_normal((budget, self.dim)))
+        X = (frame @ np.maximum(w, 0.0)[..., None])[..., 0]
+        keep = np.sqrt(np.vecdot(X, X)) > 1e-9
+        C = (frame @ (w > _face_band(X)[:, None])[..., None])[keep, :, 0]
         return (self._U(C), C), "sampled faces"
 
     def _riesz(self):
@@ -513,7 +535,7 @@ class _JordanSpace(ConeSpace):
         frame elements already have a nonzero Peirce space V_01 between
         them: x = (c0 + c1 + h)/2 with unit h in V_01 lies in the face of
         c0 + c1 but not in face(c0) + face(c1)."""
-        _, C = self._spectral(self._e)
+        _, (C,) = self._spectral(self._e[None])
         U = self._U(C.T)
         if np.trace(np.eye(self.dim) - U.sum(axis=0)) < 0.5:
             return True, None
@@ -551,13 +573,11 @@ class _JordanSpace(ConeSpace):
         return _orthonormal_span(Ls) + _orthonormal_span(brackets)
 
     def _complementary_pairs(self, samples, rng):
-        """Orthogonal frame elements of sampled random frames."""
-        pairs = []
-        for _ in range(samples):
-            _, C = self._spectral(rng.standard_normal(self.dim))
-            pairs += [(C[:, i], C[:, j])
-                      for i, j in itertools.permutations(range(C.shape[1]), 2)]
-        return pairs
+        """Orthogonal frame elements of sampled random frames, from one
+        _spectral of the (samples, dim) stack."""
+        _, frames = self._spectral(rng.standard_normal((samples, self.dim)))
+        return [(C[:, i], C[:, j]) for C in frames
+                for i, j in itertools.permutations(range(frames.shape[2]), 2)]
 
     def _spec_lines(self):
         return ["%s = %d" % (self._size_key, self.param)]
@@ -578,12 +598,20 @@ class _Orthant(_JordanSpace):
     def _eigvals(self, x):
         return x
 
-    def _spectral(self, x):
-        return x, self._frame
+    def _spectral(self, X):
+        """The rows of X are their eigenvalues, over the coordinate frame
+        broadcast to (f, n, n)."""
+        return X, np.broadcast_to(self._frame, (len(X),) + self._frame.shape)
 
     def _project(self, x):
         # sum lam_i^+ c_i over the coordinate frame, without the d x d product
         return np.maximum(x, 0.0)
+
+    def _jordan_parts(self, x):
+        return np.maximum(x, 0.0), np.maximum(-x, 0.0)
+
+
+_PLUS_MINUS = np.array([1.0, -1.0])
 
 
 class _Lorentz(_JordanSpace):
@@ -605,16 +633,17 @@ class _Lorentz(_JordanSpace):
         nz = np.linalg.norm(x[1:])
         return np.array([x[0] + nz, x[0] - nz])
 
-    def _spectral(self, x):
-        nz = np.linalg.norm(x[1:])
-        C = np.zeros((self.dim, 2))
-        C[0] = 0.5
-        if nz > 0.0:
-            C[1:, 0] = x[1:] / (2.0 * nz)
-        else:
-            C[1, 0] = 0.5
-        C[1:, 1] = -C[1:, 0]
-        return np.array([x[0] + nz, x[0] - nz]), C
+    def _spectral(self, X):
+        """Eigenvalues t +- |z| (f, 2) and frames (f, n, 2); a row with
+        z = 0 takes e_1 for z/|z|."""
+        Z = X[:, 1:]
+        nz = np.sqrt(np.vecdot(Z, Z))
+        C = np.zeros((len(X), self.dim, 2))
+        C[:, 0] = 0.5
+        C[:, 1, 0] = 0.5  # overwritten below unless z = 0
+        np.divide(Z, 2.0 * nz[:, None], out=C[:, 1:, 0], where=nz[:, None] > 0.0)
+        np.negative(C[:, 1:, 0], out=C[:, 1:, 1])
+        return X[:, :1] + nz[:, None] * _PLUS_MINUS, C
 
 
 def _symmetric_units(k):
@@ -672,10 +701,13 @@ class _MatrixSpace(_JordanSpace):
     def _eigvals(self, x):
         return np.linalg.eigvalsh(self._unvec(x))
 
-    def _spectral(self, x):
-        w, V = np.linalg.eigh(self._unvec(x))
-        outer = V[:, None, :] * V.conj()[None, :, :]
-        return w, (self._T.conj().T @ outer.reshape(self._k ** 2, -1)).real
+    def _spectral(self, X):
+        """One batched eigh of the (f, k, k) matrices: eigenvalues (f, k),
+        and as frames (f, dim, k) the vectorised eigenprojections v v^H."""
+        k = self._k
+        w, V = np.linalg.eigh((X @ self._T.T).reshape(-1, k, k))
+        outer = V[:, :, None, :] * V.conj()[:, None, :, :]
+        return w, (self._T.conj().T @ outer.reshape(-1, k * k, k)).real
 
     def _selfadjoint_units(self):
         # 2 L(S) is X -> S X + X S for the matrix unit S
@@ -718,6 +750,10 @@ class _Polyhedral(ConeSpace):
             raise ValueError("Jordan decomposition needs a self-dual cone")
         coeff, _ = nnls(self._rays, x)
         return self._rays @ coeff
+
+    def _jordan_parts(self, x):
+        # Moreau: x_minus is the projection of -x, as the polar cone is -K
+        return self._project(x), self._project(-x)
 
     def _unit_norm(self, x, u):
         return self._norm_by_bisection(x, self._e if u is None else u)

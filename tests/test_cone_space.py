@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,14 @@ from hypothesis.extra.numpy import arrays
 from eudoxus.cone_space import (
     ConeSpace,
     Membership,
+    _face_band,
     _rank_split,
     herm_to_vec,
     sym_to_vec,
     vec_to_herm,
     vec_to_sym,
 )
+from eudoxus.face_lattice import minimal_decomposition
 
 
 def all_kinds():
@@ -279,3 +283,98 @@ def test_rank_split_gives_the_whole_null_space(A, rank):
     Q = np.vstack([row, null])
     assert np.allclose(Q @ Q.T, np.eye(3), rtol=0, atol=1e-12)
     assert np.allclose(A @ null.T, 0.0, rtol=0, atol=1e-12)
+
+
+def _repeated_rows(sp, rng):
+    """Points with repeated eigenvalues over random frames (lorentz: z = 0),
+    and the zero point."""
+    _, frames = sp._spectral(rng.standard_normal((3, sp.dim)))
+    r = frames.shape[2]
+    spectra = [np.resize([1.0, 1.0, -2.0], r), np.full(r, -3.0), np.zeros(r)]
+    return np.array([C @ w for C, w in zip(frames, spectra)])
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(5), ConeSpace.lorentz(2), ConeSpace.lorentz(6),
+                                ConeSpace.psd_real(4), ConeSpace.hermitian(3)], ids=repr)
+def test_stacked_spectral_matches_the_rows(sp):
+    # frames of repeated eigenvalues are not unique: compare what does not
+    # depend on them, the reconstruction, the projection and the sum of the
+    # frame elements at each eigenvalue
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.standard_normal((6, sp.dim)), _repeated_rows(sp, rng)])
+    w, C = sp._spectral(X)
+    r = w.shape[1]
+    assert C.shape == (len(X), sp.dim, r)
+    assert sp._spectral(X[:0])[1].shape == (0, sp.dim, r)
+    for x, wi, Ci in zip(X, w, C):
+        (w0,), (C0,) = sp._spectral(x[None])
+        assert np.allclose(np.sort(wi), np.sort(sp._eigvals(x)), rtol=0, atol=1e-12)
+        assert np.allclose(Ci @ wi, x, rtol=0, atol=1e-12)
+        assert np.allclose(Ci @ np.maximum(wi, 0.0), C0 @ np.maximum(w0, 0.0), rtol=0, atol=1e-12)
+        for lam in wi:
+            assert np.allclose(Ci @ (np.abs(wi - lam) <= 1e-8), C0 @ (np.abs(w0 - lam) <= 1e-8),
+                               rtol=0, atol=1e-12)
+        # a Jordan frame: orthogonal idempotents summing to the unit
+        products = np.array([[sp.L(a) @ b for b in Ci.T] for a in Ci.T])
+        assert np.allclose(products, np.eye(r)[:, :, None] * Ci.T[:, None, :], rtol=0, atol=1e-12)
+        assert np.allclose(Ci.sum(axis=1), sp.canonical_unit(), rtol=0, atol=1e-12)
+    # the support idempotents of a stack of cone points, against each row's
+    P = np.array([sp._project(x) for x in X])
+    for p, c in zip(P, sp._supports(P)):
+        assert np.allclose(c, sp._supports(p[None])[0], rtol=0, atol=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _self_dual_cone(kind, n, seed):
+    if kind == "rotated":
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        return ConeSpace.polyhedral(list(q.T))
+    if kind == "ngon":
+        r = np.cos(np.pi / n) ** -0.5
+        return ConeSpace.polyhedral([[1.0, r * np.cos(2 * np.pi * i / n), r * np.sin(2 * np.pi * i / n)]
+                                     for i in range(n)])
+    return getattr(ConeSpace, kind)(n)
+
+
+# all five kinds, up to the benchmark's largest query sizes
+self_dual_cones = st.one_of(
+    st.tuples(st.just("orthant"), st.integers(1, 64), st.just(0)),
+    st.tuples(st.just("lorentz"), st.integers(2, 64), st.just(0)),
+    st.tuples(st.sampled_from(["psd_real", "hermitian"]), st.integers(1, 8), st.just(0)),
+    st.tuples(st.just("rotated"), st.integers(2, 8), st.integers(0, 20)),
+    # odd n: for even n the cone is isometric to its dual, not equal to it
+    st.tuples(st.just("ngon"), st.integers(1, 7).map(lambda i: 2 * i + 1), st.just(0)),
+).map(lambda args: _self_dual_cone(*args))
+
+
+@given(sp=self_dual_cones, seed=st.integers(0, 2**16),
+       scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9]),
+       shape=st.sampled_from(["gaussian", "inside", "repeated"]))
+@settings(max_examples=200)
+def test_jordan_moreau_decomposition_at_generic_sizes(sp, seed, scale, shape):
+    """x = x+ - x-: both parts in the cone, orthogonal within the face band,
+    project idempotent, x+ the sum of its minimal decomposition, and
+    |x|_u <= max(|x+|_u, |x-|_u) at an interior u other than the unit."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(sp.dim)
+    if shape == "inside":
+        x = sp.sample_interior_point(rng)
+    elif shape == "repeated" and sp.generators is not None:
+        x = sp.generators @ rng.integers(-1, 2, sp.generators.shape[1])
+    elif shape == "repeated":
+        x = _repeated_rows(sp, rng)[rng.integers(3)]
+    x = scale * x
+    xp, xm = sp.jordan_decompose(x)
+    band = _face_band(x)
+    assert np.allclose(xp - xm, x, rtol=0, atol=band)
+    assert sp.contains(xp) and sp.contains(xm)
+    assert abs(np.dot(xp, xm)) <= band * max(1.0, np.linalg.norm(x))
+    assert np.linalg.norm(sp.project(xp) - xp) <= band
+    # each dropped eigenvalue is at most the band, on orthogonal frame
+    # elements of norm at most 1
+    parts = minimal_decomposition(sp, xp)
+    assert np.linalg.norm(sum(c * a for c, a in parts) - xp) <= np.sqrt(sp.dim) * band
+    # -x- <= x <= x+, so the order-unit norm of x is at most the larger part's
+    u = sp.sample_interior_point(rng)
+    norms = [sp.order_unit_norm(v, u) for v in (x, xp, xm)]
+    assert norms[0] <= max(norms[1:]) * (1 + 1e-6) + band

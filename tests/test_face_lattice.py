@@ -427,16 +427,17 @@ def test_near_orthogonal_rays_outside_the_band_agree_with_every_subset(n, eps, s
                                 ConeSpace.hermitian(3)], ids=repr)
 @pytest.mark.parametrize("budget", [0, 1, 25])
 def test_one_spectral_decomposition_per_sampled_face(monkeypatch, sp, budget):
-    # each Gaussian's decomposition gives both its projection and its face
+    # one stacked decomposition of the Gaussians gives both their
+    # projections and their faces
     calls = []
     spectral = sp._spectral
 
-    def counting(x):
-        calls.append(x)
-        return spectral(x)
+    def counting(X):
+        calls.append(X.shape)
+        return spectral(X)
     monkeypatch.setattr(sp, "_spectral", counting)
     assert is_facially_homogeneous(sp, budget, np.random.default_rng(1))
-    assert len(calls) == budget
+    assert calls == [(budget, sp.dim)]
 
 
 def test_only_the_refuting_face_is_built(monkeypatch):
