@@ -40,6 +40,7 @@ import math
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.optimize import linprog, nnls
 from scipy.spatial import ConvexHull
 
@@ -851,16 +852,22 @@ class _Polyhedral(ConeSpace):
         return 0.5 * np.tensordot(lams, np.eye(self.dim) + P - Pp, axes=1)
 
     def _derivation_mats(self, selfadjoint=False):
-        """derivation_basis's R diag(lam) R^+; selfadjoint adds rows for the antisymmetric
-        parts of the r_i s_i^T, scaled as R^+ may be large, and sums the symmetric parts."""
-        R, Rp = self._rays, np.linalg.pinv(self._rays)
-        K = np.einsum("ai,ib->iab", R, Rp)  # the r_i s_i^T
-        A = np.einsum("ai,ij->aji", R, np.eye(len(K)) - Rp @ R).reshape(-1, len(K))
+        """derivation_basis's B diag(mu) B^-1 over a basis B of extreme rays
+        (pivoted QR), mu constant on each component of the rays' matroid
+        (Oxley, Matroid Theory, 2nd ed., ch. 4): two basis rays share a
+        multiplier when one fundamental circuit, the support of a column of
+        B^-1 R, holds both.  The component indicators span the null space of
+        the Laplacian of that 0/1 graph.  selfadjoint also joins the circuits
+        of rays that are not orthogonal, whose multipliers a symmetric M must
+        equal, and takes the symmetric parts."""
+        R = self._rays
+        B = R[:, qr(R, mode="r", pivoting=True)[1][:self.dim]]
+        S = np.abs(np.linalg.solve(B, R)) > TOL  # the fundamental circuits
         if selfadjoint:
-            B = (K - K.mT).reshape(len(K), -1).T
-            A = np.vstack([A, B / max(1.0, np.max(np.abs(B)))])
-            K = (K + K.mT) / 2
-        return _orthonormal_span(list(np.tensordot(_rank_split(A)[1], K, axes=1)))
+            S = S @ (np.abs(R.T @ R) > TOL)
+        A = S @ S.T
+        M = B @ (_rank_split(np.diag(A.sum(axis=1)) - A)[1][:, :, None] * np.linalg.inv(B))
+        return _orthonormal_span(list((M + M.mT) / 2 if selfadjoint else M))
 
     def _complementary_pairs(self, samples, rng):
         """Extreme-ray / dual-generator pairs with zero pairing."""

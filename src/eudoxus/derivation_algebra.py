@@ -112,8 +112,10 @@ def derivation_basis(space):
     rotations for lorentz; X -> L X + X L^T for L in M_k(R) for
     psd_real(k); X -> L X + X L^* for complex L for hermitian(k) (the
     anti-Hermitian scalar acts trivially, so the count is 2k^2 - 1).
-    polyhedral: R diag(lam) R^+ over the unit extreme rays R (exp(tM) fixes
-    each ray), for the lam with R diag(lam) (I - R^+ R) = 0.
+    polyhedral: exp(tM) fixes each unit extreme ray, so M = B diag(mu) B^-1
+    over a basis B of the rays, mu constant on each component of the rays'
+    matroid (two basis rays share a fundamental circuit); one element per
+    component.
     Cached per cone, so fresh spaces of one kind and size share it.
     """
     basis = _derivation_frame(space)[1]
@@ -201,8 +203,9 @@ def selfadjoint_derivations(space):
 
     Jordan kinds: L(e_i) for the orthant and lorentz, 2 L(S) = (X -> S X
     + X S) over the symmetric or Hermitian matrix units S for the matrix
-    kinds; polyhedral: the symmetric R diag(lam) R^+ of derivation_basis,
-    lam also killing the antisymmetric parts of the r_i s_i^T.
+    kinds; polyhedral: the B diag(mu) B^-1 of derivation_basis with the
+    components of rays that are not orthogonal joined, which makes them
+    symmetric.
     """
     return [Derivation(space, m) for m in space._derivation_mats(selfadjoint=True)]
 

@@ -330,16 +330,7 @@ def compose(r, s, max_den=10**6):
     # only the decision is used: no search for an expelled witness
     if np.linalg.norm(prod - prod.T) <= 1e-8 * scale and is_derivation(r.host, prod, sample_budget=0):
         return _ratio_from_verified(r.host, Derivation(r.host, prod), max_den)
-    return JordanOnly(_jordan_product(dr, ds))
-
-
-def jordan_compose(r, s):
-    """The symmetrized product (dr ds + ds dr) / 2, always defined."""
-    return _jordan_product(to_derivation(r), to_derivation(s))
-
-
-def _jordan_product(dr, ds):
-    return Derivation(dr.host, 0.5 * (dr.mat @ ds.mat + ds.mat @ dr.mat))
+    return JordanOnly(Derivation(r.host, 0.5 * (prod + ds.mat @ dr.mat)))
 
 
 def add(r, s, max_den=10**6):

@@ -20,12 +20,15 @@ from eudoxus.cone_space import (
     TOL,
     ConeSpace,
     _is_pointed,
+    _orthonormal_span,
+    _rank_split,
     _symmetric_units,
     _unit_columns,
     polyhedral_dual_generators,
 )
 from eudoxus.derivation_algebra import (
     derivation_basis,
+    is_derivation,
     orientability,
     selfadjoint_derivations,
     tangency_dimension_oracle,
@@ -290,6 +293,22 @@ def kron_derivation_mats(space, selfadjoint=False):
     return [(S @ c).reshape(d, d) for c in vt[np.sum(s > 1e-8 * max(s[0], 1.0)):]]
 
 
+def ray_multiplier_derivation_mats(space, selfadjoint=False):
+    """Reference, the polyhedral Der before the rays' matroid: R diag(lam) R^+
+    over the unit extreme rays R for the lam with R diag(lam) (I - R^+ R) = 0,
+    as the null space of that (dim m) x m system by one thin SVD;
+    selfadjoint adds rows for the antisymmetric parts of the r_i s_i^T, s_i
+    the rows of R^+, scaled as R^+ may be large, and sums the symmetric parts."""
+    R, Rp = space._rays, np.linalg.pinv(space._rays)
+    K = np.einsum("ai,ib->iab", R, Rp)  # the r_i s_i^T
+    A = np.einsum("ai,ij->aji", R, np.eye(len(K)) - Rp @ R).reshape(-1, len(K))
+    if selfadjoint:
+        B = (K - K.mT).reshape(len(K), -1).T
+        A = np.vstack([A, B / max(1.0, np.max(np.abs(B)))])
+        K = (K + K.mT) / 2
+    return _orthonormal_span(list(np.tensordot(_rank_split(A)[1], K, axes=1)))
+
+
 def _assert_same_span(got, want):
     # equal counts, projectors onto the spans within 1e-9 (Frobenius)
     assert len(got) == len(want)
@@ -306,12 +325,18 @@ def _bases(sp):
     return [b.mat for b in derivation_basis(sp)], [b.mat for b in sym]
 
 
+def _assert_both_references(sp):
+    full, sym = _bases(sp)
+    for reference in (kron_derivation_mats, ray_multiplier_derivation_mats):
+        _assert_same_span(full, reference(sp))
+        _assert_same_span(sym, reference(sp, selfadjoint=True))
+    return full, sym
+
+
 @given(sp=polyhedral_cones())
 @settings(max_examples=60)
 def test_ray_multipliers_span_the_kronecker_derivations(sp):
-    full, sym = _bases(sp)
-    _assert_same_span(full, kron_derivation_mats(sp))
-    _assert_same_span(sym, kron_derivation_mats(sp, selfadjoint=True))
+    full, sym = _assert_both_references(sp)
     assert len(full) == tangency_dimension_oracle(sp)
     assert len(sym) == tangency_dimension_oracle(sp, symmetric_only=True)
 
@@ -320,22 +345,63 @@ def test_ray_multipliers_span_the_kronecker_derivations(sp):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_near_orthants_off_the_rank_margin_agree_with_the_kronecker_system(n, eps):
     # every generator of a rotated orthant moved by eps-sized noise; from
-    # about 1e-9 to 1e-7 the two systems' rank cuts may count self-adjoint
-    # derivations differently, at 1e-6 and 1e-10 they agree
+    # about 3e-10 to 3e-8 the rays' inner products and circuit coefficients
+    # sit near TOL, where the references' rank cuts count derivations
+    # differently (of 200 bases, up to 96 at 3e-9); at 1e-6 and 1e-10 all agree
     for seed in range(4):
+        _assert_both_references(_tilted_orthant(n, eps, seed))
+
+
+@pytest.mark.parametrize("eps", [3e-9, 1e-8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_selfadjoint_basis_of_near_orthants_is_verified(n, eps):
+    # the rays' inner products, about eps, lie above TOL, so each
+    # self-adjoint basis element is symmetric and keeps every ray an
+    # eigenvector: is_derivation, deciding within DER_TOL, must not refute it
+    for seed in range(20):
         sp = _tilted_orthant(n, eps, seed)
-        full, sym = _bases(sp)
-        _assert_same_span(full, kron_derivation_mats(sp))
-        _assert_same_span(sym, kron_derivation_mats(sp, selfadjoint=True))
+        for b in selfadjoint_derivations(sp):
+            assert is_derivation(sp, b.mat, sample_budget=0).status == "Verified"
 
 
-@pytest.mark.parametrize("h", [1e-2, 1e-4, 1e-6])
-@pytest.mark.parametrize("n", [3, 4, 7, 12])
-def test_wide_ngons_agree_with_the_kronecker_system(n, h):
-    # R^+ grows like 1/h; unscaled, the antisymmetric rows would lift the
-    # rank cut above the dependency rows (the 4-gon at 1e-6 would count
-    # two self-adjoint derivations in a one-dimensional Der)
-    sp = _cone(_ngon(n, h))
-    full, sym = _bases(sp)
-    _assert_same_span(full, kron_derivation_mats(sp))
-    _assert_same_span(sym, kron_derivation_mats(sp, selfadjoint=True))
+# (generators, (full, self-adjoint) counts or None); block_diag gives the
+# direct sum of cones in the orthogonal sum of their spaces
+SPAN_CASES = ([pytest.param(_ngon(n, h), None, id="%d-%g" % (n, h))
+               for n in (3, 4, 7, 12) for h in (1e-2, 1e-4, 1e-6)]
+              + [pytest.param(scipy.linalg.block_diag(_ngon(4), _ngon(5)), (2, 2),
+                              id="4-gon+5-gon"),
+                 pytest.param(scipy.linalg.block_diag(_ngon(5), [[1.0]]), (2, 2),
+                              id="5-gon+ray"),
+                 pytest.param(scipy.linalg.block_diag(_rotated_orthant(3, 1) @ _ngon(3),
+                                                      _ngon(4), [[1.0]]),
+                              (5, 5), id="rotated 3-gon+4-gon+ray")])
+
+
+@pytest.mark.parametrize("G, counts", SPAN_CASES)
+def test_wide_ngons_agree_with_the_kronecker_system(G, counts):
+    # the wide n-gons: R^+ grows like 1/h, where the ray-multiplier
+    # reference must scale its antisymmetric rows (unscaled, the 4-gon at
+    # 1e-6 would count two self-adjoint derivations in a one-dimensional
+    # Der); the direct sums: one multiplier per summand's components
+    full, sym = _assert_both_references(_cone(G))
+    assert counts is None or (len(full), len(sym)) == counts
+
+
+def test_polyhedral_derivations_need_no_pinv_and_no_ray_sized_svd(monkeypatch):
+    # the 400-gon's Der comes from a 3 x 3 Laplacian on a basis of rays:
+    # no pseudo-inverse and no system with a row or column per ray
+    sp = _cone(_ngon(400))
+    pinv_calls, svd_shapes = [], []
+
+    def counting(calls, fn):
+        def wrapper(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
+    for owner in (np.linalg, scipy.linalg):
+        monkeypatch.setattr(owner, "pinv", counting(pinv_calls, owner.pinv))
+        monkeypatch.setattr(owner, "svd", counting(svd_shapes, owner.svd))
+    full, sym = sp._derivation_mats(), sp._derivation_mats(selfadjoint=True)
+    assert (len(full), len(sym)) == (1, 1)
+    assert pinv_calls == []
+    assert svd_shapes and all(400 not in shape for shape in svd_shapes)
