@@ -5,7 +5,7 @@ line per generator for polyhedral cones, # comments).  Reports carry
 human-readable sections plus machine lines `CHECK <name> PASS|FAIL|
 UNKNOWN <detail>`, sorted by name so parallel evaluation can never
 change the output.  Exit codes: 0 all pass, 1 any failure, 2 usage or
-parse error.
+parse error, or out of memory.
 """
 
 import argparse
@@ -359,6 +359,9 @@ def main(argv=None):
             cmd_suite(args, report)
     except (SpecError, OSError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return 2
+    except MemoryError as exc:
+        sys.stderr.write("error: out of memory (%s)\n" % (str(exc) or "no detail"))
         return 2
     text = report.render()
     if args.out:

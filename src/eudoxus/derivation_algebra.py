@@ -210,15 +210,16 @@ def selfadjoint_derivations(space):
     return [Derivation(space, m) for m in space._derivation_mats(selfadjoint=True)]
 
 
-def _structure_table(mats, Q):
-    """ads (n, r, n), ads[i][:, j] the coordinates of [B_i, B_j] over the
-    orthonormal rows of Q (r, dim^2) spanning mats (n, dim, dim), and the
-    largest distance of such a commutator from the span; one basis
-    element at a time, so no step holds more than n dim^2 entries."""
+def _structure_table(left, mats, Q):
+    """ads (k, r, n), ads[i][:, j] the coordinates of [L_i, B_j] over the
+    orthonormal rows of Q (r, dim^2) spanning mats (n, dim, dim), for the
+    operators left (k, dim, dim), and the largest distance of such a
+    commutator from the span; one L_i at a time, so no step holds more
+    than n dim^2 entries."""
     n = len(mats)
-    ads = np.empty((n, len(Q), n))
+    ads = np.empty((len(left), len(Q), n))
     worst = 0.0
-    for i, B in enumerate(mats):
+    for i, B in enumerate(left):
         C = (B @ mats - mats @ B).reshape(n, -1)
         coords = C @ Q.T
         ads[i] = coords.T
@@ -234,104 +235,99 @@ def _span_frame(basis):
 def lie_closure_residual(basis):
     """Largest distance of a commutator of two basis elements from the
     span of the basis: zero when the span is a Lie algebra."""
-    return _structure_table(*_span_frame(basis))[1]
+    mats, Q = _span_frame(basis)
+    return _structure_table(mats, mats, Q)[1]
 
 
 def _centre_split(mats, Q):
-    """(centre, K, ads): the structure constants split by one thin SVD of
-    their stack (n r x n) into the centre, the combinations c with
-    sum_j c_j [B_i, B_j] = 0 for every i (null rows), and its orthonormal
-    complement K (row space)."""
-    ads, res = _structure_table(mats, Q)
+    """(centre, K, ads, xy): the centre of span(mats) and its orthonormal
+    complement K, as combinations of mats, from the adjoint maps ads
+    (2, r, n) of two fixed-seed generic combinations xy (2, n) of mats.
+    The centraliser C of x and y, the null space of [ad_x; ad_y], holds
+    the centre, which is the part of C whose brackets with every B_j
+    vanish (a k x r x n table, k = dim C); K is the row space of
+    [ad_x; ad_y] together with the rest of C.  A span not closed under
+    commutator is caught in the brackets with x, which are generic."""
+    xy = np.random.default_rng(13).standard_normal((2, len(mats)))
+    ads, res = _structure_table(np.tensordot(xy, mats, axes=1), mats, Q)
     if res > 1e-9:
         raise ValueError("basis not closed under commutator (residual %.3g)" % res)
-    K, centre = _rank_split(ads.reshape(-1, len(mats)))
-    return centre, K, ads
+    K, C = _rank_split(ads.reshape(-1, len(mats)))
+    Z = _structure_table(np.tensordot(C, mats, axes=1), mats, Q)[0]
+    # the row length is spelt out, as C may be empty
+    rest, null = _rank_split(Z.reshape(len(C), ads[0].size).T)
+    return null @ C, np.vstack([K, rest @ C]), ads, xy
 
 
 def lie_center(basis):
     """Elements of span(basis) commuting with the whole basis, read from
-    the structure constants over an orthonormal basis of the span.  A
-    basis whose span is not closed under commutator raises ValueError."""
+    the brackets over an orthonormal basis of the span (_centre_split).
+    A basis whose span is not closed under commutator raises ValueError."""
     mats, Q = _span_frame(basis)
     return [Derivation(basis[0].host, np.tensordot(c, mats, axes=1))
             for c in _centre_split(mats, Q)[0]]
 
 
-def _quotient_action(space):
-    """The centre of Der(cone) and its complement K, as coefficients over
-    the cached orthonormal Der frame, and the adjoint action of the frame
-    on Der/centre, K ad_i K^T, shape (n, q, q)."""
-    Q = _derivation_frame(space)[0]
-    centre, K, ads = _centre_split(Q.reshape(len(Q), space.dim, space.dim), Q)
-    return centre, K, K @ ads @ K.T
-
-
-def _centroid(K, ads):
+def _centroid(ad_x, ad_y, y):
     """(basis, rank): an orthonormal basis (Frobenius) of the centroid of
-    the quotient, the q x q matrices commuting with every ad_i, and the
-    rank of the words W_y of a fixed-seed generic element y of the
-    quotient; basis is None when that rank is below q.
+    a Lie algebra of dimension q generated by x and y, the q x q matrices
+    commuting with ad_x and ad_y, and the rank of the words of y in ad_x
+    and ad_y; basis is None when that rank is below q.
 
-    A centroid element T commutes with ad_y, and [y, y] = 0, so v = T y
-    lies in H = ker ad_y, a Cartan subalgebra when y is regular; T W_y = W_v
-    for the words W = (y, ad_a y, ad_b ad_a y) over the quotient basis
-    (ad_a = sum_i K_ai ad_i).  When W_y has rank q, T = W_v W_y^+, so the
-    candidates T_h over a basis of H span a space that holds the
-    centroid.  The centroid is the null space of T ad_a = ad_a T over an
-    orthonormal basis of that space, folded one ad_a at a time into an
-    r x r triangular factor, whose singular values are those of the
-    stacked system.  No array has more than q (q^2 + q + 1) entries."""
-    q = len(K)
-    A = np.tensordot(K, ads, axes=1)
-
-    def words(v):
-        # rows v, ad_a v and ad_b ad_a v: W_v^T, shape (q^2 + q + 1, q)
-        Av = A @ v
-        return np.vstack([v, Av, (Av @ A.mT).reshape(-1, q)])
-
-    y = np.random.default_rng(13).standard_normal(q)
-    u, s, vt = np.linalg.svd(words(y), full_matrices=False)
-    rank = int(np.sum(s > 1e-8 * max(s[0], 1.0)))
-    if rank < q:
-        return None, rank
-    # Z = W_y^+, so that T_h = W_h W_y^+ = words(h)^T @ Z
-    Z = (u / s) @ vt
-    H = _rank_split(np.tensordot(y, A, axes=1))[1]
-    cands = np.array([(words(h).T @ Z).reshape(-1) for h in H])
-    # an orthonormal basis of a space holding every candidate
-    C = np.linalg.svd(cands, full_matrices=False)[2].reshape(-1, q, q)
-    R = np.empty((0, len(C)))
-    for ad in A:
-        S = (C @ ad - ad @ C).reshape(len(C), -1).T
-        R = np.linalg.qr(np.vstack([R, S]), mode="r")
-    null = _rank_split(R)[1]
-    return list(np.tensordot(null, C, axes=1)), rank
+    The words are iterated brackets of x and y, so rank q proves that x
+    and y generate the algebra; as ad is a Lie homomorphism, commuting
+    with ad_x and ad_y is then commuting with every ad_a.  A centroid
+    element T commutes with ad_y, and [y, y] = 0, so h = T y lies in
+    H = ker ad_y, and T maps each word of y to the same word of h.  The
+    words are built a level at a time, each level the images of the last
+    under ad_x and ad_y made orthonormal against the words so far by one
+    SVD; the same combinations of the words of each basis element h of H
+    are carried along (W_h).  At rank q the words W_y are orthogonal, so
+    the candidates T_h = W_h W_y^T span a space that holds the centroid,
+    and the centroid is the null space of their commutators with ad_x
+    and ad_y.  No array has more than 2 (dim H + 1) q^2 entries."""
+    q = len(y)
+    A = np.array([ad_x, ad_y])
+    # row 0 holds the words of y, row 1 + i those of the basis element h_i of H
+    W = S = np.concatenate([y[None], _rank_split(ad_y)[1]])[:, None] / np.linalg.norm(y)
+    while len(S[0]) and W.shape[1] < q:
+        S = (S[:, None] @ A.mT).reshape(len(W), -1, q)
+        S = S - (S[0] @ W[0].T) @ W
+        u, s, _ = np.linalg.svd(S[0], full_matrices=False)
+        keep = s > 1e-8 * max(s[0], 1.0)
+        S = (u[:, keep].T / s[keep, None]) @ S
+        W = np.concatenate([W, S], axis=1)
+    if W.shape[1] < q:
+        return None, W.shape[1]
+    # T_h y = h, so the candidates are independent: a QR basis needs no cut
+    C = np.linalg.qr((W[1:].mT @ W[0]).reshape(len(W) - 1, -1).T)[0].T.reshape(-1, q, q)
+    comm = np.concatenate([C @ a - a @ C for a in A], axis=1).reshape(len(C), -1)
+    return list(np.tensordot(_rank_split(comm.T)[1], C, axes=1)), q
 
 
 def orientability(space):
     """Connes dichotomy for the quotient of Der(cone) by its center.
 
-    The quotient, its orthonormal basis K over the Der frame and the
-    adjoint maps ad_i come from the structure constants of the cached
-    orthonormal Der frame (_quotient_action).  Odd quotient dimension
-    refutes immediately; otherwise the centroid of the quotient, the
-    q x q matrices commuting with every ad_i, is searched for a complex
-    structure J, J^2 = -I.  The centroid is read off one fixed-seed
-    generic element y of the quotient (_centroid): every centroid element
-    is fixed by its value on y, which lies in the Cartan subalgebra
-    ker ad_y, and the commuting conditions are checked against every
-    adjoint map, so any y whose words span the quotient gives the same
-    centroid.  When they span less (y not regular, or the quotient not
-    generated by y), the verdict is Unknown, with their rank and q.
+    The centre of the cached orthonormal Der frame, its orthonormal
+    complement K and the adjoint maps of two fixed-seed generic elements
+    x and y come from _centre_split; the quotient maps are K ad K^T.  Odd
+    quotient dimension refutes immediately; otherwise the centroid of
+    the quotient, the q x q matrices commuting with every adjoint map, is
+    searched for a complex structure J, J^2 = -I.  The centroid is read
+    off x and y alone (_centroid): when the words of y in ad_x and ad_y
+    span the quotient, x and y generate it, and the centroid is the
+    commutant of their two maps.  When they span less (y not regular, or
+    the quotient not generated by x and y), the verdict is Unknown, with
+    their rank and q.
     """
-    _, K, ads = _quotient_action(space)
+    Q = _derivation_frame(space)[0]
+    _, K, ads, xy = _centre_split(Q.reshape(len(Q), space.dim, space.dim), Q)
     q = len(K)
     if q == 0:
         return Verdict("Orientable", "commutative degenerate case (quotient dimension 0)")
     if q % 2 == 1:
         return Verdict("NotOrientable", "odd dimension %d" % q)
-    cent, rank = _centroid(K, ads)
+    cent, rank = _centroid(*(K @ ads @ K.T), K @ xy[1])
     if cent is None:
         return Verdict("Unknown", "words of a generic element have rank %d, quotient dimension %d"
                        % (rank, q))

@@ -27,10 +27,11 @@ from eudoxus.cone_space import (
 from eudoxus.derivation_algebra import (
     Derivation,
     SpectralFaceFamily,
+    _centre_split,
     _centroid,
     _complex_structure,
+    _derivation_frame,
     _derivation_residuals,
-    _quotient_action,
     _structure_table,
     derivation_basis,
     is_derivation,
@@ -120,6 +121,35 @@ def test_lie_closure():
 def test_orthant_algebra_is_abelian():
     basis = derivation_basis(ConeSpace.orthant(3))
     assert len(lie_center(basis)) == len(basis)
+
+
+def _units(sp, *pairs):
+    """The matrix units E_ij (1-based) as Derivations of sp."""
+    units = []
+    for i, j in pairs:
+        E = np.zeros((sp.dim, sp.dim))
+        E[i - 1, j - 1] = 1.0
+        units.append(Derivation(sp, E))
+    return units
+
+
+def test_lie_center_of_the_heisenberg_algebra_is_its_exact_centre():
+    # h_5: [E12, E24] = [E13, E34] = E14, all other brackets 0.  The
+    # centraliser of two generic elements x, y is span{x, y, E14}, so the
+    # centre is only found by restricting it to what commutes with everything
+    basis = _units(ConeSpace.orthant(4), (1, 2), (1, 3), (2, 4), (3, 4), (1, 4))
+    mats = np.array([b.mat for b in basis])
+    ads = _centre_split(mats, mats.reshape(5, -1))[2]
+    assert len(_rank_split(ads.reshape(-1, 5))[1]) == 3
+    (c,) = lie_center(basis)
+    E14 = basis[-1].mat
+    assert np.linalg.norm(c.mat - np.sum(c.mat * E14) * E14) < 1e-12 * np.linalg.norm(c.mat)
+
+
+def test_lie_center_of_a_basis_not_closed_under_commutator_raises():
+    # [E12, E23] = E13 lies outside span{E12, E23}
+    with pytest.raises(ValueError, match="not closed under commutator"):
+        lie_center(_units(ConeSpace.orthant(3), (1, 2), (2, 3)))
 
 
 def test_orientability_table():
@@ -813,8 +843,8 @@ def test_from_derivation_outside_der_skips_the_witness_search(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the Lie centre and the centroid, against the commutator-loop and
-# stacked-Kronecker references
+# the Lie centre and the centroid, against the commutator-loop,
+# stacked-Kronecker and all-maps references
 
 def loop_center_and_adjoint(basis, K):
     """Reference: the (n d^2) x n commutator table whose null space is the
@@ -890,6 +920,73 @@ def kron_orientability(sp):
     return "Unknown(centroid of dimension %d not searched exhaustively)" % len(cent)
 
 
+def all_maps_centre_split(mats, Q):
+    """Reference: the centre and its orthonormal complement K by one thin
+    SVD of the whole (n r x n) structure table _structure_table(mats,
+    mats, Q), the brackets of every pair of basis elements, as
+    _centre_split found them before the two generic elements; returns
+    (centre, K, table)."""
+    ads, res = _structure_table(mats, mats, Q)
+    if res > 1e-9:
+        raise ValueError("basis not closed under commutator (residual %.3g)" % res)
+    K, centre = _rank_split(ads.reshape(-1, len(mats)))
+    return centre, K, ads
+
+
+def all_maps_quotient_action(sp):
+    """Reference: the centre and K of the cached Der frame of sp, and the
+    action of every frame element on Der/centre, K ad_i K^T, shape
+    (n, q, q)."""
+    Q = _derivation_frame(sp)[0]
+    centre, K, ads = all_maps_centre_split(Q.reshape(len(Q), sp.dim, sp.dim), Q)
+    return centre, K, K @ ads @ K.T
+
+
+def all_maps_centroid(K, ads):
+    """Reference: (basis, rank), the centroid as orientability found it
+    before the two generic elements.  One fixed-seed generic element y of
+    the quotient (ad_a = sum_i K_ai ad_i); words W = (y, ad_a y, ad_b ad_a
+    y), (q^2 + q + 1) x q; candidates T_h = W_h W_y^+ over a basis of
+    ker ad_y; their commutators with all q maps ad_a folded one map at a
+    time into an r x r triangular factor."""
+    q = len(K)
+    A = np.tensordot(K, ads, axes=1)
+
+    def words(v):
+        Av = A @ v
+        return np.vstack([v, Av, (Av @ A.mT).reshape(-1, q)])
+
+    y = np.random.default_rng(13).standard_normal(q)
+    u, s, vt = np.linalg.svd(words(y), full_matrices=False)
+    rank = int(np.sum(s > 1e-8 * max(s[0], 1.0)))
+    if rank < q:
+        return None, rank
+    Z = (u / s) @ vt
+    H = _rank_split(np.tensordot(y, A, axes=1))[1]
+    cands = np.array([(words(h).T @ Z).reshape(-1) for h in H])
+    C = np.linalg.svd(cands, full_matrices=False)[2].reshape(-1, q, q)
+    R = np.empty((0, len(C)))
+    for ad in A:
+        S = (C @ ad - ad @ C).reshape(len(C), -1).T
+        R = np.linalg.qr(np.vstack([R, S]), mode="r")
+    null = _rank_split(R)[1]
+    return list(np.tensordot(null, C, axes=1)), rank
+
+
+def frame_split(sp):
+    """_centre_split of the cached Der frame of sp: (centre, K, ads, xy),
+    ads the maps of the two generic elements xy over the frame."""
+    Q = _derivation_frame(sp)[0]
+    return _centre_split(Q.reshape(len(Q), sp.dim, sp.dim), Q)
+
+
+def frame_table(sp):
+    """The whole structure table of the cached Der frame of sp, (n, n, n)."""
+    Q = _derivation_frame(sp)[0]
+    mats = Q.reshape(len(Q), sp.dim, sp.dim)
+    return _structure_table(mats, mats, Q)[0]
+
+
 def _span_projector(mats):
     V = np.array([m.reshape(-1) for m in mats])
     return V.T @ np.linalg.pinv(V.T)
@@ -904,7 +1001,9 @@ EVEN_QUOTIENT = [ConeSpace.lorentz(4), ConeSpace.lorentz(5), ConeSpace.psd_real(
                                                 _rotated_orthant(4, 1), _ngon_cone(5)], ids=repr)
 def test_commutator_tables_match_the_loop_reference(sp):
     basis = derivation_basis(sp)
-    center, K, got = _quotient_action(sp)
+    center, K, pair, xy = frame_split(sp)
+    table = frame_table(sp)
+    got = K @ table @ K.T
     A, ads = loop_center_and_adjoint(basis, K)
     # lie_center and the centre rows span the null space of the loop table,
     # as combinations of the basis, and K is their orthonormal complement
@@ -918,16 +1017,25 @@ def test_commutator_tables_match_the_loop_reference(sp):
     assert np.max(np.abs(K @ center.T), initial=0.0) < 1e-12
     assert got.shape == np.shape(ads)
     assert np.max(np.abs(got - np.array(ads)), initial=0.0) < 1e-12
+    # the maps of the two generic elements are their combinations of the table
+    assert np.max(np.abs(pair - np.tensordot(xy, table, axes=1))) < 1e-12
+    # and the centre is the one the whole table gives
+    want_centre, want_K, _ = all_maps_quotient_action(sp)
+    assert len(want_centre) == len(center) and len(want_K) == len(K)
+    assert np.linalg.norm(_span_projector(center) - _span_projector(want_centre)) < 1e-8
 
 
 @pytest.mark.parametrize("sp", EVEN_QUOTIENT + [ConeSpace.hermitian(4), ConeSpace.psd_real(5),
                                                 ConeSpace.lorentz(8)], ids=repr)
 def test_centroid_matches_the_kronecker_reference(sp):
-    _, K, ads = _quotient_action(sp)
+    # every reference is taken in the K of _centre_split, over the whole table
+    _, K, pair, xy = frame_split(sp)
+    table = frame_table(sp)
+    ads = K @ table @ K.T
     assert ads.shape[1] % 2 == 0
-    got, rank = _centroid(K, ads)
+    got, rank = _centroid(*(K @ pair @ K.T), K @ xy[1])
     assert rank == len(K)
-    for want in (kron_centroid(ads), two_stage_centroid(ads)):
+    for want in (kron_centroid(ads), two_stage_centroid(ads), all_maps_centroid(K, ads)[0]):
         assert len(got) == len(want)
         assert np.linalg.norm(_span_projector(got) - _span_projector(want)) < 1e-8
     # orthonormal, and commuting with the whole adjoint action
@@ -945,27 +1053,31 @@ def test_centroid_of_a_reductive_action_matches_the_kronecker_reference():
     # gl(3) = sl(3) + R over an orthonormal basis whose first element is
     # central (ad = 0): the words of y still span, H has dimension 3, and
     # only the identities of the two ideals commute with every ad_a, so a
-    # candidate outside the centroid survives unless each ad_a is folded
+    # candidate outside the centroid survives unless the commutators with
+    # ad_x and ad_y, which generate every ad_a, cut it out
     units = np.eye(9).reshape(9, 3, 3)
     Q = np.linalg.qr(np.vstack([np.eye(3).reshape(1, 9), units.reshape(9, 9)]).T)[0].T
-    ads, residual = _structure_table(Q.reshape(9, 3, 3), Q)
+    ads, residual = _structure_table(Q.reshape(9, 3, 3), Q.reshape(9, 3, 3), Q)
     assert residual < 1e-12 and np.abs(ads[0]).max() < 1e-12
-    got, rank = _centroid(np.eye(9), ads)
+    xy = np.random.default_rng(13).standard_normal((2, 9))
+    got, rank = _centroid(*np.tensordot(xy, ads, axes=1), xy[1])
     want = kron_centroid(ads)
     assert rank == 9 and len(got) == len(want) == 2
     assert np.linalg.norm(_span_projector(got) - _span_projector(want)) < 1e-8
+    reference, _ = all_maps_centroid(np.eye(9), ads)
+    assert np.linalg.norm(_span_projector(got) - _span_projector(reference)) < 1e-8
 
 
 @pytest.mark.parametrize("q", [2, 4])
 def test_centroid_of_an_action_its_element_does_not_generate_is_unknown(monkeypatch, q):
-    # with every ad_i = 0 the words of y are y alone: rank 1 < q, so the
+    # with ad_x = ad_y = 0 the words of y are y alone: rank 1 < q, so the
     # centroid (all q x q matrices, which hold a J) is not claimed either way
     sp = ConeSpace.hermitian(2)
     n = len(derivation_basis(sp))
-    K, ads = np.eye(n)[:q], np.zeros((n, q, q))
-    assert _centroid(K, ads) == (None, 1)
-    monkeypatch.setattr(derivation_algebra, "_quotient_action",
-                        lambda space: (np.eye(n)[q:], K, ads))
+    K, zero = np.eye(n)[:q], np.zeros((q, q))
+    assert _centroid(zero, zero, np.ones(q)) == (None, 1)
+    monkeypatch.setattr(derivation_algebra, "_centre_split",
+                        lambda mats, Q: (np.eye(n)[q:], K, np.zeros((2, n, n)), np.ones((2, n))))
     v = orientability(sp)
     assert v.status == "Unknown"
     assert repr(v) == "Unknown(words of a generic element have rank 1, quotient dimension %d)" % q
@@ -974,7 +1086,8 @@ def test_centroid_of_an_action_its_element_does_not_generate_is_unknown(monkeypa
 def test_orientability_witness_commutes_with_the_adjoint_action():
     sp = ConeSpace.hermitian(3)
     J = orientability(sp).witness
-    ads = _quotient_action(sp)[2]
+    K = frame_split(sp)[1]
+    ads = K @ frame_table(sp) @ K.T
     assert np.linalg.norm(J @ J + np.eye(len(J))) < 1e-7
     assert max(np.linalg.norm(ad @ J - J @ ad) for ad in ads) < 1e-8
 
@@ -1030,9 +1143,9 @@ def _closed_forms():
 
 @pytest.mark.parametrize("sp,centre,q,status", list(_closed_forms()), ids=repr)
 def test_centre_quotient_and_verdict_closed_forms(sp, centre, q, status):
-    got_centre, K, ads = _quotient_action(sp)
+    got_centre, K, ads, xy = frame_split(sp)
     assert (len(got_centre), len(K)) == (centre, q)
-    assert ads.shape == (len(derivation_basis(sp)), q, q)
+    assert (K @ ads @ K.T).shape == (2, q, q)
     assert len(lie_center(derivation_basis(sp))) == centre
     assert orientability(sp).status == status
 
@@ -1068,9 +1181,11 @@ for kind, k in json.loads(sys.argv[1]):
     t = time.perf_counter()
     status = derivation_algebra.orientability(sp).status
     seconds = time.perf_counter() - t
-    _, K, ads = derivation_algebra._quotient_action(sp)
+    Q = derivation_algebra._derivation_frame(sp)[0]
+    _, K, ads, xy = derivation_algebra._centre_split(Q.reshape(len(Q), sp.dim, sp.dim), Q)
+    A, y = K @ ads @ K.T, K @ xy[1]
     tracemalloc.start()
-    derivation_algebra._centroid(K, ads)
+    derivation_algebra._centroid(*A, y)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     out.append([status, seconds, len(K), peak])
@@ -1133,11 +1248,57 @@ def test_analyze_of_large_rotated_orthants_within_time_and_memory(tmp_path):
         assert seconds <= 3.0, (d, seconds)
 
 
+# the analyze command on a Lorentz spec at the given path, under an
+# address-space limit of the given MiB if one is given: exit code,
+# orientability CHECK lines, stderr, seconds and peak RSS in MiB
+ANALYZE_LORENTZ = """
+import contextlib, io
+path, dim, cap = json.loads(sys.argv[1])
+if cap:
+    resource.setrlimit(resource.RLIMIT_AS, (cap << 20, cap << 20))
+from eudoxus import cli
+with open(path, "w") as fh:
+    fh.write("kind = lorentz\\ndim = %d\\n" % dim)
+out, err = io.StringIO(), io.StringIO()
+t = time.perf_counter()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = cli.main(["analyze", path])
+seconds = time.perf_counter() - t
+checks = [line for line in out.getvalue().splitlines() if line.startswith("CHECK orientability")]
+# the high-water mark of this process image: ru_maxrss would count the
+# pages of the forked parent
+with open("/proc/self/status") as fh:
+    rss = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+print(json.dumps([code, checks, err.getvalue(), seconds, rss]))
+"""
+
+
+@pytest.mark.parametrize("dim,max_seconds,max_rss", [(24, 5.0, 400), (32, 30.0, 1000)])
+def test_analyze_of_large_lorentz_cones_within_time_and_memory(tmp_path, dim, max_seconds, max_rss):
+    # so(1, 23) and so(1, 31), q = 276 and 496: 35 s and 1.08 GB, and a
+    # MemoryError traceback, when the centroid folded all q adjoint maps
+    path = str(tmp_path / "lorentz.txt")
+    code, checks, err, seconds, rss = run_limited(ANALYZE_LORENTZ, [path, dim, None])
+    assert code == 0, err
+    assert checks == ["CHECK orientability PASS NotOrientable(no complex structure in centroid)"]
+    assert seconds <= max_seconds, (dim, seconds)
+    assert rss <= max_rss, (dim, rss)
+
+
+def test_analyze_out_of_memory_is_an_error_not_a_traceback(tmp_path):
+    # lorentz(32) needs more than 550 MiB of address space
+    path = str(tmp_path / "lorentz.txt")
+    code, checks, err, _, _ = run_limited(ANALYZE_LORENTZ, [path, 32, 400])
+    assert code == 2 and checks == []
+    assert err.startswith("error: out of memory (") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("sp", [ConeSpace.hermitian(3), ConeSpace.hermitian(4), ConeSpace.lorentz(7)],
                          ids=repr)
 def test_centre_and_quotient_need_no_orth_and_no_tall_svd(monkeypatch, sp):
-    # the centre and the quotient come from one n^2 x n table of structure
-    # constants, where the matrix-space path stacked n d^2 rows and ran
+    # the centre and the quotient come from the 2n x n maps of two generic
+    # elements and the n^2 x k brackets of their k-dimensional centraliser
+    # (k = 1 here), where the matrix-space path stacked n d^2 rows and ran
     # orth three times; _centroid's own systems are not counted
     n = len(derivation_basis(sp))  # builds the cached frame first
     orth_calls, svd_rows, in_centroid = [], [], []
