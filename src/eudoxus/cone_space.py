@@ -369,6 +369,13 @@ class ConeSpace:
         matrix; polyhedral cones carry no Jordan product and raise."""
         return self._L(self._check_dim(a))
 
+    @functools.cached_property
+    def _selfadjoint_mats(self):
+        """_derivation_mats(selfadjoint=True) as one read-only (k, dim, dim) stack."""
+        S = np.array(self._derivation_mats(selfadjoint=True)).reshape(-1, self.dim, self.dim)
+        S.flags.writeable = False
+        return S
+
     # -- Jordan / Moreau decomposition --------------------------------------
 
     def project(self, x):
@@ -511,10 +518,12 @@ class _JordanSpace(ConeSpace):
         C = (np.abs(w - np.asarray(lams)[:, None]) <= 2.0 * CLUSTER_TOL) @ frame.T
         return self._U(C), C
 
-    def _frame_terms(self, a):
-        band = _face_band(a)
-        (w,), (C,) = self._cone_spectral(a[None], band)
-        return [(float(lam), C[:, i].copy()) for i, lam in enumerate(w) if lam > band]
+    def _frame_terms(self, A):
+        """Frame terms above the face band of each row of A, by one _cone_spectral(A)."""
+        band = _face_band(A)
+        w, frame = self._cone_spectral(A, band)
+        return [[(float(lam), C[:, i].copy()) for i, lam in enumerate(row) if lam > b]
+                for row, C, b in zip(w, frame, band)]
 
     def _face_points(self, budget, rng):
         """The faces (P, W) of the projections x of budget Gaussians (those
@@ -788,8 +797,8 @@ class _Polyhedral(ConeSpace):
         return P[inv.reshape(-1)], masks @ R.T
 
     def _pairings(self, X):
-        """The pairings of a point, or of each row of a stack, with the unit
-        dual generators, and the face band; one below minus the band raises."""
+        """The pairings of each row of a stack with the unit dual generators,
+        and the face band; one below minus the band raises."""
         pairing = X @ self.dual_generators
         band = _face_band(X)[..., None]
         if not np.all(pairing >= -band):
@@ -813,14 +822,16 @@ class _Polyhedral(ConeSpace):
         lams = np.asarray(lams)[:, None, None]
         return self._generator_faces(np.linalg.norm(M @ R - lams * R, axis=1) <= 1e-7)
 
-    def _frame_terms(self, a):
-        _, (band,) = self._pairings(a)
+    def _frame_terms(self, A):
+        """Ray coordinates above the face band of each row of A, by one _pairings(A)
+        and one stacked one-column solve, so each row's equal a one-row call's."""
+        _, band = self._pairings(A)
         R = self._rays
         if R.shape[1] != self.dim:
-            # no incomparable split available in general: single block
-            return [(1.0, a)]
-        c = np.linalg.solve(R, a)
-        return [(float(c[i]), R[:, i].copy()) for i in range(self.dim) if c[i] > band]
+            # no incomparable split available in general: one block per row
+            return [[(1.0, a)] for a in A]
+        return [[(float(c[i]), R[:, i].copy()) for i in range(self.dim) if c[i] > b]
+                for c, (b,) in zip(np.linalg.solve(R, A[..., None])[..., 0], band)]
 
     def _face_points(self, budget, rng):
         """The faces (P, W) of the unit extreme rays, labelled "exhaustive":

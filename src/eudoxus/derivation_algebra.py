@@ -90,11 +90,12 @@ def _derivation_frame(space):
     """(Q, basis) of Der(cone), cached per cone: the rows of Q, shape
     (n, dim^2), are the flattened basis matrices, which the kinds build
     Frobenius-orthonormal, so the distance of an operator M from Der is
-    ||v - Q^T (Q v)|| with v = M.reshape(-1).  The basis matrices are
-    views of Q's rows."""
+    ||v - Q^T (Q v)|| with v = M.reshape(-1).  Every space of the key
+    shares Q, so it is read-only, and the basis matrices view its rows."""
     frame = _basis_cache.get(space._key)
     if frame is None:
         Q = np.array([m.reshape(-1) for m in space._derivation_mats()])
+        Q.flags.writeable = False
         # round-off far below the relative threshold DER_TOL of is_derivation
         err = np.max(np.abs(Q @ Q.T - np.eye(len(Q))))
         assert err <= 1e-12, "derivation basis is not orthonormal (%.3g)" % err
@@ -205,9 +206,10 @@ def selfadjoint_derivations(space):
     + X S) over the symmetric or Hermitian matrix units S for the matrix
     kinds; polyhedral: the B diag(mu) B^-1 of derivation_basis with the
     components of rays that are not orthogonal joined, which makes them
-    symmetric.
+    symmetric.  The basis is built once per space, as one stack, and
+    returned as read-only views of its rows.
     """
-    return [Derivation(space, m) for m in space._derivation_mats(selfadjoint=True)]
+    return [Derivation(space, m) for m in space._selfadjoint_mats]
 
 
 def _structure_table(left, mats, Q):

@@ -138,13 +138,14 @@ def minimal_decomposition(space, a):
     where the rays are orthogonal (not on the cone of (1, 0.2) and
     (0.2, 1)).  One spectral decomposition of a (on a
     simplicial cone, its dual pairings and one solve against the extreme
-    rays) gives both the components and the membership verdict: an
+    rays), through the kind's stacked frame terms with a as a one-row
+    stack, gives both the components and the membership verdict: an
     eigenvalue (pairing) below minus the band raises "point is outside
     the cone".  For a degenerate spectrum the frame is not unique;
     equality of ratios must go through the cut classes, never through
     literal component lists.
     """
-    return space._frame_terms(space._check_dim(a))
+    return space._frame_terms(space._check_dim(a)[None])[0]
 
 
 def is_minimal(space, a):

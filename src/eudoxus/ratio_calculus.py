@@ -26,11 +26,9 @@ from eudoxus.exact_rational import (
     classify_fraction,
     stern_brocot_bracket,
 )
-from eudoxus.face_lattice import minimal_decomposition
 from eudoxus.derivation_algebra import (
     Derivation,
     is_derivation,
-    selfadjoint_derivations,
     spectral_faces,
 )
 
@@ -110,16 +108,16 @@ class Ratio:
 
 
 def _solve_selfadjoint_derivation(space, a, a_prime):
-    """The self-adjoint derivation with delta a = a_prime, if one exists.
-    Order units separate derivations, so it is unique when it exists."""
-    basis = selfadjoint_derivations(space)
-    A = np.array([b.mat @ a for b in basis]).T
+    """The self-adjoint derivation with delta a = a_prime, if one exists: one
+    least-squares solve over the space's self-adjoint basis stack S.  Order
+    units separate derivations, so it is unique when it exists."""
+    S = space._selfadjoint_mats
+    A = (S @ a).T
     coef, _, _, _ = np.linalg.lstsq(A, a_prime, rcond=None)
     resid = np.linalg.norm(A @ coef - a_prime)
     if resid > 1e-8 * max(1.0, np.linalg.norm(a_prime)):
         return None
-    mat = sum(c * b.mat for c, b in zip(coef, basis))
-    return Derivation(space, mat)
+    return Derivation(space, np.tensordot(coef, S, axes=1))
 
 
 def ratio_from_pair(space, a_prime, a, max_den=10**6):
@@ -141,13 +139,14 @@ def ratio_from_pair(space, a_prime, a, max_den=10**6):
 
 def _ratio_from_family(space, delta, family, a, max_den):
     """The ratio delta a : a, decomposed along the spectral faces of delta:
-    the consequent is compressed onto every nonzero face at once, and
-    each face's multiplier is bracketed once."""
+    the consequent is compressed onto every nonzero face at once, the
+    parts are split into minimal pieces by one stacked call of the kind's
+    frame terms (one spectral decomposition on a Jordan kind), and each
+    face's multiplier is bracketed once."""
     lams = family.lams[family.nonzero]
     parts = family.projectors[family.nonzero] @ a
     decomposition = []
-    for lam, aF in zip(lams.tolist(), parts):
-        terms = minimal_decomposition(space, aF)
+    for lam, terms in zip(lams.tolist(), space._frame_terms(parts)):
         bracket = None
         if terms and lam > TOL:
             bracket = stern_brocot_bracket(RealOracleFromValue(lam), max_den)

@@ -381,7 +381,7 @@ def loop_minimal_decomposition(space, a):
     """Reference: a membership test, then the kind's frame terms."""
     if space.membership(a) is Membership.OUTSIDE:
         raise ValueError("point is outside the cone")
-    return space._frame_terms(a)
+    return space._frame_terms(a[None])[0]
 
 
 def loop_ratio_from_family(space, delta, family, a, max_den):
@@ -572,6 +572,89 @@ def test_minimal_decomposition_raises_below_the_face_band(sp):
     # inside the band the point is a boundary point and decomposes
     terms = minimal_decomposition(sp, _below_the_band(sp, 0.5))
     assert terms and all(c > 0 for c, _ in terms)
+
+
+def _cone_point_stack(sp, rng, f):
+    """f cone points over six decades of norm, most on the boundary: the
+    projections of Gaussians on a Jordan kind, combinations of about half
+    the extreme rays on a polyhedral cone."""
+    if sp.kind == "polyhedral":
+        R = sp._rays
+        A = (rng.exponential(size=(f, R.shape[1])) * (rng.random((f, R.shape[1])) < 0.5)) @ R.T
+    else:
+        A = np.array([sp.project(x) for x in rng.standard_normal((f, sp.dim))])
+    return A * 10.0 ** rng.uniform(-3.0, 3.0, size=(f, 1))
+
+
+@given(sp=st.sampled_from(SPECTRAL_CONES), seed=st.integers(0, 2**16), f=st.integers(1, 6))
+@settings(max_examples=150)
+def test_stacked_frame_terms_match_one_row_calls(sp, seed, f):
+    A = _cone_point_stack(sp, np.random.default_rng(seed), f)
+    got = sp._frame_terms(A)
+    assert len(got) == f
+    for a, terms in zip(A, got):
+        want = sp._frame_terms(a[None])[0]
+        assert [lam for lam, _ in terms] == [lam for lam, _ in want]
+        for (_, piece), (_, ref) in zip(terms, want):
+            assert np.linalg.norm(piece - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(3), ConeSpace.lorentz(3), ConeSpace.psd_real(2),
+                                ConeSpace.hermitian(2), _rotated_orthant(3, 1), _ngon_cone(5)],
+                         ids=repr)
+def test_stacked_frame_terms_of_no_rows_and_of_a_row_below_the_band(sp):
+    assert sp._frame_terms(np.empty((0, sp.dim))) == []
+    inside = np.array([sp.canonical_unit(), _below_the_band(sp, 0.5)])
+    assert [bool(terms) for terms in sp._frame_terms(inside)] == [True, True]
+    with pytest.raises(ValueError, match="point is outside the cone"):
+        sp._frame_terms(np.vstack([inside, _below_the_band(sp, 2.0)]))
+
+
+def test_from_derivation_decomposes_all_faces_in_one_spectral_call(monkeypatch):
+    def spectral_calls(lams):
+        sp = ConeSpace.orthant(24)
+        calls = []
+        monkeypatch.setattr(sp, "_spectral", _counting(calls, "spectral", sp._spectral))
+        r = ratio_calculus.from_derivation(sp, np.diag(lams), max_den=64)
+        assert sorted(r.lambdas()) == sorted(lams)
+        return len(calls)
+
+    assert spectral_calls(np.arange(1.0, 25.0)) == spectral_calls(np.repeat([1.0, 2.0], 12))
+
+
+def test_ratio_from_pair_builds_the_selfadjoint_basis_once_per_space(monkeypatch):
+    sp = ConeSpace.hermitian(4)
+    calls, build = [], sp._derivation_mats
+
+    def counted(selfadjoint=False):
+        calls.append(selfadjoint)
+        return build(selfadjoint=selfadjoint)
+
+    monkeypatch.setattr(sp, "_derivation_mats", counted)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        ratio_calculus.ratio_from_pair(sp, rng.standard_normal(sp.dim), sp.canonical_unit(),
+                                       max_den=64)
+    assert len(selfadjoint_derivations(sp)) == 16
+    assert calls.count(True) == 1
+
+
+@pytest.mark.parametrize("make", [functools.partial(ConeSpace.orthant, 3),
+                                  functools.partial(ConeSpace.lorentz, 3),
+                                  functools.partial(_ngon_cone, 5)],
+                         ids=["orthant", "lorentz", "ngon"])
+def test_cached_derivation_bases_are_read_only(make):
+    sp = make()
+    for basis in (derivation_basis(sp), selfadjoint_derivations(sp)):
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0].mat[0, 1] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        _derivation_frame(sp)[0][0, 1] = 5.0
+    # later cones of the kind share the cached frame, and it is unchanged
+    fresh = make()
+    Q = _derivation_frame(fresh)[0]
+    assert is_derivation(fresh, (np.arange(1.0, len(Q) + 1) @ Q).reshape(3, 3))
+    assert is_derivation(ConeSpace.orthant(3), np.diag([1.0, 2.0, 3.0]))
 
 
 def test_family_requires_increasing_eigenvalues():
