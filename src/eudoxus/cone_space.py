@@ -37,6 +37,7 @@ comparison downstream routes through it, as does the face band.
 import functools
 import itertools
 import math
+import operator
 from enum import Enum
 
 import numpy as np
@@ -50,6 +51,10 @@ TOL = 1e-9
 CLUSTER_TOL = 1e-8
 
 SQRT2 = np.sqrt(2.0)
+
+# round-off allowed in the Der frame's Q Q^T = I, far below the relative
+# threshold of derivation_algebra.DER_TOL
+FRAME_ORTHONORMAL_TOL = 1e-12
 
 
 class Membership(Enum):
@@ -232,6 +237,20 @@ def _rank_split(A):
     return vt[:rank], vt[rank:]
 
 
+def _size(n, least, message):
+    """operator.index(n), so a float raises TypeError; below least, ValueError."""
+    n = operator.index(n)
+    if n < least:
+        raise ValueError(message)
+    return n
+
+
+@functools.cache
+def _shared(make, *args):
+    """make(*args), built once per argument tuple of validated sizes."""
+    return make(*args)
+
+
 # ---------------------------------------------------------------------------
 
 class ConeSpace:
@@ -240,7 +259,8 @@ class ConeSpace:
     Construct through the classmethods orthant / lorentz / psd_real /
     hermitian / polyhedral, which return the kind classes below that
     supply the private hooks.  Immutable after construction; all queries
-    are pure.
+    are pure.  Each Jordan kind and size is one shared object, whose cached
+    constants are built once; a polyhedral cone's are freed with it.
     """
 
     def __init__(self, kind, dim, param=None, generators=None, dual_generators=None):
@@ -254,27 +274,21 @@ class ConeSpace:
 
     @classmethod
     def orthant(cls, n):
-        if n < 1:
-            raise ValueError("orthant dimension must be >= 1")
-        return _Orthant(n)
+        return _shared(_Orthant, _size(n, 1, "orthant dimension must be >= 1"))
 
     @classmethod
     def lorentz(cls, n):
-        if n < 2:
-            raise ValueError("lorentz cone needs ambient dimension >= 2")
-        return _Lorentz(n)
+        return _shared(_Lorentz, _size(n, 2, "lorentz cone needs ambient dimension >= 2"))
 
     @classmethod
     def psd_real(cls, k):
-        if k < 1:
-            raise ValueError("matrix size must be >= 1")
-        return _MatrixSpace("psd_real", k, k * (k + 1) // 2, vec_to_sym, _symmetric_units)
+        k = _size(k, 1, "matrix size must be >= 1")
+        return _shared(_MatrixSpace, "psd_real", k, k * (k + 1) // 2, vec_to_sym, _symmetric_units)
 
     @classmethod
     def hermitian(cls, k):
-        if k < 1:
-            raise ValueError("matrix size must be >= 1")
-        return _MatrixSpace("hermitian", k, k * k, vec_to_herm, _hermitian_units)
+        k = _size(k, 1, "matrix size must be >= 1")
+        return _shared(_MatrixSpace, "hermitian", k, k * k, vec_to_herm, _hermitian_units)
 
     @classmethod
     def polyhedral(cls, generators):
@@ -375,6 +389,16 @@ class ConeSpace:
         S = np.array(self._derivation_mats(selfadjoint=True)).reshape(-1, self.dim, self.dim)
         S.flags.writeable = False
         return S
+
+    @functools.cached_property
+    def _der_frame(self):
+        """_derivation_mats(), Frobenius-orthonormal, as the rows of one read-only
+        (n, dim^2) array Q: M lies ||v - Q^T (Q v)|| from Der, v = M.reshape(-1)."""
+        Q = np.array([m.reshape(-1) for m in self._derivation_mats()])
+        Q.flags.writeable = False
+        err = np.max(np.abs(Q @ Q.T - np.eye(len(Q))))
+        assert err <= FRAME_ORTHONORMAL_TOL, "derivation basis is not orthonormal (%.3g)" % err
+        return Q
 
     # -- Jordan / Moreau decomposition --------------------------------------
 
@@ -779,22 +803,21 @@ class _Polyhedral(ConeSpace):
     def _generator_faces(self, masks):
         """The faces spanned by the unit extreme rays each row of the boolean
         masks (f, m) selects: projectors (f, dim, dim) and witnesses (f, dim),
-        the sums of the rays.  Each distinct mask is built once, by stacked
-        SVDs grouped by ray count under scipy.linalg.orth's rank cut; no ray
-        gives the zero face, all of them the identity."""
+        the sums of the rays, by stacked SVDs grouped by ray count under
+        scipy.linalg.orth's rank cut: one LAPACK call per mask, so equal masks
+        give equal projectors; no ray gives the zero face, all the identity."""
         R, d = self._rays, self.dim
         m = R.shape[1]
-        u, inv = np.unique(masks, axis=0, return_inverse=True)
-        counts = np.sum(u, axis=1)
-        P = np.zeros((len(u), d, d))
+        counts = np.sum(masks, axis=1)
+        P = np.zeros((len(masks), d, d))
         P[counts == m] = np.eye(d)
         for k in set(counts.tolist()) - {0, m}:
             rows = np.flatnonzero(counts == k)
-            B = R.T[np.nonzero(u[rows])[1].reshape(len(rows), k)].transpose(0, 2, 1)
+            B = R.T[np.nonzero(masks[rows])[1].reshape(len(rows), k)].transpose(0, 2, 1)
             U, s, _ = np.linalg.svd(B, full_matrices=False)
             U = U * (s > max(d, k) * np.finfo(float).eps * s[:, :1])[:, None, :]
             P[rows] = U @ U.transpose(0, 2, 1)
-        return P[inv.reshape(-1)], masks @ R.T
+        return P, masks @ R.T
 
     def _pairings(self, X):
         """The pairings of each row of a stack with the unit dual generators,

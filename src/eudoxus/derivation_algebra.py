@@ -83,27 +83,6 @@ class Derivation:
 # ---------------------------------------------------------------------------
 # verification
 
-_basis_cache = {}
-
-
-def _derivation_frame(space):
-    """(Q, basis) of Der(cone), cached per cone: the rows of Q, shape
-    (n, dim^2), are the flattened basis matrices, which the kinds build
-    Frobenius-orthonormal, so the distance of an operator M from Der is
-    ||v - Q^T (Q v)|| with v = M.reshape(-1).  Every space of the key
-    shares Q, so it is read-only, and the basis matrices view its rows."""
-    frame = _basis_cache.get(space._key)
-    if frame is None:
-        Q = np.array([m.reshape(-1) for m in space._derivation_mats()])
-        Q.flags.writeable = False
-        # round-off far below the relative threshold DER_TOL of is_derivation
-        err = np.max(np.abs(Q @ Q.T - np.eye(len(Q))))
-        assert err <= 1e-12, "derivation basis is not orthonormal (%.3g)" % err
-        basis = [Derivation(space, q.reshape(space.dim, space.dim)) for q in Q]
-        frame = _basis_cache[space._key] = (Q, basis)
-    return frame
-
-
 def derivation_basis(space):
     """A basis of the Lie algebra of cone derivations, orthonormal in
     the Frobenius inner product.
@@ -117,12 +96,10 @@ def derivation_basis(space):
     over a basis B of the rays, mu constant on each component of the rays'
     matroid (two basis rays share a fundamental circuit); one element per
     component.
-    Cached per cone, so fresh spaces of one kind and size share it.
+    Read-only views of the rows of the cone's cached frame.
     """
-    basis = _derivation_frame(space)[1]
-    if basis[0].host is not space:
-        basis = [Derivation(space, b.mat) for b in basis]
-    return basis
+    d = space.dim
+    return [Derivation(space, q.reshape(d, d)) for q in space._der_frame]
 
 
 def tangency_dimension_oracle(space, samples=120, rng=None, symmetric_only=False):
@@ -149,8 +126,8 @@ def _derivation_residuals(space, Ms):
     """Frobenius distances of a stack of operators (f, dim, dim) from
     Der(cone), and which of them is_derivation refutes: residual above
     DER_TOL max(||M||, 1).  One projection of the whole stack onto the
-    cached orthonormal basis."""
-    Q = _derivation_frame(space)[0]
+    cone's cached orthonormal frame."""
+    Q = space._der_frame
     V = Ms.reshape(len(Ms), Q.shape[1])
     R = V - (V @ Q.T) @ Q
     res = np.sqrt(np.vecdot(R, R))
@@ -162,7 +139,7 @@ def is_derivation(space, M, sample_budget=60, rng=None):
 
     Decided exactly by membership in the span of derivation_basis (for
     polyhedral cones, the extreme-ray eigenvector condition): M is
-    projected onto the cached orthonormal basis of Der(cone), and M is a
+    projected onto the cone's cached orthonormal frame of Der, and M is a
     derivation when the residual is at most DER_TOL max(||M||, 1).  A
     Refuted verdict carries a (t, x) witness, t on DEFAULT_T_GRID,
     expelled from the cone when sampling finds one.  Non-finite entries
@@ -322,7 +299,7 @@ def orientability(space):
     the quotient not generated by x and y), the verdict is Unknown, with
     their rank and q.
     """
-    Q = _derivation_frame(space)[0]
+    Q = space._der_frame
     _, K, ads, xy = _centre_split(Q.reshape(len(Q), space.dim, space.dim), Q)
     q = len(K)
     if q == 0:

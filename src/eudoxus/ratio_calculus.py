@@ -218,10 +218,10 @@ def ratio_equal(r, s, max_den=None):
 
     Comparability requires commuting derivations (a matched common
     decomposition); incomparable ratios raise NotComparable, which is a
-    different outcome from inequality.  With max_den the test runs on
-    the exact rational brackets of the matched multipliers (both the
-    three-class and the two-condition cut criteria, which must agree);
-    without it, matched multipliers are compared at tolerance.
+    different outcome from inequality.  With max_den two matched
+    multipliers above TOL are equal when their Stern-Brocot brackets at
+    max_den overlap (cuts_equal); a pair with one at or below TOL, and
+    every pair without max_den, is compared at tolerance.
     """
     dr = to_derivation(r)
     ds = to_derivation(s)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from eudoxus import cone_space
+from eudoxus.cli import parse_cone_spec
 from eudoxus.cone_space import (
     ConeSpace,
     Membership,
@@ -89,6 +91,36 @@ def test_polyhedral_self_duality():
     assert ConeSpace.polyhedral([rot[:, 0], rot[:, 1]]).is_self_dual()
     skew = ConeSpace.polyhedral([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
     assert not skew.is_self_dual()
+
+
+def test_each_jordan_kind_and_size_is_one_object():
+    sp = ConeSpace.orthant(3)
+    assert ConeSpace.orthant(3) is sp
+    assert ConeSpace.orthant(np.int64(3)) is sp
+    assert parse_cone_spec("kind = orthant\ndim = 3\n") is sp
+    assert ConeSpace.lorentz(3) is not sp
+    assert ConeSpace.psd_real(2) is not ConeSpace.hermitian(2)
+    gens = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    assert ConeSpace.polyhedral(gens) is not ConeSpace.polyhedral(gens)
+
+
+@pytest.mark.parametrize("make, size", [(ConeSpace.orthant, 3), (ConeSpace.psd_real, 2)],
+                         ids=["orthant", "psd_real"])
+def test_a_float_size_raises_before_and_after_the_int_size_is_built(monkeypatch, make, size):
+    # an empty cache, as in a fresh process
+    monkeypatch.setattr(cone_space, "_shared", functools.cache(cone_space._shared.__wrapped__))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            make(float(size))
+        assert make(size) is make(size)
+
+
+@pytest.mark.parametrize("make", [ConeSpace.orthant, ConeSpace.lorentz, ConeSpace.psd_real,
+                                  ConeSpace.hermitian], ids=lambda make: make.__name__)
+def test_sizes_below_the_least_raise_on_every_call(make):
+    for size in (0, -1, 0, -1):
+        with pytest.raises(ValueError):
+            make(size)
 
 
 def test_polyhedral_rejects_bad_generators():

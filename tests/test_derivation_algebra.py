@@ -1,9 +1,11 @@
 import functools
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,6 @@ from eudoxus.derivation_algebra import (
     _centre_split,
     _centroid,
     _complex_structure,
-    _derivation_frame,
     _derivation_residuals,
     _structure_table,
     derivation_basis,
@@ -622,21 +623,36 @@ def test_from_derivation_decomposes_all_faces_in_one_spectral_call(monkeypatch):
     assert spectral_calls(np.arange(1.0, 25.0)) == spectral_calls(np.repeat([1.0, 2.0], 12))
 
 
-def test_ratio_from_pair_builds_the_selfadjoint_basis_once_per_space(monkeypatch):
-    sp = ConeSpace.hermitian(4)
+def _selfadjoint_builds(monkeypatch, sp, make):
+    """How often three ratio_from_pair calls on the spaces make() returns
+    build the self-adjoint basis of sp."""
     calls, build = [], sp._derivation_mats
 
     def counted(selfadjoint=False):
         calls.append(selfadjoint)
         return build(selfadjoint=selfadjoint)
 
-    monkeypatch.setattr(sp, "_derivation_mats", counted)
+    monkeypatch.setitem(vars(sp), "_derivation_mats", counted)
     rng = np.random.default_rng(11)
     for _ in range(3):
-        ratio_calculus.ratio_from_pair(sp, rng.standard_normal(sp.dim), sp.canonical_unit(),
-                                       max_den=64)
+        space = make()
+        ratio_calculus.ratio_from_pair(space, rng.standard_normal(space.dim),
+                                       space.canonical_unit(), max_den=64)
+    return calls.count(True)
+
+
+def test_ratio_from_pair_builds_the_selfadjoint_basis_once_per_space(monkeypatch):
+    sp = _rotated_orthant(4, 2)
+    assert _selfadjoint_builds(monkeypatch, sp, lambda: sp) == 1
+    assert len(selfadjoint_derivations(sp)) == 4
+
+
+def test_a_jordan_kind_and_size_shares_one_selfadjoint_basis(monkeypatch):
+    # an earlier use of hermitian(4) may have built it already
+    sp = ConeSpace.hermitian(4)
+    assert _selfadjoint_builds(monkeypatch, sp, lambda: ConeSpace.hermitian(4)) <= 1
+    assert ConeSpace.hermitian(4) is sp
     assert len(selfadjoint_derivations(sp)) == 16
-    assert calls.count(True) == 1
 
 
 @pytest.mark.parametrize("make", [functools.partial(ConeSpace.orthant, 3),
@@ -649,12 +665,26 @@ def test_cached_derivation_bases_are_read_only(make):
         with pytest.raises(ValueError, match="read-only"):
             basis[0].mat[0, 1] = 5.0
     with pytest.raises(ValueError, match="read-only"):
-        _derivation_frame(sp)[0][0, 1] = 5.0
-    # later cones of the kind share the cached frame, and it is unchanged
+        sp._der_frame[0, 1] = 5.0
+    # a later cone of a Jordan kind is this one, so its frame is this
+    # frame, unchanged; a later polyhedral cone builds its own
     fresh = make()
-    Q = _derivation_frame(fresh)[0]
+    Q = fresh._der_frame
     assert is_derivation(fresh, (np.arange(1.0, len(Q) + 1) @ Q).reshape(3, 3))
     assert is_derivation(ConeSpace.orthant(3), np.diag([1.0, 2.0, 3.0]))
+
+
+def test_polyhedral_cones_are_freed_with_their_constants():
+    refs = []
+    for seed in range(50):
+        sp = _rotated_orthant(4, seed)
+        assert is_derivation(sp, np.eye(4))
+        assert len(derivation_basis(sp)) == 4
+        assert orientability(sp)
+        refs.append(weakref.ref(sp))
+    del sp
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) == 0
 
 
 def test_family_requires_increasing_eigenvalues():
@@ -1020,7 +1050,7 @@ def all_maps_quotient_action(sp):
     """Reference: the centre and K of the cached Der frame of sp, and the
     action of every frame element on Der/centre, K ad_i K^T, shape
     (n, q, q)."""
-    Q = _derivation_frame(sp)[0]
+    Q = sp._der_frame
     centre, K, ads = all_maps_centre_split(Q.reshape(len(Q), sp.dim, sp.dim), Q)
     return centre, K, K @ ads @ K.T
 
@@ -1059,13 +1089,13 @@ def all_maps_centroid(K, ads):
 def frame_split(sp):
     """_centre_split of the cached Der frame of sp: (centre, K, ads, xy),
     ads the maps of the two generic elements xy over the frame."""
-    Q = _derivation_frame(sp)[0]
+    Q = sp._der_frame
     return _centre_split(Q.reshape(len(Q), sp.dim, sp.dim), Q)
 
 
 def frame_table(sp):
     """The whole structure table of the cached Der frame of sp, (n, n, n)."""
-    Q = _derivation_frame(sp)[0]
+    Q = sp._der_frame
     mats = Q.reshape(len(Q), sp.dim, sp.dim)
     return _structure_table(mats, mats, Q)[0]
 
@@ -1264,7 +1294,7 @@ for kind, k in json.loads(sys.argv[1]):
     t = time.perf_counter()
     status = derivation_algebra.orientability(sp).status
     seconds = time.perf_counter() - t
-    Q = derivation_algebra._derivation_frame(sp)[0]
+    Q = sp._der_frame
     _, K, ads, xy = derivation_algebra._centre_split(Q.reshape(len(Q), sp.dim, sp.dim), Q)
     A, y = K @ ads @ K.T, K @ xy[1]
     tracemalloc.start()

@@ -268,6 +268,22 @@ def test_rotated_orthants_and_ngons_build_without_an_lp(monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("G", [_ngon(7), _rotated_orthant(5, 2), _square_with_facet_generators()],
+                         ids=["7-gon", "orthant5", "square"])
+def test_repeated_masks_give_the_one_row_faces(G):
+    sp = _cone(G)
+    d, m = sp._rays.shape
+    rows = np.random.default_rng(4).random((12, m)) < 0.4
+    masks = np.vstack([rows, np.zeros((1, m), bool), rows[::-1], np.ones((1, m), bool), rows[:3]])
+    P, W = sp._generator_faces(masks)
+    assert not P[12].any() and np.array_equal(P[25], np.eye(d))
+    # the witnesses are one product of the whole stack, so only round-off close
+    for mask, p, w in zip(masks, P, W):
+        one_p, one_w = sp._generator_faces(mask[None])
+        assert np.array_equal(one_p[0], p)
+        assert np.allclose(one_w[0], w, rtol=0.0, atol=1e-12)
+
+
 def test_bench_kernel_targets_resolve():
     # the traced bench patches these names; a rename in src/ would break it
     path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
