@@ -27,7 +27,12 @@ Every kind builds faces in stacks through one pair of hooks: _faces_of
 maps points (f, dim) to span projectors (f, dim, dim) and witnesses, and
 _orthogonal_faces maps those to the orthogonal faces'.  _face_points
 gives the faces facial homogeneity is tested on: those of the extreme
-rays of a polyhedral cone, or of sampled points on a Jordan kind.
+rays of a polyhedral cone, or of sampled points on a Jordan kind.  The
+faces live here with their hooks: Face (one projector and witness,
+checked when built), _checked_faces (a hook's stack with its orthogonal
+faces, every projector checked) and _facial_derivatives, the one place
+the facial derivative (1/2)(I + P_F - P_F-perp) is formed, for a whole
+stack of faces.
 
 The single tolerance knob TOL classifies membership: Boundary is a band
 of relative width TOL around the topological boundary, and every strict
@@ -138,6 +143,81 @@ def _face_band(X):
     if not np.isfinite(band).all():
         raise ValueError("vector norm is not finite")
     return band
+
+
+# ---------------------------------------------------------------------------
+# faces
+
+# squared Frobenius norms of P P - P and P - P^T allowed in a projector:
+# idempotent and symmetric to 1e-10
+PROJECTOR_SQ_TOL = 1e-20
+
+# two faces are the same when their projectors differ by at most this (Frobenius)
+SAME_FACE_TOL = 1e-8
+
+
+def _check_projectors(P):
+    """Raise unless each projector of a stack (f, dim, dim) is idempotent
+    and symmetric to within PROJECTOR_SQ_TOL."""
+    f, d, _ = P.shape
+    E = (P @ P - P).reshape(f, d * d)
+    if np.vecdot(E, E).max(initial=0.0) > PROJECTOR_SQ_TOL:
+        raise ValueError("projector is not idempotent")
+    A = (P - P.transpose(0, 2, 1)).reshape(f, d * d)
+    if np.vecdot(A, A).max(initial=0.0) > PROJECTOR_SQ_TOL:
+        raise ValueError("projector is not symmetric")
+
+
+class Face:
+    """A face of the host cone: span projector plus witness.
+
+    witness is a relative-interior element of the face (the face's own
+    canonical unit); the zero vector for the trivial face.
+    """
+
+    def __init__(self, host, projector, witness):
+        projector = np.asarray(projector, dtype=float)
+        _check_projectors(projector[None])
+        self.host = host
+        self.projector = projector
+        self.witness = np.asarray(witness, dtype=float)
+        self.dim = int(round(np.trace(projector)))
+
+    def is_zero(self):
+        return self.dim == 0
+
+    def is_whole(self):
+        return self.dim == self.host.dim
+
+    def contains(self, x):
+        x = np.asarray(x, dtype=float)
+        if not self.host.contains(x):
+            return False
+        nrm = np.linalg.norm(x)
+        return np.linalg.norm(self.projector @ x - x) <= TOL * max(1.0, nrm)
+
+    def same_as(self, other):
+        return np.linalg.norm(self.projector - other.projector) <= SAME_FACE_TOL
+
+    def __repr__(self):
+        return "Face(dim=%d of %r)" % (self.dim, self.host)
+
+
+def _checked_faces(space, faces):
+    """Stacks (P, W, Pp): faces (P, W) from a face hook and their orthogonal
+    faces' projectors, every projector checked."""
+    P, W = faces
+    Pp, _ = space._orthogonal_faces(P, W)
+    _check_projectors(P)
+    _check_projectors(Pp)
+    return P, W, Pp
+
+
+def _facial_derivatives(space, faces):
+    """The facial derivatives (1/2)(I + P_F - P_F-perp), a stack (f, dim,
+    dim), of faces (P, W) from a face hook, every projector checked."""
+    P, _, Pp = _checked_faces(space, faces)
+    return 0.5 * (np.eye(space.dim) + P - Pp)
 
 
 # ---------------------------------------------------------------------------
@@ -877,13 +957,10 @@ class _Polyhedral(ConeSpace):
         that is not self-dual are not orthogonal, so its ray pieces are not
         incomparable and their facial derivatives do not add up; the pieces
         of one spectral face, summed, are that face's own piece."""
-        from eudoxus.face_lattice import _checked_faces
-
         lams, which = np.unique(lams, return_inverse=True)
         pieces = np.zeros((len(lams), self.dim))
         np.add.at(pieces, which.reshape(-1), X)
-        P, _, Pp = _checked_faces(self, self._faces_of(pieces))
-        return 0.5 * np.tensordot(lams, np.eye(self.dim) + P - Pp, axes=1)
+        return np.tensordot(lams, _facial_derivatives(self, self._faces_of(pieces)), axes=1)
 
     def _derivation_mats(self, selfadjoint=False):
         """derivation_basis's B diag(mu) B^-1 over a basis B of extreme rays

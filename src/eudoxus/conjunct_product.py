@@ -129,8 +129,7 @@ def one_dim_collapse_check(d, ratio_num=2, ratio_den=1):
     if d < 1:
         raise ValueError("degree must be >= 1")
     word = DimWord(("L",) * d, mode="symmetric")
-    # the degree-d symmetric component over one symbol has one word only
-    if len(set([word])) != 1 or word.degree != d:
+    if word.degree != d:
         return False
     num, den = Fraction(ratio_num), Fraction(ratio_den)
     powered = (num / den) ** d
@@ -141,7 +140,7 @@ def one_dim_collapse_check(d, ratio_num=2, ratio_den=1):
                                powered.numerator, powered.denominator)
 
 
-def noncommutative_witness(basis_size=2, mode="free", delta_pair=None):
+def noncommutative_witness(mode="free", delta_pair=None):
     """Order sensitivity of the conjunct product.
 
     With scalar magnitudes, free-mode words over distinct symbols differ
@@ -149,8 +148,6 @@ def noncommutative_witness(basis_size=2, mode="free", delta_pair=None):
     noncommuting pair of ratios over a cone, the magnitudes themselves
     differ in operator norm.  Returns (q12, q21, equal).
     """
-    if basis_size < 2:
-        raise ValueError("need at least two dimension symbols")
     if delta_pair is not None:
         r, s = delta_pair
         w1 = DimWord(("A",), "free")

@@ -15,8 +15,15 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import expm
 
-from eudoxus.cone_space import CLUSTER_TOL, Membership, _face_band, _rank_split
-from eudoxus.face_lattice import Face, _check_projectors, _checked_faces
+from eudoxus.cone_space import (
+    CLUSTER_TOL,
+    Face,
+    Membership,
+    _check_projectors,
+    _face_band,
+    _facial_derivatives,
+    _rank_split,
+)
 
 DEFAULT_T_GRID = (-4.0, -2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -61,17 +68,6 @@ class Derivation:
 
     def __call__(self, x):
         return self.mat @ np.asarray(x, dtype=float)
-
-    def __add__(self, other):
-        return Derivation(self.host, self.mat + other.mat)
-
-    def __sub__(self, other):
-        return Derivation(self.host, self.mat - other.mat)
-
-    def __mul__(self, scalar):
-        return Derivation(self.host, self.mat * float(scalar))
-
-    __rmul__ = __mul__
 
     def norm(self):
         return float(np.linalg.norm(self.mat, 2))
@@ -150,11 +146,11 @@ def is_derivation(space, M, sample_budget=60, rng=None):
         raise ValueError("dimension mismatch")
     if not np.isfinite(M).all():
         raise ValueError("operator has non-finite entries")
-    if rng is None:
-        rng = np.random.default_rng(3)
     (res,), (outside,) = _derivation_residuals(space, M[None])
     if not outside:
         return Verdict("Verified", "inside the derivation parametrization")
+    if rng is None:
+        rng = np.random.default_rng(3)
     witness = _expel_witness(space, M, sample_budget, rng)
     return Verdict("Refuted", "outside the derivation parametrization (residual %.3g)" % res,
                    witness=witness)
@@ -347,34 +343,21 @@ def _complex_structure(cent):
 # spectral faces
 
 class SpectralFaceFamily:
-    """Increasing list of (eigenvalue, face) pairs of a self-adjoint
-    derivation; zero faces are retained (the ratio construction skips
+    """Increasing family of faces of a self-adjoint derivation, one per
+    eigenvalue; zero faces are retained (the ratio construction skips
     them, the reconstruction needs their eigenvalues).
 
-    Carried as three stacks: the eigenvalues lams (f,), the span
-    projectors (f, dim, dim) and the witnesses (f, dim).  Building a
-    family checks every projector (idempotent and symmetric to 1e-10) in
-    one call and every witness against its face, |P_k w_k - w_k| within
-    the face band, in one test.  The public constructor takes a list of
-    (eigenvalue, Face) pairs; spectral_faces builds the stacks directly,
-    and its Faces are built, through Face, only when entries are read or
-    the family is iterated."""
+    Built from three stacks: the strictly increasing eigenvalues lams
+    (f,), the span projectors (f, dim, dim) and the witnesses (f, dim).
+    Building a family checks every projector (idempotent and symmetric to
+    1e-10) in one call and every witness against its face, |P_k w_k - w_k|
+    within the face band, in one test.  entries, the (eigenvalue, Face)
+    pairs, are built through Face only when read or when the family is
+    iterated."""
 
-    def __init__(self, host, entries):
-        entries = list(entries)
-        d = host.dim
-        self._init_stacks(host, np.array([lam for lam, _ in entries], dtype=float),
-                  np.array([F.projector for _, F in entries]).reshape(-1, d, d),
-                  np.array([F.witness for _, F in entries]).reshape(-1, d))
-        self.entries = entries
-
-    @classmethod
-    def _of_stacks(cls, host, lams, projectors, witnesses):
-        family = cls.__new__(cls)
-        family._init_stacks(host, lams, projectors, witnesses)
-        return family
-
-    def _init_stacks(self, host, lams, projectors, witnesses):
+    def __init__(self, host, lams, projectors, witnesses):
+        lams, projectors, witnesses = (np.asarray(s, dtype=float)
+                                       for s in (lams, projectors, witnesses))
         if np.any(np.diff(lams) <= 0):
             raise ValueError("eigenvalues must be strictly increasing")
         _check_projectors(projectors)
@@ -403,15 +386,16 @@ class SpectralFaceFamily:
         return [(lam, F) for lam, F in self.entries if not F.is_zero()]
 
 
-def _cluster(values, tol=CLUSTER_TOL):
+def _cluster(values):
     """The means of the runs of sorted values whose neighbours lie within
-    tol of each other.  Each run's offsets from its first value are summed,
-    so a mean is within an ulp of the exact one, where a running sum of
-    the values themselves drifts by several ulps over a dozen of them."""
+    CLUSTER_TOL of each other.  Each run's offsets from its first value
+    are summed, so a mean is within an ulp of the exact one, where a
+    running sum of the values themselves drifts by several ulps over a
+    dozen of them."""
     v = np.sort(values)
     new = np.empty(len(v), dtype=bool)  # does v[i] start a run?
     new[0] = True
-    np.greater(np.diff(v), tol, out=new[1:])
+    np.greater(np.diff(v), CLUSTER_TOL, out=new[1:])
     starts = np.flatnonzero(new)
     run = np.cumsum(new) - 1
     first = v[starts]
@@ -438,7 +422,7 @@ def spectral_faces(space, delta):
         raise ValueError("spectral faces need a self-adjoint derivation")
 
     lams = _cluster(np.linalg.eigvalsh(M))
-    return SpectralFaceFamily._of_stacks(space, lams, *space._eigenfaces(M, lams))
+    return SpectralFaceFamily(space, lams, *space._eigenfaces(M, lams))
 
 
 def reconstruct_from_faces(space, family):
@@ -450,6 +434,5 @@ def reconstruct_from_faces(space, family):
     if not len(family):
         return Derivation(space, np.zeros((space.dim, space.dim)))
     lams = family.lams
-    P, _, Pp = _checked_faces(space, space._faces_of(np.cumsum(family.witnesses, axis=0)))
-    steps = lams - np.append(lams[1:], 0.0)
-    return Derivation(space, 0.5 * np.tensordot(steps, np.eye(space.dim) + P - Pp, axes=1))
+    D = _facial_derivatives(space, space._faces_of(np.cumsum(family.witnesses, axis=0)))
+    return Derivation(space, np.tensordot(lams - np.append(lams[1:], 0.0), D, axes=1))

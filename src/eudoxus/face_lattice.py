@@ -1,76 +1,21 @@
 """Faces of a cone and the operators attached to them.
 
 A face is a hereditary subcone (0 <= x <= a in F forces x in F), carried
-here as the orthogonal projector onto its span together with a
-relative-interior witness, from the kind's stacked hooks _faces_of and
-_orthogonal_faces.  The facial derivative of F is (1/2)(I + P_F - P_{F'})
-with F' the orthogonal face; facial_derivative, is_facially_homogeneous
-and reconstruct_from_faces use this projector formula on every kind.  On
-a Jordan kind it equals L(c) for the face U_c (Peirce decomposition), so
+as a Face (defined in cone_space, re-exported here): the orthogonal
+projector onto its span and a relative-interior witness, built by the
+kind's stacked hooks _faces_of and _orthogonal_faces.  This module answers
+the lattice questions on top of them.  The facial derivative of F is
+(1/2)(I + P_F - P_{F'}) with F' the orthogonal face, formed for a stack of
+faces by cone_space._facial_derivatives on every kind.  On a Jordan kind
+it equals L(c) for the face U_c (Peirce decomposition), so
 ratio_calculus.to_derivation builds no faces there: it is the one
 operator L(sum lam_i c_i).
 """
 
 import numpy as np
 
-from eudoxus.cone_space import TOL
-
-
-def _check_projectors(P):
-    """Raise unless each projector of a stack (f, dim, dim) is idempotent
-    and symmetric to 1e-10 (Frobenius; squared norms against 1e-20)."""
-    f, d, _ = P.shape
-    E = (P @ P - P).reshape(f, d * d)
-    if np.vecdot(E, E).max(initial=0.0) > 1e-20:
-        raise ValueError("projector is not idempotent")
-    A = (P - P.transpose(0, 2, 1)).reshape(f, d * d)
-    if np.vecdot(A, A).max(initial=0.0) > 1e-20:
-        raise ValueError("projector is not symmetric")
-
-
-class Face:
-    """A face of the host cone: span projector plus witness.
-
-    witness is a relative-interior element of the face (the face's own
-    canonical unit); the zero vector for the trivial face.
-    """
-
-    def __init__(self, host, projector, witness):
-        projector = np.asarray(projector, dtype=float)
-        _check_projectors(projector[None])
-        self.host = host
-        self.projector = projector
-        self.witness = np.asarray(witness, dtype=float)
-        self.dim = int(round(np.trace(projector)))
-
-    def is_zero(self):
-        return self.dim == 0
-
-    def is_whole(self):
-        return self.dim == self.host.dim
-
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.host.contains(x):
-            return False
-        nrm = np.linalg.norm(x)
-        return np.linalg.norm(self.projector @ x - x) <= TOL * max(1.0, nrm)
-
-    def same_as(self, other, tol=1e-8):
-        return np.linalg.norm(self.projector - other.projector) <= tol
-
-    def __repr__(self):
-        return "Face(dim=%d of %r)" % (self.dim, self.host)
-
-
-def _checked_faces(space, faces):
-    """Stacks (P, W, Pp): faces (P, W) from a face hook and their orthogonal
-    faces' projectors, every projector checked."""
-    P, W = faces
-    Pp, _ = space._orthogonal_faces(P, W)
-    _check_projectors(P)
-    _check_projectors(Pp)
-    return P, W, Pp
+from eudoxus.cone_space import TOL, Face, _checked_faces, _facial_derivatives
+from eudoxus.derivation_algebra import Derivation, Verdict, _derivation_residuals, is_derivation
 
 
 def zero_face(space):
@@ -102,11 +47,7 @@ def orthogonal_face(F):
 
 def facial_derivative(F):
     """The derivation (1/2)(I + P_F - P_{F-perp}) attached to a face."""
-    from eudoxus.derivation_algebra import Derivation
-
-    P = F.projector
-    Pp = orthogonal_face(F).projector
-    mat = 0.5 * (np.eye(F.host.dim) + P - Pp)
+    (mat,) = _facial_derivatives(F.host, (F.projector[None], F.witness[None]))
     return Derivation(F.host, mat)
 
 
@@ -172,8 +113,6 @@ def is_facially_homogeneous(space, sample_budget=25, rng=None):
     tested.  One projection onto the Der frame decides the stack; only a
     refuting face becomes a Face, with is_derivation's witness.
     """
-    from eudoxus.derivation_algebra import Verdict, _derivation_residuals, is_derivation
-
     if rng is None:
         rng = np.random.default_rng(0)
     faces, how = space._face_points(sample_budget, rng)

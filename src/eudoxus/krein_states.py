@@ -164,14 +164,14 @@ class State:
     def __call__(self, x):
         return float(np.dot(self.functional, np.asarray(x, dtype=float)))
 
-    def is_positive(self, samples=100, rng=None):
+    def is_positive(self, rng=None):
         if rng is None:
             rng = np.random.default_rng(9)
         return all(self(self.krein.host.sample_cone_point(rng)) >= -1e-9
-                   for _ in range(samples))
+                   for _ in range(100))
 
 
-def multiplicative_characterization(krein, f, samples=50, rng=None):
+def multiplicative_characterization(krein, f, rng=None):
     """Is f(xy) = f(x) f(y)?  Exactly the pure states qualify.
 
     Returns (flag, witness): witness is an (x, y) pair violating the
@@ -185,7 +185,7 @@ def multiplicative_characterization(krein, f, samples=50, rng=None):
     for i in range(d):
         for j in range(d):
             tests.append((krein.basis[:, i], krein.basis[:, j]))
-    for _ in range(samples):
+    for _ in range(50):
         tests.append((krein.host.sample_vector(rng), krein.host.sample_vector(rng)))
     for x, y in tests:
         lhs = f(krein.product(x, y))

@@ -51,9 +51,9 @@ def _roundtrip_spaces():
             ConeSpace.psd_real(2), ConeSpace.hermitian(2)]
 
 
-def _random_selfadjoint(space, rng, scale=1.0):
+def _random_selfadjoint(space, rng):
     basis = selfadjoint_derivations(space)
-    c = rng.standard_normal(len(basis)) * scale
+    c = rng.standard_normal(len(basis))
     mat = sum(ci * b.mat for ci, b in zip(c, basis))
     return Derivation(space, mat)
 
@@ -223,8 +223,8 @@ def check_dichotomy_table(seed=0):
     return ok, "; ".join(rows)
 
 
-def _noncommuting_pair(space, rng, tries=50):
-    for _ in range(tries):
+def _noncommuting_pair(space, rng):
+    for _ in range(50):
         d1 = _random_selfadjoint(space, rng)
         d2 = _random_selfadjoint(space, rng)
         if np.linalg.norm(d1.mat @ d2.mat - d2.mat @ d1.mat) > 1e-6:

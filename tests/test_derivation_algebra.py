@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eudoxus
-from eudoxus import derivation_algebra, face_lattice, ratio_calculus
+from eudoxus import cone_space, derivation_algebra, ratio_calculus
 from eudoxus.cone_space import (
     CLUSTER_TOL,
     TOL,
@@ -46,6 +46,14 @@ from eudoxus.derivation_algebra import (
 )
 from eudoxus.exact_rational import stern_brocot_bracket
 from eudoxus.face_lattice import Face, face_of, facial_derivative, minimal_decomposition, whole_face
+
+
+def family_of(space, entries):
+    """A SpectralFaceFamily from (eigenvalue, Face) pairs, through its stacks."""
+    d = space.dim
+    return SpectralFaceFamily(space, np.array([lam for lam, _ in entries], dtype=float),
+                              np.array([F.projector for _, F in entries]).reshape(-1, d, d),
+                              np.array([F.witness for _, F in entries]).reshape(-1, d))
 
 
 def _random_selfadjoint(space, rng):
@@ -111,6 +119,25 @@ def test_non_derivation_is_refuted_with_witness():
     verdict = is_derivation(sp, M)
     assert verdict.status == "Refuted"
     assert verdict.witness is not None
+
+
+def test_only_a_witness_search_creates_a_generator(monkeypatch):
+    sp = ConeSpace.orthant(2)
+    M = np.array([[0.0, 1.0], [0.0, 0.0]])
+    expected = is_derivation(sp, M).witness
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return default_rng(*args, **kwargs)
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    assert is_derivation(sp, np.diag([1.0, 2.0]))
+    assert made == []
+    # a refuted call draws its witness from the same default generator
+    t, x = is_derivation(sp, M).witness
+    assert made == [(3,)]
+    assert t == expected[0] and np.array_equal(x, expected[1])
 
 
 def test_lie_closure():
@@ -310,7 +337,7 @@ def test_a_point_outside_the_cone_raises_on_every_face_path(sp):
     r = (sp._rays[:, 0] if sp.kind == "polyhedral"
          else minimal_decomposition(sp, sp.canonical_unit())[0][1])
     P = face_of(sp, r).projector
-    family = SpectralFaceFamily(sp, [(1.0, Face(sp, P, -r)), (2.0, Face(sp, P, -r))])
+    family = family_of(sp, [(1.0, Face(sp, P, -r)), (2.0, Face(sp, P, -r))])
     with pytest.raises(ValueError, match="point is outside the cone"):
         loop_reconstruct_from_faces(sp, family)
     with pytest.raises(ValueError, match="point is outside the cone"):
@@ -328,11 +355,11 @@ def test_family_rejects_witnesses_outside_their_faces():
     sp = ConeSpace.orthant(2)
     e0, e1 = np.eye(2)
     with pytest.raises(ValueError, match="witness does not lie in its face"):
-        SpectralFaceFamily(sp, [(1.0, Face(sp, np.diag([1.0, 0.0]), e1)),
-                                (2.0, Face(sp, np.diag([0.0, 1.0]), e0))])
+        family_of(sp, [(1.0, Face(sp, np.diag([1.0, 0.0]), e1)),
+                       (2.0, Face(sp, np.diag([0.0, 1.0]), e0))])
     # a witness off its face by less than the face band is kept
-    family = SpectralFaceFamily(sp, [(1.0, Face(sp, np.diag([1.0, 0.0]), e0 + 0.5e-9 * e1)),
-                                     (2.0, Face(sp, np.diag([0.0, 1.0]), e1))])
+    family = family_of(sp, [(1.0, Face(sp, np.diag([1.0, 0.0]), e0 + 0.5e-9 * e1)),
+                            (2.0, Face(sp, np.diag([0.0, 1.0]), e1))])
     assert np.linalg.norm(reconstruct_from_faces(sp, family).mat - np.diag([1.0, 2.0])) <= 1e-8
 
 
@@ -374,8 +401,8 @@ def loop_spectral_faces(space, delta):
     if np.linalg.norm(M - M.T) > 1e-9 * max(1.0, np.linalg.norm(M)):
         raise ValueError("spectral faces need a self-adjoint derivation")
     lams = loop_cluster(np.linalg.eigvalsh(M))
-    return SpectralFaceFamily(space, [(lam, Face(space, P, w)) for lam, P, w
-                                      in zip(lams, *space._eigenfaces(M, lams))])
+    return family_of(space, [(lam, Face(space, P, w)) for lam, P, w
+                             in zip(lams, *space._eigenfaces(M, lams))])
 
 
 def loop_minimal_decomposition(space, a):
@@ -527,8 +554,8 @@ def _counting(calls, name, f):
 def test_spectral_paths_check_one_stack_and_build_no_face(monkeypatch, sp):
     delta = _spectrum_case(sp, 7, "generic")
     calls = []
-    check = _counting(calls, "check", face_lattice._check_projectors)
-    monkeypatch.setattr(face_lattice, "_check_projectors", check)
+    check = _counting(calls, "check", cone_space._check_projectors)
+    monkeypatch.setattr(cone_space, "_check_projectors", check)
     monkeypatch.setattr(derivation_algebra, "_check_projectors", check)
     monkeypatch.setattr(Face, "__init__", _counting(calls, "Face", Face.__init__))
     monkeypatch.setattr(sp, "membership", _counting(calls, "membership", sp.membership))
@@ -691,7 +718,7 @@ def test_family_requires_increasing_eigenvalues():
     sp = ConeSpace.orthant(2)
     F = whole_face(sp)
     with pytest.raises(ValueError):
-        SpectralFaceFamily(sp, [(2.0, F), (1.0, F)])
+        family_of(sp, [(2.0, F), (1.0, F)])
 
 
 def test_spectral_faces_rejects_nonsymmetric():

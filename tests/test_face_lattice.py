@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eudoxus import derivation_algebra, face_lattice
+from eudoxus import cone_space, face_lattice
 from eudoxus.cone_space import ConeSpace, Membership, sym_to_vec
 from eudoxus.derivation_algebra import Verdict, is_derivation
 from eudoxus.face_lattice import (
@@ -129,6 +129,22 @@ def test_facial_derivative_acts_as_expected():
     assert np.allclose(d(x), x, atol=1e-9)
     assert np.allclose(d(np.array([1.0, -1.0, 0.0])), 0.0, atol=1e-9)
     assert np.allclose(d(np.array([0.0, 0.0, 1.0])), [0.0, 0.0, 0.5], atol=1e-9)
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(3), ConeSpace.lorentz(4), ConeSpace.psd_real(3),
+                                ConeSpace.hermitian(2), _rotated_orthant(4)], ids=repr)
+def test_facial_derivative_builds_no_face(monkeypatch, sp):
+    F = face_of(sp, sp.sample_cone_point(np.random.default_rng(2)))
+    expected = 0.5 * (np.eye(sp.dim) + F.projector - orthogonal_face(F).projector)
+    built = []
+    init = face_lattice.Face.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(face_lattice.Face, "__init__", counting)
+    assert np.array_equal(facial_derivative(F).mat, expected)
+    assert built == []
 
 
 JORDAN_KINDS = ([ConeSpace.orthant(n) for n in (1, 3, 8, 24)]
@@ -316,7 +332,7 @@ def test_each_stacked_face_is_the_face_of_its_point(sp):
         points = [x for x in (sp.sample_cone_point(rng) for _ in range(25))
                   if np.linalg.norm(x) > 1e-9]
     faces, _ = sp._face_points(25, np.random.default_rng(5))
-    P, W, Pp = face_lattice._checked_faces(sp, faces)
+    P, W, Pp = cone_space._checked_faces(sp, faces)
     assert len(P) == len(W) == len(Pp) == len(points)
     for x, p, pp, w in zip(points, P, Pp, W):
         F = face_of(sp, x)
@@ -452,7 +468,7 @@ def test_only_the_refuting_face_is_built(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
     for module, name in [(face_lattice, "Face"), (face_lattice, "face_of"),
-                         (face_lattice, "orthogonal_face"), (derivation_algebra, "is_derivation")]:
+                         (face_lattice, "orthogonal_face"), (face_lattice, "is_derivation")]:
         counting(module, name)
     for sp in [ConeSpace.orthant(5), ConeSpace.lorentz(6), ConeSpace.psd_real(3),
                ConeSpace.hermitian(3), _rotated_orthant(6), _ngon_cone(3)]:
