@@ -119,11 +119,6 @@ def parse_cone_spec(text):
         raise SpecError(0, str(exc))
 
 
-def emit_cone_spec(space):
-    """Inverse of parse_cone_spec, modulo comments."""
-    return "\n".join(["kind = %s" % space.kind] + space._spec_lines()) + "\n"
-
-
 class Report:
     """Result lines plus free-form sections; machine lines sorted."""
 

@@ -13,12 +13,12 @@ Koranyi, Analysis on Symmetric Cones, ch. III-IV).  Each kind class
 supplies three primitives: its unit e, its multiplication operator L(a)
 (x -> a o x) as a dim x dim matrix, and the spectral decompositions
 x = sum_i lam_i c_i over Jordan frames (c_i) of a whole stack of points
-in one call.  _JordanSpace derives the rest once: margin = lam_min,
-project = sum lam_i^+ c_i, the face of a is the Peirce compression
-U_c = 2 L(c)^2 - L(c) for the support idempotent c of a, its orthogonal
-face is U_(e - c), the order-unit norm is max |lam(U_y x)| for the
-quadratic representation U_y of y = u^(-1/2), and the derivations are
-L(V) + [L(V), L(V)].
+in one call.  _JordanSpace derives the rest once: the membership margin
+is lam_min, project = sum lam_i^+ c_i, the face of a is the Peirce
+compression U_c = 2 L(c)^2 - L(c) for the support idempotent c of a,
+its orthogonal face is U_(e - c), the order-unit norm is max |lam(U_y x)|
+for the quadratic representation U_y of y = u^(-1/2), and the
+derivations are L(V) + [L(V), L(V)].
 Polyhedral cones carry no Jordan product and answer the same private
 hooks from their extreme rays and facet incidence table.  The public
 methods all live on ConeSpace; the kind classes only supply the hooks.
@@ -103,19 +103,6 @@ def vec_to_sym(v):
     return A
 
 
-def herm_to_vec(A):
-    """Hermitian k x k matrix -> real vector of length k^2 (isometric)."""
-    A = np.asarray(A, dtype=complex)
-    k = A.shape[0]
-    out = []
-    for i in range(k):
-        out.append(A[i, i].real)
-        for j in range(i + 1, k):
-            out.append(SQRT2 * A[i, j].real)
-            out.append(SQRT2 * A[i, j].imag)
-    return np.array(out)
-
-
 def vec_to_herm(v):
     v = np.asarray(v, dtype=float)
     d = len(v)
@@ -152,9 +139,6 @@ def _face_band(X):
 # idempotent and symmetric to 1e-10
 PROJECTOR_SQ_TOL = 1e-20
 
-# two faces are the same when their projectors differ by at most this (Frobenius)
-SAME_FACE_TOL = 1e-8
-
 
 def _check_projectors(P):
     """Raise unless each projector of a stack (f, dim, dim) is idempotent
@@ -186,18 +170,12 @@ class Face:
     def is_zero(self):
         return self.dim == 0
 
-    def is_whole(self):
-        return self.dim == self.host.dim
-
     def contains(self, x):
         x = np.asarray(x, dtype=float)
         if not self.host.contains(x):
             return False
         nrm = np.linalg.norm(x)
         return np.linalg.norm(self.projector @ x - x) <= TOL * max(1.0, nrm)
-
-    def same_as(self, other):
-        return np.linalg.norm(self.projector - other.projector) <= SAME_FACE_TOL
 
     def __repr__(self):
         return "Face(dim=%d of %r)" % (self.dim, self.host)
@@ -404,16 +382,6 @@ class ConeSpace:
             raise ValueError("vector entries are not finite")
         return x
 
-    def margin(self, x):
-        """Signed distance-like quantity: positive inside, negative outside.
-
-        Jordan kinds: minimal eigenvalue (for lorentz t - ||z||);
-        polyhedral: minimal pairing with normalized dual rays.  A nan or
-        inf entry raises ValueError, as in project, jordan_decompose and
-        order_unit_norm.
-        """
-        return self._margin(self._check_finite(x))
-
     def membership(self, x):
         """INTERIOR, BOUNDARY or OUTSIDE within the band TOL max(|x|, 1).
         A vector whose norm is not finite (a nan or inf entry, or a norm
@@ -442,10 +410,6 @@ class ConeSpace:
     def lt(self, x, y):
         d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
         return self.contains(d) and np.linalg.norm(d) > TOL * max(1.0, np.linalg.norm(y))
-
-    def lt_int(self, x, y):
-        d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-        return self.membership(d) is Membership.INTERIOR
 
     def is_self_dual(self):
         return self._self_dual
@@ -550,7 +514,6 @@ class _JordanSpace(ConeSpace):
     point goes in as x[None].  _eigvals may skip the frame."""
 
     _self_dual = True
-    _size_key = "dim"
 
     def __init__(self, kind, dim, param, e):
         super().__init__(kind, dim, param=param)
@@ -693,9 +656,6 @@ class _JordanSpace(ConeSpace):
         return [(C[:, i], C[:, j]) for C in frames
                 for i, j in itertools.permutations(range(frames.shape[2]), 2)]
 
-    def _spec_lines(self):
-        return ["%s = %d" % (self._size_key, self.param)]
-
 
 class _Orthant(_JordanSpace):
     """R^n with the coordinatewise product; its frame is the coordinate
@@ -787,8 +747,6 @@ class _MatrixSpace(_JordanSpace):
     """Sym(k, R) or Herm(k, C) with A o B = (AB + BA)/2, carried through
     the isometry T (k^2 x dim) from coordinates to row-major matrix
     entries; the frame of X is its rank-one eigenprojections."""
-
-    _size_key = "k"
 
     def __init__(self, kind, k, d, unvec, units):
         self._k = k
@@ -984,7 +942,3 @@ class _Polyhedral(ConeSpace):
         """Extreme-ray / dual-generator pairs with zero pairing."""
         return [(self._rays[:, i], self.dual_generators[:, j])
                 for i, j in zip(*np.nonzero(self._incidence))]
-
-    def _spec_lines(self):
-        return ["dim = %d" % self.dim] + ["gen = " + ",".join(repr(float(v)) for v in g)
-                                          for g in self.generators.T]

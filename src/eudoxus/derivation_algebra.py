@@ -10,9 +10,9 @@ increasing family of faces and is reconstructed from it exactly.
 """
 
 import functools
+import math
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import expm
 
 from eudoxus.cone_space import (
@@ -122,12 +122,17 @@ def _derivation_residuals(space, Ms):
     """Frobenius distances of a stack of operators (f, dim, dim) from
     Der(cone), and which of them is_derivation refutes: residual above
     DER_TOL max(||M||, 1).  One projection of the whole stack onto the
-    cone's cached orthonormal frame."""
+    cone's cached orthonormal frame.  The stack is first divided by the
+    power of two s that brings its largest entry into [1, 2), as LAPACK's
+    dnrm2 scales (Blue, ACM TOMS 4(1), 1978): the division is exact and no
+    square overflows, and the test is made as res/s > DER_TOL max(||M||/s, 1/s)."""
     Q = space._der_frame
     V = Ms.reshape(len(Ms), Q.shape[1])
+    s = math.ldexp(1.0, math.frexp(np.abs(V).max(initial=0.0))[1] - 1)
+    V = V / s
     R = V - (V @ Q.T) @ Q
     res = np.sqrt(np.vecdot(R, R))
-    return res, res > DER_TOL * np.maximum(np.sqrt(np.vecdot(V, V)), 1.0)
+    return res * s, res > DER_TOL * np.maximum(np.sqrt(np.vecdot(V, V)), 1.0 / s)
 
 
 def is_derivation(space, M, sample_budget=60, rng=None):
@@ -202,18 +207,6 @@ def _structure_table(left, mats, Q):
     return ads, worst
 
 
-def _span_frame(basis):
-    mats = np.array([b.mat for b in basis])
-    return mats, scipy.linalg.orth(mats.reshape(len(mats), -1).T).T
-
-
-def lie_closure_residual(basis):
-    """Largest distance of a commutator of two basis elements from the
-    span of the basis: zero when the span is a Lie algebra."""
-    mats, Q = _span_frame(basis)
-    return _structure_table(mats, mats, Q)[1]
-
-
 def _centre_split(mats, Q):
     """(centre, K, ads, xy): the centre of span(mats) and its orthonormal
     complement K, as combinations of mats, from the adjoint maps ads
@@ -232,15 +225,6 @@ def _centre_split(mats, Q):
     # the row length is spelt out, as C may be empty
     rest, null = _rank_split(Z.reshape(len(C), ads[0].size).T)
     return null @ C, np.vstack([K, rest @ C]), ads, xy
-
-
-def lie_center(basis):
-    """Elements of span(basis) commuting with the whole basis, read from
-    the brackets over an orthonormal basis of the span (_centre_split).
-    A basis whose span is not closed under commutator raises ValueError."""
-    mats, Q = _span_frame(basis)
-    return [Derivation(basis[0].host, np.tensordot(c, mats, axes=1))
-            for c in _centre_split(mats, Q)[0]]
 
 
 def _centroid(ad_x, ad_y, y):
@@ -381,9 +365,6 @@ class SpectralFaceFamily:
 
     def __len__(self):
         return len(self.lams)
-
-    def nonzero_entries(self):
-        return [(lam, F) for lam, F in self.entries if not F.is_zero()]
 
 
 def _cluster(values):

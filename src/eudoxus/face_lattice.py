@@ -14,16 +14,8 @@ operator L(sum lam_i c_i).
 
 import numpy as np
 
-from eudoxus.cone_space import TOL, Face, _checked_faces, _facial_derivatives
+from eudoxus.cone_space import Face, _checked_faces, _facial_derivatives
 from eudoxus.derivation_algebra import Derivation, Verdict, _derivation_residuals, is_derivation
-
-
-def zero_face(space):
-    return Face(space, np.zeros((space.dim, space.dim)), np.zeros(space.dim))
-
-
-def whole_face(space):
-    return Face(space, np.eye(space.dim), space.canonical_unit())
 
 
 def face_of(space, a):
@@ -38,33 +30,10 @@ def face_of(space, a):
     return Face(space, P, W)
 
 
-def orthogonal_face(F):
-    """F-perp: cone elements orthogonal to every element of F (U_(e - c)
-    for a Jordan face U_c)."""
-    (P,), (W,) = F.host._orthogonal_faces(F.projector[None], F.witness[None])
-    return Face(F.host, P, W)
-
-
 def facial_derivative(F):
     """The derivation (1/2)(I + P_F - P_{F-perp}) attached to a face."""
     (mat,) = _facial_derivatives(F.host, (F.projector[None], F.witness[None]))
     return Derivation(F.host, mat)
-
-
-def incomparable(space, a, b):
-    """Orthogonal elements whose generated faces meet only at zero."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (space.contains(a) and space.contains(b)):
-        raise ValueError("incomparability is defined for cone elements")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na <= TOL or nb <= TOL:
-        return True
-    if abs(np.dot(a, b)) > 1e-8 * na * nb:
-        return False
-    Pa = face_of(space, a).projector
-    Pb = face_of(space, b).projector
-    return np.linalg.norm(Pa @ Pb) <= 1e-7
 
 
 def minimal_decomposition(space, a):
@@ -87,11 +56,6 @@ def minimal_decomposition(space, a):
     literal component lists.
     """
     return space._frame_terms(space._check_dim(a)[None])[0]
-
-
-def is_minimal(space, a):
-    """Minimal elements generate one-dimensional (extreme-ray) faces."""
-    return face_of(space, a).dim == 1
 
 
 def is_facially_homogeneous(space, sample_budget=25, rng=None):

@@ -164,12 +164,6 @@ class State:
     def __call__(self, x):
         return float(np.dot(self.functional, np.asarray(x, dtype=float)))
 
-    def is_positive(self, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(9)
-        return all(self(self.krein.host.sample_cone_point(rng)) >= -1e-9
-                   for _ in range(100))
-
 
 def multiplicative_characterization(krein, f, rng=None):
     """Is f(xy) = f(x) f(y)?  Exactly the pure states qualify.
@@ -203,20 +197,3 @@ def mixed_state(krein, weights):
     pures = krein.pure_states()
     functional = sum(w * s.functional for w, s in zip(weights, pures))
     return State(krein, functional)
-
-
-def sampled_extreme_states(space, u, samples=50, rng=None):
-    """For non-lattice cones only sampled extreme points are available;
-    flagged partial.  Returns (states, partial_flag)."""
-    if rng is None:
-        rng = np.random.default_rng(17)
-    u = np.asarray(u, dtype=float)
-    out = []
-    for _ in range(samples):
-        x = space.sample_cone_point(rng)
-        if np.linalg.norm(x) < 1e-9:
-            continue
-        pairing = float(np.dot(x, u))
-        if pairing > 1e-12:
-            out.append(x / pairing)
-    return out, True

@@ -9,8 +9,8 @@ way from its spectral faces; composition and addition of ratios are
 operator composition and sum, with the Jordan symmetrized product as
 the fallback when a product leaves the self-adjoint world.
 
-The classical one-dimensional theory (iteration, partition, cut classes,
-ex aequali, compositio, step-figure quadrature) runs on exact rationals.
+The classical one-dimensional checks (cut classes, ex aequali,
+compositio, step-figure quadrature) run on exact rationals.
 """
 
 import math
@@ -39,44 +39,6 @@ class NotAnOrderUnit(ValueError):
 
 class NotComparable(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# classical one-dimensional operations
-
-def iterate(n, a):
-    """n-fold sum of a quantity, n >= 1."""
-    if n < 1:
-        raise ValueError("iteration count must be >= 1")
-    return n * a
-
-
-def partition(a, n):
-    """The unique x with n x = a, n >= 1."""
-    if n < 1:
-        raise ValueError("partition count must be >= 1")
-    if isinstance(a, (int, Fraction)):
-        return Fraction(a, n)
-    return a / n
-
-
-def apply_fraction(q, a):
-    """Act by a fraction: iterate by the numerator, partition by the
-    denominator.  Representation-free: equal fractions act identically."""
-    q = Fraction(q)
-    return partition(iterate(q.numerator, a), q.denominator)
-
-
-def archimedes_check(space, a, b, N):
-    """Is there n <= N with n a > b?  Monotone in n, so testing n = N
-    suffices."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if space is None:
-        return N * a > b
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return space.lt(b, N * a)
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +329,6 @@ def compositio_check(a_prime, a, b_prime, b):
         return "Vacuous"
     return (classic_ratio_equal(ap + bp, a + b, ap, a)
             and classic_ratio_equal(ap + bp, a + b, bp, b))
-
-
-def classic_add(a_prime, a, c_prime, c):
-    """Sum of segment ratios by the common-consequent construction:
-    bring both to the consequent b' = a c and add antecedents."""
-    ap, a = Fraction(a_prime), Fraction(a)
-    cp, c = Fraction(c_prime), Fraction(c)
-    b = a * c
-    return (ap * c + cp * a), b
-
-
-def classic_compose(a_prime, a, c_prime, c):
-    """Product of segment ratios via the chain construction."""
-    ap, a = Fraction(a_prime), Fraction(a)
-    cp, c = Fraction(c_prime), Fraction(c)
-    return ap * cp, a * c
 
 
 # ---------------------------------------------------------------------------

@@ -39,15 +39,24 @@ def test_parse_errors_carry_line_numbers():
         cli.parse_cone_spec("dim = 3\n")
 
 
+def _spec_text(sp):
+    """The spec text of a cone: its kind and size key, and one gen line
+    per generator of a polyhedral cone."""
+    if sp.kind != "polyhedral":
+        return "kind = %s\n%s = %d\n" % (sp.kind, cli.SIZE_KEYS[sp.kind], sp.param)
+    return "kind = polyhedral\ndim = %d\n" % sp.dim + "".join(
+        "gen = %s\n" % ",".join(repr(float(v)) for v in g) for g in sp.generators.T)
+
+
 def test_emit_parse_roundtrip():
     for sp in (ConeSpace.orthant(3), ConeSpace.lorentz(4), ConeSpace.psd_real(2),
                ConeSpace.hermitian(2),
                ConeSpace.polyhedral([np.array([1.0, 0.0]), np.array([1.0, 1.0])])):
-        text = cli.emit_cone_spec(sp)
+        text = _spec_text(sp)
         back = cli.parse_cone_spec(text)
         assert back.kind == sp.kind
         assert back.dim == sp.dim
-        assert cli.emit_cone_spec(back) == text
+        assert _spec_text(back) == text
 
 
 def test_analyze_command(tmp_path, capsys):
@@ -174,9 +183,12 @@ def test_derivation_roundtrip_command(tmp_path, capsys):
     ("1,0;0,nan", "operator has non-finite entries"),
     ("1,0,0;0,1,0;0,0,1", "operator shape does not match the space"),
     ("1,2;3", "matrix rows differ in length: 2, 1"),
+    ("0,1e150;0,0", "operator is not a derivation"),
+    ("0,1e155;0,0", "operator is not a derivation"),
 ])
 def test_derivation_spectrum_checks_its_matrix(tmp_path, capsys, matrix, message):
-    # not a derivation of the orthant, not finite, not 2 x 2, ragged
+    # not a derivation of the orthant, not finite, not 2 x 2, ragged; the
+    # last not a derivation at any scale, though its entry's square overflows
     spec = _write_spec(tmp_path, "kind = orthant\ndim = 2\n")
     assert cli.main(["derivation", "spectrum", spec, "--matrix", matrix]) == 2
     out = capsys.readouterr()

@@ -21,7 +21,6 @@ from eudoxus.cone_space import (
     ConeSpace,
     Membership,
     _rank_split,
-    herm_to_vec,
     sym_to_vec,
     vec_to_herm,
     vec_to_sym,
@@ -36,8 +35,6 @@ from eudoxus.derivation_algebra import (
     _structure_table,
     derivation_basis,
     is_derivation,
-    lie_center,
-    lie_closure_residual,
     orientability,
     reconstruct_from_faces,
     selfadjoint_derivations,
@@ -45,7 +42,58 @@ from eudoxus.derivation_algebra import (
     tangency_dimension_oracle,
 )
 from eudoxus.exact_rational import stern_brocot_bracket
-from eudoxus.face_lattice import Face, face_of, facial_derivative, minimal_decomposition, whole_face
+from eudoxus.face_lattice import Face, face_of, facial_derivative, minimal_decomposition
+
+
+def herm_to_vec(A):
+    """Hermitian k x k matrix -> real vector of length k^2 (isometric), the
+    inverse of vec_to_herm: each diagonal entry, then sqrt(2) times the
+    real and imaginary parts of each entry above it, row by row."""
+    A = np.asarray(A, dtype=complex)
+    k = A.shape[0]
+    out = []
+    for i in range(k):
+        out.append(A[i, i].real)
+        for j in range(i + 1, k):
+            out.append(np.sqrt(2.0) * A[i, j].real)
+            out.append(np.sqrt(2.0) * A[i, j].imag)
+    return np.array(out)
+
+
+# references for _structure_table and _centre_split: the Lie closure
+# residual and the centre of any basis, over an orthonormal frame of its span
+def _span_frame(basis):
+    mats = np.array([b.mat for b in basis])
+    return mats, scipy.linalg.orth(mats.reshape(len(mats), -1).T).T
+
+
+def lie_closure_residual(basis):
+    """Largest distance of a commutator of two basis elements from the
+    span of the basis: zero when the span is a Lie algebra."""
+    mats, Q = _span_frame(basis)
+    return _structure_table(mats, mats, Q)[1]
+
+
+def lie_center(basis):
+    """Elements of span(basis) commuting with the whole basis, read from
+    the brackets over an orthonormal basis of the span (_centre_split).
+    A basis whose span is not closed under commutator raises ValueError."""
+    mats, Q = _span_frame(basis)
+    return [Derivation(basis[0].host, np.tensordot(c, mats, axes=1))
+            for c in _centre_split(mats, Q)[0]]
+
+
+# two faces are the same when their projectors differ by at most this (Frobenius)
+SAME_FACE_TOL = 1e-8
+
+
+def same_face(F, G):
+    return np.linalg.norm(F.projector - G.projector) <= SAME_FACE_TOL
+
+
+def _nonzero_entries(family):
+    """The (eigenvalue, Face) pairs of a family whose face is not zero."""
+    return [(lam, F) for lam, F in family if not F.is_zero()]
 
 
 def family_of(space, entries):
@@ -119,6 +167,21 @@ def test_non_derivation_is_refuted_with_witness():
     verdict = is_derivation(sp, M)
     assert verdict.status == "Refuted"
     assert verdict.witness is not None
+
+
+@pytest.mark.parametrize("sp, M, status", [
+    (ConeSpace.orthant(2), np.array([[0.0, 1e155], [0.0, 0.0]]), "Refuted"),
+    (ConeSpace.lorentz(3), np.diag([1e155, 0.0, 0.0]), "Refuted"),
+    (ConeSpace.orthant(2), np.diag([1e155, 2e155]), "Verified"),
+    (ConeSpace.lorentz(3), 1e155 * np.eye(3), "Verified"),
+], ids=["orthant-shear", "lorentz-diag", "orthant-diag", "lorentz-scaling"])
+def test_the_decision_holds_where_squared_entries_overflow(sp, M, status):
+    # entries above about 1.3e154 have squares past the float range: the
+    # decision is the one at 1e150, and the residual is finite
+    verdict = is_derivation(sp, M, sample_budget=0)
+    assert verdict.status == status
+    assert is_derivation(sp, M * 1e-5, sample_budget=0).status == status
+    assert np.isfinite(_derivation_residuals(sp, M[None])[0]).all()
 
 
 def test_only_a_witness_search_creates_a_generator(monkeypatch):
@@ -240,7 +303,7 @@ def test_multiple_of_identity_has_whole_face():
     assert len(fam) == 1
     lam, F = fam.entries[0]
     assert np.isclose(lam, 1.5)
-    assert F.same_as(whole_face(sp))
+    assert same_face(F, Face(sp, np.eye(sp.dim), sp.canonical_unit()))
 
 
 def test_reconstruction_roundtrip():
@@ -417,7 +480,7 @@ def loop_ratio_from_family(space, delta, family, a, max_den):
     bracket per piece."""
     decomposition = []
     recovered = np.zeros(space.dim)
-    for lam, F in family.nonzero_entries():
+    for lam, F in _nonzero_entries(family):
         aF = F.projector @ a
         recovered = recovered + aF
         for coeff, comp in loop_minimal_decomposition(space, aF):
@@ -476,10 +539,10 @@ def _consequent(sp, family, seed, kind):
     split, one face's witness (a boundary point), or a split point's
     negative (outside the cone)."""
     x = sp.sample_interior_point(np.random.default_rng(seed))
-    split = sum(F.projector @ x for _, F in family.nonzero_entries())
-    return {"units": sum(F.witness for _, F in family.nonzero_entries()),
+    split = sum(F.projector @ x for _, F in _nonzero_entries(family))
+    return {"units": sum(F.witness for _, F in _nonzero_entries(family)),
             "split": split, "unsplit": x, "negated": -split,
-            "boundary": family.nonzero_entries()[0][1].witness}[kind]
+            "boundary": _nonzero_entries(family)[0][1].witness}[kind]
 
 
 @given(sp=st.sampled_from(SPECTRAL_CONES), seed=st.integers(0, 2**16), spectrum=SPECTRA,
@@ -716,7 +779,7 @@ def test_polyhedral_cones_are_freed_with_their_constants():
 
 def test_family_requires_increasing_eigenvalues():
     sp = ConeSpace.orthant(2)
-    F = whole_face(sp)
+    F = Face(sp, np.eye(sp.dim), sp.canonical_unit())
     with pytest.raises(ValueError):
         family_of(sp, [(2.0, F), (1.0, F)])
 
@@ -737,7 +800,7 @@ def test_exponentials_preserve_cone():
             E = expm(t * d.mat)
             for _ in range(10):
                 x = sp.sample_cone_point(rng)
-                assert sp.margin(E @ x) >= -1e-7 * max(np.linalg.norm(E @ x), 1e-12)
+                assert sp._margin(E @ x) >= -1e-7 * max(np.linalg.norm(E @ x), 1e-12)
 
 
 def test_commutative_orientability_at_size():
@@ -1352,14 +1415,14 @@ ANALYZE_ROTATED = """
 import contextlib, io, os
 import numpy as np
 from eudoxus import cli
-from eudoxus.cone_space import ConeSpace
 tmp, dims = json.loads(sys.argv[1])
 out = []
 for d in dims:
     q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((d, d)))
     path = os.path.join(tmp, "rotated-%d.txt" % d)
     with open(path, "w") as fh:
-        fh.write(cli.emit_cone_spec(ConeSpace.polyhedral(list(q.T))))
+        fh.write("kind = polyhedral\\ndim = %d\\n" % d)
+        fh.writelines("gen = %s\\n" % ",".join(repr(float(v)) for v in g) for g in q.T)
     buf = io.StringIO()
     t = time.perf_counter()
     with contextlib.redirect_stdout(buf):

@@ -103,18 +103,27 @@ def test_exact_hit_collapses_bracket():
 
 
 @given(num=st.integers(1, 400), den=st.integers(1, 50),
-       max_den=st.integers(1, 200))
+       max_den=st.integers(1, 200), banded=st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_bracket_properties(num, den, max_den):
+def test_bracket_properties(num, den, max_den, banded):
+    # the exact oracle of num/den, or the banded one of its float, whose
+    # value is an exact dyadic rational
     target = Fraction(num, den)
-    lo, hi = stern_brocot_bracket(FractionCutOracle(target), max_den)
-    assert lo <= target <= hi
-    assert lo.denominator <= max_den and hi.denominator <= max_den
-    if target.denominator <= max_den:
-        assert lo == hi == target
+    if banded:
+        oracle = RealOracleFromValue(float(target))
+        value = Fraction(float(target))
     else:
-        # Stern-Brocot neighbours satisfy the unimodular relation
-        assert hi - lo == Fraction(1, lo.denominator * hi.denominator)
+        oracle, value = FractionCutOracle(target), target
+    lo, hi = stern_brocot_bracket(oracle, max_den)
+    assert lo.denominator <= max_den and hi.denominator <= max_den
+    if not banded and target.denominator <= max_den:
+        assert lo == hi == target
+    if lo == hi:
+        assert oracle.exact_hit(lo.numerator, lo.denominator)
+    else:
+        assert lo <= value <= hi
+        # Stern-Brocot neighbours a/b < c/d satisfy the unimodular relation bc - ad = 1
+        assert lo.denominator * hi.numerator - lo.numerator * hi.denominator == 1
 
 
 @given(num=st.integers(1, 100), den=st.integers(1, 100))

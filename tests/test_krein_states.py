@@ -8,7 +8,6 @@ from eudoxus.krein_states import (
     check_axioms,
     mixed_state,
     multiplicative_characterization,
-    sampled_extreme_states,
 )
 
 
@@ -68,8 +67,9 @@ def test_pure_state_count_and_positivity():
         ks = KreinSpace(ConeSpace.orthant(n))
         pures = ks.pure_states()
         assert len(pures) == n
+        # a functional is positive on the self-dual orthant when it lies in the cone
         for s in pures:
-            assert s.is_positive()
+            assert ks.host.contains(s.functional)
 
 
 def test_multiplicative_iff_pure():
@@ -110,10 +110,3 @@ def test_state_normalization_enforced():
     ks = KreinSpace(ConeSpace.orthant(2))
     with pytest.raises(ValueError):
         State(ks, np.array([1.0, 1.0]))
-
-
-def test_sampled_extreme_states_flagged_partial():
-    sp = ConeSpace.lorentz(3)
-    states, partial = sampled_extreme_states(sp, sp.canonical_unit(), samples=30)
-    assert partial
-    assert states

@@ -155,7 +155,8 @@ def test_verdicts_do_not_depend_on_the_presentation(name, seed):
 
 def _analyze_lines(tmp_path, capsys, sp):
     path = tmp_path / "cone.txt"
-    path.write_text(cli.emit_cone_spec(sp))
+    path.write_text("kind = polyhedral\ndim = %d\n" % sp.dim + "".join(
+        "gen = %s\n" % ",".join(repr(float(v)) for v in g) for g in sp.generators.T))
     code = cli.main(["analyze", str(path)])
     return code, capsys.readouterr().out
 
