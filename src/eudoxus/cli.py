@@ -192,6 +192,8 @@ def cmd_analyze(args, report):
 
 
 def cmd_ratio(args, report):
+    if args.action != "make" and None in (args.antecedent2, args.consequent2):
+        raise ValueError("ratio %s needs --antecedent2 and --consequent2" % args.action)
     space = _load_space(args.spec)
     a = _parse_vector(args.consequent)
     ap = _parse_vector(args.antecedent)

@@ -52,9 +52,6 @@ from scipy.spatial import ConvexHull
 
 TOL = 1e-9
 
-# eigenvalues closer than this share a spectral face
-CLUSTER_TOL = 1e-8
-
 SQRT2 = np.sqrt(2.0)
 
 # round-off allowed in the Der frame's Q Q^T = I, far below the relative
@@ -130,6 +127,11 @@ def _face_band(X):
     if not np.isfinite(band).all():
         raise ValueError("vector norm is not finite")
     return band
+
+
+def _in_runs(x, cuts):
+    """Indicators (len(cuts) + 1, len(x)) of the run of x between sorted cuts."""
+    return np.searchsorted(cuts, x) == np.arange(len(cuts) + 1)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +580,11 @@ class _JordanSpace(ConeSpace):
         C = self._e - W
         return self._U(C), C
 
-    def _eigenfaces(self, M, lams):
-        """M = L(M e) for a self-adjoint derivation, so the face of its
-        eigenvalue lam is U_c for c the frame elements of M e at lam."""
+    def _eigenfaces(self, M, cuts):
+        """M = L(M e) for a self-adjoint derivation, so the face of a run of
+        its eigenvalues is U_c for c the frame elements of M e in the run."""
         (w,), (frame,) = self._spectral((M @ self._e)[None])
-        C = (np.abs(w - np.asarray(lams)[:, None]) <= 2.0 * CLUSTER_TOL) @ frame.T
+        C = _in_runs(w, cuts) @ frame.T
         return self._U(C), C
 
     def _frame_terms(self, A):
@@ -878,10 +880,11 @@ class _Polyhedral(ConeSpace):
         # the extreme rays each projector kills
         return self._generator_faces(np.linalg.norm(P @ self._rays, axis=-2) <= 1e-8)
 
-    def _eigenfaces(self, M, lams):
+    def _eigenfaces(self, M, cuts):
+        """Every unit extreme ray r is an eigenvector of M in Der: the face
+        of a run spans the rays whose r^T M r lie in it."""
         R = self._rays
-        lams = np.asarray(lams)[:, None, None]
-        return self._generator_faces(np.linalg.norm(M @ R - lams * R, axis=1) <= 1e-7)
+        return self._generator_faces(_in_runs(np.vecdot(R, M @ R, axis=0), cuts))
 
     def _frame_terms(self, A):
         """Ray coordinates above the face band of each row of A, by one _pairings(A)

@@ -69,13 +69,11 @@ class Quantity:
 
 def conjunct(q1, q2):
     """The conjunct product: concatenated (or exponent-summed) word,
-    multiplied magnitudes.  Ratio magnitudes compose as operators and
-    must share a host cone."""
+    multiplied magnitudes.  Ratio magnitudes compose as operators, and
+    compose raises NotComparable unless they share a host cone."""
     word = q1.word * q2.word
     m1, m2 = q1.magnitude, q2.magnitude
     if isinstance(m1, Ratio) and isinstance(m2, Ratio):
-        if m1.host is not m2.host:
-            raise ValueError("ratio magnitudes live over different cones")
         return Quantity(compose(m1, m2), word)
     if isinstance(m1, Ratio) or isinstance(m2, Ratio):
         raise ValueError("cannot mix scalar and ratio magnitudes")

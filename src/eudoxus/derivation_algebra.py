@@ -16,7 +16,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from eudoxus.cone_space import (
-    CLUSTER_TOL,
     Face,
     Membership,
     _check_projectors,
@@ -63,8 +62,7 @@ class Derivation:
 
     @property
     def selfadjoint(self):
-        m = self.mat
-        return bool(np.linalg.norm(m - m.T) <= 1e-12 * max(1.0, np.linalg.norm(m)))
+        return not _asymmetric(self.mat)
 
     def __call__(self, x):
         return self.mat @ np.asarray(x, dtype=float)
@@ -118,18 +116,26 @@ def tangency_dimension_oracle(space, samples=120, rng=None, symmetric_only=False
     return ncols - int(np.sum(s > 1e-7 * max(s[0], 1.0)))
 
 
+def _pow2_scaled(V):
+    """(V / s, s), s the power of two that brings max|V| into [1, 2): exact."""
+    # as LAPACK's dnrm2 scales (Blue, ACM TOMS 4(1), 1978): no square overflows
+    s = math.ldexp(1.0, math.frexp(np.abs(V).max(initial=0.0))[1] - 1)
+    return V / s, s
+
+
+def _asymmetric(M):
+    """The self-adjointness test: ||M - M^T|| > DER_TOL max(||M||, 1), scaled."""
+    M, s = _pow2_scaled(M)
+    return bool(np.linalg.norm(M - M.T) > DER_TOL * max(np.linalg.norm(M), 1.0 / s))
+
+
 def _derivation_residuals(space, Ms):
     """Frobenius distances of a stack of operators (f, dim, dim) from
     Der(cone), and which of them is_derivation refutes: residual above
-    DER_TOL max(||M||, 1).  One projection of the whole stack onto the
-    cone's cached orthonormal frame.  The stack is first divided by the
-    power of two s that brings its largest entry into [1, 2), as LAPACK's
-    dnrm2 scales (Blue, ACM TOMS 4(1), 1978): the division is exact and no
-    square overflows, and the test is made as res/s > DER_TOL max(||M||/s, 1/s)."""
+    DER_TOL max(||M||, 1).  One projection of the _pow2_scaled stack onto
+    the cone's cached orthonormal frame."""
     Q = space._der_frame
-    V = Ms.reshape(len(Ms), Q.shape[1])
-    s = math.ldexp(1.0, math.frexp(np.abs(V).max(initial=0.0))[1] - 1)
-    V = V / s
+    V, s = _pow2_scaled(Ms.reshape(len(Ms), Q.shape[1]))
     R = V - (V @ Q.T) @ Q
     res = np.sqrt(np.vecdot(R, R))
     return res * s, res > DER_TOL * np.maximum(np.sqrt(np.vecdot(V, V)), 1.0 / s)
@@ -367,30 +373,43 @@ class SpectralFaceFamily:
         return len(self.lams)
 
 
+# computed eigenvalues are off by round-off of order n eps ||M||_2 (Weyl;
+# Golub & Van Loan, Matrix Computations, 4th ed., 8.1): neighbours within
+# CLUSTER_TOL of the larger of the two share a spectral face, and so do
+# neighbours within EIG_FLOOR n max|v| = 16 n eps max|v|, where that
+# round-off outweighs it (the zero eigenvalues of the cones' derivations
+# spread up to 1.1 n eps max|v|)
+CLUSTER_TOL = 1e-8
+EIG_FLOOR = 16 * np.finfo(float).eps
+
+
 def _cluster(values):
-    """The means of the runs of sorted values whose neighbours lie within
-    CLUSTER_TOL of each other.  Each run's offsets from its first value
-    are summed, so a mean is within an ulp of the exact one, where a
-    running sum of the values themselves drifts by several ulps over a
-    dozen of them."""
+    """(means, cuts) of the runs of sorted values whose neighbours lie within
+    CLUSTER_TOL of the larger, or within EIG_FLOOR n max|v| (so an
+    all-zero spectrum is one run); cuts are the midpoints of the gaps between
+    runs, which a chained run's mean can lie beyond.  Offsets from a run's
+    first value are summed: a mean is within an ulp of the exact one."""
+    # the band is scale-invariant and keeps apart small eigenvalues beside
+    # large ones down to a gap of EIG_FLOOR n max|v|; a running sum of the
+    # values would drift by several ulps over a dozen of them
     v = np.sort(values)
-    new = np.empty(len(v), dtype=bool)  # does v[i] start a run?
-    new[0] = True
-    np.greater(np.diff(v), CLUSTER_TOL, out=new[1:])
-    starts = np.flatnonzero(new)
-    run = np.cumsum(new) - 1
+    a = np.abs(v)
+    band = np.maximum(CLUSTER_TOL * np.maximum(a[:-1], a[1:]),
+                      EIG_FLOOR * len(v) * max(a[0], a[-1]))
+    new = np.concatenate(([True], v[1:] - v[:-1] > band))  # does v[i] start a run?
+    starts = new.nonzero()[0]
+    run = new.cumsum() - 1
     first = v[starts]
-    return first + np.add.reduceat(v - first[run], starts) / np.bincount(run)
+    means = first + np.add.reduceat(v - first[run], starts) / np.bincount(run)
+    return means, (v[starts[1:] - 1] + first[1:]) / 2.0
 
 
 def spectral_faces(space, delta):
     """Faces cut out of the cone by the eigenspaces of a self-adjoint
-    derivation.  Eigenvalues within CLUSTER_TOL share a face; a face may
-    be trivial (eigenspace meeting the cone only at zero), but not all of
-    them can be.  On a Jordan kind delta = L(delta e), and the face of an
-    eigenvalue is U_c for the frame elements c of delta e there.  The
-    kind's _eigenfaces builds every face in one stack, which the family
-    checks once; no Face is built unless the family is iterated."""
+    derivation (_asymmetric decides; an ndarray must be a verified
+    derivation).  A run of _cluster shares a face, maybe trivial, though
+    not all can be; the kind's _eigenfaces builds all faces by the cuts in
+    one stack, checked once by the family; no Face unless iterated."""
     if isinstance(delta, Derivation):
         # only the decision is needed: skip the witness search
         verdict = is_derivation(space, delta.mat, sample_budget=0)
@@ -399,11 +418,11 @@ def spectral_faces(space, delta):
         M = delta.mat
     else:
         M = np.asarray(delta, dtype=float)
-    if np.linalg.norm(M - M.T) > 1e-9 * max(1.0, np.linalg.norm(M)):
+    if _asymmetric(M):
         raise ValueError("spectral faces need a self-adjoint derivation")
 
-    lams = _cluster(np.linalg.eigvalsh(M))
-    return SpectralFaceFamily(space, lams, *space._eigenfaces(M, lams))
+    lams, cuts = _cluster(np.linalg.eigvalsh(M))
+    return SpectralFaceFamily(space, lams, *space._eigenfaces(M, cuts))
 
 
 def reconstruct_from_faces(space, family):

@@ -28,6 +28,8 @@ from eudoxus.exact_rational import (
 )
 from eudoxus.derivation_algebra import (
     Derivation,
+    _asymmetric,
+    _cluster,
     is_derivation,
     spectral_faces,
 )
@@ -167,12 +169,10 @@ def _ratio_from_verified(space, delta, max_den):
 # ---------------------------------------------------------------------------
 # equality
 
-def _comparable(r, s, dr, ds):
-    """Same cone and commuting derivation matrices dr, ds of r and s."""
+def _same_host(r, s):
+    """Raise NotComparable unless r and s live over one cone (equal _key)."""
     if r.host is not s.host and r.host._key != s.host._key:
-        return False
-    scale = max(np.linalg.norm(dr) * np.linalg.norm(ds), 1.0)
-    return np.linalg.norm(dr @ ds - ds @ dr) <= 1e-8 * scale
+        raise NotComparable("ratios live over different cones")
 
 
 def ratio_equal(r, s, max_den=None):
@@ -185,9 +185,11 @@ def ratio_equal(r, s, max_den=None):
     max_den overlap (cuts_equal); a pair with one at or below TOL, and
     every pair without max_den, is compared at tolerance.
     """
+    _same_host(r, s)
     dr = to_derivation(r)
     ds = to_derivation(s)
-    if not _comparable(r, s, dr.mat, ds.mat):
+    scale = max(np.linalg.norm(dr.mat) * np.linalg.norm(ds.mat), 1.0)
+    if np.linalg.norm(dr.mat @ ds.mat - ds.mat @ dr.mat) > 1e-8 * scale:
         raise NotComparable("ratios do not admit a matched decomposition")
     if max_den is None:
         scale = max(dr.norm(), ds.norm(), 1.0)
@@ -203,23 +205,14 @@ def ratio_equal(r, s, max_den=None):
 
 
 def _joint_eigenvalues(A, B):
-    """Paired eigenvalues of two commuting symmetric matrices along a
-    joint eigenbasis: diagonalize A, then B within each eigenspace."""
+    """Paired eigenvalues of commuting symmetric A and B: each block of V^T B V
+    on an eigenspace of A (a run of _cluster) diagonalized, paired with its mean."""
     w, V = np.linalg.eigh(A)
-    pairs = []
-    i = 0
-    n = len(w)
-    while i < n:
-        j = i
-        while j + 1 < n and w[j + 1] - w[i] <= 1e-8 * max(1.0, abs(w[i])):
-            j += 1
-        Vc = V[:, i:j + 1]
-        sub = Vc.T @ B @ Vc
-        wb = np.linalg.eigvalsh(sub)
-        for lb in wb:
-            pairs.append((float(w[i]), float(lb)))
-        i = j + 1
-    return pairs
+    means, cuts = _cluster(w)
+    B = V.T @ B @ V
+    ends = [*np.searchsorted(w, cuts).tolist(), len(w)]
+    return [(float(lam), float(mu)) for lam, i, j in zip(means, [0] + ends, ends)
+            for mu in (np.linalg.eigvalsh(B[i:j, i:j]) if j - i > 1 else (B[i, i],))]
 
 
 class RealOracleFromValue(CutOracle):
@@ -283,19 +276,20 @@ def compose(r, s, max_den=10**6):
     """Operator composition of ratios.  For comparable (commuting)
     ratios the product is again a self-adjoint derivation and a Ratio is
     returned; otherwise the Jordan symmetrized product is returned,
-    flagged."""
+    flagged.  Both must live over one cone."""
+    _same_host(r, s)
     dr = to_derivation(r)
     ds = to_derivation(s)
     prod = dr.mat @ ds.mat
-    scale = max(np.linalg.norm(prod), 1.0)
     # only the decision is used: no search for an expelled witness
-    if np.linalg.norm(prod - prod.T) <= 1e-8 * scale and is_derivation(r.host, prod, sample_budget=0):
+    if not _asymmetric(prod) and is_derivation(r.host, prod, sample_budget=0):
         return _ratio_from_verified(r.host, Derivation(r.host, prod), max_den)
     return JordanOnly(Derivation(r.host, 0.5 * (prod + ds.mat @ dr.mat)))
 
 
 def add(r, s, max_den=10**6):
-    """Sum of ratios: derivations add (the derivation space is linear)."""
+    """Sum of ratios over one cone: derivations add (Der is linear)."""
+    _same_host(r, s)
     dr = to_derivation(r)
     ds = to_derivation(s)
     return from_derivation(r.host, dr.mat + ds.mat, max_den=max_den)

@@ -163,6 +163,63 @@ def test_ratio_eq_command(tmp_path, capsys):
     assert "CHECK ratio_eq PASS equal" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("action", ["eq", "compose", "add"])
+@pytest.mark.parametrize("pair", [[], ["--antecedent2", "1,2"], ["--consequent2", "1,1"]],
+                         ids=["neither", "antecedent2", "consequent2"])
+def test_ratio_actions_on_two_ratios_need_the_second_pair(tmp_path, capsys, action, pair):
+    spec = _write_spec(tmp_path, "kind = orthant\ndim = 2\n")
+    argv = ["ratio", action, spec, "--antecedent", "2,6", "--consequent", "1,2"] + pair
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: ratio %s needs --antecedent2 and --consequent2\n" % action
+
+
+LORENTZ3 = "kind = lorentz\ndim = 3\n"
+SQUARE = "kind = polyhedral\ngen = 3,1\ngen = -1,3\n"
+
+
+@pytest.mark.parametrize("spec, argv, code, lines", [
+    # eigenvalues 1e-9 and 2e-9: an absolute band merged them into 1.5e-9
+    ("kind = orthant\ndim = 2\n",
+     ["ratio", "make", "--antecedent", "1e-9,2e-9", "--consequent", "1,1"], 0,
+     ["lambdas: ['1e-09', '2e-09']", "CHECK ratio_make PASS 2 components"]),
+    # the faces of a polyhedral derivation at 1e9: an absolute eigenvector
+    # test found neither ray
+    (SQUARE, ["derivation", "spectrum", "--matrix", "1.1e9,-3e8;-3e8,1.9e9"], 0,
+     ["lambda 1e+09: face dim 1", "lambda 2e+09: face dim 1",
+      "CHECK derivation_spectrum PASS 2 spectral faces"]),
+    (SQUARE, ["ratio", "make", "--antecedent", "1.1e9,2.3e9", "--consequent", "1,1"], 0,
+     ["lambdas: ['1.4e+09', '2.9e+09']", "CHECK ratio_make PASS 2 components"]),
+    # runs 1 - 1.5e-8, 1 and 1 + 1.5e-8: a window of 2e-8 around each mean
+    # gave both frame elements to the middle run too
+    (LORENTZ3, ["ratio", "make", "--antecedent", "1,1.5e-8,0", "--consequent", "1,0,0"], 0,
+     ["CHECK ratio_make PASS 2 components"]),
+    (LORENTZ3, ["ratio", "make", "--antecedent", "1,2e-8,0", "--consequent", "1,0,0"], 0,
+     ["CHECK ratio_make PASS 2 components"]),
+    # 1 and 1.005 beside 1e6: a band of 1e-8 max|v| merged them into 1.0025
+    ("kind = orthant\ndim = 3\n",
+     ["ratio", "make", "--antecedent", "1,1.005,1e6", "--consequent", "1,1,1"], 0,
+     ["lambdas: ['1', '1.005', '1000000']", "CHECK ratio_make PASS 3 components"]),
+    # a product 1.6e-9 off symmetric: compose passed it on at 1e-8, and
+    # spectral_faces rejected it at 1e-9
+    (LORENTZ3, ["ratio", "compose", "--antecedent", "1,5e-8,0", "--consequent", "1,0,0",
+                "--antecedent2", "25,0,1", "--consequent2", "1,0,0"], 0,
+     ["CHECK ratio_compose PASS JB-only symmetrized product (factors do not commute)"]),
+    # a rotation whose squared entries overflow is not self-adjoint
+    (LORENTZ3, ["derivation", "spectrum", "--matrix", "0,0,0;0,0,1e155;0,-1e155,0"], 2, []),
+], ids=["small", "polyhedral-spectrum", "polyhedral-ratio", "close-1.5e-8", "close-2e-8",
+        "wide", "compose", "rotation-1e155"])
+def test_spectral_decisions_hold_at_every_scale(tmp_path, capsys, spec, argv, code, lines):
+    path = _write_spec(tmp_path, spec)
+    assert cli.main(argv[:2] + [path] + argv[2:]) == code
+    out = capsys.readouterr()
+    assert set(lines) <= set(out.out.splitlines())
+    if code == 2:
+        assert out.out == ""
+        assert out.err == "error: spectral faces need a self-adjoint derivation\n"
+
+
 def test_derivation_spectrum_command(tmp_path, capsys):
     spec = _write_spec(tmp_path, "kind = orthant\ndim = 2\n")
     code = cli.main(["derivation", "spectrum", spec, "--matrix", "1,0;0,2"])

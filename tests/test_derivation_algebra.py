@@ -10,13 +10,12 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eudoxus
 from eudoxus import cone_space, derivation_algebra, ratio_calculus
 from eudoxus.cone_space import (
-    CLUSTER_TOL,
     TOL,
     ConeSpace,
     Membership,
@@ -26,12 +25,15 @@ from eudoxus.cone_space import (
     vec_to_sym,
 )
 from eudoxus.derivation_algebra import (
+    CLUSTER_TOL,
+    EIG_FLOOR,
     Derivation,
     SpectralFaceFamily,
     _centre_split,
     _centroid,
     _complex_structure,
     _derivation_residuals,
+    _asymmetric,
     _structure_table,
     derivation_basis,
     is_derivation,
@@ -182,6 +184,30 @@ def test_the_decision_holds_where_squared_entries_overflow(sp, M, status):
     assert verdict.status == status
     assert is_derivation(sp, M * 1e-5, sample_budget=0).status == status
     assert np.isfinite(_derivation_residuals(sp, M[None])[0]).all()
+
+
+@given(seed=st.integers(0, 2**16), scale=st.sampled_from([1e-100, 1e-6, 1.0, 1e6, 1e100]),
+       off=st.sampled_from([0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1.0]))
+@settings(max_examples=150)
+def test_the_selfadjointness_test_is_the_raw_rule_where_its_norms_are_finite(seed, scale, off):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((4, 4))
+    M = scale * (A + A.T + off * (A - A.T))
+    raw = np.linalg.norm(M - M.T) > 1e-9 * max(1.0, np.linalg.norm(M))
+    assert _asymmetric(M) == raw
+    assert Derivation(ConeSpace.orthant(4), M).selfadjoint == (not raw)
+
+
+def test_a_rotation_is_not_selfadjoint_where_its_squares_overflow():
+    # the raw squares of a 1e155 rotation overflow, and inf > 1e-9 inf is
+    # false: the rotation passed as self-adjoint
+    sp = ConeSpace.lorentz(3)
+    for scale in (1e150, 1e155, 1e300):
+        M = scale * np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+        assert is_derivation(sp, M, sample_budget=0)
+        assert _asymmetric(M) and not Derivation(sp, M).selfadjoint
+        with pytest.raises(ValueError, match="spectral faces need a self-adjoint derivation"):
+            spectral_faces(sp, Derivation(sp, M))
 
 
 def test_only_a_witness_search_creates_a_generator(monkeypatch):
@@ -426,20 +452,23 @@ def test_family_rejects_witnesses_outside_their_faces():
     assert np.linalg.norm(reconstruct_from_faces(sp, family).mat - np.diag([1.0, 2.0])) <= 1e-8
 
 
-def loop_clusters(values, tol=CLUSTER_TOL):
+def loop_clusters(values):
     """Reference: clusters grown one sorted value at a time, each value
-    joining the cluster of its predecessor when within tol of it."""
+    joining the cluster of its predecessor u when within CLUSTER_TOL
+    max(|u|, |v|) or EIG_FLOOR n max|v| of it."""
+    floor = EIG_FLOOR * len(values) * max(abs(v) for v in values)
     groups = []
     for v in sorted(values):
-        if groups and v - groups[-1][-1] <= tol:
+        u = groups[-1][-1] if groups else None
+        if groups and v - u <= max(CLUSTER_TOL * max(abs(u), abs(v)), floor):
             groups[-1].append(v)
         else:
             groups.append([v])
     return groups
 
 
-def loop_cluster(values, tol=CLUSTER_TOL):
-    return [float(np.mean(g)) for g in loop_clusters(values, tol)]
+def loop_cluster(values):
+    return [float(np.mean(g)) for g in loop_clusters(values)]
 
 
 def _within_an_ulp_of_the_means(lams, groups):
@@ -463,9 +492,11 @@ def loop_spectral_faces(space, delta):
         M = np.asarray(delta, dtype=float)
     if np.linalg.norm(M - M.T) > 1e-9 * max(1.0, np.linalg.norm(M)):
         raise ValueError("spectral faces need a self-adjoint derivation")
-    lams = loop_cluster(np.linalg.eigvalsh(M))
+    groups = loop_clusters(np.linalg.eigvalsh(M))
+    lams = [float(np.mean(g)) for g in groups]
+    cuts = [(g[-1] + h[0]) / 2.0 for g, h in zip(groups, groups[1:])]
     return family_of(space, [(lam, Face(space, P, w)) for lam, P, w
-                             in zip(lams, *space._eigenfaces(M, lams))])
+                             in zip(lams, *space._eigenfaces(M, cuts))])
 
 
 def loop_minimal_decomposition(space, a):
@@ -514,14 +545,76 @@ def test_stacked_spectral_faces_match_the_loop_reference(sp, seed, spectrum):
 
 
 def test_clusters_chain_and_average_as_in_the_loop_reference():
-    # 0, 0.6e-8, 1.2e-8 chain into one cluster though its ends are 1.2e-8 apart
-    values = [3.0, 1.2e-8, 0.0, 0.6e-8, 1.0, 1.0 + 1e-9, -2.0]
+    # 1, 1 + 0.6e-8, 1 + 1.2e-8 chain into one cluster though its ends are
+    # 1.2e-8 apart; 0 and 1e-14 share the band EIG_FLOOR n max|v| = 7.5e-14
+    values = [3.0, 1.0 + 1.2e-8, 1.0, 1.0 + 0.6e-8, 0.0, 1e-14, -2.0]
     groups = loop_clusters(values)
-    assert [len(g) for g in groups] == [1, 3, 2, 1]
-    assert _within_an_ulp_of_the_means(derivation_algebra._cluster(values), groups)
+    assert [len(g) for g in groups] == [1, 2, 3, 1]
+    assert _within_an_ulp_of_the_means(derivation_algebra._cluster(values)[0], groups)
     # n copies of 0.1: the running sum gives 0.1 + 1 ulp at n = 3
-    assert derivation_algebra._cluster([0.1] * 3).tolist() == [0.1]
+    assert derivation_algebra._cluster([0.1] * 3)[0].tolist() == [0.1]
     assert loop_cluster([0.1] * 3) == [0.1 + np.spacing(0.1)]
+
+
+def test_cluster_cuts_split_the_gaps_between_runs():
+    # 1 + (0, 0.9, 1.8, 2.7) 1e-8 chain into one run with mean 1 + 1.35e-8,
+    # which the midpoint of the means, 1 + 2.575e-8, would cut in two
+    values = 1.0 + np.array([0.0, 0.9, 1.8, 2.7, 3.8]) * 1e-8
+    means, cuts = derivation_algebra._cluster(values)
+    assert len(means) == 2 and (means[0] + means[1]) / 2.0 < values[3]
+    assert cuts.tolist() == [(values[3] + values[4]) / 2.0]
+    assert np.searchsorted(cuts, values).tolist() == [0, 0, 0, 0, 1]
+    # the band is relative to max|v|: the same runs at every scale
+    for scale in (1e-12, 1e-6, 1e6, 1e12):
+        assert np.searchsorted(derivation_algebra._cluster(scale * values)[1],
+                               scale * values).tolist() == [0, 0, 0, 0, 1]
+    # an all-zero spectrum is one run
+    assert [len(c) for c in derivation_algebra._cluster(np.zeros(4))] == [1, 0]
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+# operators whose distinct eigenvalues a band of 1e-8, absolute or relative
+# to the spectral radius, merged at some scale (1e-9 and 1.001e-9, or 1
+# and 1.005 beside 1e6), and polyhedral ones whose faces an absolute
+# eigenvector test lost at 1e9
+SCALED_OPERATORS = [
+    (ConeSpace.orthant(2), np.diag([1.0, 1.001])),
+    (ConeSpace.orthant(3), np.diag([1.0, 1.005, 1e6])),
+    (ConeSpace.orthant(3), np.diag([1.0, 2.0, 1e9])),
+    (ConeSpace.polyhedral([np.array([3.0, 1.0]), np.array([-1.0, 3.0])]),
+     np.array([[1.1, -0.3], [-0.3, 1.9]])),
+    (ConeSpace.polyhedral(list(_rotation(0.3).T)),
+     _rotation(0.3) @ np.diag([1.0, 2.0]) @ _rotation(0.3).T),
+]
+
+
+def _at_both_ends(test):
+    for sp, M in SCALED_OPERATORS:
+        for scale in (1e-9, 1e9):
+            test = example(sp=sp, seed=0, spectrum=M, scale=scale)(test)
+    return test
+
+
+@given(sp=st.sampled_from(SPECTRAL_CONES), seed=st.integers(0, 2**16), spectrum=SPECTRA,
+       scale=st.sampled_from([1e-9, 1e-6, 1e6, 1e9]))
+@_at_both_ends
+@settings(max_examples=150)
+def test_spectral_faces_are_scale_invariant(sp, seed, spectrum, scale):
+    fixed = isinstance(spectrum, np.ndarray)
+    delta = spectrum if fixed else _spectrum_case(sp, seed, spectrum)
+    unit, scaled = spectral_faces(sp, delta), spectral_faces(sp, scale * delta)
+    assert [F.dim for _, F in scaled] == [F.dim for _, F in unit]
+    radius = np.abs(unit.lams).max()
+    if fixed:
+        # every eigenvalue of SCALED_OPERATORS is its own face of dim 1
+        assert [F.dim for _, F in unit] == [1] * len(delta)
+        assert np.all(np.abs(unit.lams - np.linalg.eigvalsh(delta)) <= 1e-12 * radius)
+    assert np.all(np.abs(scaled.lams - scale * unit.lams) <= 1e-12 * scale * radius)
+    back = reconstruct_from_faces(sp, scaled).mat
+    assert np.linalg.norm(back - scale * delta) <= 1e-9 * scale * np.linalg.norm(delta)
 
 
 def _outcome(run):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from eudoxus import face_lattice, ratio_calculus
 from eudoxus.cone_space import TOL, ConeSpace, sym_to_vec
+from eudoxus.conjunct_product import DimWord, Quantity, conjunct
 from eudoxus.derivation_algebra import Derivation, selfadjoint_derivations, spectral_faces
 from eudoxus.exact_rational import FractionCutOracle
 from eudoxus.face_lattice import face_of, facial_derivative, minimal_decomposition
@@ -116,6 +117,52 @@ def test_ratio_equal_distinguishes_unequal_comparable():
     s = _orthant_ratio([1.0, 3.0])
     assert not ratio_equal(r, s)
     assert not ratio_equal(r, s, max_den=100)
+
+
+def _square_ratio(sp):
+    # the polyhedral cone of the orthogonal rays (3, 1) and (-1, 3)
+    return ratio_from_pair(sp, np.array([1.1, 2.3]), np.ones(2), max_den=64)
+
+
+def test_ratios_over_different_cones_are_not_comparable():
+    r = _orthant_ratio([1.0, 2.0, 3.0])
+    s = ratio_from_pair(ConeSpace.lorentz(3), np.array([2.0, 0.5, 0.0]),
+                        np.array([1.0, 0.0, 0.0]), max_den=64)
+    qr, qs = Quantity(r, DimWord(("a",))), Quantity(s, DimWord(("b",)))
+    for run in (lambda: compose(r, s), lambda: add(r, s), lambda: ratio_equal(r, s),
+                lambda: conjunct(qr, qs)):
+        with pytest.raises(NotComparable, match="ratios live over different cones"):
+            run()
+    # two polyhedral cones built apart from one presentation are one cone
+    gens = [np.array([3.0, 1.0]), np.array([-1.0, 3.0])]
+    r, s = (_square_ratio(ConeSpace.polyhedral(gens)) for _ in range(2))
+    assert r.host is not s.host
+    assert ratio_equal(r, s) and ratio_equal(r, s, max_den=64)
+    assert sorted(compose(r, s).lambdas()) == pytest.approx([1.4 ** 2, 2.9 ** 2])
+    assert sorted(add(r, s).lambdas()) == pytest.approx([2.8, 5.8])
+    q = conjunct(Quantity(r, DimWord(("a",))), Quantity(s, DimWord(("b",))))
+    assert sorted(q.magnitude.lambdas()) == pytest.approx([1.4 ** 2, 2.9 ** 2])
+
+
+def test_joint_eigenvalues_group_as_spectral_faces_do():
+    # 1 and 1.005 beside 1e6, and 1 and 2 beside 1e9, are distinct eigenvalues:
+    # a band of 1e-8 max|v| merged them
+    B = np.diag([5.0, 6.0, 7.0, 8.0])
+    for w in ([1.005, 1.0, 1e6, 1.005], [2.0, 1.0, 1e9, 2.0]):
+        pairs = ratio_calculus._joint_eigenvalues(np.diag(w), B)
+        assert pairs == [(w[1], 6.0), (w[0], 5.0), (w[0], 8.0), (w[2], 7.0)]
+        r = ratio_from_pair(ConeSpace.orthant(3), np.array(w[1:]), np.ones(3))
+        assert sorted(r.lambdas()) == sorted(w[1:])
+
+
+def test_compose_decides_symmetry_as_spectral_faces_does():
+    # dr ds is 1.6e-9 off symmetric (relative): above the one 1e-9 band,
+    # so compose returns the symmetrized product and does not pass it on
+    sp = ConeSpace.lorentz(3)
+    r = ratio_from_pair(sp, np.array([1.0, 5e-8, 0.0]), np.array([1.0, 0.0, 0.0]))
+    for t in (15.0, 20.0, 25.0):
+        s = ratio_from_pair(sp, np.array([t, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+        assert isinstance(compose(r, s), JordanOnly)
 
 
 def test_compose_commuting_ratios():
