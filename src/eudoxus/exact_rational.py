@@ -10,9 +10,11 @@ The descent jumps along each run of equal steps (the continued-fraction
 form of the walk), so a bracket costs O(log max_den + log(cut + 1/cut))
 oracle queries however large the partial quotients of the cut are.
 
-All arithmetic is exact; fractions are ``fractions.Fraction`` (python
-integers never overflow, which matters because mediant convergents grow
-fast).
+All arithmetic is exact and in python integers, which never overflow
+(mediant convergents grow fast): the walk carries each fraction as its
+numerator and denominator, a query on m/n is one integer
+cross-multiplication against the cut, and only the bracket comes back
+as ``fractions.Fraction``.
 """
 
 import math
@@ -51,8 +53,10 @@ class CutOracle:
     monotone (once true for m/n it is true for every larger fraction),
     the union of exact_hit and strict_above is upward-closed, and no
     exact hit lies above a fraction that is strictly above and not a
-    hit.  The hits may be one fraction (an exact cut) or an interval of
-    them (a band around a floating value).
+    hit.  The three classes are disjoint: no fraction is both strictly
+    above and a hit, so a fraction strictly above needs no second query.
+    The hits may be one fraction (an exact cut) or an interval of them
+    (a band around a floating value).  Queries come with m, n > 0.
     """
 
     def strict_above(self, m, n):
@@ -69,20 +73,21 @@ class FractionCutOracle(CutOracle):
     Comparisons are exact against the binary representation, so the
     bracket always contains the float; for irrational targets the float
     itself is within one ulp, far below any bracket width reachable with
-    moderate denominators.
+    moderate denominators.  The value is kept as integers p/q, and m/n
+    is compared by the cross-multiplication m*q against n*p (n > 0).
     """
 
     def __init__(self, value):
         value = Fraction(value)
         if value <= 0:
             raise ValueError("cut must be positive")
-        self.value = value
+        self.p, self.q = value.numerator, value.denominator
 
     def strict_above(self, m, n):
-        return Fraction(m, n) > self.value
+        return m * self.q > n * self.p
 
     def exact_hit(self, m, n):
-        return Fraction(m, n) == self.value
+        return m * self.q == n * self.p
 
 
 # a real cut is the same oracle at the float's exact binary value
@@ -90,11 +95,12 @@ RealCutOracle = FractionCutOracle
 
 
 def _side(oracle, m, n):
-    """Where m/n lies against the cut: LESS, EQUAL or GREATER (one or two
-    queries, exact_hit first)."""
-    if oracle.exact_hit(m, n):
-        return EQUAL
-    return GREATER if oracle.strict_above(m, n) else LESS
+    """Where m/n lies against the cut: LESS, EQUAL or GREATER.  One query
+    when m/n is strictly above the cut; exact_hit only when it is not,
+    which the oracle's disjoint classes allow."""
+    if oracle.strict_above(m, n):
+        return GREATER
+    return EQUAL if oracle.exact_hit(m, n) else LESS
 
 
 _CLASS_OF_SIDE = {LESS: CLASS_BELOW, EQUAL: CLASS_EQUAL, GREATER: CLASS_ABOVE}

@@ -30,6 +30,7 @@ from eudoxus.derivation_algebra import (
     Derivation,
     _asymmetric,
     _cluster,
+    _pow2_scaled,
     is_derivation,
     spectral_faces,
 )
@@ -188,8 +189,11 @@ def ratio_equal(r, s, max_den=None):
     _same_host(r, s)
     dr = to_derivation(r)
     ds = to_derivation(s)
-    scale = max(np.linalg.norm(dr.mat) * np.linalg.norm(ds.mat), 1.0)
-    if np.linalg.norm(dr.mat @ ds.mat - ds.mat @ dr.mat) > 1e-8 * scale:
+    # ||[dr, ds]|| > 1e-8 max(||dr|| ||ds||, 1) on the _pow2_scaled operators:
+    # the same decision, but no norm or product overflows
+    (A, a), (B, b) = _pow2_scaled(dr.mat), _pow2_scaled(ds.mat)
+    scale = max(np.linalg.norm(A) * np.linalg.norm(B), 1.0 / a / b)
+    if np.linalg.norm(A @ B - B @ A) > 1e-8 * scale:
         raise NotComparable("ratios do not admit a matched decomposition")
     if max_den is None:
         scale = max(dr.norm(), ds.norm(), 1.0)
@@ -217,7 +221,8 @@ def _joint_eigenvalues(A, B):
 
 class RealOracleFromValue(CutOracle):
     """Banded oracle for a floating multiplier: m/n within the membership
-    band TOL of the value counts as an exact hit."""
+    band TOL of the value counts as an exact hit.  One float product n*value
+    per query; m and n are positive, so the band is TOL (m + n*value)."""
 
     def __init__(self, value):
         value = float(value)
@@ -226,10 +231,12 @@ class RealOracleFromValue(CutOracle):
         self.value = value
 
     def strict_above(self, m, n):
-        return m - n * self.value > TOL * (abs(m) + abs(n * self.value))
+        nv = n * self.value
+        return m - nv > TOL * (m + nv)
 
     def exact_hit(self, m, n):
-        return abs(m - n * self.value) <= TOL * (abs(m) + abs(n * self.value))
+        nv = n * self.value
+        return abs(m - nv) <= TOL * (m + nv)
 
 
 def cuts_equal(o1, o2, max_den):

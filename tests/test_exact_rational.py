@@ -1,7 +1,7 @@
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eudoxus.exact_rational import (
@@ -200,3 +200,60 @@ def test_huge_and_tiny_cuts_bracket_in_few_queries():
         lo, hi = stern_brocot_bracket(counted, 10**6)
         assert lo <= value <= hi
         assert counted.queries <= query_bound(value, 10**6)
+
+
+# exact cut values: fractions with numerator and denominator up to 10^40, and
+# floats over the whole positive range at their exact dyadic value
+exact_values = st.one_of(
+    st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40)),
+    st.floats(min_value=5e-324, max_value=1e308).map(Fraction))
+
+
+def _queries(data, value, bound=None):
+    """(m, n) with m, n >= 1: arbitrary; a multiple of the value's own
+    numerator and denominator moved by at most one, so exact hits are drawn
+    too; or n * value moved by up to 4e-9 relative, across the edges of
+    the banded oracle's hit band (about 1e-9 (m + n value))."""
+    how = data.draw(st.sampled_from(["any", "multiple", "band"]), label="how")
+    if how == "any":
+        ints = st.integers(1, bound) if bound else st.integers(min_value=1)
+        return data.draw(ints, label="m"), data.draw(ints, label="n")
+    if how == "multiple":
+        k = data.draw(st.integers(1, 10**6), label="k")
+        m = k * value.numerator + data.draw(st.integers(-1, 1), label="shift")
+        n = k * value.denominator
+    else:
+        n = data.draw(st.integers(1, 10**12), label="n")
+        t = Fraction(data.draw(st.floats(-4e-9, 4e-9), label="t"))
+        m = round(n * value * (1 + t))
+    m = max(m, 1)
+    assume(bound is None or max(m, n) <= bound)
+    return m, n
+
+
+@given(value=exact_values, data=st.data())
+@settings(max_examples=300)
+def test_fraction_oracle_queries_agree_with_fraction_comparison(value, data):
+    m, n = _queries(data, value)
+    oracle = FractionCutOracle(value)
+    assert oracle.strict_above(m, n) == (Fraction(m, n) > value)
+    assert oracle.exact_hit(m, n) == (Fraction(m, n) == value)
+
+
+@given(value=st.one_of(exact_values, st.floats(min_value=5e-324, max_value=1e308)),
+       banded=st.booleans(), data=st.data())
+@settings(max_examples=300)
+def test_no_fraction_is_both_strictly_above_and_a_hit(value, banded, data):
+    # the disjointness that lets _side skip exact_hit above the cut; m and n
+    # stay below 10^300, where the banded oracle's float arithmetic holds
+    oracle = RealOracleFromValue(float(value)) if banded else FractionCutOracle(value)
+    m, n = _queries(data, Fraction(value), bound=10**300)
+    assert not (oracle.strict_above(m, n) and oracle.exact_hit(m, n))
+
+
+def test_classify_asks_one_query_above_the_cut_and_two_below():
+    for oracle in (FractionCutOracle(Fraction(17, 12)), RealOracleFromValue(17 / 12)):
+        for q, queries in ((Fraction(3, 2), 1), (Fraction(4, 3), 2)):
+            counted = CountingOracle(oracle)
+            classify_fraction(q, counted)
+            assert counted.queries == queries

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,22 @@ def test_ratio_equal_and_not_comparable():
     assert ratio_equal(r, r, max_den=1000)
     with pytest.raises(NotComparable):
         ratio_equal(r, s)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e155])
+def test_commutation_is_decided_where_the_norm_product_overflows(scale):
+    # ||dr|| ||ds|| overflows above about 1e154; the test runs on the
+    # _pow2_scaled operators, so every scale decides as scale 1 does
+    sp = ConeSpace.psd_real(2)
+    u = sp.canonical_unit()
+    r = ratio_from_pair(sp, scale * sym_to_vec(np.diag([1.0, 2.0])), u)
+    s = ratio_from_pair(sp, scale * sym_to_vec(np.array([[2.0, 1.0], [1.0, 2.0]])), u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for max_den in (None, 10**6):
+            with pytest.raises(NotComparable):
+                ratio_equal(r, s, max_den=max_den)
+            assert ratio_equal(r, r, max_den=max_den)
 
 
 def test_ratio_equal_distinguishes_unequal_comparable():
