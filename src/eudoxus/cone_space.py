@@ -120,6 +120,7 @@ def vec_to_herm(v):
     return A
 
 
+@np.errstate(over="ignore")  # a norm that overflows raises below
 def _face_band(X):
     """TOL max(1, |x|) for a point or each row of a stack: eigenvalues (dual
     pairings) up to it count as zero.  A norm that is not finite raises."""
@@ -384,12 +385,18 @@ class ConeSpace:
             raise ValueError("vector entries are not finite")
         return x
 
+    # a norm past the float range is rejected, not scaled (the margins take
+    # raw norms).  np.errstate costs less as a decorator than as a with, and
+    # np.linalg.norm's own steps (ravel, dot, sqrt: the same bits) skip its
+    # Python overhead: together they cost about what np.linalg.norm does
+    @np.errstate(over="ignore")
     def membership(self, x):
         """INTERIOR, BOUNDARY or OUTSIDE within the band TOL max(|x|, 1).
         A vector whose norm is not finite (a nan or inf entry, or a norm
         past the float range) raises ValueError."""
         x = self._check_dim(x)
-        nrm = np.linalg.norm(x)
+        v = x.ravel(order="K")
+        nrm = math.sqrt(v.dot(v))
         if not math.isfinite(nrm):
             raise ValueError("vector norm is not finite")
         if nrm == 0.0:
@@ -513,7 +520,8 @@ class _JordanSpace(ConeSpace):
     kind's unit _e, its _L(a) and its _spectral(X), which decomposes a
     stack of points X (f, dim) in one call: eigenvalues w (f, r) and frame
     elements as columns C (f, dim, r), so X[i] = C[i] @ w[i].  A single
-    point goes in as x[None].  _eigvals may skip the frame."""
+    point goes in as x[None].  Each kind also gives the eigenvalues of one
+    point, _eigvals(x), without the frame."""
 
     _self_dual = True
 
@@ -521,9 +529,6 @@ class _JordanSpace(ConeSpace):
         super().__init__(kind, dim, param=param)
         self._e = e
         self._key = (kind, param)
-
-    def _eigvals(self, x):
-        return self._spectral(x[None])[0][0]
 
     def _margin(self, x):
         return float(np.min(self._eigvals(x)))
@@ -627,10 +632,11 @@ class _JordanSpace(ConeSpace):
 
     def _ratio_derivation(self, lams, X):
         """sum lam_i delta_F_i over the faces F_i = U_(c_i) of the pieces x_i
-        (rows of X).  By the Peirce decomposition the facial derivative
-        of U_c is L(c), which is 1 on V(c, 1), 1/2 on V(c, 1/2) and 0 on
-        V(c, 0); so the sum is the one operator L(sum lam_i c_i), with c_i
-        the support idempotent of x_i under the face band."""
+        (rows of X: a ratio's components, or a spectral family's witnesses).
+        By the Peirce decomposition the facial derivative of U_c is L(c),
+        which is 1 on V(c, 1), 1/2 on V(c, 1/2) and 0 on V(c, 0); so the sum
+        is the one operator L(sum lam_i c_i), with c_i the support
+        idempotent of x_i under the face band: no projector is built."""
         return self._L(lams @ self._supports(X))
 
     def _selfadjoint_units(self):
@@ -913,11 +919,12 @@ class _Polyhedral(ConeSpace):
 
     def _ratio_derivation(self, lams, X):
         """sum lam (1/2)(I + P_F - P_F-perp) over the faces F of the sums of
-        the pieces (rows of X) that share a multiplier lam: no Jordan
-        product, so the projectors.  The extreme rays of a simplicial cone
-        that is not self-dual are not orthogonal, so its ray pieces are not
-        incomparable and their facial derivatives do not add up; the pieces
-        of one spectral face, summed, are that face's own piece."""
+        the pieces (rows of X: a ratio's components, or a spectral family's
+        witnesses) that share a multiplier lam: no Jordan product, so the
+        projectors.  The extreme rays of a simplicial cone that is not
+        self-dual are not orthogonal, so its ray pieces are not incomparable
+        and their facial derivatives do not add up; the pieces of one
+        spectral face, summed, are that face's own piece."""
         lams, which = np.unique(lams, return_inverse=True)
         pieces = np.zeros((len(lams), self.dim))
         np.add.at(pieces, which.reshape(-1), X)

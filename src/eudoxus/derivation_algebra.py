@@ -20,7 +20,6 @@ from eudoxus.cone_space import (
     Membership,
     _check_projectors,
     _face_band,
-    _facial_derivatives,
     _rank_split,
 )
 
@@ -334,8 +333,8 @@ def _complex_structure(cent):
 
 class SpectralFaceFamily:
     """Increasing family of faces of a self-adjoint derivation, one per
-    eigenvalue; zero faces are retained (the ratio construction skips
-    them, the reconstruction needs their eigenvalues).
+    eigenvalue; zero faces are retained, with witness 0 (the ratio
+    construction skips them, and they add nothing to the reconstruction).
 
     Built from three stacks: the strictly increasing eigenvalues lams
     (f,), the span projectors (f, dim, dim) and the witnesses (f, dim).
@@ -426,13 +425,9 @@ def spectral_faces(space, delta):
 
 
 def reconstruct_from_faces(space, family):
-    """The finite facial spectral theorem: sum_k (lam_k - lam_(k+1)) delta_k,
-    lam_(n+1) = 0, over the facial derivatives delta_k of the faces of the
-    cumulative witnesses w_1 + ... + w_k, built as one stack from the
-    family's witnesses (a zero face has witness 0 and derivative 0).
-    Round-trips spectral_faces."""
-    if not len(family):
-        return Derivation(space, np.zeros((space.dim, space.dim)))
-    lams = family.lams
-    D = _facial_derivatives(space, space._faces_of(np.cumsum(family.witnesses, axis=0)))
-    return Derivation(space, np.tensordot(lams - np.append(lams[1:], 0.0), D, axes=1))
+    """The finite facial spectral theorem: sum_k lam_k delta_(F_k) over the
+    family's faces, through the kind hook that to_derivation uses, with the
+    witnesses as the pieces.  The faces are mutually orthogonal, so this is
+    the telescoped sum_k (lam_k - lam_(k+1)) delta_(F_1 v ... v F_k); a zero
+    face has witness 0 and adds 0.  Round-trips spectral_faces."""
+    return Derivation(space, space._ratio_derivation(family.lams, family.witnesses))

@@ -8,8 +8,8 @@ the lattice questions on top of them.  The facial derivative of F is
 (1/2)(I + P_F - P_{F'}) with F' the orthogonal face, formed for a stack of
 faces by cone_space._facial_derivatives on every kind.  On a Jordan kind
 it equals L(c) for the face U_c (Peirce decomposition), so
-ratio_calculus.to_derivation builds no faces there: it is the one
-operator L(sum lam_i c_i).
+ratio_calculus.to_derivation and derivation_algebra.reconstruct_from_faces
+build no faces there: each is the one operator L(sum lam_i c_i).
 """
 
 import numpy as np

@@ -79,8 +79,11 @@ def _solve_selfadjoint_derivation(space, a, a_prime):
     S = space._selfadjoint_mats
     A = (S @ a).T
     coef, _, _, _ = np.linalg.lstsq(A, a_prime, rcond=None)
-    resid = np.linalg.norm(A @ coef - a_prime)
-    if resid > 1e-8 * max(1.0, np.linalg.norm(a_prime)):
+    # |A coef - a'| > 1e-8 max(1, |a'|), with both vectors divided by the
+    # power of two of _pow2_scaled(a'): the same decision, but no norm
+    # overflows (the residual is no longer than a')
+    b, s = _pow2_scaled(a_prime)
+    if np.linalg.norm((A @ coef - a_prime) / s) > 1e-8 * max(1.0 / s, np.linalg.norm(b)):
         return None
     return Derivation(space, np.tensordot(coef, S, axes=1))
 

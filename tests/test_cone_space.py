@@ -304,6 +304,23 @@ def test_membership_rejects_non_finite_vectors(sp, bad):
         sp.membership(1e200 * sp.canonical_unit())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sp", all_kinds() + [ConeSpace.polyhedral(
+    [np.array([1.0, 0.0]), np.array([1.0, 1.0])])], ids=repr)
+def test_a_norm_past_the_float_range_is_rejected_without_a_warning(sp):
+    # the vector is rejected, not scaled: a scaled norm would pass it to
+    # a margin that takes raw norms, and on lorentz the interior point
+    # (3e200, 1e200, 1e200) would come back OUTSIDE
+    points = [1e200 * sp.canonical_unit()]
+    if sp.kind == "lorentz":
+        points.append(np.array([3e200, 1e200, 1e200]))
+    for x in points:
+        for query in (sp.membership, sp.contains,
+                      lambda x: minimal_decomposition(sp, x), lambda x: _face_band(x)):
+            with pytest.raises(ValueError, match="not finite"):
+                query(x)
+
+
 @pytest.mark.parametrize("sp", all_kinds() + [ConeSpace.polyhedral(
     [np.array([1.0, 0.0]), np.array([1.0, 1.0])])], ids=repr)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -129,6 +129,39 @@ def test_commutation_is_decided_where_the_norm_product_overflows(scale):
             assert ratio_equal(r, r, max_den=max_den)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_residual_test_of_a_pair_holds_where_its_norm_overflows():
+    # |a'| overflows above about 1e154, and inf > 1e-8 inf is false: the
+    # residual test accepted any antecedent.  It runs on the _pow2_scaled
+    # residual and antecedent, so each scale decides as scale 1 does
+    sp = ConeSpace.psd_real(2)
+    r = ratio_from_pair(sp, 1e155 * sym_to_vec(np.diag([1.0, 2.0])), sp.canonical_unit())
+    assert r.lambdas() == pytest.approx([1e155, 2e155], rel=1e-12)
+    # on the 5-gon cone Der is the scalars: only multiples of the unit
+    # are face-diagonal over it
+    sp = _ngon_cone(5)
+    u = sp.canonical_unit()
+    for scale in (1.0, 1e155):
+        with pytest.raises(NotComparable, match="not face-diagonal"):
+            ratio_from_pair(sp, scale * (u + np.array([0.0, 0.1, 0.0])), u)
+        assert ratio_from_pair(sp, scale * u, u).lambdas() == pytest.approx([scale], rel=1e-12)
+
+
+@given(seed=st.integers(0, 2**16), scale=st.sampled_from([1e-100, 1e-6, 1.0, 1e6, 1e100]),
+       off=st.sampled_from([0.0, 1e-9, 5e-9, 1e-8, 2e-8, 1e-7, 1.0]))
+@settings(max_examples=150)
+def test_the_residual_test_of_a_pair_is_the_raw_rule_where_its_norms_are_finite(seed, scale, off):
+    # on the 5-gon cone Der is the scalars: an antecedent off the unit's
+    # line by about off (relative) straddles the 1e-8 residual band
+    sp = _ngon_cone(5)
+    u = sp.canonical_unit()
+    a_prime = scale * (u + off * np.random.default_rng(seed).standard_normal(3))
+    A = (sp._selfadjoint_mats @ u).T
+    coef = np.linalg.lstsq(A, a_prime, rcond=None)[0]
+    raw = np.linalg.norm(A @ coef - a_prime) > 1e-8 * max(1.0, np.linalg.norm(a_prime))
+    assert (ratio_calculus._solve_selfadjoint_derivation(sp, u, a_prime) is None) == raw
+
+
 def test_ratio_equal_distinguishes_unequal_comparable():
     r = _orthant_ratio([1.0, 2.0])
     s = _orthant_ratio([1.0, 3.0])

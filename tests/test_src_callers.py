@@ -10,6 +10,13 @@ that only the tests call belongs in the tests.
 Attributes are matched by name alone, not by the class they belong to, so
 a homonym can hide a dead def: the str method call line.partition("=") in
 cli would keep alive a module function named partition that nothing calls.
+
+A method that every subclass in its module overrides is as dead: no
+subclass inherits it, so it runs only on instances of its own class, and in
+src no class that has subclasses is built itself.  A body that only raises
+NotImplementedError declares an interface and stays.  The guard follows the
+bases defined in the module and does not see a call through super(), which
+in src reaches only dunders, exempt anyway.
 """
 
 import ast
@@ -60,6 +67,74 @@ def _uncalled(trees, checked):
             if not any(m == node.name and id(n) not in inside for m, n in mentions):
                 out.append("%s:%s" % (module, name))
     return out
+
+
+def _is_interface(node):
+    """Is the body of a def, past its docstring, one raise NotImplementedError?"""
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and "NotImplementedError" in {n.id for n in ast.walk(body[0]) if isinstance(n, ast.Name)})
+
+
+def _overridden(tree):
+    """The "Class.method" of each method of a module-level class that no
+    subclass in the module inherits, dunders and interfaces left out."""
+    classes = {c.name: c for c in tree.body if isinstance(c, ast.ClassDef)}
+    methods = {name: {f.name: f for f in c.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+               for name, c in classes.items()}
+
+    def lineage(name):
+        """name and its ancestors among the module's classes, nearest first."""
+        while name in classes:
+            yield name
+            name = next((b.id for b in classes[name].bases
+                         if isinstance(b, ast.Name) and b.id in classes), None)
+
+    out = []
+    for name in classes:
+        subs = [c for c in classes if c != name and name in lineage(c)]
+        for method, node in methods[name].items() if subs else ():
+            if method.startswith("__") or _is_interface(node):
+                continue
+            # the class whose method an instance of each subclass runs
+            if all(next(k for k in lineage(c) if method in methods[k]) != name for c in subs):
+                out.append("%s.%s" % (name, method))
+    return out
+
+
+def test_no_src_method_is_overridden_by_every_subclass():
+    found = ["%s:%s" % (p.name, m) for p in sorted(SRC.glob("*.py"))
+             for m in _overridden(ast.parse(p.read_text()))]
+    assert not found, "methods every subclass overrides: %s" % found
+
+
+def test_guard_sees_a_method_every_subclass_overrides():
+    tree = ast.parse("class Base:\n"
+                     "    def hook(self):\n"
+                     "        return 0\n"
+                     "    def shared(self):\n"
+                     "        return 1\n"
+                     "    def interface(self):\n"
+                     "        \"Each subclass answers.\"\n"
+                     "        raise NotImplementedError\n"
+                     "class A(Base):\n"
+                     "    def hook(self):\n"
+                     "        return 2\n"
+                     "    def interface(self):\n"
+                     "        return 3\n"
+                     "class B(Base):\n"
+                     "    def hook(self):\n"
+                     "        return 4\n"
+                     "    def shared(self):\n"
+                     "        return 5\n"
+                     "    def interface(self):\n"
+                     "        return 6\n"
+                     "class C(A):\n"
+                     "    def hook(self):\n"
+                     "        return 7\n")
+    # A, and so C, inherit Base.shared; C, A's only subclass, overrides
+    # A.hook, which is flagged beside Base.hook
+    assert _overridden(tree) == ["Base.hook", "A.hook"]
 
 
 def test_every_src_function_has_a_caller_outside_the_tests():
