@@ -46,9 +46,6 @@ import operator
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.optimize import linprog, nnls
-from scipy.spatial import ConvexHull
 
 TOL = 1e-9
 
@@ -227,6 +224,8 @@ def polyhedral_dual_generators(G):
     dim = G.shape[0]
     if dim == 1:
         return np.array([[1.0]]) if np.all(G > 0) else np.array([[-1.0]])
+    from scipy.spatial import ConvexHull
+
     R = _unit_columns(G)
     hull = ConvexHull(np.vstack([np.zeros(dim), R.T]))
     D = -hull.equations[np.any(hull.simplices == 0, axis=1), :-1].T
@@ -234,6 +233,21 @@ def polyhedral_dual_generators(G):
         raise ValueError("could not enumerate dual generators; cone degenerate?")
     _, first = np.unique(_incidence(R, D), axis=1, return_index=True)
     return D[:, np.sort(first)]
+
+
+# scipy is imported where a polyhedral cone first calls it, so a process on
+# the Jordan kinds never loads it; the solvers stay module-level names, which
+# a tracer or a test can patch
+def nnls(*args, **kwargs):
+    """scipy.optimize.nnls, imported on call."""
+    from scipy import optimize
+    return optimize.nnls(*args, **kwargs)
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on call."""
+    from scipy import optimize
+    return optimize.linprog(*args, **kwargs)
 
 
 # HiGHS's primal feasibility tolerance: linprog accepts a constraint
@@ -417,8 +431,15 @@ class ConeSpace:
         return self.contains(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
 
     def lt(self, x, y):
-        d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-        return self.contains(d) and np.linalg.norm(d) > TOL * max(1.0, np.linalg.norm(y))
+        y = np.asarray(y, dtype=float)
+        d = y - np.asarray(x, dtype=float)
+        if not self.contains(d):
+            return False
+        # the norms as membership takes them (contains kept d's finite); y's
+        # may overflow, to an inf band that no d exceeds
+        v, w = d.ravel(order="K"), y.ravel(order="K")
+        with np.errstate(over="ignore"):
+            return math.sqrt(v.dot(v)) > TOL * max(1.0, math.sqrt(w.dot(w)))
 
     def is_self_dual(self):
         return self._self_dual
@@ -939,6 +960,8 @@ class _Polyhedral(ConeSpace):
         the Laplacian of that 0/1 graph.  selfadjoint also joins the circuits
         of rays that are not orthogonal, whose multipliers a symmetric M must
         equal, and takes the symmetric parts."""
+        from scipy.linalg import qr
+
         R = self._rays
         B = R[:, qr(R, mode="r", pivoting=True)[1][:self.dim]]
         S = np.abs(np.linalg.solve(B, R)) > TOL  # the fundamental circuits

@@ -13,7 +13,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from eudoxus.cone_space import (
     Face,
@@ -166,15 +165,26 @@ def is_derivation(space, M, sample_budget=60, rng=None):
                    witness=witness)
 
 
+def expm(A):
+    """scipy.linalg.expm, imported on call: only the witness search of a
+    refuted is_derivation needs it, so a process that refutes nothing never
+    loads scipy."""
+    from scipy import linalg
+    return linalg.expm(A)
+
+
 def _expel_witness(space, M, sample_budget, rng):
     for _ in range(sample_budget):
         x = space.sample_cone_point(rng)
         if np.linalg.norm(x) < 1e-9:
             continue
         for t in DEFAULT_T_GRID:
-            y = expm(t * M) @ x
-            # an image too large for its norm to be finite says nothing
-            if np.isfinite(np.linalg.norm(y)) and space.membership(y) is Membership.OUTSIDE:
+            # an image too large for its norm to be finite says nothing, so
+            # its overflow is skipped below rather than warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = expm(t * M) @ x
+                nrm = np.linalg.norm(y)
+            if np.isfinite(nrm) and space.membership(y) is Membership.OUTSIDE:
                 return (t, x)
     return None
 

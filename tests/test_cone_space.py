@@ -321,6 +321,31 @@ def test_a_norm_past_the_float_range_is_rejected_without_a_warning(sp):
                 query(x)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lt_of_a_point_with_itself_past_the_float_range_is_false_without_a_warning():
+    # y - y = 0 is in the cone, and the band of y's overflowing norm is inf
+    sp = ConeSpace.orthant(2)
+    y = np.array([1e200, 1e200])
+    assert not sp.lt(y, y)
+
+
+@pytest.mark.parametrize("sp", all_kinds() + [ConeSpace.polyhedral(
+    [np.array([1.0, 0.0]), np.array([1.0, 1.0])])], ids=repr)
+def test_lt_matches_the_norm_reference(sp):
+    # steps from inside the cone down to the band TOL max(1, |y|), and
+    # steps outside it; points up to 1e6
+    rng = np.random.default_rng(11)
+    e = sp.canonical_unit()
+    for scale in (1e-3, 1.0, 1e6):
+        for step in (0.0, 1e-12, 1e-9, 1e-6, 1.0):
+            x = scale * rng.standard_normal(sp.dim)
+            for y in (x + step * scale * e, x - step * scale * e,
+                      x + step * scale * rng.standard_normal(sp.dim)):
+                d = y - x
+                want = sp.contains(d) and np.linalg.norm(d) > cone_space.TOL * max(1.0, np.linalg.norm(y))
+                assert sp.lt(x, y) == want, (scale, step)
+
+
 @pytest.mark.parametrize("sp", all_kinds() + [ConeSpace.polyhedral(
     [np.array([1.0, 0.0]), np.array([1.0, 1.0])])], ids=repr)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
