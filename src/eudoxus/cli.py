@@ -177,7 +177,7 @@ def cmd_analyze(args, report):
     space = _load_space(args.spec)
     report.section("analyze %r" % space)
     report.check("self_dual", _status(space.is_self_dual()))
-    fh = is_facially_homogeneous(space, rng=np.random.default_rng(args.seed))
+    fh = is_facially_homogeneous(space)
     report.check("facially_homogeneous",
                  {"Verified": "PASS", "Refuted": "FAIL"}.get(fh.status, "UNKNOWN"),
                  fh.detail)

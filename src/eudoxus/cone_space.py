@@ -26,8 +26,8 @@ methods all live on ConeSpace; the kind classes only supply the hooks.
 Every kind builds faces in stacks through one pair of hooks: _faces_of
 maps points (f, dim) to span projectors (f, dim, dim) and witnesses, and
 _orthogonal_faces maps those to the orthogonal faces'.  _face_points
-gives the faces facial homogeneity is tested on: those of the extreme
-rays of a polyhedral cone, or of sampled points on a Jordan kind.  The
+gives the faces that decide facial homogeneity: those of the extreme
+rays, or U_c for the partial sums c of one Jordan frame of e.  The
 faces live here with their hooks: Face (one projector and witness,
 checked when built), _checked_faces (a hook's stack with its orthogonal
 faces, every projector checked) and _facial_derivatives, the one place
@@ -620,19 +620,12 @@ class _JordanSpace(ConeSpace):
         return [[(float(lam), C[:, i].copy()) for i, lam in enumerate(row) if lam > b]
                 for row, C, b in zip(w, frame, band)]
 
-    def _face_points(self, budget, rng):
-        """The faces (P, W) of the projections x of budget Gaussians (those
-        of norm above 1e-9), "sampled faces": one _spectral of the (budget,
-        dim) stack gives both the projections and their support idempotents,
-        the frame elements (f, dim, r) summed over the eigenvalues above
-        the face band of x."""
-        # drawn up front: a refuted face's witness search then starts from
-        # one rng state, whichever face refutes
-        w, frame = self._spectral(rng.standard_normal((budget, self.dim)))
-        X = (frame @ np.maximum(w, 0.0)[..., None])[..., 0]
-        keep = np.sqrt(np.vecdot(X, X)) > 1e-9
-        C = (frame @ (w > _face_band(X)[:, None])[..., None])[keep, :, 0]
-        return (self._U(C), C), "sampled faces"
+    def _face_points(self):
+        """The faces U_c of the proper partial sums c of a frame of e, from
+        one _spectral: they decide every face (is_facially_homogeneous)."""
+        _, (frame,) = self._spectral(self._e[None])
+        C = np.cumsum(frame[:, :-1], axis=1).T
+        return (self._U(C), C), "every rank by transitivity"
 
     def _riesz(self):
         """A lattice exactly when the Peirce 1/2-space of a frame is zero.
@@ -924,7 +917,7 @@ class _Polyhedral(ConeSpace):
         return [[(float(c[i]), R[:, i].copy()) for i in range(self.dim) if c[i] > b]
                 for c, (b,) in zip(np.linalg.solve(R, A[..., None])[..., 0], band)]
 
-    def _face_points(self, budget, rng):
+    def _face_points(self):
         """The faces (P, W) of the unit extreme rays, labelled "exhaustive":
         they decide every face (face_lattice.is_facially_homogeneous)."""
         return self._faces_of(self._rays.T), "exhaustive"

@@ -58,7 +58,7 @@ def minimal_decomposition(space, a):
     return space._frame_terms(space._check_dim(a)[None])[0]
 
 
-def is_facially_homogeneous(space, sample_budget=25, rng=None):
+def is_facially_homogeneous(space):
     """Check that P_F - P_{F-perp} is a derivation for every face F.
 
     Polyhedral cones test the faces of their m extreme rays, and Verified
@@ -71,19 +71,22 @@ def is_facially_homogeneous(space, sample_budget=25, rng=None):
     So if the m ray faces pass, the rays are pairwise orthogonal and every
     P_F - P_{F-perp} is +-1 on them, in Der.
 
-    Jordan kinds test the faces of sample_budget sampled points, so
-    Verified means verified on the sampled family.  The zero face and the
-    whole cone give -I and I, derivations of every cone, and are not
-    tested.  One projection onto the Der frame decides the stack; only a
-    refuting face becomes a Face, with is_derivation's witness.
+    Jordan kinds test U_c for the r - 1 proper partial sums c_1 + ... + c_k
+    of one Jordan frame of e, and Verified covers every face: each face is
+    U_c for an idempotent c, with P_F - P_{F-perp} = 2 L(c) - I (Peirce),
+    and Aut(V), orthogonal, fixing e and normalising Der, is transitive on
+    Jordan frames (Faraut & Koranyi, ch. IV; on the orthant, coordinate
+    permutations), so the partial sum of rank k decides every idempotent
+    of rank k.  The zero face and the whole cone give -I and I,
+    derivations of every cone, and are not tested.  One projection onto
+    the Der frame decides the stack; only a refuting face becomes a Face,
+    with is_derivation's witness.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    faces, how = space._face_points(sample_budget, rng)
+    faces, how = space._face_points()
     P, W, Pp = _checked_faces(space, faces)
     M = P - Pp
     for i in np.flatnonzero(_derivation_residuals(space, M)[1]):
-        verdict = is_derivation(space, M[i], rng=rng)
+        verdict = is_derivation(space, M[i])
         if not verdict:
             F = Face(space, P[i], W[i])
             return Verdict("Refuted", "face of dim %d" % F.dim, witness=(F, verdict.witness))

@@ -3,6 +3,7 @@ import pytest
 
 from eudoxus import cli
 from eudoxus.cone_space import ConeSpace
+from references import ngon_cone
 
 
 def _write_spec(tmp_path, text, name="cone.txt"):
@@ -69,6 +70,25 @@ def test_analyze_command(tmp_path, capsys):
     assert names == sorted(names)
     assert "CHECK self_dual PASS" in out
     assert any("NotOrientable" in l for l in check_lines)
+
+
+@pytest.mark.parametrize("sp, homogeneity", [
+    (ConeSpace.orthant(4), "PASS every rank by transitivity"),
+    (ConeSpace.lorentz(5), "PASS every rank by transitivity"),
+    (ConeSpace.psd_real(3), "PASS every rank by transitivity"),
+    (ConeSpace.hermitian(2), "PASS every rank by transitivity"),
+    (ngon_cone(5), "FAIL face of dim 1"),
+], ids=["orthant", "lorentz", "psd_real", "hermitian", "5-gon"])
+def test_analyze_does_not_read_the_seed(tmp_path, capsys, sp, homogeneity):
+    path = _write_spec(tmp_path, _spec_text(sp))
+    runs = []
+    for seed in (0, 7):
+        code = cli.main(["--seed", str(seed), "analyze", path])
+        head, body = capsys.readouterr().out.split("\n", 1)
+        assert head == "# seed = %d" % seed
+        runs.append((code, body))
+    assert runs[0] == runs[1]
+    assert "CHECK facially_homogeneous %s\n" % homogeneity in runs[0][1]
 
 
 def test_missing_file_is_usage_error():

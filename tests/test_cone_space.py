@@ -18,21 +18,7 @@ from eudoxus.cone_space import (
     vec_to_sym,
 )
 from eudoxus.face_lattice import minimal_decomposition
-
-
-def herm_to_vec(A):
-    """Hermitian k x k matrix -> real vector of length k^2 (isometric), the
-    inverse of vec_to_herm: each diagonal entry, then sqrt(2) times the
-    real and imaginary parts of each entry above it, row by row."""
-    A = np.asarray(A, dtype=complex)
-    k = A.shape[0]
-    out = []
-    for i in range(k):
-        out.append(A[i, i].real)
-        for j in range(i + 1, k):
-            out.append(np.sqrt(2.0) * A[i, j].real)
-            out.append(np.sqrt(2.0) * A[i, j].imag)
-    return np.array(out)
+from references import herm_to_vec
 
 
 def all_kinds():

@@ -45,21 +45,7 @@ from eudoxus.derivation_algebra import (
 )
 from eudoxus.exact_rational import stern_brocot_bracket
 from eudoxus.face_lattice import Face, face_of, facial_derivative, minimal_decomposition
-
-
-def herm_to_vec(A):
-    """Hermitian k x k matrix -> real vector of length k^2 (isometric), the
-    inverse of vec_to_herm: each diagonal entry, then sqrt(2) times the
-    real and imaginary parts of each entry above it, row by row."""
-    A = np.asarray(A, dtype=complex)
-    k = A.shape[0]
-    out = []
-    for i in range(k):
-        out.append(A[i, i].real)
-        for j in range(i + 1, k):
-            out.append(np.sqrt(2.0) * A[i, j].real)
-            out.append(np.sqrt(2.0) * A[i, j].imag)
-    return np.array(out)
+from references import herm_to_vec, ngon_cone, rotated_orthant
 
 
 # references for _structure_table and _centre_split: the Lie closure
@@ -110,18 +96,6 @@ def _random_selfadjoint(space, rng):
     basis = selfadjoint_derivations(space)
     coef = rng.standard_normal(len(basis))
     return Derivation(space, sum(c * b.mat for c, b in zip(coef, basis)))
-
-
-def _rotated_orthant(n, seed):
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
-    return ConeSpace.polyhedral(list(q.T))
-
-
-def _ngon_cone(n):
-    r = np.cos(np.pi / n) ** -0.5
-    return ConeSpace.polyhedral([np.array([1.0, r * np.cos(2 * np.pi * i / n),
-                                           r * np.sin(2 * np.pi * i / n)])
-                                 for i in range(n)])
 
 
 def test_dimension_table():
@@ -338,7 +312,7 @@ def test_reconstruction_roundtrip():
                ConeSpace.psd_real(2), ConeSpace.hermitian(2),
                # the benchmark's largest sizes
                ConeSpace.orthant(24), ConeSpace.lorentz(24), ConeSpace.psd_real(5),
-               ConeSpace.hermitian(5), _rotated_orthant(6, 3)):
+               ConeSpace.hermitian(5), rotated_orthant(6, 3)):
         for _ in range(25):
             d = _random_selfadjoint(sp, rng)
             rec = reconstruct_from_faces(sp, spectral_faces(sp, d))
@@ -377,8 +351,8 @@ SPECTRAL_CONES = ([ConeSpace.orthant(n) for n in (1, 3, 8, 24)]
                   + [ConeSpace.lorentz(n) for n in (2, 3, 8, 24)]
                   + [ConeSpace.psd_real(k) for k in (1, 2, 3, 5)]
                   + [ConeSpace.hermitian(k) for k in (1, 2, 3, 5)]
-                  + [_rotated_orthant(n, seed) for n in (3, 6) for seed in (1, 2)]
-                  + [_ngon_cone(n) for n in (3, 5, 13)])
+                  + [rotated_orthant(n, seed) for n in (3, 6) for seed in (1, 2)]
+                  + [ngon_cone(n) for n in (3, 5, 13)])
 
 
 def _spectrum_case(sp, seed, spectrum):
@@ -423,7 +397,7 @@ def test_reconstruction_matches_the_loop_on_witnesses_other_than_the_units(sp, s
 
 
 @pytest.mark.parametrize("sp", [ConeSpace.orthant(3), ConeSpace.lorentz(3), ConeSpace.psd_real(2),
-                                ConeSpace.hermitian(2), _rotated_orthant(3, 1), _ngon_cone(5)],
+                                ConeSpace.hermitian(2), rotated_orthant(3, 1), ngon_cone(5)],
                          ids=repr)
 def test_the_empty_family_reconstructs_zero(sp):
     d = sp.dim
@@ -445,7 +419,7 @@ def test_stacked_reconstruction_matches_the_loop_on_the_psd_zero_face_case():
 
 
 @pytest.mark.parametrize("sp", [ConeSpace.orthant(3), ConeSpace.lorentz(3), ConeSpace.psd_real(2),
-                                ConeSpace.hermitian(2), _rotated_orthant(3, 1), _ngon_cone(5)],
+                                ConeSpace.hermitian(2), rotated_orthant(3, 1), ngon_cone(5)],
                          ids=repr)
 def test_a_point_outside_the_cone_raises_on_every_face_path(sp):
     # r an extreme ray (a unit ray, or a frame element of the unit); with
@@ -690,9 +664,9 @@ def test_stacked_ratio_from_family_matches_the_loop_reference(sp, seed, spectrum
 @functools.lru_cache(maxsize=None)
 def _generic_cone(kind, n, seed):
     if kind == "rotated":
-        return _rotated_orthant(n, seed)
+        return rotated_orthant(n, seed)
     if kind == "ngon":
-        return _ngon_cone(n)
+        return ngon_cone(n)
     if kind == "random":
         # n + seed % 7 positive generators in R^n
         G = np.random.default_rng(seed).uniform(0.1, 1.0, (n, n + seed % 7))
@@ -733,7 +707,7 @@ def _counting(calls, name, f):
 
 
 @pytest.mark.parametrize("sp", [ConeSpace.orthant(4), ConeSpace.lorentz(5), ConeSpace.psd_real(3),
-                                ConeSpace.hermitian(3), _rotated_orthant(3, 1), _ngon_cone(5)],
+                                ConeSpace.hermitian(3), rotated_orthant(3, 1), ngon_cone(5)],
                          ids=repr)
 def test_spectral_paths_check_one_stack_and_build_no_face(monkeypatch, sp):
     delta = _spectrum_case(sp, 7, "generic")
@@ -778,7 +752,7 @@ def _below_the_band(sp, depth):
 
 
 @pytest.mark.parametrize("sp", [ConeSpace.orthant(3), ConeSpace.lorentz(3), ConeSpace.psd_real(2),
-                                ConeSpace.hermitian(2), _rotated_orthant(3, 1), _ngon_cone(5)],
+                                ConeSpace.hermitian(2), rotated_orthant(3, 1), ngon_cone(5)],
                          ids=repr)
 def test_minimal_decomposition_raises_below_the_face_band(sp):
     with pytest.raises(ValueError, match="point is outside the cone"):
@@ -814,7 +788,7 @@ def test_stacked_frame_terms_match_one_row_calls(sp, seed, f):
 
 
 @pytest.mark.parametrize("sp", [ConeSpace.orthant(3), ConeSpace.lorentz(3), ConeSpace.psd_real(2),
-                                ConeSpace.hermitian(2), _rotated_orthant(3, 1), _ngon_cone(5)],
+                                ConeSpace.hermitian(2), rotated_orthant(3, 1), ngon_cone(5)],
                          ids=repr)
 def test_stacked_frame_terms_of_no_rows_and_of_a_row_below_the_band(sp):
     assert sp._frame_terms(np.empty((0, sp.dim))) == []
@@ -855,7 +829,7 @@ def _selfadjoint_builds(monkeypatch, sp, make):
 
 
 def test_ratio_from_pair_builds_the_selfadjoint_basis_once_per_space(monkeypatch):
-    sp = _rotated_orthant(4, 2)
+    sp = rotated_orthant(4, 2)
     assert _selfadjoint_builds(monkeypatch, sp, lambda: sp) == 1
     assert len(selfadjoint_derivations(sp)) == 4
 
@@ -870,7 +844,7 @@ def test_a_jordan_kind_and_size_shares_one_selfadjoint_basis(monkeypatch):
 
 @pytest.mark.parametrize("make", [functools.partial(ConeSpace.orthant, 3),
                                   functools.partial(ConeSpace.lorentz, 3),
-                                  functools.partial(_ngon_cone, 5)],
+                                  functools.partial(ngon_cone, 5)],
                          ids=["orthant", "lorentz", "ngon"])
 def test_cached_derivation_bases_are_read_only(make):
     sp = make()
@@ -890,7 +864,7 @@ def test_cached_derivation_bases_are_read_only(make):
 def test_polyhedral_cones_are_freed_with_their_constants():
     refs = []
     for seed in range(50):
-        sp = _rotated_orthant(4, seed)
+        sp = rotated_orthant(4, seed)
         assert is_derivation(sp, np.eye(4))
         assert len(derivation_basis(sp)) == 4
         assert orientability(sp)
@@ -933,8 +907,8 @@ def test_commutative_orientability_at_size():
     assert "quotient dimension 0" in v.detail
 
 
-@pytest.mark.parametrize("sp", [_rotated_orthant(n, seed) for n in (4, 5, 6) for seed in (1, 2)]
-                         + [_ngon_cone(n) for n in (3, 5, 7)], ids=repr)
+@pytest.mark.parametrize("sp", [rotated_orthant(n, seed) for n in (4, 5, 6) for seed in (1, 2)]
+                         + [ngon_cone(n) for n in (3, 5, 7)], ids=repr)
 def test_polyhedral_commutative_der_is_orientable(sp):
     # Der is commutative: nothing is left after quotienting the centre
     assert lie_closure_residual(derivation_basis(sp)) < 1e-9
@@ -998,7 +972,7 @@ CONES = ([ConeSpace.orthant(n) for n in (1, 3, 8, 24)]
          + [ConeSpace.lorentz(n) for n in (2, 3, 8, 24)]
          + [ConeSpace.psd_real(k) for k in (1, 2, 3, 5)]
          + [ConeSpace.hermitian(k) for k in (1, 2, 3, 5)]
-         + [_rotated_orthant(n, 5) for n in (3, 6)] + [_ngon_cone(n) for n in (3, 7)])
+         + [rotated_orthant(n, 5) for n in (3, 6)] + [ngon_cone(n) for n in (3, 7)])
 cones = st.sampled_from(CONES)
 seeds = st.integers(0, 2**32 - 1)
 scales = st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6])
@@ -1106,7 +1080,7 @@ def test_full_basis_is_closed_as_in_the_reference(sp):
         assert abs(got - _pairwise_closure_residual(mats)) <= 1e-12
 
 
-@pytest.mark.parametrize("sp", [ConeSpace.lorentz(3), _ngon_cone(5)], ids=repr)
+@pytest.mark.parametrize("sp", [ConeSpace.lorentz(3), ngon_cone(5)], ids=repr)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_is_derivation_rejects_non_finite_operators(sp, bad):
     M = np.eye(sp.dim)
@@ -1115,7 +1089,7 @@ def test_is_derivation_rejects_non_finite_operators(sp, bad):
         is_derivation(sp, M)
 
 
-@pytest.mark.parametrize("sp", [ConeSpace.orthant(4), ConeSpace.psd_real(1), _rotated_orthant(3, 2)],
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(4), ConeSpace.psd_real(1), rotated_orthant(3, 2)],
                          ids=repr)
 def test_each_operator_is_verified_once(monkeypatch, sp):
     # products of commuting derivations stay derivations on these cones, so compose gives a Ratio
@@ -1325,7 +1299,7 @@ EVEN_QUOTIENT = [ConeSpace.lorentz(4), ConeSpace.lorentz(5), ConeSpace.psd_real(
 
 
 @pytest.mark.parametrize("sp", EVEN_QUOTIENT + [ConeSpace.lorentz(3), ConeSpace.psd_real(2),
-                                                _rotated_orthant(4, 1), _ngon_cone(5)], ids=repr)
+                                                rotated_orthant(4, 1), ngon_cone(5)], ids=repr)
 def test_commutator_tables_match_the_loop_reference(sp):
     basis = derivation_basis(sp)
     center, K, pair, xy = frame_split(sp)
@@ -1463,8 +1437,8 @@ def _closed_forms():
         yield ConeSpace.hermitian(k), 1, 2 * k * k - 2, "Orientable"
     # Der is commutative: all of it is the centre
     for sp in ([ConeSpace.orthant(n) for n in (1, 3, 8)]
-               + [_rotated_orthant(n, seed) for n in (4, 6) for seed in (1, 2)]
-               + [_ngon_cone(n) for n in (3, 4, 7)]):
+               + [rotated_orthant(n, seed) for n in (4, 6) for seed in (1, 2)]
+               + [ngon_cone(n) for n in (3, 4, 7)]):
         yield sp, len(derivation_basis(sp)), 0, "Orientable"
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eudoxus import cone_space, face_lattice
-from eudoxus.cone_space import TOL, ConeSpace, Membership, sym_to_vec
-from eudoxus.derivation_algebra import Verdict, is_derivation
+from eudoxus.cone_space import ConeSpace, Membership, sym_to_vec, vec_to_herm, vec_to_sym
+from eudoxus.derivation_algebra import Verdict, _derivation_residuals, is_derivation
 from eudoxus.face_lattice import (
     Face,
     face_of,
@@ -17,6 +17,7 @@ from eudoxus.face_lattice import (
     is_riesz,
     minimal_decomposition,
 )
+from references import herm_to_vec, incomparable, ngon_cone, rotated_orthant
 
 
 def orthogonal_face(F):
@@ -25,20 +26,6 @@ def orthogonal_face(F):
     one-face stack."""
     (P,), (W,) = F.host._orthogonal_faces(F.projector[None], F.witness[None])
     return Face(F.host, P, W)
-
-
-def incomparable(space, a, b):
-    """Orthogonal cone elements whose generated faces meet only at zero."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (space.contains(a) and space.contains(b)):
-        raise ValueError("incomparability is defined for cone elements")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na <= TOL or nb <= TOL:
-        return True
-    if abs(np.dot(a, b)) > 1e-8 * na * nb:
-        return False
-    return np.linalg.norm(face_of(space, a).projector @ face_of(space, b).projector) <= 1e-7
 
 
 def all_kinds():
@@ -50,15 +37,10 @@ def all_kinds():
     ]
 
 
-def _rotated_orthant(n, seed=4):
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
-    return ConeSpace.polyhedral(list(q.T))
-
-
 def largest_kinds():
     # the largest sizes the benchmark sweeps
     return [ConeSpace.orthant(24), ConeSpace.lorentz(24), ConeSpace.psd_real(5),
-            ConeSpace.hermitian(5), _rotated_orthant(6)]
+            ConeSpace.hermitian(5), rotated_orthant(6, 4)]
 
 
 def test_orthant_face_is_support():
@@ -88,7 +70,7 @@ def test_face_of_and_decomposition_share_one_zero_band():
     sp = ConeSpace.lorentz(3)
     a = 0.7e-9 * np.array([1.0, 1.0, 0.0])
     assert face_of(sp, a).dim == len(minimal_decomposition(sp, a)) == 1
-    for space in all_kinds() + [_rotated_orthant(3)]:
+    for space in all_kinds() + [rotated_orthant(3, 4)]:
         assert face_of(space, np.zeros(space.dim)).is_zero()
 
 
@@ -148,7 +130,7 @@ def test_facial_derivative_acts_as_expected():
 
 
 @pytest.mark.parametrize("sp", [ConeSpace.orthant(3), ConeSpace.lorentz(4), ConeSpace.psd_real(3),
-                                ConeSpace.hermitian(2), _rotated_orthant(4)], ids=repr)
+                                ConeSpace.hermitian(2), rotated_orthant(4, 4)], ids=repr)
 def test_facial_derivative_builds_no_face(monkeypatch, sp):
     F = face_of(sp, sp.sample_cone_point(np.random.default_rng(2)))
     expected = 0.5 * (np.eye(sp.dim) + F.projector - orthogonal_face(F).projector)
@@ -250,25 +232,23 @@ def test_face_contains_rejects_outside_points():
     assert not F.contains(np.array([1.0, -1.0, 0.0]))
 
 
-def _ngon_cone(n):
-    r = np.cos(np.pi / n) ** -0.5
-    return ConeSpace.polyhedral([np.array([1.0, r * np.cos(2 * np.pi * i / n),
-                                           r * np.sin(2 * np.pi * i / n)])
-                                 for i in range(n)])
-
-
 # generator subsets the loop reference tries, smallest first
 MAX_SUBSETS = 4096
 
 
-def loop_facially_homogeneous(space, sample_budget=25, rng=None):
+def frame_partial_sums(space):
+    """The proper partial sums c_1, c_1 + c_2, ..., c_1 + ... + c_(r-1) of
+    the Jordan frame of the unit, read from its minimal decomposition."""
+    frame = [c for _, c in minimal_decomposition(space, space.canonical_unit())]
+    return list(itertools.accumulate(frame))[:-1]
+
+
+def loop_facially_homogeneous(space):
     """Reference: the check one face at a time, as it was before the faces
     were stacked.  The zero face, the whole cone, then face_of of each face
-    point (extreme-ray subset sums, or sample_budget sampled points), each
-    with its own orthogonal_face and is_derivation call, up to the first
-    face that refutes."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+    point (extreme-ray subset sums, or the proper partial sums of the frame
+    of the unit), each with its own orthogonal_face and is_derivation call,
+    up to the first face that refutes."""
     if space.kind == "polyhedral":
         R = space._rays
         m = R.shape[1]
@@ -278,15 +258,14 @@ def loop_facially_homogeneous(space, sample_budget=25, rng=None):
         how = ("exhaustive" if 2 ** m - 1 <= MAX_SUBSETS
                else "first %d generator subsets" % MAX_SUBSETS)
     else:
-        points = [space.sample_cone_point(rng) for _ in range(sample_budget)]
-        points = [x for x in points if np.linalg.norm(x) > 1e-9]
-        how = "sampled faces"
+        points = frame_partial_sums(space)
+        how = "every rank by transitivity"
     d = space.dim
     faces = itertools.chain([Face(space, np.zeros((d, d)), np.zeros(d)),
                              Face(space, np.eye(d), space.canonical_unit())],
                             (face_of(space, x) for x in points))
     for F in faces:
-        verdict = is_derivation(space, F.projector - orthogonal_face(F).projector, rng=rng)
+        verdict = is_derivation(space, F.projector - orthogonal_face(F).projector)
         if verdict.status == "Refuted":
             return Verdict("Refuted", "face of dim %d" % F.dim, witness=(F, verdict.witness))
     return Verdict("Verified", how)
@@ -305,18 +284,16 @@ HOMOGENEITY_CASES = (
     + [ConeSpace.lorentz(n) for n in (2, 3, 6, 24)]
     + [ConeSpace.psd_real(k) for k in (1, 2, 3, 4, 5)]
     + [ConeSpace.hermitian(k) for k in (1, 2, 3, 4, 5)]
-    + [_rotated_orthant(n, seed) for n in (2, 3, 5, 8) for seed in (1, 4)]
-    + [_ngon_cone(n) for n in range(3, 14)]
+    + [rotated_orthant(n, seed) for n in (2, 3, 5, 8) for seed in (1, 4)]
+    + [ngon_cone(n) for n in range(3, 14)]
     + [_redundant(sp, seed) for seed, sp in enumerate(
-        [_rotated_orthant(3), _rotated_orthant(5), _ngon_cone(3), _ngon_cone(4), _ngon_cone(7)])])
+        [rotated_orthant(3, 4), rotated_orthant(5, 4), ngon_cone(3), ngon_cone(4), ngon_cone(7)])])
 
 
-@given(sp=st.sampled_from(HOMOGENEITY_CASES), seed=st.integers(0, 2**16),
-       budget=st.sampled_from([0, 1, 5, 25, 60]))
-@settings(max_examples=120)
-def test_stacked_homogeneity_matches_the_loop_reference(sp, seed, budget):
-    got = is_facially_homogeneous(sp, budget, np.random.default_rng(seed))
-    want = loop_facially_homogeneous(sp, budget, np.random.default_rng(seed))
+@pytest.mark.parametrize("sp", HOMOGENEITY_CASES, ids=repr)
+def test_stacked_homogeneity_matches_the_loop_reference(sp):
+    got = is_facially_homogeneous(sp)
+    want = loop_facially_homogeneous(sp)
     assert repr(got) == repr(want)
     if want.witness is None:
         assert got.witness is None
@@ -333,18 +310,13 @@ def test_stacked_homogeneity_matches_the_loop_reference(sp, seed, budget):
 
 
 @pytest.mark.parametrize("sp", [ConeSpace.orthant(5), ConeSpace.lorentz(6), ConeSpace.psd_real(4),
-                                ConeSpace.hermitian(3), _rotated_orthant(5), _ngon_cone(7),
-                                _redundant(_ngon_cone(4), 1)], ids=repr)
+                                ConeSpace.hermitian(3), rotated_orthant(5, 4), ngon_cone(7),
+                                _redundant(ngon_cone(4), 1)], ids=repr)
 def test_each_stacked_face_is_the_face_of_its_point(sp):
     # the faces the check tests, face by face: those of the unit extreme
-    # rays, or of the nonzero ones of 25 sampled points
-    rng = np.random.default_rng(5)
-    if sp.kind == "polyhedral":
-        points = list(sp._rays.T)
-    else:
-        points = [x for x in (sp.sample_cone_point(rng) for _ in range(25))
-                  if np.linalg.norm(x) > 1e-9]
-    faces, _ = sp._face_points(25, np.random.default_rng(5))
+    # rays, or of the proper partial sums of the frame of the unit
+    points = list(sp._rays.T) if sp.kind == "polyhedral" else frame_partial_sums(sp)
+    faces, _ = sp._face_points()
     P, W, Pp = cone_space._checked_faces(sp, faces)
     assert len(P) == len(W) == len(Pp) == len(points)
     for x, p, pp, w in zip(points, P, Pp, W):
@@ -359,8 +331,8 @@ def _counting_faces(monkeypatch, sp):
     sizes = []
     face_points = sp._face_points
 
-    def counting(budget, rng):
-        (P, W), how = face_points(budget, rng)
+    def counting():
+        (P, W), how = face_points()
         sizes.append(len(P))
         return (P, W), how
     monkeypatch.setattr(sp, "_face_points", counting)
@@ -370,7 +342,7 @@ def _counting_faces(monkeypatch, sp):
 def test_facial_homogeneity_stops_at_the_first_refuting_face(monkeypatch):
     # the 13-gon cone is refuted by a ray face, from the stack of its 13
     # ray faces alone
-    sp = _ngon_cone(13)
+    sp = ngon_cone(13)
     sizes = _counting_faces(monkeypatch, sp)
     verdict = is_facially_homogeneous(sp)
     assert repr(verdict) == "Refuted(face of dim 1)"
@@ -381,7 +353,7 @@ def test_facial_homogeneity_stops_at_the_first_refuting_face(monkeypatch):
 @pytest.mark.parametrize("n", [12, 13, 24])
 def test_polyhedral_homogeneity_is_exhaustive_from_the_ray_faces(monkeypatch, n):
     # 2^n - 1 ray subsets, but the n ray faces decide every face
-    sp = _rotated_orthant(n)
+    sp = rotated_orthant(n, 4)
     sizes = _counting_faces(monkeypatch, sp)
     t0 = time.perf_counter()
     assert repr(is_facially_homogeneous(sp)) == "Verified(exhaustive)"
@@ -391,7 +363,7 @@ def test_polyhedral_homogeneity_is_exhaustive_from_the_ray_faces(monkeypatch, n)
 
 def _ngon_plus_ray(n):
     # the direct sum of the n-gon cone in R^3 and a ray: n + 1 rays in R^4
-    gens = [np.append(g, 0.0) for g in _ngon_cone(n).generators.T]
+    gens = [np.append(g, 0.0) for g in ngon_cone(n).generators.T]
     return ConeSpace.polyhedral(gens + [np.eye(4)[3]])
 
 
@@ -433,11 +405,10 @@ def _assert_same_verdict(got, want):
         assert np.array_equal(expelled[1], want_expelled[1])
 
 
-@given(sp=polyhedral_cones(), seed=st.integers(0, 2**16))
+@given(sp=polyhedral_cones())
 @settings(max_examples=60)
-def test_ray_faces_decide_like_every_generator_subset(sp, seed):
-    got = is_facially_homogeneous(sp, rng=np.random.default_rng(seed))
-    _assert_same_verdict(got, loop_facially_homogeneous(sp, rng=np.random.default_rng(seed)))
+def test_ray_faces_decide_like_every_generator_subset(sp):
+    _assert_same_verdict(is_facially_homogeneous(sp), loop_facially_homogeneous(sp))
 
 
 @pytest.mark.parametrize("eps,status", [(1e-8, "Refuted"), (1e-11, "Verified")])
@@ -454,10 +425,8 @@ def test_near_orthogonal_rays_outside_the_band_agree_with_every_subset(n, eps, s
 
 @pytest.mark.parametrize("sp", [ConeSpace.orthant(5), ConeSpace.lorentz(6), ConeSpace.psd_real(4),
                                 ConeSpace.hermitian(3)], ids=repr)
-@pytest.mark.parametrize("budget", [0, 1, 25])
-def test_one_spectral_decomposition_per_sampled_face(monkeypatch, sp, budget):
-    # one stacked decomposition of the Gaussians gives both their
-    # projections and their faces
+def test_one_spectral_decomposition_of_the_unit(monkeypatch, sp):
+    # one decomposition of e gives the frame whose partial sums are the faces
     calls = []
     spectral = sp._spectral
 
@@ -465,8 +434,81 @@ def test_one_spectral_decomposition_per_sampled_face(monkeypatch, sp, budget):
         calls.append(X.shape)
         return spectral(X)
     monkeypatch.setattr(sp, "_spectral", counting)
-    assert is_facially_homogeneous(sp, budget, np.random.default_rng(1))
-    assert calls == [(budget, sp.dim)]
+    assert is_facially_homogeneous(sp)
+    assert calls == [(1, sp.dim)]
+
+
+@pytest.mark.parametrize("sp, faces", [(ConeSpace.orthant(1), 0), (ConeSpace.psd_real(1), 0),
+                                       (ConeSpace.hermitian(1), 0), (ConeSpace.orthant(64), 63)]
+                         + [(ConeSpace.lorentz(n), 1) for n in (2, 3, 8, 24)]
+                         + [(ConeSpace.psd_real(k), k - 1) for k in (2, 3, 5)]
+                         + [(ConeSpace.hermitian(k), k - 1) for k in (2, 3, 5)], ids=repr)
+def test_one_face_per_proper_rank(monkeypatch, sp, faces):
+    # r - 1 faces, the k-th of rank k: none at rank 1, one on every lorentz
+    sizes = _counting_faces(monkeypatch, sp)
+    assert repr(is_facially_homogeneous(sp)) == "Verified(every rank by transitivity)"
+    assert sizes == [faces]
+    (_, W), _ = sp._face_points()
+    assert [len(minimal_decomposition(sp, c)) for c in W] == list(range(1, faces + 1))
+
+
+def _automorphism(sp, rng):
+    """A random automorphism of the Jordan algebra as an orthogonal dim x dim
+    matrix: a coordinate permutation (orthant), a rotation of the spatial
+    part (lorentz), X -> Q X Q^T (psd_real) or X -> U X U^* (hermitian)."""
+    n = sp.dim
+    if sp.kind == "orthant":
+        return np.eye(n)[rng.permutation(n)]
+    if sp.kind == "lorentz":
+        g = np.eye(n)
+        g[1:, 1:] = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
+        return g
+    k = sp.param
+    if sp.kind == "psd_real":
+        Q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        return np.column_stack([sym_to_vec(Q @ vec_to_sym(u) @ Q.T) for u in np.eye(n)])
+    U = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+    return np.column_stack([herm_to_vec(U @ vec_to_herm(u) @ U.conj().T) for u in np.eye(n)])
+
+
+MOVABLE_KINDS = ([ConeSpace.orthant(n) for n in (2, 5, 12)]
+                 + [ConeSpace.lorentz(n) for n in (2, 3, 8)]
+                 + [ConeSpace.psd_real(k) for k in (2, 3, 5)]
+                 + [ConeSpace.hermitian(k) for k in (2, 3, 5)])
+
+
+@given(sp=st.sampled_from(MOVABLE_KINDS), seed=st.integers(0, 2**16))
+@settings(max_examples=80)
+def test_frame_faces_moved_by_an_automorphism_still_pass(sp, seed):
+    # g U_c g^T = U_(g c) is the face of another idempotent of the same
+    # rank, and g Der g^T = Der: the moved faces pass as the frame faces do
+    rng = np.random.default_rng(seed)
+    g = _automorphism(sp, rng)
+    x = sp.sample_vector(rng)
+    assert np.linalg.norm(g.T @ g - np.eye(sp.dim)) <= 1e-12
+    assert np.linalg.norm(g @ sp.canonical_unit() - sp.canonical_unit()) <= 1e-12
+    assert np.linalg.norm(g @ sp.L(x) @ g.T - sp.L(g @ x)) <= 1e-12 * np.linalg.norm(x)
+    (P, W), _ = sp._face_points()
+    C = W @ g.T
+    P, W, Pp = cone_space._checked_faces(sp, (g @ P @ g.T, C))
+    assert np.linalg.norm(P - sp._U(C)) <= 1e-12 * max(1, len(P))
+    assert not np.any(_derivation_residuals(sp, P - Pp)[1])
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.lorentz(4), ConeSpace.psd_real(3),
+                                ConeSpace.hermitian(3)], ids=repr)
+def test_a_projector_that_is_no_face_is_refuted_by_the_same_path(monkeypatch, sp):
+    # control: the first frame face swapped for a random rank-one projector,
+    # which is no face of the cone, is refuted at that face
+    (P, W), how = sp._face_points()
+    v = np.random.default_rng(6).standard_normal(sp.dim)
+    v /= np.linalg.norm(v)
+    P = P.copy()
+    P[0] = np.outer(v, v)
+    monkeypatch.setattr(sp, "_face_points", lambda: ((P, W), how))
+    verdict = is_facially_homogeneous(sp)
+    assert repr(verdict) == "Refuted(face of dim 1)"
+    assert np.array_equal(verdict.witness[0].projector, P[0])
 
 
 def test_only_the_refuting_face_is_built(monkeypatch):
@@ -484,14 +526,15 @@ def test_only_the_refuting_face_is_built(monkeypatch):
                          (face_lattice, "is_derivation")]:
         counting(module, name)
     for sp in [ConeSpace.orthant(5), ConeSpace.lorentz(6), ConeSpace.psd_real(3),
-               ConeSpace.hermitian(3), _rotated_orthant(6), _ngon_cone(3)]:
+               ConeSpace.hermitian(3), rotated_orthant(6, 4), ngon_cone(3)]:
         assert is_facially_homogeneous(sp)
     assert calls == []
     for n in (5, 13):
-        assert not is_facially_homogeneous(_ngon_cone(n))
+        assert not is_facially_homogeneous(ngon_cone(n))
     assert calls == ["is_derivation", "Face"] * 2
 
 
-def test_sampled_homogeneity_keeps_its_label():
-    assert repr(is_facially_homogeneous(ConeSpace.hermitian(2))) == "Verified(sampled faces)"
-    assert repr(is_facially_homogeneous(_ngon_cone(3))) == "Verified(exhaustive)"
+def test_homogeneity_keeps_its_labels():
+    assert (repr(is_facially_homogeneous(ConeSpace.hermitian(2)))
+            == "Verified(every rank by transitivity)")
+    assert repr(is_facially_homogeneous(ngon_cone(3))) == "Verified(exhaustive)"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eudoxus import face_lattice, ratio_calculus
-from eudoxus.cone_space import TOL, ConeSpace, sym_to_vec
+from eudoxus.cone_space import ConeSpace, sym_to_vec
 from eudoxus.conjunct_product import DimWord, Quantity, conjunct
 from eudoxus.derivation_algebra import Derivation, selfadjoint_derivations, spectral_faces
 from eudoxus.exact_rational import FractionCutOracle
@@ -33,6 +33,7 @@ from eudoxus.ratio_calculus import (
     ratio_from_pair,
     to_derivation,
 )
+from references import incomparable, ngon_cone, rotated_orthant
 
 positive_fractions = st.fractions(min_value=Fraction(1, 50),
                                   max_value=Fraction(100),
@@ -139,7 +140,7 @@ def test_the_residual_test_of_a_pair_holds_where_its_norm_overflows():
     assert r.lambdas() == pytest.approx([1e155, 2e155], rel=1e-12)
     # on the 5-gon cone Der is the scalars: only multiples of the unit
     # are face-diagonal over it
-    sp = _ngon_cone(5)
+    sp = ngon_cone(5)
     u = sp.canonical_unit()
     for scale in (1.0, 1e155):
         with pytest.raises(NotComparable, match="not face-diagonal"):
@@ -153,7 +154,7 @@ def test_the_residual_test_of_a_pair_holds_where_its_norm_overflows():
 def test_the_residual_test_of_a_pair_is_the_raw_rule_where_its_norms_are_finite(seed, scale, off):
     # on the 5-gon cone Der is the scalars: an antecedent off the unit's
     # line by about off (relative) straddles the 1e-8 residual band
-    sp = _ngon_cone(5)
+    sp = ngon_cone(5)
     u = sp.canonical_unit()
     a_prime = scale * (u + off * np.random.default_rng(seed).standard_normal(3))
     A = (sp._selfadjoint_mats @ u).T
@@ -337,23 +338,11 @@ def projector_to_derivation(r):
     return total
 
 
-def _rotated_orthant(n, seed):
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
-    return ConeSpace.polyhedral(list(q.T))
-
-
-def _ngon_cone(n):
-    r = np.cos(np.pi / n) ** -0.5
-    return ConeSpace.polyhedral([np.array([1.0, r * np.cos(2 * np.pi * i / n),
-                                           r * np.sin(2 * np.pi * i / n)])
-                                 for i in range(n)])
-
-
 ALL_KINDS = ([ConeSpace.orthant(n) for n in (1, 3, 8, 24)]
              + [ConeSpace.lorentz(n) for n in (2, 3, 8, 24)]
              + [ConeSpace.psd_real(k) for k in (1, 2, 3, 5)]
              + [ConeSpace.hermitian(k) for k in (1, 2, 3, 5)]
-             + [_rotated_orthant(3, 1), _rotated_orthant(5, 2), _ngon_cone(3), _ngon_cone(5)])
+             + [rotated_orthant(3, 1), rotated_orthant(5, 2), ngon_cone(3), ngon_cone(5)])
 
 
 def _random_ratio(sp, seed, repeated, unit):
@@ -397,20 +386,6 @@ def test_to_derivation_on_a_simplicial_cone_that_is_not_self_dual():
     assert np.linalg.norm(to_derivation(half).mat - 0.5 * np.eye(3)) <= 1e-12
 
 
-def incomparable(space, a, b):
-    """Orthogonal cone elements whose generated faces meet only at zero."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (space.contains(a) and space.contains(b)):
-        raise ValueError("incomparability is defined for cone elements")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na <= TOL or nb <= TOL:
-        return True
-    if abs(np.dot(a, b)) > 1e-8 * na * nb:
-        return False
-    return np.linalg.norm(face_of(space, a).projector @ face_of(space, b).projector) <= 1e-7
-
-
 def test_simplicial_pieces_are_lattice_disjoint_not_incomparable():
     # the unit splits into its two extreme-ray pieces, which are not
     # orthogonal; a ratio over it still round-trips through its derivation
@@ -437,7 +412,7 @@ def _counting(calls, name, f):
 @pytest.mark.parametrize("sp, builds_faces", [
     (ConeSpace.orthant(4), False), (ConeSpace.lorentz(5), False),
     (ConeSpace.psd_real(3), False), (ConeSpace.hermitian(3), False),
-    (_rotated_orthant(3, 1), True)], ids=repr)
+    (rotated_orthant(3, 1), True)], ids=repr)
 def test_to_derivation_builds_no_face_on_a_jordan_kind(monkeypatch, sp, builds_faces):
     r = _random_ratio(sp, 5, False, True)
     calls = []
