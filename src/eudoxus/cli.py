@@ -18,7 +18,6 @@ import numpy as np
 from eudoxus.cone_space import ConeSpace
 from eudoxus.conjunct_product import DimWord, Quantity, conjunct
 from eudoxus.derivation_algebra import (
-    Derivation,
     derivation_basis,
     orientability,
     reconstruct_from_faces,
@@ -236,8 +235,7 @@ def cmd_derivation(args, report):
     if args.action == "spectrum":
         if args.matrix is None:
             raise ValueError("derivation spectrum needs --matrix")
-        # a Derivation, so that its shape, entries and Der membership are checked
-        fam = spectral_faces(space, Derivation(space, _parse_matrix(args.matrix)))
+        fam = spectral_faces(space, _parse_matrix(args.matrix))
         for lam, F in fam:
             report.section("lambda %.9g: face dim %d" % (lam, F.dim))
         report.check("derivation_spectrum", "PASS", "%d spectral faces" % len(fam))

@@ -48,8 +48,14 @@ class Verdict:
         return self.status
 
 
+class NotSelfAdjointDerivation(ValueError):
+    """spectral_faces refuses the operator: it lies outside Der(cone), or
+    it is not self-adjoint."""
+
+
 class Derivation:
-    """Linear operator on coords whose exponentials preserve the cone."""
+    """Linear operator on coords whose exponentials preserve the cone.
+    Array-like: np.asarray(delta) is its matrix."""
 
     def __init__(self, host, mat):
         mat = np.asarray(mat, dtype=float)
@@ -61,6 +67,9 @@ class Derivation:
     @property
     def selfadjoint(self):
         return not _asymmetric(self.mat)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.mat, dtype=dtype, copy=copy)
 
     def __call__(self, x):
         return self.mat @ np.asarray(x, dtype=float)
@@ -139,30 +148,33 @@ def _derivation_residuals(space, Ms):
     return res * s, res > DER_TOL * np.maximum(np.sqrt(np.vecdot(V, V)), 1.0 / s)
 
 
-def is_derivation(space, M, sample_budget=60, rng=None):
+def _der_verdict(space, M):
+    """(M, verdict): M as a float array of the space's shape with finite
+    entries (else ValueError), and whether its residual puts it in Der."""
+    M = Derivation(space, M).mat
+    if not np.isfinite(M).all():
+        raise ValueError("operator has non-finite entries")
+    (res,), (outside,) = _derivation_residuals(space, M[None])
+    if not outside:
+        return M, Verdict("Verified", "inside the derivation parametrization")
+    return M, Verdict("Refuted", "outside the derivation parametrization (residual %.3g)" % res)
+
+
+def is_derivation(space, M):
     """Does exp(tM) preserve the cone for every real t?
 
     Decided exactly by membership in the span of derivation_basis (for
     polyhedral cones, the extreme-ray eigenvector condition): M is
     projected onto the cone's cached orthonormal frame of Der, and M is a
     derivation when the residual is at most DER_TOL max(||M||, 1).  A
-    Refuted verdict carries a (t, x) witness, t on DEFAULT_T_GRID,
-    expelled from the cone when sampling finds one.  Non-finite entries
-    raise ValueError.
+    Refuted verdict carries a (t, x) witness, t on DEFAULT_T_GRID, when
+    one of 60 cone points drawn at seed 3 is expelled.  A wrong shape or
+    non-finite entries raise ValueError.
     """
-    M = np.asarray(M, dtype=float)
-    if M.shape != (space.dim, space.dim):
-        raise ValueError("dimension mismatch")
-    if not np.isfinite(M).all():
-        raise ValueError("operator has non-finite entries")
-    (res,), (outside,) = _derivation_residuals(space, M[None])
-    if not outside:
-        return Verdict("Verified", "inside the derivation parametrization")
-    if rng is None:
-        rng = np.random.default_rng(3)
-    witness = _expel_witness(space, M, sample_budget, rng)
-    return Verdict("Refuted", "outside the derivation parametrization (residual %.3g)" % res,
-                   witness=witness)
+    M, verdict = _der_verdict(space, M)
+    if not verdict:
+        verdict.witness = _expel_witness(space, M)
+    return verdict
 
 
 def expm(A):
@@ -173,8 +185,9 @@ def expm(A):
     return linalg.expm(A)
 
 
-def _expel_witness(space, M, sample_budget, rng):
-    for _ in range(sample_budget):
+def _expel_witness(space, M):
+    rng = np.random.default_rng(3)
+    for _ in range(60):
         x = space.sample_cone_point(rng)
         if np.linalg.norm(x) < 1e-9:
             continue
@@ -415,20 +428,17 @@ def _cluster(values):
 
 def spectral_faces(space, delta):
     """Faces cut out of the cone by the eigenspaces of a self-adjoint
-    derivation (_asymmetric decides; an ndarray must be a verified
-    derivation).  A run of _cluster shares a face, maybe trivial, though
-    not all can be; the kind's _eigenfaces builds all faces by the cuts in
-    one stack, checked once by the family; no Face unless iterated."""
-    if isinstance(delta, Derivation):
-        # only the decision is needed: skip the witness search
-        verdict = is_derivation(space, delta.mat, sample_budget=0)
-        if not verdict:
-            raise ValueError("operator is not a derivation: %r" % verdict)
-        M = delta.mat
-    else:
-        M = np.asarray(delta, dtype=float)
+    derivation, a Derivation or a matrix, checked alike: _der_verdict
+    (no witness search), then _asymmetric, either refusal a
+    NotSelfAdjointDerivation.  A run of _cluster shares a face, maybe
+    trivial, though not all can be; the kind's _eigenfaces builds all
+    faces by the cuts in one stack, checked once by the family; no Face
+    unless iterated."""
+    M, verdict = _der_verdict(space, delta)
+    if not verdict:
+        raise NotSelfAdjointDerivation("operator is not a derivation: %r" % verdict)
     if _asymmetric(M):
-        raise ValueError("spectral faces need a self-adjoint derivation")
+        raise NotSelfAdjointDerivation("spectral faces need a self-adjoint derivation")
 
     lams, cuts = _cluster(np.linalg.eigvalsh(M))
     return SpectralFaceFamily(space, lams, *space._eigenfaces(M, cuts))

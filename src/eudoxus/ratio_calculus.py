@@ -5,9 +5,10 @@ a decomposition of the consequent into pairwise-incomparable components,
 a real multiplier lambda per component and its exact rational bracket.
 Every ratio corresponds to a unique self-adjoint cone derivation mapping
 consequent to antecedent, and every self-adjoint derivation arises this
-way from its spectral faces; composition and addition of ratios are
-operator composition and sum, with the Jordan symmetrized product as
-the fallback when a product leaves the self-adjoint world.
+way from its spectral faces, which alone decide, on every path to a
+ratio, whether an operator is one; composition and addition of ratios
+are operator composition and sum, with the Jordan symmetrized product
+as the fallback when a product leaves the self-adjoint world.
 
 The classical one-dimensional checks (cut classes, ex aequali,
 compositio, step-figure quadrature) run on exact rationals.
@@ -28,10 +29,9 @@ from eudoxus.exact_rational import (
 )
 from eudoxus.derivation_algebra import (
     Derivation,
-    _asymmetric,
+    NotSelfAdjointDerivation,
     _cluster,
     _pow2_scaled,
-    is_derivation,
     spectral_faces,
 )
 
@@ -53,8 +53,8 @@ class Ratio:
     decomposition entries are (lam, bracket, component): the consequent
     is the sum of the components (minimal_decomposition's pieces), the
     antecedent acts as lam on each, and bracket is the exact rational
-    Stern-Brocot bracket of lam (None when lam is not positive, which is
-    admitted but flagged).
+    Stern-Brocot bracket of lam (None when lam is at or below TOL; such
+    multipliers are admitted, and lambdas() gives their sign).
     """
 
     def __init__(self, host, antecedent, consequent, decomposition):
@@ -62,7 +62,6 @@ class Ratio:
         self.antecedent = np.asarray(antecedent, dtype=float)
         self.consequent = np.asarray(consequent, dtype=float)
         self.decomposition = decomposition
-        self.has_negative = any(lam < -TOL for lam, _, _ in decomposition)
 
     def lambdas(self):
         return [lam for lam, _, _ in self.decomposition]
@@ -102,11 +101,11 @@ def ratio_from_pair(space, a_prime, a, max_den=10**6):
     delta = _solve_selfadjoint_derivation(space, a, a_prime)
     if delta is None:
         raise NotComparable("antecedent is not face-diagonal over the consequent")
-    return _ratio_from_family(space, delta, spectral_faces(space, delta), a, max_den)
+    return _ratio_from_family(space, delta.mat, spectral_faces(space, delta), a, max_den)
 
 
-def _ratio_from_family(space, delta, family, a, max_den):
-    """The ratio delta a : a, decomposed along the spectral faces of delta:
+def _ratio_from_family(space, M, family, a, max_den):
+    """The ratio M a : a, decomposed along the spectral faces of M:
     the consequent is compressed onto every nonzero face at once, the
     parts are split into minimal pieces by one stacked call of the kind's
     frame terms (one spectral decomposition on a Jordan kind), and each
@@ -124,8 +123,7 @@ def _ratio_from_family(space, delta, family, a, max_den):
     if np.linalg.norm(parts.sum(axis=0) - a) > 1e-7 * max(1.0, np.linalg.norm(a)):
         raise NotComparable("consequent does not decompose along the "
                             "antecedent's spectral faces")
-    antecedent = delta.mat @ a
-    return Ratio(space, antecedent, a, decomposition)
+    return Ratio(space, M @ a, a, decomposition)
 
 
 def to_derivation(r):
@@ -149,25 +147,14 @@ def to_derivation(r):
 
 
 def from_derivation(space, delta, max_den=10**6):
-    """The ratio of a self-adjoint derivation: consequent is the sum of
-    the units of its nonzero spectral faces, antecedent its image."""
-    if not isinstance(delta, Derivation):
-        delta = Derivation(space, delta)
-    # only the decision is needed: skip the witness search
-    verdict = is_derivation(space, delta.mat, sample_budget=0)
-    if not verdict:
-        raise ValueError("not a derivation: %r" % verdict)
-    return _ratio_from_verified(space, delta, max_den)
-
-
-def _ratio_from_verified(space, delta, max_den):
-    """from_derivation for a delta already verified to be a derivation:
-    its spectral faces are built once, as one checked stack."""
-    family = spectral_faces(space, delta.mat)
+    """The ratio of a self-adjoint derivation (a Derivation or a matrix,
+    which spectral_faces checks): consequent is the sum of the units of
+    its nonzero spectral faces, antecedent its image."""
+    family = spectral_faces(space, delta)
     a = family.witnesses[family.nonzero].sum(axis=0)
     if space.membership(a) is not Membership.INTERIOR:
         raise ValueError("spectral-face units do not sum to an order unit")
-    return _ratio_from_family(space, delta, family, a, max_den)
+    return _ratio_from_family(space, np.asarray(delta, dtype=float), family, a, max_den)
 
 
 # ---------------------------------------------------------------------------
@@ -279,22 +266,22 @@ class JordanOnly:
 
     def __init__(self, derivation):
         self.derivation = derivation
-        self.jb_only = True
 
 
 def compose(r, s, max_den=10**6):
     """Operator composition of ratios.  For comparable (commuting)
     ratios the product is again a self-adjoint derivation and a Ratio is
-    returned; otherwise the Jordan symmetrized product is returned,
-    flagged.  Both must live over one cone."""
+    returned; when spectral_faces refuses the product, the Jordan
+    symmetrized product is returned, flagged.  Both must live over one
+    cone."""
     _same_host(r, s)
     dr = to_derivation(r)
     ds = to_derivation(s)
     prod = dr.mat @ ds.mat
-    # only the decision is used: no search for an expelled witness
-    if not _asymmetric(prod) and is_derivation(r.host, prod, sample_budget=0):
-        return _ratio_from_verified(r.host, Derivation(r.host, prod), max_den)
-    return JordanOnly(Derivation(r.host, 0.5 * (prod + ds.mat @ dr.mat)))
+    try:
+        return from_derivation(r.host, prod, max_den)
+    except NotSelfAdjointDerivation:
+        return JordanOnly(Derivation(r.host, 0.5 * (prod + ds.mat @ dr.mat)))
 
 
 def add(r, s, max_den=10**6):

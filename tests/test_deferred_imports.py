@@ -3,7 +3,9 @@
 Only polyhedral cones (Qhull, pivoted QR, nnls, the pointedness LP) and the
 witness search of a refuted is_derivation (expm) call scipy, and each of
 those imports its routine when it runs.  A process that works on the
-Jordan kinds alone loads no scipy module.
+Jordan kinds alone loads no scipy module, and neither does a decision that
+refuses an operator without a witness: a compose that falls back to
+JordanOnly, or a derivation spectrum of a matrix outside Der(cone).
 
 Other test modules import scipy at module level, so in this process the
 deferred imports are already satisfied.  Only a fresh interpreter shows
@@ -70,6 +72,16 @@ for kind, dim, antecedent, consequent in (("orthant", 2, "1,2", "1,1"),
         codes.append(cli.main(["ratio", "make", spec,
                                "--antecedent", antecedent, "--consequent", consequent]))
         codes.append(cli.main(["analyze", spec]))
+# the product of two ratios on lorentz(3) leaves Der: JordanOnly, exit 0;
+# a symmetric matrix outside Der(orthant(2)) is refused, exit 2
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes.append(cli.main(["ratio", "compose", os.path.join(directory, "lorentz.spec"),
+                           "--antecedent", "3,1,0", "--consequent", "1,0,0",
+                           "--antecedent2", "3,1,0", "--consequent2", "1,0,0"]))
+report["compose"] = out.getvalue().splitlines()[-1]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes.append(cli.main(["derivation", "spectrum", os.path.join(directory, "orthant.spec"),
+                           "--matrix", "1,2;2,1"]))
 report["jordan"] = [codes, scipy_modules()]
 report["answers"] = polyhedral_answers(directory)
 report["polyhedral"] = scipy_modules()
@@ -89,7 +101,9 @@ def _fresh(directory):
 def test_jordan_commands_load_no_scipy_and_polyhedral_answers_match(tmp_path):
     fresh = _fresh(tmp_path)
     assert fresh["import"] == []
-    assert fresh["jordan"] == [[0, 0, 0, 0], []]
+    assert fresh["jordan"] == [[0, 0, 0, 0, 0, 2], []]
+    assert fresh["compose"] == "CHECK ratio_compose PASS JB-only symmetrized product " \
+                               "(factors do not commute)"
     # the deferred imports ran, and gave the answers this process gives
     assert {"scipy.linalg", "scipy.optimize", "scipy.spatial"} <= set(fresh["polyhedral"])
     namespace = {}

@@ -26,12 +26,15 @@ from eudoxus.cone_space import (
 )
 from eudoxus.derivation_algebra import (
     CLUSTER_TOL,
+    DEFAULT_T_GRID,
     EIG_FLOOR,
     Derivation,
+    NotSelfAdjointDerivation,
     SpectralFaceFamily,
     _centre_split,
     _centroid,
     _complex_structure,
+    _der_verdict,
     _derivation_residuals,
     _asymmetric,
     _structure_table,
@@ -132,9 +135,9 @@ def test_basis_elements_are_derivations():
     rng = np.random.default_rng(1)
     for sp in (ConeSpace.orthant(3), ConeSpace.psd_real(2), ConeSpace.lorentz(3)):
         for b in derivation_basis(sp):
-            assert is_derivation(sp, b.mat, rng=rng)
+            assert is_derivation(sp, b.mat)
         d = _random_selfadjoint(sp, rng)
-        assert is_derivation(sp, d.mat, rng=rng)
+        assert is_derivation(sp, d.mat)
 
 
 def test_non_derivation_is_refuted_with_witness():
@@ -154,9 +157,8 @@ def test_non_derivation_is_refuted_with_witness():
 def test_the_decision_holds_where_squared_entries_overflow(sp, M, status):
     # entries above about 1.3e154 have squares past the float range: the
     # decision is the one at 1e150, and the residual is finite
-    verdict = is_derivation(sp, M, sample_budget=0)
-    assert verdict.status == status
-    assert is_derivation(sp, M * 1e-5, sample_budget=0).status == status
+    assert _der_verdict(sp, M)[1].status == status
+    assert _der_verdict(sp, M * 1e-5)[1].status == status
     assert np.isfinite(_derivation_residuals(sp, M[None])[0]).all()
 
 
@@ -178,10 +180,12 @@ def test_a_rotation_is_not_selfadjoint_where_its_squares_overflow():
     sp = ConeSpace.lorentz(3)
     for scale in (1e150, 1e155, 1e300):
         M = scale * np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-        assert is_derivation(sp, M, sample_budget=0)
+        assert _der_verdict(sp, M)[1]
         assert _asymmetric(M) and not Derivation(sp, M).selfadjoint
-        with pytest.raises(ValueError, match="spectral faces need a self-adjoint derivation"):
-            spectral_faces(sp, Derivation(sp, M))
+        for op in (M, Derivation(sp, M)):
+            with pytest.raises(NotSelfAdjointDerivation,
+                               match="spectral faces need a self-adjoint derivation"):
+                spectral_faces(sp, op)
 
 
 def test_only_a_witness_search_creates_a_generator(monkeypatch):
@@ -485,13 +489,9 @@ def _within_an_ulp_of_the_means(lams, groups):
 def loop_spectral_faces(space, delta):
     """Reference: spectral_faces as it was before the faces were kept as
     stacks, with one checked Face per eigenvalue."""
-    if isinstance(delta, Derivation):
-        verdict = is_derivation(space, delta.mat, sample_budget=0)
-        if not verdict:
-            raise ValueError("operator is not a derivation: %r" % verdict)
-        M = delta.mat
-    else:
-        M = np.asarray(delta, dtype=float)
+    M = np.asarray(delta, dtype=float)
+    if _derivation_residuals(space, M[None])[1][0]:
+        raise ValueError("operator is not a derivation")
     if np.linalg.norm(M - M.T) > 1e-9 * max(1.0, np.linalg.norm(M)):
         raise ValueError("spectral faces need a self-adjoint derivation")
     groups = loop_clusters(np.linalg.eigvalsh(M))
@@ -1026,7 +1026,7 @@ def test_stacked_decision_matches_is_derivation(sp, seed, scale):
     if E is not None:
         Ms = [M + off * scale * E for M, off in zip(Ms, [0.0, 1e-12, 1e-5, 1.0])]
     Ms.append(scale * rng.standard_normal((sp.dim, sp.dim)))
-    want = [not is_derivation(sp, M, sample_budget=0) for M in Ms]
+    want = [not _der_verdict(sp, M)[1] for M in Ms]
     assert list(_derivation_residuals(sp, np.array(Ms))[1]) == want
 
 
@@ -1047,9 +1047,20 @@ def test_combinations_with_an_off_span_part_are_refuted(sp, seed, scale, off):
         assert len(derivation_basis(sp)) == sp.dim * sp.dim
         return
     M = _combination(sp, rng, scale) + off * max(scale, 1.0) * E
-    verdict = is_derivation(sp, M, sample_budget=2, rng=rng)
+    verdict = is_derivation(sp, M)
     assert verdict.status == "Refuted"
     assert "residual" in verdict.detail
+    # the search is fixed: a second call finds the same witness, and a
+    # witness is a cone point that exp(tM) expels, t on the grid
+    again = is_derivation(sp, M).witness
+    if verdict.witness is None:
+        assert again is None
+        return
+    t, x = verdict.witness
+    assert t == again[0] and np.array_equal(x, again[1])
+    assert t in DEFAULT_T_GRID and sp.membership(x) is not Membership.OUTSIDE
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert sp.membership(scipy.linalg.expm(t * M) @ x) is Membership.OUTSIDE
 
 
 def _pairwise_closure_residual(mats):
@@ -1092,18 +1103,19 @@ def test_is_derivation_rejects_non_finite_operators(sp, bad):
 @pytest.mark.parametrize("sp", [ConeSpace.orthant(4), ConeSpace.psd_real(1), rotated_orthant(3, 2)],
                          ids=repr)
 def test_each_operator_is_verified_once(monkeypatch, sp):
-    # products of commuting derivations stay derivations on these cones, so compose gives a Ratio
+    # products of commuting derivations stay derivations on these cones, so
+    # compose gives a Ratio; the one decision is spectral_faces' Der residual
     delta = _random_selfadjoint(sp, np.random.default_rng(4)).mat
     partner = 1.5 * np.eye(sp.dim) + 0.5 * delta  # commutes with delta
     r = ratio_calculus.from_derivation(sp, delta, max_den=64)
     s = ratio_calculus.from_derivation(sp, partner, max_den=64)
     calls = []
+    residuals = derivation_algebra._derivation_residuals
 
-    def counting(space, M, *args, **kwargs):
-        calls.append(1)
-        return is_derivation(space, M, *args, **kwargs)
-    monkeypatch.setattr(derivation_algebra, "is_derivation", counting)
-    monkeypatch.setattr(ratio_calculus, "is_derivation", counting)
+    def counting(space, Ms):
+        calls.append(len(Ms))
+        return residuals(space, Ms)
+    monkeypatch.setattr(derivation_algebra, "_derivation_residuals", counting)
     for run in (lambda: ratio_calculus.from_derivation(sp, delta, max_den=64),
                 lambda: ratio_calculus.compose(r, s, max_den=64),
                 lambda: ratio_calculus.add(r, s, max_den=64),
@@ -1112,7 +1124,7 @@ def test_each_operator_is_verified_once(monkeypatch, sp):
         calls.clear()
         out = run()
         assert isinstance(out, ratio_calculus.Ratio)
-        assert len(calls) == 1
+        assert calls == [1]
 
 
 def test_compose_outside_der_skips_the_witness_search(monkeypatch):
@@ -1137,10 +1149,106 @@ def test_from_derivation_outside_der_skips_the_witness_search(monkeypatch):
     def no_expm(*args):
         raise AssertionError("witness search for a dropped witness")
     monkeypatch.setattr(derivation_algebra, "expm", no_expm)
-    with pytest.raises(ValueError, match=r"not a derivation: Refuted\(outside"):
-        ratio_calculus.from_derivation(sp, M)
-    with pytest.raises(ValueError, match=r"not a derivation: Refuted\(outside"):
-        spectral_faces(sp, Derivation(sp, M))
+    for op in (M, Derivation(sp, M)):
+        for refuse in (ratio_calculus.from_derivation, spectral_faces):
+            with pytest.raises(NotSelfAdjointDerivation, match=r"not a derivation: Refuted\(outside"):
+                refuse(sp, op)
+
+
+# symmetric operators outside Der(cone): their eigenvalues are not the
+# multipliers of any ratio, so no spectral family may be built from them
+NOT_DERIVATIONS = [
+    (ConeSpace.orthant(2), np.array([[1.0, 2.0], [2.0, 1.0]])),
+    (ConeSpace.lorentz(3), np.diag([1.0, 2.0, 3.0])),
+    # L(diag(p, q)) acts on the coordinates of psd_real(2) as p, (p + q) / 2 and q
+    (ConeSpace.psd_real(2), np.diag([1.0, 2.0, 4.0])),
+]
+
+
+@pytest.mark.parametrize("sp, M", NOT_DERIVATIONS, ids=["orthant", "lorentz", "psd_real"])
+def test_spectral_faces_refuses_a_symmetric_operator_outside_der(sp, M):
+    # a bare array gave lam (-1, 3), (1, 2, 3) and (1, 2, 4), and rebuilt 3I, I
+    # and 2 L(diag(1, 4)), though from_derivation and the CLI refused them
+    assert not _asymmetric(M) and _derivation_residuals(sp, M[None])[1][0]
+    for op in (M, Derivation(sp, M)):
+        with pytest.raises(NotSelfAdjointDerivation, match="operator is not a derivation"):
+            reconstruct_from_faces(sp, spectral_faces(sp, op))
+        with pytest.raises(NotSelfAdjointDerivation, match="operator is not a derivation"):
+            ratio_calculus.from_derivation(sp, op)
+
+
+@pytest.mark.parametrize("M, message", [
+    (np.eye(3), "operator shape does not match the space"),
+    (np.diag([1.0, np.nan]), "operator has non-finite entries"),
+    (np.diag([1.0, np.inf]), "operator has non-finite entries"),
+])
+def test_spectral_faces_raises_a_plain_value_error_on_a_malformed_operator(M, message):
+    with pytest.raises(ValueError, match=message) as info:
+        spectral_faces(ConeSpace.orthant(2), M)
+    assert not isinstance(info.value, NotSelfAdjointDerivation)
+
+
+def old_compose(r, s, max_den):
+    """Reference: compose as it decided before spectral_faces did, the
+    product's symmetry first and then its Der residual."""
+    dr, ds = ratio_calculus.to_derivation(r).mat, ratio_calculus.to_derivation(s).mat
+    prod = dr @ ds
+    if _asymmetric(prod) or _derivation_residuals(r.host, prod[None])[1][0]:
+        return ratio_calculus.JordanOnly(Derivation(r.host, 0.5 * (prod + ds @ dr)))
+    return ratio_calculus.from_derivation(r.host, prod, max_den=max_den)
+
+
+def _compose_pairs(sp, rng):
+    """Commuting pairs (a ratio with itself and with a I + b delta) and a
+    pair of independent ratios, which commute on no cone here but the
+    orthant."""
+    delta, other = (_random_selfadjoint(sp, rng).mat for _ in range(2))
+    r, s, t = (ratio_calculus.from_derivation(sp, M, max_den=64)
+               for M in (delta, 1.5 * np.eye(sp.dim) + 0.5 * delta, other))
+    return [(r, r), (r, s), (s, r), (r, t)]
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(3), ConeSpace.lorentz(3), ConeSpace.lorentz(4),
+                                ConeSpace.psd_real(2), ConeSpace.hermitian(2),
+                                rotated_orthant(3, 1), ngon_cone(5)], ids=repr)
+def test_compose_returns_what_the_old_rule_returned(sp):
+    rng = np.random.default_rng(17)
+    pairs = _compose_pairs(sp, rng) + _compose_pairs(sp, rng)
+    if sp.kind == "lorentz" and sp.dim == 3:
+        # ROADMAP item 1's pair: 1.6e-9 off symmetric, still JordanOnly
+        e = np.array([1.0, 0.0, 0.0])
+        pairs.append((ratio_calculus.ratio_from_pair(sp, np.array([1.0, 5e-8, 0.0]), e),
+                      ratio_calculus.ratio_from_pair(sp, np.array([25.0, 0.0, 1.0]), e)))
+    kinds = set()
+    for r, s in pairs:
+        got, want = ratio_calculus.compose(r, s, max_den=64), old_compose(r, s, 64)
+        assert type(got) is type(want)
+        kinds.add(type(got))
+        if isinstance(got, ratio_calculus.JordanOnly):
+            assert np.array_equal(got.derivation.mat, want.derivation.mat)
+        else:
+            assert got.lambdas() == want.lambdas()
+            prod = ratio_calculus.to_derivation(r).mat @ ratio_calculus.to_derivation(s).mat
+            back = ratio_calculus.to_derivation(got).mat
+            assert np.linalg.norm(back - prod) <= 1e-9 * max(1.0, np.linalg.norm(prod))
+    # the self-adjoint derivations of the orthant and of these polyhedral
+    # cones commute, and their products are ratios; on the other Jordan kinds
+    # every product leaves Der (ROADMAP item 1)
+    if sp.kind in ("lorentz", "psd_real", "hermitian"):
+        assert kinds == {ratio_calculus.JordanOnly}
+    else:
+        assert kinds == {ratio_calculus.Ratio}
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(2), ConeSpace.lorentz(3), ConeSpace.psd_real(2)],
+                         ids=repr)
+def test_compose_of_an_overflowing_product_raises(sp):
+    a = sp.canonical_unit()
+    r = ratio_calculus.ratio_from_pair(sp, 1e200 * np.linspace(1.0, 2.0, sp.dim) * a
+                                       if sp.kind == "orthant" else 1e200 * a, a, max_den=64)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite") as info:
+        ratio_calculus.compose(r, r, max_den=64)
+    assert not isinstance(info.value, NotSelfAdjointDerivation)
 
 
 # ---------------------------------------------------------------------------
