@@ -194,10 +194,12 @@ def cmd_ratio(args, report):
     if args.action != "make" and None in (args.antecedent2, args.consequent2):
         raise ValueError("ratio %s needs --antecedent2 and --consequent2" % args.action)
     space = _load_space(args.spec)
-    a = _parse_vector(args.consequent)
-    ap = _parse_vector(args.antecedent)
+    pairs = [(args.antecedent, args.consequent)]
+    if args.action != "make":
+        pairs.append((args.antecedent2, args.consequent2))
     try:
-        r = ratio_from_pair(space, ap, a, max_den=args.max_den)
+        r, *rest = [ratio_from_pair(space, _parse_vector(ap), _parse_vector(a), max_den=args.max_den)
+                    for ap, a in pairs]
     except NotComparable as exc:
         report.check("ratio_%s" % args.action, "FAIL", str(exc))
         return
@@ -206,9 +208,7 @@ def cmd_ratio(args, report):
         report.section("brackets: %s" % ([b for _, b, _ in r.decomposition]))
         report.check("ratio_make", "PASS", "%d components" % len(r.decomposition))
         return
-    A2 = _parse_vector(args.consequent2)
-    ap2 = _parse_vector(args.antecedent2)
-    s = ratio_from_pair(space, ap2, A2, max_den=args.max_den)
+    (s,) = rest
     if args.action == "eq":
         try:
             eq = ratio_equal(r, s, max_den=args.max_den)

@@ -501,21 +501,6 @@ class ConeSpace:
             return 0.0
         return self._unit_norm(x, u)
 
-    def _norm_by_bisection(self, x, u):
-        hi = 1.0
-        while not (self.leq(-hi * u, x) and self.leq(x, hi * u)):
-            hi *= 2.0
-            if hi > 1e18:
-                raise ArithmeticError("order-unit norm did not bracket")
-        lo = 0.0
-        for _ in range(80):
-            mid = (lo + hi) / 2.0
-            if self.leq(-mid * u, x) and self.leq(x, mid * u):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
     # -- sampling ------------------------------------------------------------
 
     def sample_vector(self, rng):
@@ -626,21 +611,6 @@ class _JordanSpace(ConeSpace):
         _, (frame,) = self._spectral(self._e[None])
         C = np.cumsum(frame[:, :-1], axis=1).T
         return (self._U(C), C), "every rank by transitivity"
-
-    def _riesz(self):
-        """A lattice exactly when the Peirce 1/2-space of a frame is zero.
-        The built-in algebras are simple, so otherwise the first two
-        frame elements already have a nonzero Peirce space V_01 between
-        them: x = (c0 + c1 + h)/2 with unit h in V_01 lies in the face of
-        c0 + c1 but not in face(c0) + face(c1)."""
-        _, (C,) = self._spectral(self._e[None])
-        U = self._U(C.T)
-        if np.trace(np.eye(self.dim) - U.sum(axis=0)) < 0.5:
-            return True, None
-        a, c = C[:, 0].copy(), C[:, 1].copy()
-        V = self._U((a + c)[None])[0] - U[0] - U[1]
-        h = V[:, np.argmax(np.linalg.norm(V, axis=0))]
-        return False, {"a": a, "c": c, "x": (a + c + h / np.linalg.norm(h)) / 2.0}
 
     # -- derivations ----------------------------------------------------------
 
@@ -850,7 +820,23 @@ class _Polyhedral(ConeSpace):
         return self._project(x), self._project(-x)
 
     def _unit_norm(self, x, u):
-        return self._norm_by_bisection(x, self._e if u is None else u)
+        """Bisection for x / 2^k, max |x / 2^k| in [1, 2), times 2^k: exact,
+        as the norm is positively homogeneous, and at every scale as fine as
+        the membership band is relative above norm 1."""
+        u = self._e if u is None else u
+        k = math.frexp(float(np.max(np.abs(x))))[1] - 1
+        x = np.ldexp(x, -k)
+        hi = 1.0
+        while not (self.leq(-hi * u, x) and self.leq(x, hi * u)):
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(80):
+            mid = (lo + hi) / 2.0
+            if self.leq(-mid * u, x) and self.leq(x, mid * u):
+                hi = mid
+            else:
+                lo = mid
+        return math.ldexp(hi, k)
 
     def _L(self, a):
         raise ValueError("a polyhedral cone carries no Jordan product")
@@ -921,13 +907,6 @@ class _Polyhedral(ConeSpace):
         """The faces (P, W) of the unit extreme rays, labelled "exhaustive":
         they decide every face (face_lattice.is_facially_homogeneous)."""
         return self._faces_of(self._rays.T), "exhaustive"
-
-    def _riesz(self):
-        m = self._rays.shape[1]
-        if m == self.dim:
-            return True, None
-        return False, {"reason": "non-simplicial: %d extreme rays in dimension %d"
-                       % (m, self.dim)}
 
     # -- derivations ----------------------------------------------------------
 

@@ -78,7 +78,10 @@ class FractionCutOracle(CutOracle):
     """
 
     def __init__(self, value):
-        value = Fraction(value)
+        try:
+            value = Fraction(value)  # ValueError on nan, OverflowError on +-inf
+        except OverflowError:
+            raise ValueError("cut must be finite, got %r" % (value,)) from None
         if value <= 0:
             raise ValueError("cut must be positive")
         self.p, self.q = value.numerator, value.denominator

@@ -94,10 +94,24 @@ def is_facially_homogeneous(space):
 
 
 def is_riesz(space):
-    """Whether the cone order is a lattice.
+    """Whether the cone order is a lattice: exactly when the canonical unit
+    splits into dim minimal pieces (rank = dim on a Jordan kind, a
+    simplicial cone on a polyhedral one).
 
-    Returns (flag, witness); for non-lattice Jordan cones the witness is a
-    dict with elements a, c and x where x lies in the face of a+c but not
-    in face(a) + face(c).
+    Returns (flag, witness).  With one piece the witness names the reason.
+    With more, the algebra is simple, so its first two pieces a, c have a
+    nonzero Peirce space, the span of P_(a+c) - P_a - P_c, between them;
+    for a unit h in it, x = (a + c + h)/2 lies in the face of a + c but
+    not in face(a) + face(c), and the witness is the dict of a, c and x.
     """
-    return space._riesz()
+    pieces = minimal_decomposition(space, space.canonical_unit())
+    if len(pieces) == space.dim:
+        return True, None
+    if len(pieces) == 1:
+        return False, {"reason": "non-simplicial: the unit is 1 piece in dimension %d"
+                       % space.dim}
+    (_, a), (_, c) = pieces[:2]
+    (Pac, Pa, Pc), _ = space._faces_of(np.array([a + c, a, c]))
+    V = Pac - Pa - Pc
+    h = V[:, np.argmax(np.linalg.norm(V, axis=0))]
+    return False, {"a": a, "c": c, "x": (a + c + h / np.linalg.norm(h)) / 2.0}

@@ -10,6 +10,8 @@ product is refused outside the lattice case, where the uniqueness claim
 fails.
 """
 
+import itertools
+
 import numpy as np
 
 from eudoxus.cone_space import Membership
@@ -124,11 +126,10 @@ class KreinSpace:
             raise ValueError("u is not an order unit")
         self.host = host
         self.u = u
-        parts = minimal_decomposition(host, u)
+        # on a lattice cone every order unit splits into dim pieces; the
         # columns sum to u, so u has coordinates (1, ..., 1)
+        parts = minimal_decomposition(host, u)
         self.basis = np.column_stack([coeff * comp for coeff, comp in parts])
-        if self.basis.shape[1] != host.dim:
-            raise ValueError("unit decomposition does not span the space")
 
     def coords(self, x):
         return np.linalg.solve(self.basis, np.asarray(x, dtype=float))
@@ -165,23 +166,14 @@ class State:
         return float(np.dot(self.functional, np.asarray(x, dtype=float)))
 
 
-def multiplicative_characterization(krein, f, rng=None):
+def multiplicative_characterization(krein, f):
     """Is f(xy) = f(x) f(y)?  Exactly the pure states qualify.
 
-    Returns (flag, witness): witness is an (x, y) pair violating the
-    identity when the flag is false.
+    Both sides are bilinear in (x, y), so the d^2 pairs of basis elements
+    decide the identity.  Returns (flag, witness): witness is a basis pair
+    violating the identity when the flag is false.
     """
-    if rng is None:
-        rng = np.random.default_rng(13)
-    # spanning pairs first (exactness), then random ones
-    d = krein.host.dim
-    tests = []
-    for i in range(d):
-        for j in range(d):
-            tests.append((krein.basis[:, i], krein.basis[:, j]))
-    for _ in range(50):
-        tests.append((krein.host.sample_vector(rng), krein.host.sample_vector(rng)))
-    for x, y in tests:
+    for x, y in itertools.product(krein.basis.T, repeat=2):
         lhs = f(krein.product(x, y))
         rhs = f(x) * f(y)
         if abs(lhs - rhs) > 1e-8 * max(1.0, abs(lhs), abs(rhs)):

@@ -277,7 +277,8 @@ def compose(r, s, max_den=10**6):
     _same_host(r, s)
     dr = to_derivation(r)
     ds = to_derivation(s)
-    prod = dr.mat @ ds.mat
+    with np.errstate(over="ignore", invalid="ignore"):  # spectral_faces refuses non-finite
+        prod = dr.mat @ ds.mat
     try:
         return from_derivation(r.host, prod, max_den)
     except NotSelfAdjointDerivation:
@@ -289,7 +290,9 @@ def add(r, s, max_den=10**6):
     _same_host(r, s)
     dr = to_derivation(r)
     ds = to_derivation(s)
-    return from_derivation(r.host, dr.mat + ds.mat, max_den=max_den)
+    with np.errstate(over="ignore", invalid="ignore"):  # spectral_faces refuses non-finite
+        total = dr.mat + ds.mat
+    return from_derivation(r.host, total, max_den=max_den)
 
 
 # ---------------------------------------------------------------------------

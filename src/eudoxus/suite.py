@@ -303,14 +303,14 @@ def check_krein(seed=0):
         if len(pures) != n:
             return False, "orthant(%d): %d pure states" % (n, len(pures))
         for f in pures:
-            okf, _ = multiplicative_characterization(kr, f, rng=rng)
+            okf, _ = multiplicative_characterization(kr, f)
             if not okf:
                 return False, "orthant(%d): pure state not multiplicative" % n
         if n >= 2:
             w = np.zeros(n)
             w[0] = w[1] = 0.5
             mid = mixed_state(kr, w)
-            okm, witness = multiplicative_characterization(kr, mid, rng=rng)
+            okm, witness = multiplicative_characterization(kr, mid)
             if okm or witness is None:
                 return False, "orthant(%d): midpoint state looked multiplicative" % n
         for _ in range(500 if n == 5 else 50):

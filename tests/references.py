@@ -1,6 +1,7 @@
 """Test-only references shared by several test modules: the inverse of
-vec_to_herm, the incomparability of two cone elements, and two families
-of polyhedral cones (rotated orthants and the n-gon cones)."""
+vec_to_herm, the incomparability of two cone elements, two families of
+polyhedral cones (rotated orthants and the n-gon cones), the per-kind
+lattice rules, and the order-unit norm by bisection and in closed form."""
 
 import numpy as np
 
@@ -51,3 +52,36 @@ def ngon_cone(n):
     return ConeSpace.polyhedral([np.array([1.0, r * np.cos(2 * np.pi * i / n),
                                            r * np.sin(2 * np.pi * i / n)])
                                  for i in range(n)])
+
+
+def lattice_by_kind(space):
+    """The per-kind lattice rules: a Jordan algebra is associative when the
+    Peirce 1/2-space of a frame of e is zero (the compressions U_c of the
+    frame elements sum to I); a polyhedral cone is a lattice when it has
+    dim extreme rays."""
+    if space.kind == "polyhedral":
+        return space._rays.shape[1] == space.dim
+    _, (C,) = space._spectral(space._e[None])
+    return np.trace(np.eye(space.dim) - space._U(C.T).sum(axis=0)) < 0.5
+
+
+def norm_by_bisection(space, x, u):
+    """inf {t : -t u <= x <= t u} by doubling from t = 1, then 80 halvings."""
+    hi = 1.0
+    while not (space.leq(-hi * u, x) and space.leq(x, hi * u)):
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if space.leq(-mid * u, x) and space.leq(x, mid * u):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def polyhedral_unit_norm(space, x, u):
+    """The closed form max_j |<d_j, x>| / <d_j, u> over the unit dual
+    generators d_j of a polyhedral cone."""
+    D = space.dual_generators
+    return float(np.max(np.abs(D.T @ x) / (D.T @ u)))

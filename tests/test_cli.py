@@ -195,6 +195,23 @@ def test_ratio_actions_on_two_ratios_need_the_second_pair(tmp_path, capsys, acti
     assert out.err == "error: ratio %s needs --antecedent2 and --consequent2\n" % action
 
 
+@pytest.mark.parametrize("action", ["eq", "compose", "add"])
+@pytest.mark.parametrize("incomparable_first", [True, False], ids=["first", "second"])
+def test_an_incomparable_pair_fails_the_check_in_either_place(tmp_path, capsys, action,
+                                                              incomparable_first):
+    spec = _write_spec(tmp_path, _spec_text(ngon_cone(5)))
+    incomparable, comparable = ("1,0.2,0.1", "3,0,0"), ("2,0,0", "1,0,0")
+    first, second = ((incomparable, comparable) if incomparable_first
+                     else (comparable, incomparable))
+    argv = ["ratio", action, spec, "--antecedent", first[0], "--consequent", first[1],
+            "--antecedent2", second[0], "--consequent2", second[1]]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert [l for l in out.out.splitlines() if l.startswith("CHECK")] == [
+        "CHECK ratio_%s FAIL antecedent is not face-diagonal over the consequent" % action]
+
+
 LORENTZ3 = "kind = lorentz\ndim = 3\n"
 SQUARE = "kind = polyhedral\ngen = 3,1\ngen = -1,3\n"
 

@@ -18,7 +18,7 @@ from eudoxus.cone_space import (
     vec_to_sym,
 )
 from eudoxus.face_lattice import minimal_decomposition
-from references import herm_to_vec
+from references import herm_to_vec, ngon_cone, norm_by_bisection, polyhedral_unit_norm
 
 
 def all_kinds():
@@ -207,7 +207,7 @@ def test_lorentz_norm_matches_bisection():
     for _ in range(20):
         x = sp.sample_vector(rng)
         closed = sp.order_unit_norm(x, u)
-        brute = sp._norm_by_bisection(x, u)
+        brute = norm_by_bisection(sp, x, u)
         assert np.isclose(closed, brute, atol=1e-6)
 
 
@@ -247,8 +247,30 @@ def test_order_unit_norm_matches_bisection_at_noncanonical_unit():
             u = sp.sample_interior_point(rng)
             assert not np.allclose(u, sp.canonical_unit())
             x = sp.sample_vector(rng)
-            assert np.isclose(sp.order_unit_norm(x, u), sp._norm_by_bisection(x, u),
+            assert np.isclose(sp.order_unit_norm(x, u), norm_by_bisection(sp, x, u),
                               atol=1e-6)
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_polyhedral_order_unit_norm_is_exactly_homogeneous(n):
+    sp = ngon_cone(n)
+    x = np.random.default_rng(n).standard_normal(3)
+    norm = sp.order_unit_norm(x)
+    for j in range(-100, 101):
+        assert sp.order_unit_norm(2.0 ** j * x) == 2.0 ** j * norm
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_polyhedral_order_unit_norm_matches_the_closed_form_at_every_scale(n):
+    # the bisection's absolute band floor answered 8.27e-25 at 1e-30 u on the
+    # 5-gon, and its 1e18 cap and the norm check of 1e300 u raised
+    sp = ngon_cone(n)
+    u = sp.canonical_unit()
+    rng = np.random.default_rng(n)
+    for scale in (1e-30, 1e-10, 1.0, 1e19, 1e100, 1e300):
+        for x in [u] + [rng.standard_normal(3) for _ in range(5)]:
+            want = polyhedral_unit_norm(sp, scale * x, u)
+            assert abs(sp.order_unit_norm(scale * x) - want) <= 1e-8 * want
 
 
 def test_polyhedral_self_duality_is_decided_once(monkeypatch):

@@ -1240,14 +1240,25 @@ def test_compose_returns_what_the_old_rule_returned(sp):
         assert kinds == {ratio_calculus.Ratio}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("sp", [ConeSpace.orthant(2), ConeSpace.lorentz(3), ConeSpace.psd_real(2)],
                          ids=repr)
 def test_compose_of_an_overflowing_product_raises(sp):
     a = sp.canonical_unit()
     r = ratio_calculus.ratio_from_pair(sp, 1e200 * np.linspace(1.0, 2.0, sp.dim) * a
                                        if sp.kind == "orthant" else 1e200 * a, a, max_den=64)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite") as info:
+    with pytest.raises(ValueError, match="non-finite") as info:
         ratio_calculus.compose(r, r, max_den=64)
+    assert not isinstance(info.value, NotSelfAdjointDerivation)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(2), ConeSpace.lorentz(3)], ids=repr)
+def test_add_of_an_overflowing_sum_raises(sp):
+    a = sp.canonical_unit()
+    r = ratio_calculus.ratio_from_pair(sp, 1e308 * a, a, max_den=64)
+    with pytest.raises(ValueError, match="non-finite") as info:
+        ratio_calculus.add(r, r, max_den=64)
     assert not isinstance(info.value, NotSelfAdjointDerivation)
 
 

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import pytest
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +83,15 @@ def test_classify_fraction_rejects_nonpositive():
         pass
     else:
         raise AssertionError("expected ValueError")
+
+
+@pytest.mark.parametrize("oracle", [FractionCutOracle, RealCutOracle],
+                         ids=["FractionCutOracle", "RealCutOracle"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_cut_oracle_rejects_a_value_that_is_not_a_positive_real(oracle, value):
+    # Fraction(inf) raises OverflowError, which used to escape
+    with pytest.raises(ValueError):
+        oracle(value)
 
 
 def test_sqrt2_bracket_small_denominator():

@@ -17,7 +17,7 @@ from eudoxus.face_lattice import (
     is_riesz,
     minimal_decomposition,
 )
-from references import herm_to_vec, incomparable, ngon_cone, rotated_orthant
+from references import herm_to_vec, incomparable, lattice_by_kind, ngon_cone, rotated_orthant
 
 
 def orthogonal_face(F):
@@ -202,20 +202,44 @@ def test_riesz_classification():
     assert not is_riesz(ConeSpace.hermitian(2))[0]
 
 
-def test_riesz_failure_witness_is_concrete():
-    for sp in (ConeSpace.psd_real(2), ConeSpace.lorentz(3)):
-        ok, witness = is_riesz(sp)
-        assert not ok
-        assert witness is not None
-        a, c, x = witness["a"], witness["c"], witness["x"]
-        assert sp.membership(a) is not Membership.OUTSIDE
-        assert sp.membership(c) is not Membership.OUTSIDE
-        # x lies in the face of a + c but outside face(a) + face(c)
-        assert face_of(sp, a + c).contains(x)
-        span = np.column_stack([face_of(sp, a).projector,
-                                face_of(sp, c).projector])
-        coef, _, _, _ = np.linalg.lstsq(span, x, rcond=None)
-        assert np.linalg.norm(span @ coef - x) > 1e-3
+RIESZ_CASES = ([ConeSpace.orthant(n) for n in range(1, 21)]
+               + [ConeSpace.lorentz(n) for n in range(2, 9)]
+               + [ConeSpace.psd_real(k) for k in range(1, 6)]
+               + [ConeSpace.hermitian(k) for k in range(1, 5)]
+               + [rotated_orthant(n, seed) for n in range(2, 7) for seed in range(3)]
+               + [ngon_cone(n) for n in range(3, 14)]
+               + [ConeSpace.polyhedral([np.array([2.0])])])
+
+
+@pytest.mark.parametrize("sp", RIESZ_CASES, ids=repr)
+def test_riesz_matches_the_rule_of_each_kind(sp):
+    # a lattice exactly when the unit splits into dim minimal pieces
+    assert is_riesz(sp)[0] == lattice_by_kind(sp)
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.psd_real(k) for k in range(2, 6)]
+                         + [ConeSpace.lorentz(n) for n in range(3, 9)]
+                         + [ConeSpace.hermitian(k) for k in range(2, 5)], ids=repr)
+def test_riesz_failure_witness_is_concrete(sp):
+    ok, witness = is_riesz(sp)
+    assert not ok
+    assert witness is not None
+    a, c, x = witness["a"], witness["c"], witness["x"]
+    assert sp.membership(a) is not Membership.OUTSIDE
+    assert sp.membership(c) is not Membership.OUTSIDE
+    # x lies in the face of a + c but outside face(a) + face(c)
+    assert face_of(sp, a + c).contains(x)
+    span = np.column_stack([face_of(sp, a).projector,
+                            face_of(sp, c).projector])
+    coef, _, _, _ = np.linalg.lstsq(span, x, rcond=None)
+    assert np.linalg.norm(span @ coef - x) > 1e-3
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_riesz_failure_of_a_non_simplicial_cone_names_its_reason(n):
+    ok, witness = is_riesz(ngon_cone(n))
+    assert not ok
+    assert witness == {"reason": "non-simplicial: the unit is 1 piece in dimension 3"}
 
 
 def test_facial_homogeneity():

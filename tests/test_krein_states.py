@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eudoxus.cone_space import ConeSpace
+from eudoxus.face_lattice import is_riesz, minimal_decomposition
 from eudoxus.krein_states import (
     KreinSpace,
     State,
@@ -9,6 +10,7 @@ from eudoxus.krein_states import (
     mixed_state,
     multiplicative_characterization,
 )
+from references import ngon_cone, rotated_orthant
 
 
 def test_axioms_orthant_all_pass():
@@ -38,6 +40,22 @@ def test_krein_space_refuses_non_lattice():
         KreinSpace(ConeSpace.psd_real(2))
     with pytest.raises(ValueError):
         KreinSpace(ConeSpace.lorentz(3))
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(n) for n in range(1, 7)]
+                         + [ConeSpace.lorentz(2), ConeSpace.psd_real(1), ConeSpace.hermitian(1)]
+                         + [rotated_orthant(n, 1) for n in range(2, 6)] + [ngon_cone(3)],
+                         ids=repr)
+def test_every_order_unit_of_a_lattice_cone_splits_into_dim_pieces(sp):
+    # KreinSpace's basis is the unit's pieces, with no check of their count
+    assert is_riesz(sp)[0]
+    rng = np.random.default_rng(sp.dim)
+    for _ in range(20):
+        u = sp.sample_interior_point(rng)
+        assert len(minimal_decomposition(sp, u)) == sp.dim
+        ks = KreinSpace(sp, u)
+        assert ks.basis.shape == (sp.dim, sp.dim)
+        assert np.allclose(ks.coords(u), np.ones(sp.dim), atol=1e-9)
 
 
 def test_basis_recovers_unit():
@@ -82,6 +100,32 @@ def test_multiplicative_iff_pure():
     assert not flag
     x, y = witness
     assert abs(mid(ks.product(x, y)) - mid(x) * mid(y)) > 1e-8
+
+
+def sampled_multiplicativity(krein, f, rng):
+    """The identity f(xy) = f(x) f(y) on the d^2 basis pairs and 50 pairs of
+    Gaussian vectors, at the same relative 1e-8."""
+    d = krein.host.dim
+    pairs = [(krein.basis[:, i], krein.basis[:, j]) for i in range(d) for j in range(d)]
+    pairs += [(krein.host.sample_vector(rng), krein.host.sample_vector(rng)) for _ in range(50)]
+    for x, y in pairs:
+        lhs, rhs = f(krein.product(x, y)), f(x) * f(y)
+        if abs(lhs - rhs) > 1e-8 * max(1.0, abs(lhs), abs(rhs)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_basis_pairs_decide_multiplicativity_as_sampled_pairs_do(n):
+    ks = KreinSpace(ConeSpace.orthant(n))
+    rng = np.random.default_rng(n)
+    states = ks.pure_states() + [mixed_state(ks, w) for w in rng.dirichlet(np.ones(n), size=10)]
+    if n >= 2:
+        states += [mixed_state(ks, np.eye(n)[0] * 0.5 + np.eye(n)[1] * 0.5)]
+    for f in states:
+        flag, witness = multiplicative_characterization(ks, f)
+        assert flag == sampled_multiplicativity(ks, f, rng)
+        assert (witness is None) == flag
 
 
 def test_gelfand_map_is_isometric_and_multiplicative():
