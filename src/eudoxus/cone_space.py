@@ -752,6 +752,8 @@ class _MatrixSpace(_JordanSpace):
     def _vec(self, A):
         return (self._T.conj().T @ A.reshape(-1)).real
 
+    # no overflow warning: spectral_faces refuses non-finite operators
+    @np.errstate(over="ignore", invalid="ignore")
     def _L(self, a):
         # columns (A X_j + X_j A)/2 for the matrices X_j = unvec(e_j)
         k, d = self._k, self.dim

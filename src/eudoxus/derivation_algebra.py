@@ -235,26 +235,6 @@ def _structure_table(left, mats, Q):
     return ads, worst
 
 
-def _centre_split(mats, Q):
-    """(centre, K, ads, xy): the centre of span(mats) and its orthonormal
-    complement K, as combinations of mats, from the adjoint maps ads
-    (2, r, n) of two fixed-seed generic combinations xy (2, n) of mats.
-    The centraliser C of x and y, the null space of [ad_x; ad_y], holds
-    the centre, which is the part of C whose brackets with every B_j
-    vanish (a k x r x n table, k = dim C); K is the row space of
-    [ad_x; ad_y] together with the rest of C.  A span not closed under
-    commutator is caught in the brackets with x, which are generic."""
-    xy = np.random.default_rng(13).standard_normal((2, len(mats)))
-    ads, res = _structure_table(np.tensordot(xy, mats, axes=1), mats, Q)
-    if res > 1e-9:
-        raise ValueError("basis not closed under commutator (residual %.3g)" % res)
-    K, C = _rank_split(ads.reshape(-1, len(mats)))
-    Z = _structure_table(np.tensordot(C, mats, axes=1), mats, Q)[0]
-    # the row length is spelt out, as C may be empty
-    rest, null = _rank_split(Z.reshape(len(C), ads[0].size).T)
-    return null @ C, np.vstack([K, rest @ C]), ads, xy
-
-
 def _centroid(ad_x, ad_y, y):
     """(basis, rank): an orthonormal basis (Frobenius) of the centroid of
     a Lie algebra of dimension q generated by x and y, the q x q matrices
@@ -295,10 +275,21 @@ def _centroid(ad_x, ad_y, y):
 def orientability(space):
     """Connes dichotomy for the quotient of Der(cone) by its center.
 
-    The centre of the cached orthonormal Der frame, its orthonormal
-    complement K and the adjoint maps of two fixed-seed generic elements
-    x and y come from _centre_split; the quotient maps are K ad K^T.  Odd
-    quotient dimension refutes immediately; otherwise the centroid of
+    The centre is the common centraliser of two fixed-seed generic
+    elements x, y of the cached orthonormal Der frame: the null space of
+    their maps [ad_x; ad_y], one structure table (whose brackets with x
+    also catch a frame not closed under commutator); its orthonormal
+    complement K spans the quotient, whose maps are K ad K^T.  This holds
+    as Der is reductive on every kind: on a self-dual cone D^T is in Der
+    with D (exp(tD^T) preserves K* = K), and a real matrix Lie algebra
+    closed under transposition is reductive (Knapp, Lie Groups Beyond an
+    Introduction, 2nd ed., ch. I); a polyhedral Der, B diag(mu) B^-1 over
+    one ray basis, is abelian.  In a reductive algebra a generic x is
+    regular semisimple, with centraliser z + h, h a Cartan subalgebra,
+    and a generic y has a part in every root space of h, so C(x) and C(y)
+    meet in the centre z; in the (non-reductive) Heisenberg algebra h_5
+    they meet in dimension 3, its centre having dimension 1.
+    Odd quotient dimension refutes immediately; otherwise the centroid of
     the quotient, the q x q matrices commuting with every adjoint map, is
     searched for a complex structure J, J^2 = -I.  The centroid is read
     off x and y alone (_centroid): when the words of y in ad_x and ad_y
@@ -308,7 +299,12 @@ def orientability(space):
     their rank and q.
     """
     Q = space._der_frame
-    _, K, ads, xy = _centre_split(Q.reshape(len(Q), space.dim, space.dim), Q)
+    mats = Q.reshape(len(Q), space.dim, space.dim)
+    xy = np.random.default_rng(13).standard_normal((2, len(mats)))
+    ads, res = _structure_table(np.tensordot(xy, mats, axes=1), mats, Q)
+    if res > 1e-9:
+        raise ValueError("basis not closed under commutator (residual %.3g)" % res)
+    K = _rank_split(ads.reshape(-1, len(mats)))[0]
     q = len(K)
     if q == 0:
         return Verdict("Orientable", "commutative degenerate case (quotient dimension 0)")

@@ -95,7 +95,7 @@ def ratio_from_pair(space, a_prime, a, max_den=10**6):
     (equivalently, some self-adjoint derivation maps a to a_prime).
     """
     a = np.asarray(a, dtype=float)
-    a_prime = np.asarray(a_prime, dtype=float)
+    a_prime = space._check_dim(a_prime)
     if not space.is_order_unit(a):
         raise NotAnOrderUnit("consequent is not an order unit")
     delta = _solve_selfadjoint_derivation(space, a, a_prime)

@@ -151,6 +151,20 @@ def test_non_finite_antecedent_is_usage_error(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,shape", [
+    (["make", "--antecedent", "1,1,1", "--consequent", "1,1"], "(3,)"),
+    (["make", "--antecedent", "1,1", "--consequent", "1,1,1"], "(3,)"),
+    (["eq", "--antecedent", "1,2", "--consequent", "1,1",
+      "--antecedent2", "1", "--consequent2", "1,1"], "(1,)"),
+], ids=["antecedent", "consequent", "antecedent2"])
+def test_wrong_length_pair_is_usage_error_with_the_cones_message(tmp_path, capsys, argv, shape):
+    spec = _write_spec(tmp_path, "kind = orthant\ndim = 2\n")
+    assert cli.main(["ratio", argv[0], spec] + argv[1:]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: dimension mismatch: expected 2, got %s\n" % shape
+
+
 def test_bad_arguments_are_usage_error():
     assert cli.main(["frobnicate"]) == 2
 

@@ -31,7 +31,6 @@ from eudoxus.derivation_algebra import (
     Derivation,
     NotSelfAdjointDerivation,
     SpectralFaceFamily,
-    _centre_split,
     _centroid,
     _complex_structure,
     _der_verdict,
@@ -49,10 +48,12 @@ from eudoxus.derivation_algebra import (
 from eudoxus.exact_rational import stern_brocot_bracket
 from eudoxus.face_lattice import Face, face_of, facial_derivative, minimal_decomposition
 from references import herm_to_vec, ngon_cone, rotated_orthant
+from test_face_lattice import _tilted_orthant
 
 
-# references for _structure_table and _centre_split: the Lie closure
-# residual and the centre of any basis, over an orthonormal frame of its span
+# references for _structure_table and orientability's centre: the Lie
+# closure residual and the centre of any basis, over an orthonormal frame
+# of its span
 def _span_frame(basis):
     mats = np.array([b.mat for b in basis])
     return mats, scipy.linalg.orth(mats.reshape(len(mats), -1).T).T
@@ -65,13 +66,27 @@ def lie_closure_residual(basis):
     return _structure_table(mats, mats, Q)[1]
 
 
+def all_maps_centre_split(mats, Q):
+    """Reference: the centre of span(mats) and its orthonormal complement
+    K, as combinations of mats, by one thin SVD of the whole (n r x n)
+    structure table _structure_table(mats, mats, Q), the brackets of every
+    pair of basis elements: the centre of any Lie algebra, reductive or
+    not; returns (centre, K, table).  A span not closed under commutator
+    raises ValueError."""
+    ads, res = _structure_table(mats, mats, Q)
+    if res > 1e-9:
+        raise ValueError("basis not closed under commutator (residual %.3g)" % res)
+    K, centre = _rank_split(ads.reshape(-1, len(mats)))
+    return centre, K, ads
+
+
 def lie_center(basis):
     """Elements of span(basis) commuting with the whole basis, read from
-    the brackets over an orthonormal basis of the span (_centre_split).
-    A basis whose span is not closed under commutator raises ValueError."""
+    the brackets over an orthonormal basis of the span
+    (all_maps_centre_split)."""
     mats, Q = _span_frame(basis)
     return [Derivation(basis[0].host, np.tensordot(c, mats, axes=1))
-            for c in _centre_split(mats, Q)[0]]
+            for c in all_maps_centre_split(mats, Q)[0]]
 
 
 # two faces are the same when their projectors differ by at most this (Frobenius)
@@ -228,23 +243,31 @@ def _units(sp, *pairs):
     return units
 
 
-def test_lie_center_of_the_heisenberg_algebra_is_its_exact_centre():
-    # h_5: [E12, E24] = [E13, E34] = E14, all other brackets 0.  The
-    # centraliser of two generic elements x, y is span{x, y, E14}, so the
-    # centre is only found by restricting it to what commutes with everything
+def test_common_centraliser_is_not_the_centre_of_the_heisenberg_algebra():
+    # h_5: [E12, E24] = [E13, E34] = E14, all other brackets 0.  It is not
+    # reductive, and the common centraliser of orientability's two generic
+    # elements has dimension 3 where the centre, span{E14}, has dimension 1:
+    # reading the centre off x and y needs the reductive Der of a cone
     basis = _units(ConeSpace.orthant(4), (1, 2), (1, 3), (2, 4), (3, 4), (1, 4))
     mats = np.array([b.mat for b in basis])
-    ads = _centre_split(mats, mats.reshape(5, -1))[2]
+    xy = np.random.default_rng(13).standard_normal((2, 5))
+    ads = _structure_table(np.tensordot(xy, mats, axes=1), mats, mats.reshape(5, -1))[0]
     assert len(_rank_split(ads.reshape(-1, 5))[1]) == 3
     (c,) = lie_center(basis)
     E14 = basis[-1].mat
     assert np.linalg.norm(c.mat - np.sum(c.mat * E14) * E14) < 1e-12 * np.linalg.norm(c.mat)
 
 
-def test_lie_center_of_a_basis_not_closed_under_commutator_raises():
+def test_a_frame_not_closed_under_commutator_raises(monkeypatch):
     # [E12, E23] = E13 lies outside span{E12, E23}
+    units = _units(ConeSpace.orthant(3), (1, 2), (2, 3))
     with pytest.raises(ValueError, match="not closed under commutator"):
-        lie_center(_units(ConeSpace.orthant(3), (1, 2), (2, 3)))
+        lie_center(units)
+    # the shared orthant(3) gets its own frame back after the test
+    sp = ConeSpace.orthant(3)
+    monkeypatch.setattr(sp, "_der_frame", np.array([u.mat.reshape(-1) for u in units]))
+    with pytest.raises(ValueError, match="not closed under commutator"):
+        orientability(sp)
 
 
 def test_orientability_table():
@@ -1253,7 +1276,8 @@ def test_compose_of_an_overflowing_product_raises(sp):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("sp", [ConeSpace.orthant(2), ConeSpace.lorentz(3)], ids=repr)
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(2), ConeSpace.lorentz(3), ConeSpace.psd_real(2),
+                                ConeSpace.hermitian(2)], ids=repr)
 def test_add_of_an_overflowing_sum_raises(sp):
     a = sp.canonical_unit()
     r = ratio_calculus.ratio_from_pair(sp, 1e308 * a, a, max_den=64)
@@ -1340,19 +1364,6 @@ def kron_orientability(sp):
     return "Unknown(centroid of dimension %d not searched exhaustively)" % len(cent)
 
 
-def all_maps_centre_split(mats, Q):
-    """Reference: the centre and its orthonormal complement K by one thin
-    SVD of the whole (n r x n) structure table _structure_table(mats,
-    mats, Q), the brackets of every pair of basis elements, as
-    _centre_split found them before the two generic elements; returns
-    (centre, K, table)."""
-    ads, res = _structure_table(mats, mats, Q)
-    if res > 1e-9:
-        raise ValueError("basis not closed under commutator (residual %.3g)" % res)
-    K, centre = _rank_split(ads.reshape(-1, len(mats)))
-    return centre, K, ads
-
-
 def all_maps_quotient_action(sp):
     """Reference: the centre and K of the cached Der frame of sp, and the
     action of every frame element on Der/centre, K ad_i K^T, shape
@@ -1394,10 +1405,16 @@ def all_maps_centroid(K, ads):
 
 
 def frame_split(sp):
-    """_centre_split of the cached Der frame of sp: (centre, K, ads, xy),
-    ads the maps of the two generic elements xy over the frame."""
+    """(centre, K, ads, xy) of the cached Der frame of sp, by orientability's
+    steps: ads the maps of the two fixed-seed generic elements xy over the
+    frame, K the row space of [ad_x; ad_y] and the centre its null space,
+    the common centraliser of x and y."""
     Q = sp._der_frame
-    return _centre_split(Q.reshape(len(Q), sp.dim, sp.dim), Q)
+    mats = Q.reshape(len(Q), sp.dim, sp.dim)
+    xy = np.random.default_rng(13).standard_normal((2, len(Q)))
+    ads = _structure_table(np.tensordot(xy, mats, axes=1), mats, Q)[0]
+    K, centre = _rank_split(ads.reshape(-1, len(Q)))
+    return centre, K, ads, xy
 
 
 def frame_table(sp):
@@ -1491,13 +1508,16 @@ def test_centroid_of_a_reductive_action_matches_the_kronecker_reference():
 @pytest.mark.parametrize("q", [2, 4])
 def test_centroid_of_an_action_its_element_does_not_generate_is_unknown(monkeypatch, q):
     # with ad_x = ad_y = 0 the words of y are y alone: rank 1 < q, so the
-    # centroid (all q x q matrices, which hold a J) is not claimed either way
+    # centroid (all q x q matrices, which hold a J) is not claimed either
+    # way; the maps of x and y below have the first q frame elements as
+    # their row space K and vanish on those rows, so K ad K^T = 0
     sp = ConeSpace.hermitian(2)
     n = len(derivation_basis(sp))
-    K, zero = np.eye(n)[:q], np.zeros((q, q))
+    zero = np.zeros((q, q))
     assert _centroid(zero, zero, np.ones(q)) == (None, 1)
-    monkeypatch.setattr(derivation_algebra, "_centre_split",
-                        lambda mats, Q: (np.eye(n)[q:], K, np.zeros((2, n, n)), np.ones((2, n))))
+    ads = np.zeros((2, n, n))
+    ads[:, q:, :q] = np.random.default_rng(0).standard_normal((2, n - q, q))
+    monkeypatch.setattr(derivation_algebra, "_structure_table", lambda left, mats, Q: (ads, 0.0))
     v = orientability(sp)
     assert v.status == "Unknown"
     assert repr(v) == "Unknown(words of a generic element have rank 1, quotient dimension %d)" % q
@@ -1570,6 +1590,51 @@ def test_centre_quotient_and_verdict_closed_forms(sp, centre, q, status):
     assert orientability(sp).status == status
 
 
+def _reductive_cones():
+    """(id, factory) of cones whose Der is reductive (self-dual) or abelian
+    (polyhedral), on which the centre is read off two generic elements."""
+    for n in range(1, 13):
+        yield "orthant(%d)" % n, functools.partial(ConeSpace.orthant, n)
+    for n in range(2, 11):
+        yield "lorentz(%d)" % n, functools.partial(ConeSpace.lorentz, n)
+    for k in range(1, 6):
+        yield "psd_real(%d)" % k, functools.partial(ConeSpace.psd_real, k)
+    for k in range(1, 5):
+        yield "hermitian(%d)" % k, functools.partial(ConeSpace.hermitian, k)
+    for n in range(2, 7):
+        for seed in range(3):
+            yield "rotated(%d,%d)" % (n, seed), functools.partial(rotated_orthant, n, seed)
+            for eps in (1e-10, 1e-9, 1e-8, 1e-6):
+                yield ("tilted(%d,%g,%d)" % (n, eps, seed),
+                       functools.partial(_tilted_orthant, n, eps, seed))
+    for n in range(3, 14):
+        yield "ngon(%d)" % n, functools.partial(ngon_cone, n)
+
+
+@pytest.mark.parametrize("make", [pytest.param(make, id=name) for name, make in _reductive_cones()])
+def test_common_centraliser_of_two_generic_elements_is_the_centre(make):
+    sp = make()
+    centre, K, _, _ = frame_split(sp)
+    want_centre, want_K, _ = all_maps_quotient_action(sp)
+    assert (len(centre), len(K)) == (len(want_centre), len(want_K))
+    assert np.linalg.norm(centre.T @ centre - want_centre.T @ want_centre) < 1e-8
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(20), ConeSpace.lorentz(5), ConeSpace.psd_real(3),
+                                ConeSpace.hermitian(2), rotated_orthant(5, 1), ngon_cone(5)],
+                         ids=repr)
+def test_orientability_builds_one_structure_table_over_two_elements(monkeypatch, sp):
+    sp._der_frame  # built before the spy
+    lefts, table = [], derivation_algebra._structure_table
+
+    def spying_table(left, mats, Q):
+        lefts.append(len(left))
+        return table(left, mats, Q)
+    monkeypatch.setattr(derivation_algebra, "_structure_table", spying_table)
+    orientability(sp)
+    assert lefts == [2]
+
+
 # the preamble of a script run by run_limited: a 3 GiB address-space limit
 LIMITED = """
 import json, resource, sys, time
@@ -1589,26 +1654,32 @@ def run_limited(script, arg):
     return json.loads(run.stdout)
 
 
-# orientability's time per cone, and the peak traced allocation of its
-# centroid step
+# orientability's time per cone, and, in a second call, the quotient
+# dimension and the peak traced allocation of its centroid step
 WORST_CASES = """
 import tracemalloc
 from eudoxus import derivation_algebra
 from eudoxus.cone_space import ConeSpace
+centroid, traced = derivation_algebra._centroid, []
+
+
+def traced_centroid(ad_x, ad_y, y):
+    tracemalloc.start()
+    try:
+        return centroid(ad_x, ad_y, y)
+    finally:
+        traced.append([len(y), tracemalloc.get_traced_memory()[1]])
+        tracemalloc.stop()
 out = []
 for kind, k in json.loads(sys.argv[1]):
     sp = getattr(ConeSpace, kind)(k)
     t = time.perf_counter()
     status = derivation_algebra.orientability(sp).status
     seconds = time.perf_counter() - t
-    Q = sp._der_frame
-    _, K, ads, xy = derivation_algebra._centre_split(Q.reshape(len(Q), sp.dim, sp.dim), Q)
-    A, y = K @ ads @ K.T, K @ xy[1]
-    tracemalloc.start()
-    derivation_algebra._centroid(*A, y)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    out.append([status, seconds, len(K), peak])
+    derivation_algebra._centroid = traced_centroid
+    derivation_algebra.orientability(sp)
+    derivation_algebra._centroid = centroid
+    out.append([status, seconds] + traced.pop())
 print(json.dumps(out))
 """
 
@@ -1717,8 +1788,7 @@ def test_analyze_out_of_memory_is_an_error_not_a_traceback(tmp_path):
                          ids=repr)
 def test_centre_and_quotient_need_no_orth_and_no_tall_svd(monkeypatch, sp):
     # the centre and the quotient come from the 2n x n maps of two generic
-    # elements and the n^2 x k brackets of their k-dimensional centraliser
-    # (k = 1 here), where the matrix-space path stacked n d^2 rows and ran
+    # elements, where the matrix-space path stacked n d^2 rows and ran
     # orth three times; _centroid's own systems are not counted
     n = len(derivation_basis(sp))  # builds the cached frame first
     orth_calls, svd_rows, in_centroid = [], [], []
@@ -1744,4 +1814,4 @@ def test_centre_and_quotient_need_no_orth_and_no_tall_svd(monkeypatch, sp):
     monkeypatch.setattr(derivation_algebra, "_centroid", uncounted_centroid)
     orientability(sp)
     assert orth_calls == []
-    assert svd_rows and max(svd_rows) <= n * n
+    assert svd_rows and max(svd_rows) <= 2 * n
