@@ -167,9 +167,6 @@ class Face:
         self.witness = np.asarray(witness, dtype=float)
         self.dim = int(round(np.trace(projector)))
 
-    def is_zero(self):
-        return self.dim == 0
-
     def contains(self, x):
         x = np.asarray(x, dtype=float)
         if not self.host.contains(x):
@@ -282,26 +279,28 @@ def _is_pointed(G):
 
 
 def _orthonormal_span(mats):
-    """An orthonormal basis (Frobenius) of the span of square matrices.
+    """An orthonormal basis (Frobenius) of the span of an iterable of d x d matrices.
 
     Block Gram-Schmidt: each block of 64 matrices is projected off the
     basis so far (twice, for stability), and the singular directions of
     the remainder above 1e-9 of the block's largest norm (or of 1) extend
-    the basis.  Small blocks keep the SVD workspace, and so peak memory,
-    small.
+    the basis.  Blocks are taken from the iterable one at a time, and small
+    blocks keep the SVD workspace, and so peak memory, small.
     """
-    if not mats:
-        return []
-    Q = np.empty((0, mats[0].size))
-    for i in range(0, len(mats), 64):
-        B = np.array([m.reshape(-1) for m in mats[i:i + 64]])
+    mats, Q = iter(mats), None
+    while block := [m.reshape(-1) for m in itertools.islice(mats, 64)]:
+        B = np.array(block)
+        Q = np.empty((0, B.shape[1])) if Q is None else Q
         floor = 1e-9 * max(1.0, np.max(np.linalg.norm(B, axis=1)))
         for _ in range(2):
             B = B - (B @ Q.T) @ Q
         if np.linalg.norm(B) > floor:  # no singular value exceeds the Frobenius norm
             _, s, vt = np.linalg.svd(B, full_matrices=False)
             Q = np.vstack([Q, vt[s > floor]])
-    return [q.reshape(mats[0].shape) for q in Q]
+    if Q is None:
+        return []
+    d = math.isqrt(Q.shape[1])
+    return list(Q.reshape(len(Q), d, d))
 
 
 def _rank_split(A):
@@ -591,12 +590,13 @@ class _JordanSpace(ConeSpace):
         C = self._e - W
         return self._U(C), C
 
-    def _eigenfaces(self, M, cuts):
-        """M = L(M e) for a self-adjoint derivation, so the face of a run of
-        its eigenvalues is U_c for c the frame elements of M e in the run."""
+    def _eigenfaces(self, M, cluster):
+        """M = L(M e) for a self-adjoint derivation: (means, U_c, c) for c the
+        frame elements of M e summed over each run cluster finds in its w."""
         (w,), (frame,) = self._spectral((M @ self._e)[None])
+        lams, cuts = cluster(w)
         C = _in_runs(w, cuts) @ frame.T
-        return self._U(C), C
+        return lams, self._U(C), C
 
     def _frame_terms(self, A):
         """Frame terms above the face band of each row of A, by one _cone_spectral(A)."""
@@ -637,8 +637,8 @@ class _JordanSpace(ConeSpace):
         derivations as an orthonormal basis of L(V) + [L(V), L(V)]."""
         if selfadjoint:
             return [self._L(s) for s in self._selfadjoint_units()]
-        Ls = list(self._L_units)
-        brackets = [A @ B - B @ A for A, B in itertools.combinations(Ls, 2)]
+        Ls = self._L_units
+        brackets = (A @ B - B @ A for A, B in itertools.combinations(Ls, 2))
         return _orthonormal_span(Ls) + _orthonormal_span(brackets)
 
     def _complementary_pairs(self, samples, rng):
@@ -888,11 +888,14 @@ class _Polyhedral(ConeSpace):
         # the extreme rays each projector kills
         return self._generator_faces(np.linalg.norm(P @ self._rays, axis=-2) <= 1e-8)
 
-    def _eigenfaces(self, M, cuts):
-        """Every unit extreme ray r is an eigenvector of M in Der: the face
-        of a run spans the rays whose r^T M r lie in it."""
+    def _eigenfaces(self, M, cluster):
+        """Every unit extreme ray r is an eigenvector of M in Der, and they
+        span: (means, projectors, witnesses) of the runs cluster finds in the
+        quotients r^T M r / r^T r, the face of a run spanning its rays."""
         R = self._rays
-        return self._generator_faces(_in_runs(np.vecdot(R, M @ R, axis=0), cuts))
+        v = np.vecdot(R, M @ R, axis=0) / np.vecdot(R, R, axis=0)
+        lams, cuts = cluster(v)
+        return (lams, *self._generator_faces(_in_runs(v, cuts)))
 
     def _frame_terms(self, A):
         """Ray coordinates above the face band of each row of A, by one _pairings(A)
@@ -943,7 +946,7 @@ class _Polyhedral(ConeSpace):
             S = S @ (np.abs(R.T @ R) > TOL)
         A = S @ S.T
         M = B @ (_rank_split(np.diag(A.sum(axis=1)) - A)[1][:, :, None] * np.linalg.inv(B))
-        return _orthonormal_span(list((M + M.mT) / 2 if selfadjoint else M))
+        return _orthonormal_span((M + M.mT) / 2 if selfadjoint else M)
 
     def _complementary_pairs(self, samples, rng):
         """Extreme-ray / dual-generator pairs with zero pairing."""

@@ -351,9 +351,8 @@ def _complex_structure(cent):
 # spectral faces
 
 class SpectralFaceFamily:
-    """Increasing family of faces of a self-adjoint derivation, one per
-    eigenvalue; zero faces are retained, with witness 0 (the ratio
-    construction skips them, and they add nothing to the reconstruction).
+    """Increasing family of the nonzero faces of a self-adjoint derivation,
+    one per run of its spectral values.
 
     Built from three stacks: the strictly increasing eigenvalues lams
     (f,), the span projectors (f, dim, dim) and the witnesses (f, dim).
@@ -376,8 +375,6 @@ class SpectralFaceFamily:
         self.lams = lams
         self.projectors = projectors
         self.witnesses = witnesses
-        # a projector's dimension is its trace, as for Face.dim
-        self.nonzero = np.rint(np.trace(projectors, axis1=1, axis2=2)) > 0
 
     @functools.cached_property
     def entries(self):
@@ -391,22 +388,21 @@ class SpectralFaceFamily:
         return len(self.lams)
 
 
-# computed eigenvalues are off by round-off of order n eps ||M||_2 (Weyl;
-# Golub & Van Loan, Matrix Computations, 4th ed., 8.1): neighbours within
-# CLUSTER_TOL of the larger of the two share a spectral face, and so do
-# neighbours within EIG_FLOOR n max|v| = 16 n eps max|v|, where that
-# round-off outweighs it (the zero eigenvalues of the cones' derivations
-# spread up to 1.1 n eps max|v|)
+# n computed values (spectral values of delta e, ray quotients, or eigenvalues
+# for ratio_equal) are off by round-off of order n eps max|v| (Weyl; Golub &
+# Van Loan, Matrix Computations, 4th ed., 8.1): neighbours within CLUSTER_TOL
+# of the larger of the two share a spectral face, and so do neighbours within
+# EIG_FLOOR n max|v| = 16 n eps max|v|, where that round-off outweighs it
 CLUSTER_TOL = 1e-8
 EIG_FLOOR = 16 * np.finfo(float).eps
 
 
 def _cluster(values):
-    """(means, cuts) of the runs of sorted values whose neighbours lie within
-    CLUSTER_TOL of the larger, or within EIG_FLOOR n max|v| (so an
-    all-zero spectrum is one run); cuts are the midpoints of the gaps between
-    runs, which a chained run's mean can lie beyond.  Offsets from a run's
-    first value are summed: a mean is within an ulp of the exact one."""
+    """(means, cuts) of the runs of n sorted values whose neighbours lie within
+    CLUSTER_TOL of the larger, or within EIG_FLOOR n max|v| (so n zeros are
+    one run); cuts are the midpoints of the gaps between runs, which a chained
+    run's mean can lie beyond.  Offsets from a run's first value are summed:
+    a mean is within an ulp of the exact one."""
     # the band is scale-invariant and keeps apart small eigenvalues beside
     # large ones down to a gap of EIG_FLOOR n max|v|; a running sum of the
     # values would drift by several ulps over a dozen of them
@@ -426,24 +422,22 @@ def spectral_faces(space, delta):
     """Faces cut out of the cone by the eigenspaces of a self-adjoint
     derivation, a Derivation or a matrix, checked alike: _der_verdict
     (no witness search), then _asymmetric, either refusal a
-    NotSelfAdjointDerivation.  A run of _cluster shares a face, maybe
-    trivial, though not all can be; the kind's _eigenfaces builds all
-    faces by the cuts in one stack, checked once by the family; no Face
-    unless iterated."""
+    NotSelfAdjointDerivation.  The kind's _eigenfaces runs _cluster on the
+    r spectral values of delta e (delta = L(delta e), Jordan kinds) or the
+    Rayleigh quotients of the extreme rays, and builds a face per run in one
+    stack, checked once by the family; no Face unless iterated."""
     M, verdict = _der_verdict(space, delta)
     if not verdict:
         raise NotSelfAdjointDerivation("operator is not a derivation: %r" % verdict)
     if _asymmetric(M):
         raise NotSelfAdjointDerivation("spectral faces need a self-adjoint derivation")
-
-    lams, cuts = _cluster(np.linalg.eigvalsh(M))
-    return SpectralFaceFamily(space, lams, *space._eigenfaces(M, cuts))
+    return SpectralFaceFamily(space, *space._eigenfaces(M, _cluster))
 
 
 def reconstruct_from_faces(space, family):
     """The finite facial spectral theorem: sum_k lam_k delta_(F_k) over the
     family's faces, through the kind hook that to_derivation uses, with the
     witnesses as the pieces.  The faces are mutually orthogonal, so this is
-    the telescoped sum_k (lam_k - lam_(k+1)) delta_(F_1 v ... v F_k); a zero
-    face has witness 0 and adds 0.  Round-trips spectral_faces."""
+    the telescoped sum_k (lam_k - lam_(k+1)) delta_(F_1 v ... v F_k).
+    Round-trips spectral_faces."""
     return Derivation(space, space._ratio_derivation(family.lams, family.witnesses))

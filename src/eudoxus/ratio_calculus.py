@@ -106,14 +106,13 @@ def ratio_from_pair(space, a_prime, a, max_den=10**6):
 
 def _ratio_from_family(space, M, family, a, max_den):
     """The ratio M a : a, decomposed along the spectral faces of M:
-    the consequent is compressed onto every nonzero face at once, the
-    parts are split into minimal pieces by one stacked call of the kind's
-    frame terms (one spectral decomposition on a Jordan kind), and each
-    face's multiplier is bracketed once."""
-    lams = family.lams[family.nonzero]
-    parts = family.projectors[family.nonzero] @ a
+    the consequent is compressed onto every face at once, the parts are
+    split into minimal pieces by one stacked call of the kind's frame
+    terms (one spectral decomposition on a Jordan kind), and each face's
+    multiplier is bracketed once."""
+    parts = family.projectors @ a
     decomposition = []
-    for lam, terms in zip(lams.tolist(), space._frame_terms(parts)):
+    for lam, terms in zip(family.lams.tolist(), space._frame_terms(parts)):
         bracket = None
         if terms and lam > TOL:
             bracket = stern_brocot_bracket(RealOracleFromValue(lam), max_den)
@@ -149,9 +148,9 @@ def to_derivation(r):
 def from_derivation(space, delta, max_den=10**6):
     """The ratio of a self-adjoint derivation (a Derivation or a matrix,
     which spectral_faces checks): consequent is the sum of the units of
-    its nonzero spectral faces, antecedent its image."""
+    its spectral faces, antecedent its image."""
     family = spectral_faces(space, delta)
-    a = family.witnesses[family.nonzero].sum(axis=0)
+    a = family.witnesses.sum(axis=0)
     if space.membership(a) is not Membership.INTERIOR:
         raise ValueError("spectral-face units do not sum to an order unit")
     return _ratio_from_family(space, np.asarray(delta, dtype=float), family, a, max_den)

@@ -99,7 +99,7 @@ def check_theorem_roundtrips(seed=0):
 
 def check_facial_spectral_theorem(seed=0):
     """reconstruct_from_faces after spectral_faces is the identity,
-    including the spectrum-with-a-trivial-face example."""
+    including an operator eigenvalue that cuts out only the zero face."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for space in _roundtrip_spaces():
@@ -110,16 +110,16 @@ def check_facial_spectral_theorem(seed=0):
             worst = max(worst, np.linalg.norm(back.mat - delta.mat, 2))
             if worst >= 1e-9:
                 return False, "%s: residual %.3g" % (space.kind, worst)
-    # the zero-spectral-face case: compression along diag(0, 1)
+    # compression along diag(0, 1): its operator eigenvalue 1, the Peirce
+    # mean, is no spectral value and names no face
     space = ConeSpace.psd_real(2)
     M = 2.0 * space.L(sym_to_vec(np.diag([0.0, 1.0])))
     fam = spectral_faces(space, M)
-    zero_faces = [F for _, F in fam if F.is_zero()]
+    entries = [(round(lam, 9), F.dim) for lam, F in fam]
     back = reconstruct_from_faces(space, fam)
     res = np.linalg.norm(back.mat - M, 2)
-    if len(zero_faces) != 1 or res >= 1e-9:
-        return False, "zero-face case: %d trivial faces, residual %.3g" % (
-            len(zero_faces), res)
+    if entries != [(0.0, 1), (2.0, 1)] or res >= 1e-9:
+        return False, "zero-face case: faces %r, residual %.3g" % (entries, res)
     return True, "worst residual %.2g; zero-face case reconstructed" % worst
 
 

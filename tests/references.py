@@ -1,11 +1,13 @@
 """Test-only references shared by several test modules: the inverse of
 vec_to_herm, the incomparability of two cone elements, two families of
 polyhedral cones (rotated orthants and the n-gon cones), the per-kind
-lattice rules, and the order-unit norm by bisection and in closed form."""
+lattice rules, the order-unit norm by bisection and in closed form, and
+the spectral faces by the eigenvalues of the whole operator."""
 
 import numpy as np
 
-from eudoxus.cone_space import TOL, ConeSpace
+from eudoxus.cone_space import TOL, ConeSpace, Face
+from eudoxus.derivation_algebra import CLUSTER_TOL, EIG_FLOOR, _derivation_residuals
 from eudoxus.face_lattice import face_of
 
 
@@ -85,3 +87,38 @@ def polyhedral_unit_norm(space, x, u):
     generators d_j of a polyhedral cone."""
     D = space.dual_generators
     return float(np.max(np.abs(D.T @ x) / (D.T @ u)))
+
+
+def loop_clusters(values):
+    """Reference: clusters grown one sorted value at a time, each value
+    joining the cluster of its predecessor u when within CLUSTER_TOL
+    max(|u|, |v|) or EIG_FLOOR n max|v| of it."""
+    floor = EIG_FLOOR * len(values) * max(abs(v) for v in values)
+    groups = []
+    for v in sorted(values):
+        u = groups[-1][-1] if groups else None
+        if groups and v - u <= max(CLUSTER_TOL * max(abs(u), abs(v)), floor):
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return groups
+
+
+def eigvalsh_spectral_faces(space, delta):
+    """Reference: the spectral faces by the dim eigenvalues of delta, one
+    checked Face per cluster of np.linalg.eigvalsh(delta) (loop_clusters),
+    each with its eigenvalues, the kind's _eigenfaces handed that
+    clustering for the one it makes of its own values.  A cluster of
+    eigenvalues that are no spectral value of delta e, such as a Peirce
+    mean (lam_i + lam_j) / 2 on lorentz or a matrix kind, gets the zero
+    face; returns [(mean, Face, cluster)]."""
+    M = np.asarray(delta, dtype=float)
+    if _derivation_residuals(space, M[None])[1][0]:
+        raise ValueError("operator is not a derivation")
+    if np.linalg.norm(M - M.T) > 1e-9 * max(1.0, np.linalg.norm(M)):
+        raise ValueError("spectral faces need a self-adjoint derivation")
+    groups = loop_clusters(np.linalg.eigvalsh(M))
+    lams = [float(np.mean(g)) for g in groups]
+    cuts = np.array([(g[-1] + h[0]) / 2.0 for g, h in zip(groups, groups[1:])])
+    _, P, W = space._eigenfaces(M, lambda values: (lams, cuts))
+    return [(lam, Face(space, p, w), g) for lam, p, w, g in zip(lams, P, W, groups)]

@@ -248,6 +248,15 @@ SQUARE = "kind = polyhedral\ngen = 3,1\ngen = -1,3\n"
      ["CHECK ratio_make PASS 2 components"]),
     (LORENTZ3, ["ratio", "make", "--antecedent", "1,2e-8,0", "--consequent", "1,0,0"], 0,
      ["CHECK ratio_make PASS 2 components"]),
+    # spectral values 1 -+ 8e-9, 1.6e-8 apart: the operator's Peirce mean 1
+    # chained them into one run, lambdas ['1', '1']
+    (LORENTZ3, ["ratio", "make", "--antecedent", "1,8e-9,0", "--consequent", "1,0,0"], 0,
+     ["lambdas: ['0.999999992', '1.00000001']", "CHECK ratio_make PASS 2 components"]),
+    # 2 L(diag(0, 1)): its operator eigenvalue 1, the Peirce mean, is no
+    # spectral value and names no face
+    ("kind = psd_real\nk = 2\n", ["derivation", "spectrum", "--matrix", "0,0,0;0,1,0;0,0,2"], 0,
+     ["lambda 0: face dim 1", "lambda 2: face dim 1",
+      "CHECK derivation_spectrum PASS 2 spectral faces"]),
     # 1 and 1.005 beside 1e6: a band of 1e-8 max|v| merged them into 1.0025
     ("kind = orthant\ndim = 3\n",
      ["ratio", "make", "--antecedent", "1,1.005,1e6", "--consequent", "1,1,1"], 0,
@@ -260,7 +269,7 @@ SQUARE = "kind = polyhedral\ngen = 3,1\ngen = -1,3\n"
     # a rotation whose squared entries overflow is not self-adjoint
     (LORENTZ3, ["derivation", "spectrum", "--matrix", "0,0,0;0,0,1e155;0,-1e155,0"], 2, []),
 ], ids=["small", "polyhedral-spectrum", "polyhedral-ratio", "close-1.5e-8", "close-2e-8",
-        "wide", "compose", "rotation-1e155"])
+        "close-1.6e-8", "psd-peirce-mean", "wide", "compose", "rotation-1e155"])
 def test_spectral_decisions_hold_at_every_scale(tmp_path, capsys, spec, argv, code, lines):
     path = _write_spec(tmp_path, spec)
     assert cli.main(argv[:2] + [path] + argv[2:]) == code

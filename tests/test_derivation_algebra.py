@@ -1,10 +1,12 @@
 import functools
 import gc
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,7 +27,6 @@ from eudoxus.cone_space import (
     vec_to_sym,
 )
 from eudoxus.derivation_algebra import (
-    CLUSTER_TOL,
     DEFAULT_T_GRID,
     EIG_FLOOR,
     Derivation,
@@ -47,7 +48,14 @@ from eudoxus.derivation_algebra import (
 )
 from eudoxus.exact_rational import stern_brocot_bracket
 from eudoxus.face_lattice import Face, face_of, facial_derivative, minimal_decomposition
-from references import herm_to_vec, ngon_cone, rotated_orthant
+from references import (
+    eigvalsh_spectral_faces,
+    herm_to_vec,
+    lattice_by_kind,
+    loop_clusters,
+    ngon_cone,
+    rotated_orthant,
+)
 from test_face_lattice import _tilted_orthant
 
 
@@ -95,11 +103,6 @@ SAME_FACE_TOL = 1e-8
 
 def same_face(F, G):
     return np.linalg.norm(F.projector - G.projector) <= SAME_FACE_TOL
-
-
-def _nonzero_entries(family):
-    """The (eigenvalue, Face) pairs of a family whose face is not zero."""
-    return [(lam, F) for lam, F in family if not F.is_zero()]
 
 
 def family_of(space, entries):
@@ -295,33 +298,67 @@ def test_spectral_faces_orthant():
     assert dims == [1, 2]
 
 
-def test_spectral_faces_psd_zero_face_case():
-    # L = diag(0, 1) has operator eigenvalues 0, 1, 2; the middle
-    # eigenspace (off-diagonal matrices) meets the cone only at zero
-    sp = ConeSpace.psd_real(2)
-    L = np.diag([0.0, 1.0])
-    basis = selfadjoint_derivations(sp)
-    u = sp.canonical_unit()
-    target = sym_to_vec(2.0 * L)
-    A = np.array([b.mat @ u for b in basis]).T
-    coef = np.linalg.lstsq(A, target, rcond=None)[0]
-    M = sum(c * b.mat for c, b in zip(coef, basis))
+def assert_the_nonzero_faces_of_the_eigvalsh_reference(sp, delta, family):
+    """family holds the nonzero faces of eigvalsh_spectral_faces(sp, delta),
+    in order: projectors and witnesses to 1e-12, and each lam within the
+    round-off band EIG_FLOOR dim max|mu| of the mean of its cluster of
+    operator eigenvalues, in which _cluster counts two values as one (lam
+    is the mean of other values, the spectral values of delta e or the ray
+    quotients, each computed with its own round-off)."""
+    want = [(mu, F) for mu, F, _ in eigvalsh_spectral_faces(sp, delta) if F.dim > 0]
+    assert len(family) == len(want)
+    band = EIG_FLOOR * sp.dim * np.abs(np.linalg.eigvalsh(delta)).max()
+    for lam, P, w, (mu, F) in zip(family.lams, family.projectors, family.witnesses, want):
+        assert abs(lam - mu) <= band
+        assert np.linalg.norm(P - F.projector) <= 1e-12
+        assert np.linalg.norm(w - F.witness) <= 1e-12
+    assert [F.dim for _, F in family] == [F.dim for _, F in want]
+
+
+# one cone of each kind
+FIVE_KINDS = [ConeSpace.orthant(3), ConeSpace.lorentz(3), ConeSpace.psd_real(2),
+              ConeSpace.hermitian(2), rotated_orthant(3, 1)]
+
+
+def _compression(sp):
+    """(2 delta_F, c) for F the face of the last piece c of the unit's
+    minimal decomposition: 2 L(c) on a Jordan kind, 2 L(diag(0, 1)) on
+    psd_real(2).  Its spectral values are 0 and 2; its operator eigenvalue
+    1, the Peirce mean, is none, and cuts out only the zero face, on the
+    kinds whose Peirce 1/2-space is not zero (not a lattice)."""
+    coeff, comp = minimal_decomposition(sp, sp.canonical_unit())[-1]
+    c = coeff * comp
+    return 2.0 * facial_derivative(face_of(sp, c)).mat, c
+
+
+@pytest.mark.parametrize("sp", FIVE_KINDS, ids=repr)
+def test_spectral_faces_psd_zero_face_case(sp):
+    # the eigvalsh reference had the zero face of the Peirce mean 1, which
+    # the spectral values of delta e never name
+    M, c = _compression(sp)
     fam = spectral_faces(sp, M)
+    assert_the_nonzero_faces_of_the_eigvalsh_reference(sp, M, fam)
     entries = [(round(lam, 9), F.dim) for lam, F in fam]
-    assert entries == [(0.0, 1), (1.0, 0), (2.0, 1)]
+    assert entries == [(0.0, face_of(sp, sp.canonical_unit() - c).dim), (2.0, 1)]
+    zero = [(round(mu, 9), F.dim) for mu, F, _ in eigvalsh_spectral_faces(sp, M) if F.dim == 0]
+    assert zero == ([] if lattice_by_kind(sp) else [(1.0, 0)])
     rec = reconstruct_from_faces(sp, fam)
     assert np.linalg.norm(rec.mat - M) < 1e-9
 
 
-def test_spectral_faces_lorentz():
-    sp = ConeSpace.lorentz(3)
+@pytest.mark.parametrize("sp", FIVE_KINDS, ids=repr)
+def test_spectral_faces_lorentz(sp):
+    # a generic self-adjoint derivation has one face of dim 1 per piece of
+    # the unit; on lorentz(3) the eigvalsh reference also had the zero face
+    # of the Peirce mean of the two spectral values
     d = _random_selfadjoint(sp, np.random.default_rng(8))
     fam = spectral_faces(sp, d)
-    lams = [lam for lam, _ in fam]
-    assert len(fam) == 3
-    assert np.isclose(lams[1], (lams[0] + lams[2]) / 2.0)
-    dims = [F.dim for _, F in fam]
-    assert dims == [1, 0, 1]
+    assert_the_nonzero_faces_of_the_eigvalsh_reference(sp, d, fam)
+    assert [F.dim for _, F in fam] == [1] * len(minimal_decomposition(sp, sp.canonical_unit()))
+    if sp.kind == "lorentz":
+        want = eigvalsh_spectral_faces(sp, d)
+        assert [F.dim for _, F, _ in want] == [1, 0, 1]
+        assert np.isclose(want[1][0], fam.lams.mean())
 
 
 def test_multiple_of_identity_has_whole_face():
@@ -359,8 +396,7 @@ def loop_reconstruct_from_faces(space, family):
     mat = np.zeros((space.dim, space.dim))
     prev = None  # facial derivative of the previous cumulative face
     for lam, F in entries:
-        if not F.is_zero():
-            acc = acc + F.witness
+        acc = acc + F.witness
         if np.linalg.norm(acc) <= 1e-9:
             cur = np.zeros((space.dim, space.dim))
         else:
@@ -434,12 +470,14 @@ def test_the_empty_family_reconstructs_zero(sp):
     assert np.array_equal(got, np.zeros((d, d)))
 
 
-def test_stacked_reconstruction_matches_the_loop_on_the_psd_zero_face_case():
-    # L = diag(0, 1): the middle spectral face of 2 L is the zero face
-    sp = ConeSpace.psd_real(2)
-    delta = 2.0 * sp.L(sym_to_vec(np.diag([0.0, 1.0])))
+@pytest.mark.parametrize("sp", FIVE_KINDS, ids=repr)
+def test_stacked_reconstruction_matches_the_loop_on_the_psd_zero_face_case(sp):
+    # 2 L(c): the eigvalsh reference's middle face, of the Peirce mean 1, is
+    # zero on the kinds that are not lattices, and the family leaves it out
+    delta, _ = _compression(sp)
     family = spectral_faces(sp, delta)
-    assert [F.dim for _, F in family] == [1, 0, 1]
+    assert_the_nonzero_faces_of_the_eigvalsh_reference(sp, delta, family)
+    assert len(family) == 2
     got = reconstruct_from_faces(sp, family).mat
     assert np.linalg.norm(got - loop_reconstruct_from_faces(sp, family).mat) <= 1e-12
     assert np.linalg.norm(got - delta) <= 1e-12
@@ -481,21 +519,6 @@ def test_family_rejects_witnesses_outside_their_faces():
     assert np.linalg.norm(reconstruct_from_faces(sp, family).mat - np.diag([1.0, 2.0])) <= 1e-8
 
 
-def loop_clusters(values):
-    """Reference: clusters grown one sorted value at a time, each value
-    joining the cluster of its predecessor u when within CLUSTER_TOL
-    max(|u|, |v|) or EIG_FLOOR n max|v| of it."""
-    floor = EIG_FLOOR * len(values) * max(abs(v) for v in values)
-    groups = []
-    for v in sorted(values):
-        u = groups[-1][-1] if groups else None
-        if groups and v - u <= max(CLUSTER_TOL * max(abs(u), abs(v)), floor):
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return groups
-
-
 def loop_cluster(values):
     return [float(np.mean(g)) for g in loop_clusters(values)]
 
@@ -507,21 +530,6 @@ def _within_an_ulp_of_the_means(lams, groups):
     means = [math.fsum(g) / len(g) for g in groups]
     return len(lams) == len(means) and all(
         abs(lam - m) <= np.spacing(abs(m)) for lam, m in zip(lams, means))
-
-
-def loop_spectral_faces(space, delta):
-    """Reference: spectral_faces as it was before the faces were kept as
-    stacks, with one checked Face per eigenvalue."""
-    M = np.asarray(delta, dtype=float)
-    if _derivation_residuals(space, M[None])[1][0]:
-        raise ValueError("operator is not a derivation")
-    if np.linalg.norm(M - M.T) > 1e-9 * max(1.0, np.linalg.norm(M)):
-        raise ValueError("spectral faces need a self-adjoint derivation")
-    groups = loop_clusters(np.linalg.eigvalsh(M))
-    lams = [float(np.mean(g)) for g in groups]
-    cuts = [(g[-1] + h[0]) / 2.0 for g, h in zip(groups, groups[1:])]
-    return family_of(space, [(lam, Face(space, P, w)) for lam, P, w
-                             in zip(lams, *space._eigenfaces(M, cuts))])
 
 
 def loop_minimal_decomposition(space, a):
@@ -536,7 +544,7 @@ def loop_ratio_from_family(space, delta, family, a, max_den):
     bracket per piece."""
     decomposition = []
     recovered = np.zeros(space.dim)
-    for lam, F in _nonzero_entries(family):
+    for lam, F in family:
         aF = F.projector @ a
         recovered = recovered + aF
         for coeff, comp in loop_minimal_decomposition(space, aF):
@@ -557,16 +565,13 @@ SPECTRA = st.sampled_from(["generic", "repeated", "identity", "zero"])
 @settings(max_examples=150)
 def test_stacked_spectral_faces_match_the_loop_reference(sp, seed, spectrum):
     delta = _spectrum_case(sp, seed, spectrum)
-    got, want = spectral_faces(sp, delta), loop_spectral_faces(sp, delta)
-    groups = loop_clusters(np.linalg.eigvalsh(delta))
-    assert len(got) == len(want)
-    assert _within_an_ulp_of_the_means(got.lams, groups)
-    for lam, P, w, (mu, F), g in zip(got.lams, got.projectors, got.witnesses, want, groups):
-        assert abs(lam - mu) <= len(g) * np.spacing(abs(mu))
-        assert np.linalg.norm(P - F.projector) <= 1e-12
-        assert np.linalg.norm(w - F.witness) <= 1e-12
-    assert [F.dim for _, F in got] == [F.dim for _, F in want]
-    assert list(got.nonzero) == [not F.is_zero() for _, F in want]
+    family = spectral_faces(sp, delta)
+    assert_the_nonzero_faces_of_the_eigvalsh_reference(sp, delta, family)
+    # each lam is within an ulp of the exact mean of its run of the values
+    # the kind clusters (the spectral values of delta e, or the ray quotients)
+    values = []
+    sp._eigenfaces(delta, lambda v: values.append(v) or derivation_algebra._cluster(v))
+    assert _within_an_ulp_of_the_means(family.lams, loop_clusters(values[0]))
 
 
 def test_clusters_chain_and_average_as_in_the_loop_reference():
@@ -652,15 +657,15 @@ def _outcome(run):
 
 
 def _consequent(sp, family, seed, kind):
-    """The sum of the nonzero faces' witnesses (from_derivation's), a point
-    split along the faces, an interior point that in general does not
-    split, one face's witness (a boundary point), or a split point's
-    negative (outside the cone)."""
+    """The sum of the faces' witnesses (from_derivation's), a point split
+    along the faces, an interior point that in general does not split, one
+    face's witness (a boundary point), or a split point's negative (outside
+    the cone)."""
     x = sp.sample_interior_point(np.random.default_rng(seed))
-    split = sum(F.projector @ x for _, F in _nonzero_entries(family))
-    return {"units": sum(F.witness for _, F in _nonzero_entries(family)),
+    split = sum(F.projector @ x for _, F in family)
+    return {"units": sum(F.witness for _, F in family),
             "split": split, "unsplit": x, "negated": -split,
-            "boundary": _nonzero_entries(family)[0][1].witness}[kind]
+            "boundary": family.entries[0][1].witness}[kind]
 
 
 @given(sp=st.sampled_from(SPECTRAL_CONES), seed=st.integers(0, 2**16), spectrum=SPECTRA,
@@ -882,6 +887,23 @@ def test_cached_derivation_bases_are_read_only(make):
     Q = fresh._der_frame
     assert is_derivation(fresh, (np.arange(1.0, len(Q) + 1) @ Q).reshape(3, 3))
     assert is_derivation(ConeSpace.orthant(3), np.diag([1.0, 2.0, 3.0]))
+
+
+def test_the_der_frame_takes_the_brackets_as_a_stream():
+    # orthant(64) has 2016 brackets, all zero, of 32 KB each: a list of them
+    # alone held 66 MB, and the frame build peaked at 71 MB
+    sp = cone_space._Orthant(64)  # not the shared orthant(64): a fresh build
+    tracemalloc.start()
+    try:
+        Q = sp._der_frame
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    Ls = list(sp._L_units)
+    listed = cone_space._orthonormal_span(Ls) + cone_space._orthonormal_span(
+        [A @ B - B @ A for A, B in itertools.combinations(Ls, 2)])
+    assert np.array_equal(Q, np.array([m.reshape(-1) for m in listed]))
 
 
 def test_polyhedral_cones_are_freed_with_their_constants():
@@ -1815,3 +1837,28 @@ def test_centre_and_quotient_need_no_orth_and_no_tall_svd(monkeypatch, sp):
     orientability(sp)
     assert orth_calls == []
     assert svd_rows and max(svd_rows) <= 2 * n
+
+
+@pytest.mark.parametrize("sp, want", [
+    (ConeSpace.lorentz(24), []),
+    (ConeSpace.hermitian(5), [("eigh", (1, 5, 5))]),
+    (ngon_cone(7), []),
+], ids=repr)
+def test_spectral_faces_make_no_operator_sized_eigen_call(monkeypatch, sp, want):
+    # the faces come from the spectral values of delta e (in closed form on
+    # lorentz, one batched k x k eigh on a matrix kind) or the ray quotients,
+    # where one dim x dim eigvalsh of delta clustered all its eigenvalues
+    delta = _spectrum_case(sp, 5, "generic")
+    derivation_basis(sp)  # builds the cached frame first
+    shapes = []
+
+    def recording(name, f):
+        def wrapped(a, *args, **kwargs):
+            shapes.append((name, np.shape(a)))
+            return f(a, *args, **kwargs)
+        return wrapped
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    spectral_faces(sp, delta)
+    assert all(shape != (sp.dim, sp.dim) for _, shape in shapes)
+    assert shapes == want

@@ -356,7 +356,7 @@ def _random_ratio(sp, seed, repeated, unit):
     if unit:
         return from_derivation(sp, delta, max_den=64)
     x = sp.sample_interior_point(rng)
-    a = sum(F.projector @ x for _, F in spectral_faces(sp, delta) if not F.is_zero())
+    a = sum(F.projector @ x for _, F in spectral_faces(sp, delta))
     return ratio_from_pair(sp, delta @ a, a, max_den=64)
 
 
@@ -398,7 +398,11 @@ def test_simplicial_pieces_are_lattice_disjoint_not_incomparable():
     delta = to_derivation(r).mat
     assert np.linalg.norm(delta - 3.0 * np.eye(2)) <= 1e-12
     assert np.linalg.norm(delta @ r.consequent - r.antecedent) <= 1e-12
-    assert from_derivation(sp, delta, max_den=64).lambdas() == r.lambdas()
+    # the Rayleigh quotients r^T delta r / r^T r of delta = 3 I round to
+    # 3 + 1 ulp on these rays: within the per-run bound of one ulp a value
+    back = from_derivation(sp, delta, max_den=64).lambdas()
+    assert len(back) == 2 and all(abs(l - m) <= 2 * np.spacing(m)
+                                  for l, m in zip(back, r.lambdas()))
 
 
 def _counting(calls, name, f):
