@@ -25,7 +25,7 @@ from eudoxus.derivation_algebra import (
     spectral_faces,
 )
 from eudoxus.face_lattice import is_facially_homogeneous, is_riesz
-from eudoxus.krein_states import KreinSpace, check_axioms
+from eudoxus.krein_states import KreinSpace
 from eudoxus.ratio_calculus import (
     JordanOnly,
     add,
@@ -272,9 +272,6 @@ def cmd_demo(args, report):
     elif args.what == "krein":
         space = ConeSpace.orthant(args.n)
         kr = KreinSpace(space)
-        rng = np.random.default_rng(args.seed)
-        rep = check_axioms(space, kr.u, rng=rng)
-        report.section("axioms: %r" % rep)
         pures = kr.pure_states()
         report.section("pure states (functionals):")
         for s in pures:
@@ -284,7 +281,7 @@ def cmd_demo(args, report):
             e = np.zeros(space.dim)
             e[i] = 1.0
             report.section("  " + ",".join("%.6g" % v for v in kr.gelfand_map(e)))
-        report.check("demo_krein", _status(rep.all_passed() and len(pures) == args.n),
+        report.check("demo_krein", _status(len(pures) == args.n),
                      "%d pure states" % len(pures))
 
 

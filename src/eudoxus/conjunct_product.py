@@ -11,6 +11,7 @@ the same in both orders.  Free-mode words keep the order; symmetric ones
 do not.
 """
 
+import math
 from fractions import Fraction
 
 from eudoxus.ratio_calculus import JordanOnly, Ratio, compose
@@ -56,8 +57,8 @@ class Quantity:
 
     def __init__(self, magnitude, word):
         if isinstance(magnitude, (int, float, Fraction)):
-            if magnitude <= 0:
-                raise ValueError("scalar magnitudes must be positive")
+            if not 0 < magnitude < math.inf:
+                raise ValueError("scalar magnitudes must be finite and positive, got %r" % magnitude)
         elif not isinstance(magnitude, (Ratio, JordanOnly)):
             raise TypeError("magnitude must be a number, Fraction or Ratio")
         self.magnitude = magnitude

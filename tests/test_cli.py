@@ -81,14 +81,21 @@ def test_analyze_command(tmp_path, capsys):
 ], ids=["orthant", "lorentz", "psd_real", "hermitian", "5-gon"])
 def test_analyze_does_not_read_the_seed(tmp_path, capsys, sp, homogeneity):
     path = _write_spec(tmp_path, _spec_text(sp))
+    _, body = _same_output_under_two_seeds(capsys, ["analyze", path])
+    assert "CHECK facially_homogeneous %s\n" % homogeneity in body
+
+
+def _same_output_under_two_seeds(capsys, argv):
+    """Run argv under seeds 0 and 7: the outputs may differ only in the
+    `# seed = ...` header.  Returns the exit code and the shared body."""
     runs = []
     for seed in (0, 7):
-        code = cli.main(["--seed", str(seed), "analyze", path])
+        code = cli.main(["--seed", str(seed)] + argv)
         head, body = capsys.readouterr().out.split("\n", 1)
         assert head == "# seed = %d" % seed
         runs.append((code, body))
     assert runs[0] == runs[1]
-    assert "CHECK facially_homogeneous %s\n" % homogeneity in runs[0][1]
+    return runs[0]
 
 
 def test_missing_file_is_usage_error():
@@ -353,6 +360,12 @@ def test_demo_conjunct_command(capsys):
 def test_demo_krein_command(capsys):
     assert cli.main(["demo", "krein", "--n", "4"]) == 0
     assert "CHECK demo_krein PASS 4 pure states" in capsys.readouterr().out
+
+
+def test_demo_krein_does_not_read_the_seed(capsys):
+    code, body = _same_output_under_two_seeds(capsys, ["demo", "krein", "--n", "4"])
+    assert code == 0
+    assert body.endswith("CHECK demo_krein PASS 4 pure states\n")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -45,6 +45,13 @@ def test_quantity_validation():
         Quantity("two", DimWord())
 
 
+@pytest.mark.parametrize("magnitude", [float("nan"), float("inf"), float("-inf"), 0, Fraction(0)],
+                         ids=["nan", "inf", "-inf", "zero", "fraction-zero"])
+def test_quantity_needs_a_finite_positive_scalar(magnitude):
+    with pytest.raises(ValueError, match="finite and positive"):
+        Quantity(magnitude, DimWord(("a",)))
+
+
 def test_definition_anchor_products():
     density = Quantity(2, DimWord(("density",)))
     volume2 = Quantity(2, DimWord(("volume",)))

@@ -1,38 +1,50 @@
 import numpy as np
 import pytest
 
-from eudoxus.cone_space import ConeSpace
+from eudoxus.cone_space import ConeSpace, sym_to_vec
 from eudoxus.face_lattice import is_riesz, minimal_decomposition
 from eudoxus.krein_states import (
     KreinSpace,
     State,
-    check_axioms,
     mixed_state,
     multiplicative_characterization,
 )
 from references import ngon_cone, rotated_orthant
 
 
-def test_axioms_orthant_all_pass():
-    sp = ConeSpace.orthant(3)
-    report = check_axioms(sp, sp.canonical_unit(), samples=100)
-    assert report.all_passed()
-
-
-def test_axiom_three_fails_on_lorentz_with_witness():
-    sp = ConeSpace.lorentz(3)
-    report = check_axioms(sp, sp.canonical_unit(), samples=400)
-    assert not report.passed("III")
-    z, p = report.entries["III"]["witness"]
+def _axiom_three_counterexample(sp, z, p):
+    """p >= 0 and p >= z, yet the positive part z+ is not below p."""
     z_plus, _ = sp.jordan_decompose(z)
-    assert sp.contains(p - z)
+    assert sp.contains(p) and sp.leq(z, p)
     assert not sp.leq(z_plus, p)
 
 
-def test_check_axioms_requires_order_unit():
-    sp = ConeSpace.orthant(2)
-    with pytest.raises(ValueError):
-        check_axioms(sp, np.array([1.0, 0.0]))
+def test_axiom_three_fails_on_lorentz():
+    sp = ConeSpace.lorentz(3)
+    assert is_riesz(sp)[0] is False
+    _axiom_three_counterexample(sp, np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.5, 0.8]))
+
+
+def test_axiom_three_fails_on_psd_real():
+    sp = ConeSpace.psd_real(2)
+    assert is_riesz(sp)[0] is False
+    _axiom_three_counterexample(sp, sym_to_vec(np.diag([1.0, -1.0])),
+                                sym_to_vec(np.array([[2.0, 1.0], [1.0, 0.6]])))
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(n) for n in range(1, 7)]
+                         + [rotated_orthant(n, 1) for n in range(2, 7)] + [ngon_cone(3)],
+                         ids=repr)
+def test_axiom_three_holds_on_self_dual_lattice_cones(sp):
+    # z+ is the lattice supremum z v 0: below every p with p >= 0 and p >= z.
+    # Each such pair is (p, p - b) for cone points p and b, so both are drawn.
+    assert is_riesz(sp)[0]
+    rng = np.random.default_rng(sp.dim)
+    for _ in range(200):
+        p, b = sp.sample_cone_point(rng), sp.sample_cone_point(rng)
+        z_plus, _ = sp.jordan_decompose(p - b)
+        assert sp.contains(z_plus) and sp.leq(p - b, z_plus)
+        assert sp.leq(z_plus, p)
 
 
 def test_krein_space_refuses_non_lattice():
@@ -40,6 +52,11 @@ def test_krein_space_refuses_non_lattice():
         KreinSpace(ConeSpace.psd_real(2))
     with pytest.raises(ValueError):
         KreinSpace(ConeSpace.lorentz(3))
+
+
+def test_krein_space_requires_order_unit():
+    with pytest.raises(ValueError, match="not an order unit"):
+        KreinSpace(ConeSpace.orthant(2), np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("sp", [ConeSpace.orthant(n) for n in range(1, 7)]
@@ -142,15 +159,30 @@ def test_gelfand_map_is_isometric_and_multiplicative():
         assert np.allclose(ks.gelfand_map(x + y), gx + gy, atol=1e-12)
 
 
-def test_mixed_state_weight_validation():
+@pytest.mark.parametrize("weights", [[0.7, 0.7], [-0.5, 1.5], [np.nan, np.nan]],
+                         ids=["sum", "negative", "nan"])
+def test_mixed_state_refuses_a_non_probability_vector(weights):
     ks = KreinSpace(ConeSpace.orthant(2))
-    with pytest.raises(ValueError):
-        mixed_state(ks, [0.7, 0.7])
-    with pytest.raises(ValueError):
-        mixed_state(ks, [-0.5, 1.5])
+    with pytest.raises(ValueError, match="probability vector"):
+        mixed_state(ks, weights)
+
+
+@pytest.mark.parametrize("weights", [[1.0], [1.0, 0.0, 0.0, 0.0]], ids=["short", "long"])
+def test_mixed_state_needs_one_weight_per_pure_state(weights):
+    ks = KreinSpace(ConeSpace.orthant(3))
+    with pytest.raises(ValueError, match="one weight per pure state"):
+        mixed_state(ks, weights)
 
 
 def test_state_normalization_enforced():
     ks = KreinSpace(ConeSpace.orthant(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not normalized"):
         State(ks, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("functional", [[np.nan, 0.0, 0.0], [np.inf, -np.inf, 1.0], [1.0, 0.0]],
+                         ids=["nan", "inf", "short"])
+def test_state_needs_a_finite_functional_of_the_space_dimension(functional):
+    ks = KreinSpace(ConeSpace.orthant(3))
+    with pytest.raises(ValueError, match="finite functional of shape"):
+        State(ks, functional)

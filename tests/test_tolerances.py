@@ -11,7 +11,7 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "eudoxus"
 SMALLEST_BAND = 1e-6
-CEILINGS = {"cli": 1, "cone_space": 4, "derivation_algebra": 8, "krein_states": 4,
+CEILINGS = {"cli": 1, "cone_space": 4, "derivation_algebra": 8, "krein_states": 3,
             "ratio_calculus": 5, "suite": 12}
 
 
