@@ -206,7 +206,7 @@ def cmd_ratio(args, report):
     if args.action == "make":
         report.section("lambdas: %s" % (["%.9g" % l for l in r.lambdas()]))
         report.section("brackets: %s" % ([b for _, b, _ in r.decomposition]))
-        report.check("ratio_make", "PASS", "%d components" % len(r.decomposition))
+        report.check("ratio_make", "PASS", "%d components" % len(r.pieces))
         return
     (s,) = rest
     if args.action == "eq":
@@ -223,11 +223,11 @@ def cmd_ratio(args, report):
         else:
             report.section("lambdas: %s" % (["%.9g" % l for l in out.lambdas()]))
             report.check("ratio_compose", "PASS",
-                         "%d components" % len(out.decomposition))
+                         "%d components" % len(out.pieces))
     elif args.action == "add":
         out = add(r, s, max_den=args.max_den)
         report.section("lambdas: %s" % (["%.9g" % l for l in out.lambdas()]))
-        report.check("ratio_add", "PASS", "%d components" % len(out.decomposition))
+        report.check("ratio_add", "PASS", "%d components" % len(out.pieces))
 
 
 def cmd_derivation(args, report):

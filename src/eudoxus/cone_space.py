@@ -127,6 +127,22 @@ def _face_band(X):
     return band
 
 
+def _row_norms(Z):
+    """|z| of each row of a stack, under the caller's np.errstate(over=
+    "ignore").  A finite row whose square sum overflows is divided by its
+    largest entry first, as LAPACK's dnrm2 scales, so its norm is inf only
+    past the float range.  The test is one BLAS call, nz . nz: it is
+    finite when no norm overflowed (finite norms too large for it pass
+    through the rescaling unchanged)."""
+    nz = np.sqrt(np.vecdot(Z, Z))
+    if not math.isfinite(nz.dot(nz)):
+        s = np.abs(Z).max(axis=1)
+        big = np.isinf(nz) & np.isfinite(s)
+        W = Z[big] / s[big, None]
+        nz[big] = s[big] * np.sqrt(np.vecdot(W, W))
+    return nz
+
+
 def _in_runs(x, cuts):
     """Indicators (len(cuts) + 1, len(x)) of the run of x between sorted cuts."""
     return np.searchsorted(cuts, x) == np.arange(len(cuts) + 1)[:, None]
@@ -695,19 +711,28 @@ class _Lorentz(_JordanSpace):
         M[0, 1:] = M[1:, 0] = a[1:]
         return M
 
+    # no overflow warning: |z| is rescaled where its square overflows, and
+    # t +- |z| past the float range is an inf spectral value, which
+    # spectral_faces refuses
+    @np.errstate(over="ignore")
     def _eigvals(self, x):
-        nz = np.linalg.norm(x[1:])
+        z = x[1:]
+        nz = math.sqrt(z.dot(z))
+        if not math.isfinite(nz):
+            (nz,) = _row_norms(z[None])
         return np.array([x[0] + nz, x[0] - nz])
 
+    @np.errstate(over="ignore")
     def _spectral(self, X):
         """Eigenvalues t +- |z| (f, 2) and frames (f, n, 2); a row with
-        z = 0 takes e_1 for z/|z|."""
+        z = 0 takes e_1 for z/|z|.  z/2 is divided by |z|, as 2|z| may
+        overflow where |z| does not."""
         Z = X[:, 1:]
-        nz = np.sqrt(np.vecdot(Z, Z))
+        nz = _row_norms(Z)
         C = np.zeros((len(X), self.dim, 2))
         C[:, 0] = 0.5
         C[:, 1, 0] = 0.5  # overwritten below unless z = 0
-        np.divide(Z, 2.0 * nz[:, None], out=C[:, 1:, 0], where=nz[:, None] > 0.0)
+        np.divide(0.5 * Z, nz[:, None], out=C[:, 1:, 0], where=nz[:, None] > 0.0)
         np.negative(C[:, 1:, 0], out=C[:, 1:, 1])
         return X[:, :1] + nz[:, None] * _PLUS_MINUS, C
 

@@ -402,11 +402,14 @@ def _cluster(values):
     CLUSTER_TOL of the larger, or within EIG_FLOOR n max|v| (so n zeros are
     one run); cuts are the midpoints of the gaps between runs, which a chained
     run's mean can lie beyond.  Offsets from a run's first value are summed:
-    a mean is within an ulp of the exact one."""
+    a mean is within an ulp of the exact one.  A value that is not finite
+    (an inf past the float range, or a nan) raises ValueError."""
     # the band is scale-invariant and keeps apart small eigenvalues beside
     # large ones down to a gap of EIG_FLOOR n max|v|; a running sum of the
     # values would drift by several ulps over a dozen of them
     v = np.sort(values)
+    if not (math.isfinite(v[0]) and math.isfinite(v[-1])):  # nan sorts last
+        raise ValueError("spectral values are not finite: %r" % (v.tolist(),))
     a = np.abs(v)
     band = np.maximum(CLUSTER_TOL * np.maximum(a[:-1], a[1:]),
                       EIG_FLOOR * len(v) * max(a[0], a[-1]))
@@ -425,7 +428,9 @@ def spectral_faces(space, delta):
     NotSelfAdjointDerivation.  The kind's _eigenfaces runs _cluster on the
     r spectral values of delta e (delta = L(delta e), Jordan kinds) or the
     Rayleigh quotients of the extreme rays, and builds a face per run in one
-    stack, checked once by the family; no Face unless iterated."""
+    stack, checked once by the family; no Face unless iterated.  A spectral
+    value past the float range (a finite delta can have one) raises a plain
+    ValueError there, so every multiplier of a ratio is finite."""
     M, verdict = _der_verdict(space, delta)
     if not verdict:
         raise NotSelfAdjointDerivation("operator is not a derivation: %r" % verdict)

@@ -16,6 +16,7 @@ import itertools
 
 import numpy as np
 
+from eudoxus.cone_space import TOL
 from eudoxus.face_lattice import is_riesz, minimal_decomposition
 
 
@@ -65,7 +66,9 @@ class KreinSpace:
 
 
 class State:
-    """A normalized positive linear functional, f(u) = 1."""
+    """A normalized positive linear functional, f(u) = 1.  The basis
+    vectors generate the lattice cone, so f is positive exactly when it is
+    nonnegative on each of them, which is checked to TOL max(1, max|f(b)|)."""
 
     def __init__(self, krein, functional):
         self.krein = krein
@@ -75,6 +78,10 @@ class State:
                              % (krein.host.dim, functional))
         if not abs(self(krein.u) - 1.0) <= 1e-9:
             raise ValueError("state is not normalized at the unit")
+        values = self.functional @ krein.basis
+        if np.any(values < -TOL * max(1.0, np.abs(values).max())):
+            raise ValueError("state is negative on the cone: %r on the basis"
+                             % (values.tolist(),))
 
     def __call__(self, x):
         return float(np.dot(self.functional, np.asarray(x, dtype=float)))

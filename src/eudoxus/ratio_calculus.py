@@ -1,8 +1,11 @@
 """Ratios of geometric quantities and their operator form.
 
 A ratio antecedent:consequent (consequent an order unit) is carried with
-a decomposition of the consequent into pairwise-incomparable components,
-a real multiplier lambda per component and its exact rational bracket.
+a decomposition of the consequent into pairwise-incomparable components
+and a real multiplier lambda per component.  Each multiplier's exact
+rational bracket, the ratio's Eudoxian cut, is computed the first time
+the decomposition is read: composition, addition and the operator form
+never read a cut.
 Every ratio corresponds to a unique self-adjoint cone derivation mapping
 consequent to antecedent, and every self-adjoint derivation arises this
 way from its spectral faces, which alone decide, on every path to a
@@ -14,6 +17,7 @@ The classical one-dimensional checks (cut classes, ex aequali,
 compositio, step-figure quadrature) run on exact rationals.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -50,21 +54,31 @@ class NotComparable(ValueError):
 class Ratio:
     """antecedent : consequent with its minimal decomposition.
 
-    decomposition entries are (lam, bracket, component): the consequent
-    is the sum of the components (minimal_decomposition's pieces), the
-    antecedent acts as lam on each, and bracket is the exact rational
-    Stern-Brocot bracket of lam (None when lam is at or below TOL; such
-    multipliers are admitted, and lambdas() gives their sign).
+    pieces are (lam, component): the consequent is the sum of the
+    components (minimal_decomposition's pieces) and the antecedent acts as
+    lam on each.  decomposition entries are (lam, bracket, component),
+    bracket the exact rational Stern-Brocot bracket of lam at max_den
+    (None when lam is at or below TOL; such multipliers are admitted, and
+    lambdas() gives their sign).  The brackets are computed on the first
+    read of decomposition, one per distinct multiplier; lambdas() and
+    to_derivation read the pieces and compute none.
     """
 
-    def __init__(self, host, antecedent, consequent, decomposition):
+    def __init__(self, host, antecedent, consequent, pieces, max_den):
         self.host = host
         self.antecedent = np.asarray(antecedent, dtype=float)
         self.consequent = np.asarray(consequent, dtype=float)
-        self.decomposition = decomposition
+        self.pieces = pieces
+        self.max_den = max_den
 
     def lambdas(self):
-        return [lam for lam, _, _ in self.decomposition]
+        return [lam for lam, _ in self.pieces]
+
+    @functools.cached_property
+    def decomposition(self):
+        brackets = {lam: stern_brocot_bracket(RealOracleFromValue(lam), self.max_den)
+                    for lam in dict.fromkeys(self.lambdas()) if lam > TOL}
+        return [(lam, brackets.get(lam), comp) for lam, comp in self.pieces]
 
     def __repr__(self):
         return "Ratio(lambdas=%s over %r)" % (
@@ -106,23 +120,22 @@ def ratio_from_pair(space, a_prime, a, max_den=10**6):
 
 def _ratio_from_family(space, M, family, a, max_den):
     """The ratio M a : a, decomposed along the spectral faces of M:
-    the consequent is compressed onto every face at once, the parts are
-    split into minimal pieces by one stacked call of the kind's frame
-    terms (one spectral decomposition on a Jordan kind), and each face's
-    multiplier is bracketed once."""
+    the consequent is compressed onto every face at once, and the parts
+    are split into minimal pieces by one stacked call of the kind's frame
+    terms (one spectral decomposition on a Jordan kind).  max_den is
+    checked here, as the brackets are computed only when read."""
+    if max_den < 1:
+        raise ValueError("max_den must be a positive integer")
     parts = family.projectors @ a
-    decomposition = []
-    for lam, terms in zip(family.lams.tolist(), space._frame_terms(parts)):
-        bracket = None
-        if terms and lam > TOL:
-            bracket = stern_brocot_bracket(RealOracleFromValue(lam), max_den)
-        decomposition += [(lam, bracket, coeff * comp) for coeff, comp in terms]
+    pieces = [(lam, coeff * comp)
+              for lam, terms in zip(family.lams.tolist(), space._frame_terms(parts))
+              for coeff, comp in terms]
     # the consequent must split along the spectral faces, otherwise the
     # antecedent is not face-diagonal over any decomposition of it
     if np.linalg.norm(parts.sum(axis=0) - a) > 1e-7 * max(1.0, np.linalg.norm(a)):
         raise NotComparable("consequent does not decompose along the "
                             "antecedent's spectral faces")
-    return Ratio(space, M @ a, a, decomposition)
+    return Ratio(space, M @ a, a, pieces, max_den)
 
 
 def to_derivation(r):
@@ -140,8 +153,8 @@ def to_derivation(r):
     (1/2)(I + P_F - P_F-perp) over the faces of the sums of the
     components that share a multiplier.
     """
-    lams = np.array([lam for lam, _, _ in r.decomposition])
-    X = np.array([piece for _, _, piece in r.decomposition]).reshape(-1, r.host.dim)
+    lams = np.array(r.lambdas())
+    X = np.array([piece for _, piece in r.pieces]).reshape(-1, r.host.dim)
     return Derivation(r.host, r.host._ratio_derivation(lams, X))
 
 

@@ -1,14 +1,17 @@
 """Test-only references shared by several test modules: the inverse of
 vec_to_herm, the incomparability of two cone elements, two families of
 polyhedral cones (rotated orthants and the n-gon cones), the per-kind
-lattice rules, the order-unit norm by bisection and in closed form, and
-the spectral faces by the eigenvalues of the whole operator."""
+lattice rules, the order-unit norm by bisection and in closed form, the
+spectral faces by the eigenvalues of the whole operator, and a ratio's
+decomposition with every bracket computed as the ratio is built."""
 
 import numpy as np
 
 from eudoxus.cone_space import TOL, ConeSpace, Face
 from eudoxus.derivation_algebra import CLUSTER_TOL, EIG_FLOOR, _derivation_residuals
+from eudoxus.exact_rational import stern_brocot_bracket
 from eudoxus.face_lattice import face_of
+from eudoxus.ratio_calculus import RealOracleFromValue
 
 
 def herm_to_vec(A):
@@ -122,3 +125,18 @@ def eigvalsh_spectral_faces(space, delta):
     cuts = np.array([(g[-1] + h[0]) / 2.0 for g, h in zip(groups, groups[1:])])
     _, P, W = space._eigenfaces(M, lambda values: (lams, cuts))
     return [(lam, Face(space, p, w), g) for lam, p, w, g in zip(lams, P, W, groups)]
+
+
+def eager_decomposition(space, family, a, max_den):
+    """Reference: the (lam, bracket, component) entries of the ratio
+    M a : a over the spectral family of M, each face's Stern-Brocot bracket
+    computed as its pieces are split off, as _ratio_from_family built them
+    before the brackets were deferred to the first read."""
+    parts = family.projectors @ a
+    out = []
+    for lam, terms in zip(family.lams.tolist(), space._frame_terms(parts)):
+        bracket = None
+        if terms and lam > TOL:
+            bracket = stern_brocot_bracket(RealOracleFromValue(lam), max_den)
+        out += [(lam, bracket, coeff * comp) for coeff, comp in terms]
+    return out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eudoxus import cli
+from eudoxus import cli, ratio_calculus
 from eudoxus.cone_space import ConeSpace
 from references import ngon_cone
 
@@ -285,6 +285,39 @@ def test_spectral_decisions_hold_at_every_scale(tmp_path, capsys, spec, argv, co
     if code == 2:
         assert out.out == ""
         assert out.err == "error: spectral faces need a self-adjoint derivation\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["ratio", "make", "--antecedent", "1e200,5e199,0", "--consequent", "1,0,0"], 0,
+     ["lambdas: ['5e+199', '1.5e+200']", "CHECK ratio_make PASS 2 components"], ""),
+    (["derivation", "spectrum", "--matrix", "1e200,5e199,0;5e199,1e200,0;0,0,1e200"], 0,
+     ["lambda 5e+199: face dim 1", "lambda 1.5e+200: face dim 1",
+      "CHECK derivation_spectrum PASS 2 spectral faces"], ""),
+    (["derivation", "spectrum", "--matrix", "1e308,1e308,0;1e308,1e308,0;0,0,1e308"], 2, [],
+     "error: spectral values are not finite: [0.0, inf]\n"),
+], ids=["ratio-1e200", "spectrum-1e200", "spectrum-2e308"])
+def test_lorentz_past_the_square_range_answers_or_is_a_usage_error(tmp_path, capsys, argv,
+                                                                   code, out, err):
+    # |z|^2 overflows: these printed lambda nan with a PASS
+    path = _write_spec(tmp_path, LORENTZ3)
+    assert cli.main(argv[:2] + [path] + argv[2:]) == code
+    got = capsys.readouterr()
+    assert got.err == err
+    assert set(out) <= set(got.out.splitlines())
+    assert "nan" not in got.out
+
+
+@pytest.mark.parametrize("action", ["compose", "add"])
+def test_ratio_compose_and_add_compute_no_bracket(tmp_path, capsys, monkeypatch, action):
+    calls = []
+    bracket = ratio_calculus.stern_brocot_bracket
+    monkeypatch.setattr(ratio_calculus, "stern_brocot_bracket",
+                        lambda *args: calls.append(args) or bracket(*args))
+    spec = _write_spec(tmp_path, "kind = orthant\ndim = 3\n")
+    assert cli.main(["ratio", action, spec, "--antecedent", "2,6,1", "--consequent", "1,2,1",
+                     "--antecedent2", "3,3,5", "--consequent2", "1,1,1"]) == 0
+    assert "CHECK ratio_%s PASS 3 components" % action in capsys.readouterr().out
+    assert calls == []
 
 
 def test_derivation_spectrum_command(tmp_path, capsys):

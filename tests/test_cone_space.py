@@ -330,6 +330,24 @@ def test_a_norm_past_the_float_range_is_rejected_without_a_warning(sp):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lorentz_reads_a_point_whose_squared_norm_overflows_as_psd_real_does():
+    # |z|^2 overflows above about 1.3e154 with every entry finite: project
+    # and jordan_decompose gave [inf nan nan] and the norm inf.  The same
+    # points in Sym(2), whose eigh scales, are the reference
+    lor, psd = ConeSpace.lorentz(3), ConeSpace.psd_real(2)
+    to_sym = lambda x: sym_to_vec(np.array([[x[0] + x[1], x[2]], [x[2], x[0] - x[1]]]) / np.sqrt(2.0))
+    for x in (np.array([1e200, 5e199, 0.0]), np.array([0.0, 3e307, 4e307]),
+              np.array([-2e250, 1e250, -1e250])):
+        y = to_sym(x)
+        assert np.allclose(to_sym(lor.project(x)), psd.project(y), rtol=1e-12, atol=0.0)
+        for p, q in zip(lor.jordan_decompose(x), psd.jordan_decompose(y)):
+            assert np.allclose(to_sym(p), q, rtol=1e-12, atol=0.0)
+        assert lor.order_unit_norm(x) == pytest.approx(psd.order_unit_norm(y) * np.sqrt(2.0),
+                                                       rel=1e-12)
+    assert lor.order_unit_norm(np.array([1e200, 5e199, 0.0])) == pytest.approx(1.5e200, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lt_of_a_point_with_itself_past_the_float_range_is_false_without_a_warning():
     # y - y = 0 is in the cone, and the band of y's overflowing norm is inf
     sp = ConeSpace.orthant(2)

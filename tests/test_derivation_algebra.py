@@ -46,7 +46,6 @@ from eudoxus.derivation_algebra import (
     spectral_faces,
     tangency_dimension_oracle,
 )
-from eudoxus.exact_rational import stern_brocot_bracket
 from eudoxus.face_lattice import Face, face_of, facial_derivative, minimal_decomposition
 from references import (
     eigvalsh_spectral_faces,
@@ -502,7 +501,7 @@ def test_a_point_outside_the_cone_raises_on_every_face_path(sp):
         face_of(sp, -2.0 * r)
     with pytest.raises(ValueError, match="point is outside the cone"):
         ratio_calculus.to_derivation(ratio_calculus.Ratio(
-            sp, r, r, [(1.0, None, sp.canonical_unit()), (2.0, None, -2.0 * r)]))
+            sp, r, r, [(1.0, sp.canonical_unit()), (2.0, -2.0 * r)], 10**6))
 
 
 def test_family_rejects_witnesses_outside_their_faces():
@@ -540,22 +539,18 @@ def loop_minimal_decomposition(space, a):
 
 
 def loop_ratio_from_family(space, delta, family, a, max_den):
-    """Reference: _ratio_from_family one nonzero Face at a time, with a
-    bracket per piece."""
-    decomposition = []
+    """Reference: _ratio_from_family one nonzero Face at a time."""
+    pieces = []
     recovered = np.zeros(space.dim)
     for lam, F in family:
         aF = F.projector @ a
         recovered = recovered + aF
         for coeff, comp in loop_minimal_decomposition(space, aF):
-            bracket = None
-            if lam > TOL:
-                bracket = stern_brocot_bracket(ratio_calculus.RealOracleFromValue(lam), max_den)
-            decomposition.append((float(lam), bracket, coeff * comp))
+            pieces.append((float(lam), coeff * comp))
     if np.linalg.norm(recovered - a) > 1e-7 * max(1.0, np.linalg.norm(a)):
         raise ratio_calculus.NotComparable("consequent does not decompose along the "
                                            "antecedent's spectral faces")
-    return ratio_calculus.Ratio(space, delta.mat @ a, a, decomposition)
+    return ratio_calculus.Ratio(space, delta.mat @ a, a, pieces, max_den)
 
 
 SPECTRA = st.sampled_from(["generic", "repeated", "identity", "zero"])
@@ -1305,6 +1300,21 @@ def test_add_of_an_overflowing_sum_raises(sp):
     r = ratio_calculus.ratio_from_pair(sp, 1e308 * a, a, max_den=64)
     with pytest.raises(ValueError, match="non-finite") as info:
         ratio_calculus.add(r, r, max_den=64)
+    assert not isinstance(info.value, NotSelfAdjointDerivation)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lorentz_spectral_faces_past_the_square_range():
+    # delta e = (1e200, 5e199, 0): |z|^2 overflowed and the one face read
+    # lambda nan; (1e308, 1e308, 0) has the spectral value 2e308, past the
+    # float range, which is refused, and not as a non-derivation
+    sp = ConeSpace.lorentz(3)
+    family = spectral_faces(sp, np.array([[1e200, 5e199, 0.0], [5e199, 1e200, 0.0],
+                                          [0.0, 0.0, 1e200]]))
+    assert family.lams.tolist() == pytest.approx([5e199, 1.5e200], rel=1e-15)
+    assert [F.dim for _, F in family] == [1, 1]
+    with pytest.raises(ValueError, match="spectral values are not finite") as info:
+        spectral_faces(sp, 1e308 * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     assert not isinstance(info.value, NotSelfAdjointDerivation)
 
 

@@ -186,3 +186,17 @@ def test_state_needs_a_finite_functional_of_the_space_dimension(functional):
     ks = KreinSpace(ConeSpace.orthant(3))
     with pytest.raises(ValueError, match="finite functional of shape"):
         State(ks, functional)
+
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(3), rotated_orthant(3, 1)], ids=repr)
+def test_state_refuses_a_functional_negative_on_the_cone(sp):
+    # 1 at the unit but -1 at the second basis element: on the orthant this
+    # is the functional (2, -1, 0), which gave -1 at the cone point (0, 1, 0)
+    ks = KreinSpace(sp)
+    with pytest.raises(ValueError, match="negative on the cone"):
+        State(ks, np.linalg.solve(ks.basis.T, [2.0, -1.0, 0.0]))
+    # a value within the band of zero is kept, as pure states round to it
+    nearly = State(ks, np.linalg.solve(ks.basis.T, [1.0 + 1e-12, -1e-12, 0.0]))
+    assert nearly(ks.basis[:, 1]) < 0.0
+    assert len(ks.pure_states()) == 3

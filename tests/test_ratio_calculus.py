@@ -33,7 +33,7 @@ from eudoxus.ratio_calculus import (
     ratio_from_pair,
     to_derivation,
 )
-from references import incomparable, ngon_cone, rotated_orthant
+from references import eager_decomposition, incomparable, ngon_cone, rotated_orthant
 
 positive_fractions = st.fractions(min_value=Fraction(1, 50),
                                   max_value=Fraction(100),
@@ -446,3 +446,81 @@ def test_ratio_equal_and_compose_build_each_derivation_once(monkeypatch):
     with pytest.raises(NotComparable):
         ratio_equal(r, s)
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# brackets are computed when decomposition is read, once per multiplier
+
+def _count_brackets(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ratio_calculus, "stern_brocot_bracket",
+                        _counting(calls, "bracket", ratio_calculus.stern_brocot_bracket))
+    return calls
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(4), ConeSpace.lorentz(5), ConeSpace.psd_real(3),
+                                ConeSpace.hermitian(2), rotated_orthant(3, 1)], ids=repr)
+def test_building_composing_and_adding_ratios_computes_no_bracket(monkeypatch, sp):
+    calls = _count_brackets(monkeypatch)
+    r = _random_ratio(sp, 5, False, True)  # from_derivation
+    s = _random_ratio(sp, 6, False, False)  # ratio_from_pair
+    for out in (compose(r, r), compose(r, s), add(r, s), add(r, r)):
+        if isinstance(out, Ratio):
+            out.lambdas()
+            to_derivation(out)
+    assert min(len(r.pieces), len(s.pieces)) > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("sp, antecedent, distinct", [
+    (ConeSpace.orthant(5), np.array([2.0, 2.0, 3.0, -1.0, 0.0]), 2),
+    (ConeSpace.psd_real(3), sym_to_vec(np.diag([2.0, 2.0, 3.0])), 2),
+    (ConeSpace.lorentz(3), np.array([0.0, 0.0, 0.0]), 0)], ids=["orthant", "psd_real", "zero"])
+def test_decomposition_brackets_each_distinct_multiplier_once(monkeypatch, sp, antecedent,
+                                                              distinct):
+    calls = _count_brackets(monkeypatch)
+    r = ratio_from_pair(sp, antecedent, sp.canonical_unit(), max_den=64)
+    assert calls == []
+    entries = r.decomposition
+    assert len(calls) == distinct < len(entries) == len(r.pieces)
+    assert [lam for lam, _, _ in entries] == r.lambdas()
+    assert all((b is None) == (lam <= ratio_calculus.TOL) for lam, b, _ in entries)
+    assert r.decomposition is entries and len(calls) == distinct
+
+
+def test_a_ratio_refuses_a_max_den_below_one():
+    sp = ConeSpace.orthant(2)
+    with pytest.raises(ValueError, match="max_den must be a positive integer"):
+        ratio_from_pair(sp, np.array([0.0, 0.0]), np.ones(2), max_den=0)
+
+
+@given(sp=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**16), repeated=st.booleans(),
+       unit=st.booleans(), max_den=st.sampled_from([1, 64, 10**6]))
+@settings(max_examples=150)
+def test_lazy_decomposition_equals_the_eager_reference(sp, seed, repeated, unit, max_den):
+    # the delta and consequent of _random_ratio, through _ratio_from_family
+    # itself so that both sides split one family
+    rng = np.random.default_rng(seed)
+    basis = selfadjoint_derivations(sp)
+    coef = rng.integers(-2, 3, len(basis)) if repeated else rng.standard_normal(len(basis))
+    delta = sum(c * b.mat for c, b in zip(coef, basis))
+    family = spectral_faces(sp, delta)
+    a = (family.witnesses.sum(axis=0) if unit
+         else family.projectors.sum(axis=0) @ sp.sample_interior_point(rng))
+    r = ratio_calculus._ratio_from_family(sp, delta, family, a, max_den)
+    want = eager_decomposition(sp, family, a, max_den)
+    got = r.decomposition
+    assert len(got) == len(want)
+    for (lam, bracket, comp), (lam_w, bracket_w, comp_w) in zip(got, want):
+        assert lam == lam_w and bracket == bracket_w
+        assert np.array_equal(comp, comp_w)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_lorentz_ratio_past_the_square_range_keeps_finite_multipliers():
+    # |z|^2 overflows above about 1.3e154: the multipliers read nan, and the
+    # brackets, had they run, would have been refused
+    sp = ConeSpace.lorentz(3)
+    r = ratio_from_pair(sp, np.array([1e200, 5e199, 0.0]), sp.canonical_unit())
+    assert r.lambdas() == pytest.approx([5e199, 1.5e200], rel=1e-12)
+    assert [b is not None for _, b, _ in r.decomposition] == [True, True]
