@@ -32,7 +32,12 @@ faces live here with their hooks: Face (one projector and witness,
 checked when built), _checked_faces (a hook's stack with its orthogonal
 faces, every projector checked) and _facial_derivatives, the one place
 the facial derivative (1/2)(I + P_F - P_F-perp) is formed, for a whole
-stack of faces.
+stack of faces.  The spectral faces of a self-adjoint derivation come from
+_eigenfaces, which clusters the kind's own values (the spectral values of
+delta e, or the extreme rays' quotients) and returns the means, the
+witnesses and the runs, but no projector: _run_projectors builds a run's
+faces only for a caller that reads them, and _run_pieces gives the runs'
+minimal pieces, the frame elements of each run on a Jordan kind.
 
 The single tolerance knob TOL classifies membership: Boundary is a band
 of relative width TOL around the topological boundary, and every strict
@@ -141,6 +146,14 @@ def _row_norms(Z):
         W = Z[big] / s[big, None]
         nz[big] = s[big] * np.sqrt(np.vecdot(W, W))
     return nz
+
+
+def _face_pieces(lams, terms):
+    """(lam, coefficient * component) over the frame terms of each face in
+    turn, at the face's lam."""
+    return [(lam, coeff * comp)
+            for lam, face_terms in zip(lams.tolist(), terms)
+            for coeff, comp in face_terms]
 
 
 def _in_runs(x, cuts):
@@ -607,12 +620,25 @@ class _JordanSpace(ConeSpace):
         return self._U(C), C
 
     def _eigenfaces(self, M, cluster):
-        """M = L(M e) for a self-adjoint derivation: (means, U_c, c) for c the
-        frame elements of M e summed over each run cluster finds in its w."""
+        """M = L(M e) for a self-adjoint derivation: (means, c, runs) for c the
+        frame elements of M e summed over each run cluster finds in its w, and
+        runs the run indicators (f, r) with the frame (dim, r)."""
         (w,), (frame,) = self._spectral((M @ self._e)[None])
         lams, cuts = cluster(w)
-        C = _in_runs(w, cuts) @ frame.T
-        return lams, self._U(C), C
+        runs = _in_runs(w, cuts)
+        return lams, runs @ frame.T, (runs, frame)
+
+    def _run_projectors(self, C, runs):
+        """The faces U_c of the units c of the runs of _eigenfaces."""
+        return self._U(C)
+
+    def _run_pieces(self, lams, C, runs):
+        """(lam, frame element) for the frame elements of each run of
+        _eigenfaces in turn, at the run's lam: the minimal pieces of the units
+        c, with no second spectral call."""
+        indicators, frame = runs
+        k, i = indicators.nonzero()
+        return list(zip(lams[k].tolist(), frame.T[i]))
 
     def _frame_terms(self, A):
         """Frame terms above the face band of each row of A, by one _cone_spectral(A)."""
@@ -915,12 +941,23 @@ class _Polyhedral(ConeSpace):
 
     def _eigenfaces(self, M, cluster):
         """Every unit extreme ray r is an eigenvector of M in Der, and they
-        span: (means, projectors, witnesses) of the runs cluster finds in the
-        quotients r^T M r / r^T r, the face of a run spanning its rays."""
+        span: (means, witnesses, runs) of the runs cluster finds in the
+        quotients r^T M r / r^T r, runs the ray masks (f, m) and a run's
+        witness the sum of its rays."""
         R = self._rays
         v = np.vecdot(R, M @ R, axis=0) / np.vecdot(R, R, axis=0)
         lams, cuts = cluster(v)
-        return (lams, *self._generator_faces(_in_runs(v, cuts)))
+        runs = _in_runs(v, cuts)
+        return lams, runs @ R.T, runs
+
+    def _run_projectors(self, W, runs):
+        """The faces spanning the rays of each run of _eigenfaces."""
+        return self._generator_faces(runs)[0]
+
+    def _run_pieces(self, lams, W, runs):
+        """The frame terms of each run's witness, the sum of its rays, at the
+        run's lam."""
+        return _face_pieces(lams, self._frame_terms(W))
 
     def _frame_terms(self, A):
         """Ray coordinates above the face band of each row of A, by one _pairings(A)

@@ -358,23 +358,17 @@ class SpectralFaceFamily:
     (f,), the span projectors (f, dim, dim) and the witnesses (f, dim).
     Building a family checks every projector (idempotent and symmetric to
     1e-10) in one call and every witness against its face, |P_k w_k - w_k|
-    within the face band, in one test.  entries, the (eigenvalue, Face)
-    pairs, are built through Face only when read or when the family is
-    iterated."""
+    within the face band, in one test.  spectral_faces builds the family
+    of a derivation from lams, the witnesses and its kind's runs: there the
+    projectors are built and checked alike on their first read.  entries,
+    the (eigenvalue, Face) pairs, are built through Face only when read or
+    when the family is iterated."""
 
     def __init__(self, host, lams, projectors, witnesses):
-        lams, projectors, witnesses = (np.asarray(s, dtype=float)
-                                       for s in (lams, projectors, witnesses))
-        if np.any(np.diff(lams) <= 0):
-            raise ValueError("eigenvalues must be strictly increasing")
-        _check_projectors(projectors)
-        off = (projectors @ witnesses[:, :, None])[:, :, 0] - witnesses
-        if np.any(np.vecdot(off, off) > _face_band(witnesses) ** 2):
-            raise ValueError("witness does not lie in its face")
         self.host = host
-        self.lams = lams
-        self.projectors = projectors
-        self.witnesses = witnesses
+        self.lams = _increasing(lams)
+        self.witnesses = np.asarray(witnesses, dtype=float)
+        self.projectors = _checked_family(np.asarray(projectors, dtype=float), self.witnesses)
 
     @functools.cached_property
     def entries(self):
@@ -386,6 +380,49 @@ class SpectralFaceFamily:
 
     def __len__(self):
         return len(self.lams)
+
+
+class _RunFamily(SpectralFaceFamily):
+    """The family spectral_faces builds: lams, the witnesses and the runs the
+    kind's _eigenfaces clustered, from which the projectors (U_c of each
+    witness c on a Jordan kind, the span of the run's rays on a polyhedral
+    cone) are built and checked on their first read, and the minimal pieces
+    of the witnesses on theirs."""
+
+    def __init__(self, host, lams, witnesses, runs):
+        self.host = host
+        self.lams = _increasing(lams)
+        self.witnesses = witnesses
+        self._runs = runs
+
+    @functools.cached_property
+    def projectors(self):
+        return _checked_family(self.host._run_projectors(self.witnesses, self._runs),
+                               self.witnesses)
+
+    @functools.cached_property
+    def pieces(self):
+        """(lam, component) over the minimal pieces of each witness in turn:
+        the run's frame elements on a Jordan kind, the witness's frame terms
+        on a polyhedral cone."""
+        return self.host._run_pieces(self.lams, self.witnesses, self._runs)
+
+
+def _increasing(lams):
+    lams = np.asarray(lams, dtype=float)
+    if np.any(np.diff(lams) <= 0):
+        raise ValueError("eigenvalues must be strictly increasing")
+    return lams
+
+
+def _checked_family(P, W):
+    """The projector stack P, once every projector is idempotent and symmetric
+    (_check_projectors) and every witness w_k of W lies in its face."""
+    _check_projectors(P)
+    off = (P @ W[:, :, None])[:, :, 0] - W
+    if np.any(np.vecdot(off, off) > _face_band(W) ** 2):
+        raise ValueError("witness does not lie in its face")
+    return P
 
 
 # n computed values (spectral values of delta e, ray quotients, or eigenvalues
@@ -427,8 +464,9 @@ def spectral_faces(space, delta):
     (no witness search), then _asymmetric, either refusal a
     NotSelfAdjointDerivation.  The kind's _eigenfaces runs _cluster on the
     r spectral values of delta e (delta = L(delta e), Jordan kinds) or the
-    Rayleigh quotients of the extreme rays, and builds a face per run in one
-    stack, checked once by the family; no Face unless iterated.  A spectral
+    Rayleigh quotients of the extreme rays, and gives each run's mean and
+    witness; the family builds the faces, one checked stack, when its
+    projectors are first read, and no Face unless iterated.  A spectral
     value past the float range (a finite delta can have one) raises a plain
     ValueError there, so every multiplier of a ratio is finite."""
     M, verdict = _der_verdict(space, delta)
@@ -436,7 +474,7 @@ def spectral_faces(space, delta):
         raise NotSelfAdjointDerivation("operator is not a derivation: %r" % verdict)
     if _asymmetric(M):
         raise NotSelfAdjointDerivation("spectral faces need a self-adjoint derivation")
-    return SpectralFaceFamily(space, *space._eigenfaces(M, _cluster))
+    return _RunFamily(space, *space._eigenfaces(M, _cluster))
 
 
 def reconstruct_from_faces(space, family):

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from eudoxus.cone_space import TOL, Membership
+from eudoxus.cone_space import TOL, Membership, _face_pieces
 from eudoxus.exact_rational import (
     CLASS_ABOVE,
     CLASS_BELOW,
@@ -58,10 +58,12 @@ class Ratio:
     components (minimal_decomposition's pieces) and the antecedent acts as
     lam on each.  decomposition entries are (lam, bracket, component),
     bracket the exact rational Stern-Brocot bracket of lam at max_den
-    (None when lam is at or below TOL; such multipliers are admitted, and
-    lambdas() gives their sign).  The brackets are computed on the first
-    read of decomposition, one per distinct multiplier; lambdas() and
-    to_derivation read the pieces and compute none.
+    (None when lam is at or below TOL times the largest |lam|, as _cluster
+    bands its values, so that a scaled ratio brackets the same multipliers;
+    such multipliers are admitted, and lambdas() gives their sign).  The
+    brackets are computed on the first read of decomposition, one per
+    distinct multiplier; lambdas() and to_derivation read the pieces and
+    compute none.
     """
 
     def __init__(self, host, antecedent, consequent, pieces, max_den):
@@ -76,8 +78,10 @@ class Ratio:
 
     @functools.cached_property
     def decomposition(self):
+        lams = self.lambdas()
+        floor = TOL * max(map(abs, lams), default=0.0)
         brackets = {lam: stern_brocot_bracket(RealOracleFromValue(lam), self.max_den)
-                    for lam in dict.fromkeys(self.lambdas()) if lam > TOL}
+                    for lam in dict.fromkeys(lams) if lam > floor}
         return [(lam, brackets.get(lam), comp) for lam, comp in self.pieces]
 
     def __repr__(self):
@@ -119,23 +123,32 @@ def ratio_from_pair(space, a_prime, a, max_den=10**6):
 
 
 def _ratio_from_family(space, M, family, a, max_den):
-    """The ratio M a : a, decomposed along the spectral faces of M:
-    the consequent is compressed onto every face at once, and the parts
-    are split into minimal pieces by one stacked call of the kind's frame
-    terms (one spectral decomposition on a Jordan kind).  max_den is
-    checked here, as the brackets are computed only when read."""
+    """The ratio M a : a of an arbitrary order unit a, decomposed along the
+    spectral faces of M: the consequent is compressed onto every face at
+    once by the family's projectors, and the parts are split into minimal
+    pieces by one stacked call of the kind's frame terms (one spectral
+    decomposition on a Jordan kind); the parts must sum back to a."""
+    _check_max_den(max_den)
+    parts = family.projectors @ a
+    pieces = _face_pieces(family.lams, space._frame_terms(parts))
+    _check_split(np.linalg.norm(parts.sum(axis=0) - a), np.linalg.norm(a))
+    return Ratio(space, M @ a, a, pieces, max_den)
+
+
+def _check_max_den(max_den):
+    """max_den is checked as a ratio is built, as its brackets are computed
+    only when read."""
     if max_den < 1:
         raise ValueError("max_den must be a positive integer")
-    parts = family.projectors @ a
-    pieces = [(lam, coeff * comp)
-              for lam, terms in zip(family.lams.tolist(), space._frame_terms(parts))
-              for coeff, comp in terms]
-    # the consequent must split along the spectral faces, otherwise the
-    # antecedent is not face-diagonal over any decomposition of it
-    if np.linalg.norm(parts.sum(axis=0) - a) > 1e-7 * max(1.0, np.linalg.norm(a)):
+
+
+def _check_split(residual, scale):
+    """The consequent must split along the spectral faces, to within a
+    residual of 1e-7 max(1, scale); otherwise the antecedent is not
+    face-diagonal over any decomposition of it."""
+    if residual > 1e-7 * max(1.0, scale):
         raise NotComparable("consequent does not decompose along the "
                             "antecedent's spectral faces")
-    return Ratio(space, M @ a, a, pieces, max_den)
 
 
 def to_derivation(r):
@@ -160,13 +173,27 @@ def to_derivation(r):
 
 def from_derivation(space, delta, max_den=10**6):
     """The ratio of a self-adjoint derivation (a Derivation or a matrix,
-    which spectral_faces checks): consequent is the sum of the units of
-    its spectral faces, antecedent its image."""
+    which spectral_faces checks): consequent is the sum a of the units of
+    its spectral faces, the family's witnesses, antecedent its image.
+
+    The part of a in each face is that face's witness, U_c (sum_j c_j) = c
+    for orthogonal idempotents (the Peirce decomposition; Faraut & Koranyi,
+    Analysis on Symmetric Cones, ch. IV), so the ratio's pieces are the
+    family's: the frame elements of each run on a Jordan kind, the frame
+    terms of each witness on a polyhedral cone.  No projector is built and
+    no second spectral decomposition is made.  That a splits along the faces
+    is decided by the witnesses alone: they must be pairwise orthogonal, the
+    off-diagonal part of their f x f Gram matrix within 1e-7 max(1, |a|)^2."""
     family = spectral_faces(space, delta)
-    a = family.witnesses.sum(axis=0)
+    W = family.witnesses
+    a = W.sum(axis=0)
     if space.membership(a) is not Membership.INTERIOR:
         raise ValueError("spectral-face units do not sum to an order unit")
-    return _ratio_from_family(space, np.asarray(delta, dtype=float), family, a, max_den)
+    _check_max_den(max_den)
+    pieces = family.pieces
+    G = W @ W.T
+    _check_split(np.linalg.norm(G - np.diag(G.diagonal())), a @ a)
+    return Ratio(space, np.asarray(delta, dtype=float) @ a, a, pieces, max_den)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +211,10 @@ def ratio_equal(r, s, max_den=None):
     Comparability requires commuting derivations (a matched common
     decomposition); incomparable ratios raise NotComparable, which is a
     different outcome from inequality.  With max_den two matched
-    multipliers above TOL are equal when their Stern-Brocot brackets at
-    max_den overlap (cuts_equal); a pair with one at or below TOL, and
-    every pair without max_den, is compared at tolerance.
+    multipliers above TOL times the largest |multiplier| of either ratio
+    are equal when their Stern-Brocot brackets at max_den overlap
+    (cuts_equal); a pair with one at or below it, and every pair without
+    max_den, is compared at tolerance.
     """
     _same_host(r, s)
     dr = to_derivation(r)
@@ -200,8 +228,10 @@ def ratio_equal(r, s, max_den=None):
     if max_den is None:
         scale = max(dr.norm(), ds.norm(), 1.0)
         return np.linalg.norm(dr.mat - ds.mat, 2) <= 1e-8 * scale
-    for lam_r, lam_s in _joint_eigenvalues(dr.mat, ds.mat):
-        if lam_r <= TOL or lam_s <= TOL:
+    pairs = _joint_eigenvalues(dr.mat, ds.mat)
+    floor = TOL * max((abs(lam) for pair in pairs for lam in pair), default=0.0)
+    for lam_r, lam_s in pairs:
+        if lam_r <= floor or lam_s <= floor:
             if abs(lam_r - lam_s) > 1e-8 * max(1.0, abs(lam_r), abs(lam_s)):
                 return False
             continue

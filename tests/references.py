@@ -2,16 +2,22 @@
 vec_to_herm, the incomparability of two cone elements, two families of
 polyhedral cones (rotated orthants and the n-gon cones), the per-kind
 lattice rules, the order-unit norm by bisection and in closed form, the
-spectral faces by the eigenvalues of the whole operator, and a ratio's
-decomposition with every bracket computed as the ratio is built."""
+spectral faces by the eigenvalues of the whole operator, a ratio's
+decomposition with every bracket computed as the ratio is built, and
+from_derivation's split of its consequent by the family's projectors."""
 
 import numpy as np
 
-from eudoxus.cone_space import TOL, ConeSpace, Face
-from eudoxus.derivation_algebra import CLUSTER_TOL, EIG_FLOOR, _derivation_residuals
+from eudoxus.cone_space import TOL, ConeSpace, Face, Membership
+from eudoxus.derivation_algebra import (
+    CLUSTER_TOL,
+    EIG_FLOOR,
+    _derivation_residuals,
+    spectral_faces,
+)
 from eudoxus.exact_rational import stern_brocot_bracket
 from eudoxus.face_lattice import face_of
-from eudoxus.ratio_calculus import RealOracleFromValue
+from eudoxus.ratio_calculus import NotComparable, Ratio, RealOracleFromValue
 
 
 def herm_to_vec(A):
@@ -123,7 +129,8 @@ def eigvalsh_spectral_faces(space, delta):
     groups = loop_clusters(np.linalg.eigvalsh(M))
     lams = [float(np.mean(g)) for g in groups]
     cuts = np.array([(g[-1] + h[0]) / 2.0 for g, h in zip(groups, groups[1:])])
-    _, P, W = space._eigenfaces(M, lambda values: (lams, cuts))
+    _, W, runs = space._eigenfaces(M, lambda values: (lams, cuts))
+    P = space._run_projectors(W, runs)
     return [(lam, Face(space, p, w), g) for lam, p, w, g in zip(lams, P, W, groups)]
 
 
@@ -131,12 +138,36 @@ def eager_decomposition(space, family, a, max_den):
     """Reference: the (lam, bracket, component) entries of the ratio
     M a : a over the spectral family of M, each face's Stern-Brocot bracket
     computed as its pieces are split off, as _ratio_from_family built them
-    before the brackets were deferred to the first read."""
+    before the brackets were deferred to the first read; a multiplier is
+    bracketed when above TOL times the largest |lam| of a face with pieces."""
     parts = family.projectors @ a
+    terms = space._frame_terms(parts)
+    floor = TOL * max((abs(lam) for lam, t in zip(family.lams, terms) if t), default=0.0)
     out = []
-    for lam, terms in zip(family.lams.tolist(), space._frame_terms(parts)):
+    for lam, face_terms in zip(family.lams.tolist(), terms):
         bracket = None
-        if terms and lam > TOL:
+        if face_terms and lam > floor:
             bracket = stern_brocot_bracket(RealOracleFromValue(lam), max_den)
-        out += [(lam, bracket, coeff * comp) for coeff, comp in terms]
+        out += [(lam, bracket, coeff * comp) for coeff, comp in face_terms]
     return out
+
+
+def frame_split_from_derivation(space, delta, max_den):
+    """Reference: from_derivation as it split the consequent before its
+    pieces were read off the family's runs: a = sum of the witnesses, every
+    projector of the family built, the parts P a split by one stacked
+    _frame_terms, and the parts required to sum back to a."""
+    family = spectral_faces(space, delta)
+    a = family.witnesses.sum(axis=0)
+    if space.membership(a) is not Membership.INTERIOR:
+        raise ValueError("spectral-face units do not sum to an order unit")
+    if max_den < 1:
+        raise ValueError("max_den must be a positive integer")
+    parts = family.projectors @ a
+    pieces = [(lam, coeff * comp)
+              for lam, terms in zip(family.lams.tolist(), space._frame_terms(parts))
+              for coeff, comp in terms]
+    if np.linalg.norm(parts.sum(axis=0) - a) > 1e-7 * max(1.0, np.linalg.norm(a)):
+        raise NotComparable("consequent does not decompose along the "
+                            "antecedent's spectral faces")
+    return Ratio(space, np.asarray(delta, dtype=float) @ a, a, pieces, max_den)

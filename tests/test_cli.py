@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eudoxus import cli, ratio_calculus
+from eudoxus import cli, cone_space, derivation_algebra, ratio_calculus
 from eudoxus.cone_space import ConeSpace
 from references import ngon_cone
 
@@ -318,6 +318,52 @@ def test_ratio_compose_and_add_compute_no_bracket(tmp_path, capsys, monkeypatch,
                      "--antecedent2", "3,3,5", "--consequent2", "1,1,1"]) == 0
     assert "CHECK ratio_%s PASS 3 components" % action in capsys.readouterr().out
     assert calls == []
+
+
+@pytest.mark.parametrize("spec, matrix, faces", [
+    # 2 L(diag(0, 1)): the Peirce mean 1 is no spectral value
+    ("kind = psd_real\nk = 2\n", "0,0,0;0,1,0;0,0,2", ["lambda 0: face dim 1",
+                                                       "lambda 2: face dim 1"]),
+    (SQUARE, "1.1e9,-3e8;-3e8,1.9e9", ["lambda 1e+09: face dim 1", "lambda 2e+09: face dim 1"]),
+], ids=["psd-peirce-mean", "polyhedral"])
+def test_derivation_spectrum_builds_and_checks_one_stack_when_it_prints(tmp_path, capsys,
+                                                                       monkeypatch, spec,
+                                                                       matrix, faces):
+    # the family's projectors are built when the faces are printed: one
+    # stack (U_c, or the spans of the rays) checked once, then each Face
+    # checks its own projector
+    calls = []
+    for cls, name in ((cone_space._JordanSpace, "_U"),
+                      (cone_space._Polyhedral, "_generator_faces")):
+        build = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *args, build=build: calls.append("build")
+                            or build(*args))
+    check = cone_space._check_projectors
+    for module in (cone_space, derivation_algebra):
+        monkeypatch.setattr(module, "_check_projectors", lambda P: calls.append("check")
+                            or check(P))
+    path = _write_spec(tmp_path, spec)
+    assert cli.main(["derivation", "spectrum", path, "--matrix", matrix]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines() == ["# seed = 0"] + faces + [
+        "CHECK derivation_spectrum PASS 2 spectral faces"]
+    assert calls == ["build", "check", "check", "check"]
+
+
+def test_ratio_make_brackets_a_positive_multiplier_of_1e_9(tmp_path, capsys):
+    # 1e-9 is positive at the ratio's scale (above TOL times its largest
+    # multiplier, 2e-9): the absolute TOL gave it no bracket
+    spec = _write_spec(tmp_path, "kind = orthant\ndim = 2\n")
+    assert cli.main(["ratio", "make", spec, "--antecedent", "1e-9,2e-9",
+                     "--consequent", "1,1"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines() == [
+        "# seed = 0", "lambdas: ['1e-09', '2e-09']",
+        "brackets: [(Fraction(0, 1), Fraction(1, 1000000)), "
+        "(Fraction(0, 1), Fraction(1, 1000000))]",
+        "CHECK ratio_make PASS 2 components"]
 
 
 def test_derivation_spectrum_command(tmp_path, capsys):

@@ -47,8 +47,10 @@ from eudoxus.derivation_algebra import (
     tangency_dimension_oracle,
 )
 from eudoxus.face_lattice import Face, face_of, facial_derivative, minimal_decomposition
+import references
 from references import (
     eigvalsh_spectral_faces,
+    frame_split_from_derivation,
     herm_to_vec,
     lattice_by_kind,
     loop_clusters,
@@ -722,11 +724,108 @@ def test_from_derivation_round_trips_at_generic_sizes(sp, seed, spectrum):
     assert np.linalg.norm(back - delta) <= 1e-9 * max(1.0, np.linalg.norm(delta))
 
 
+# rotated orthants whose generators are moved by eps, on both sides of the
+# pairing TOL above which the self-adjoint derivations join two rays
+TILTED_ORTHANTS = [_tilted_orthant(n, eps, seed) for n in (3, 5)
+                   for eps in (0.0, 1e-10, 1e-9, 1e-8) for seed in (1, 2)]
+
+
+@given(sp=st.sampled_from(SPECTRAL_CONES + TILTED_ORTHANTS), seed=st.integers(0, 2**16),
+       spectrum=st.sampled_from(["generic", "repeated", "any derivation"]))
+@settings(max_examples=200)
+def test_from_derivation_matches_the_frame_split_reference(sp, seed, spectrum):
+    # the pieces read off the family's runs against the projector rule, the
+    # parts P a of the witnesses' sum a split by _frame_terms: they differ
+    # by round-off (up to 2e-9 on tilted cones), their derivations do not;
+    # a random derivation is refused alike when it is not self-adjoint
+    if spectrum == "any derivation":
+        coef = np.random.default_rng(seed).standard_normal(len(derivation_basis(sp)))
+        delta = sum(c * b.mat for c, b in zip(coef, derivation_basis(sp)))
+    else:
+        delta = _spectrum_case(sp, seed, spectrum)
+    *refused, got = _outcome(lambda: ratio_calculus.from_derivation(sp, delta, max_den=64))
+    *want_refused, want = _outcome(lambda: frame_split_from_derivation(sp, delta, 64))
+    assert refused == want_refused
+    if got is None:
+        return
+    assert got.lambdas() == want.lambdas()
+    assert np.array_equal(got.consequent, want.consequent)
+    back = ratio_calculus.to_derivation(got).mat
+    assert (np.linalg.norm(back - ratio_calculus.to_derivation(want).mat)
+            <= 1e-12 * max(1.0, np.linalg.norm(delta)))
+
+
+def test_from_derivation_refuses_witnesses_that_are_not_orthogonal(monkeypatch):
+    # the narrow cone's first two rays are not orthogonal: a family giving
+    # them different multipliers does not split its unit, which the
+    # witnesses' Gram matrix says as the parts P a did
+    sp = ConeSpace.polyhedral([np.array([1.0, 0.2, 0.0]), np.array([0.2, 1.0, 0.0]),
+                               np.array([0.0, 0.0, 1.0])])
+    runs = np.eye(3, dtype=bool)
+    family = derivation_algebra._RunFamily(sp, np.array([1.0, 2.0, 3.0]), runs @ sp._rays.T, runs)
+    for module in (ratio_calculus, references):
+        monkeypatch.setattr(module, "spectral_faces", lambda space, delta: family)
+    for run in (lambda: ratio_calculus.from_derivation(sp, np.eye(3)),
+                lambda: frame_split_from_derivation(sp, np.eye(3), 10**6)):
+        with pytest.raises(ratio_calculus.NotComparable, match="does not decompose"):
+            run()
+
+
 def _counting(calls, name, f):
     def wrapped(*args, **kwargs):
         calls.append(name)
         return f(*args, **kwargs)
     return wrapped
+
+
+def _count_stacks(monkeypatch, calls):
+    """Count the projector stacks built (_U on a Jordan kind, _generator_faces
+    on a polyhedral cone) and checked (_check_projectors) into calls."""
+    monkeypatch.setattr(cone_space._JordanSpace, "_U",
+                        _counting(calls, "build", cone_space._JordanSpace._U))
+    monkeypatch.setattr(cone_space._Polyhedral, "_generator_faces",
+                        _counting(calls, "build", cone_space._Polyhedral._generator_faces))
+    check = _counting(calls, "check", cone_space._check_projectors)
+    monkeypatch.setattr(cone_space, "_check_projectors", check)
+    monkeypatch.setattr(derivation_algebra, "_check_projectors", check)
+
+
+STACK_CONES = [ConeSpace.orthant(4), ConeSpace.lorentz(5), ConeSpace.psd_real(3),
+               ConeSpace.hermitian(3), rotated_orthant(3, 1), ngon_cone(5)]
+
+
+@pytest.mark.parametrize("sp", STACK_CONES, ids=repr)
+def test_from_derivation_compose_and_add_build_no_family_stack(monkeypatch, sp):
+    delta = _spectrum_case(sp, 7, "generic")
+    r = ratio_calculus.from_derivation(sp, delta, max_den=64)
+    s = ratio_calculus.from_derivation(sp, 2.0 * delta + np.eye(sp.dim), max_den=64)
+    calls = []
+    _count_stacks(monkeypatch, calls)
+    ratio_calculus.from_derivation(sp, delta, max_den=64)
+    assert calls == []
+    # to_derivation's own stacks: none on a Jordan kind; on a polyhedral
+    # cone the faces of the pieces and their orthogonal faces, checked
+    ratio_calculus.to_derivation(r)
+    one = calls[:]
+    assert one == (["build", "build", "check", "check"] if sp.kind == "polyhedral" else [])
+    for op in (ratio_calculus.compose, ratio_calculus.add):
+        calls.clear()
+        op(r, s, max_den=64)
+        assert calls == one + one
+    calls.clear()
+    reconstruct_from_faces(sp, spectral_faces(sp, delta))
+    assert calls == one
+
+
+@pytest.mark.parametrize("sp", STACK_CONES, ids=repr)
+def test_ratio_from_pair_builds_and_checks_one_family_stack(monkeypatch, sp):
+    delta = _spectrum_case(sp, 7, "generic")
+    e = sp.canonical_unit()
+    calls = []
+    _count_stacks(monkeypatch, calls)
+    r = ratio_calculus.ratio_from_pair(sp, delta @ e, e, max_den=64)
+    assert calls == ["build", "check"]
+    assert r.lambdas()
 
 
 @pytest.mark.parametrize("sp", [ConeSpace.orthant(4), ConeSpace.lorentz(5), ConeSpace.psd_real(3),
@@ -741,10 +840,13 @@ def test_spectral_paths_check_one_stack_and_build_no_face(monkeypatch, sp):
     monkeypatch.setattr(Face, "__init__", _counting(calls, "Face", Face.__init__))
     monkeypatch.setattr(sp, "membership", _counting(calls, "membership", sp.membership))
     ratio_calculus.from_derivation(sp, delta, max_den=64)
-    # one check of the family's stack, and the order-unit test of the units
-    assert calls == ["check", "membership"]
+    # the order-unit test of the units; the family's projectors are never read
+    assert calls == ["membership"]
     calls.clear()
     family = spectral_faces(sp, delta)
+    assert calls == []
+    # the stack is checked once, on its first read
+    assert family.projectors is family.projectors
     assert calls == ["check"]
     calls.clear()
     reconstruct_from_faces(sp, family)

@@ -516,6 +516,47 @@ def test_lazy_decomposition_equals_the_eager_reference(sp, seed, repeated, unit,
         assert np.array_equal(comp, comp_w)
 
 
+def _bracket_pattern(r):
+    return [bracket is None for _, bracket, _ in r.decomposition]
+
+
+@given(sp=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**16), repeated=st.booleans(),
+       unit=st.booleans(), scale=st.sampled_from([1e-6, 1e6]))
+@settings(max_examples=150)
+def test_scaling_a_ratio_changes_no_bracket_pattern(sp, seed, repeated, unit, scale):
+    # multipliers over twenty powers of 3, and zero and negative ones: a
+    # multiplier is positive at the ratio's own scale, so the same ones are
+    # bracketed at every scale
+    rng = np.random.default_rng(seed)
+    basis = selfadjoint_derivations(sp)
+    coef = rng.integers(-2, 3, len(basis)) if repeated else rng.standard_normal(len(basis))
+    delta = sum(c * 3.0 ** -k * b.mat
+                for c, k, b in zip(coef, rng.integers(0, 21, len(basis)), basis))
+    if unit:
+        r, s = (from_derivation(sp, d, max_den=64) for d in (delta, scale * delta))
+    else:
+        x = sp.sample_interior_point(rng)
+        a = spectral_faces(sp, delta).projectors.sum(axis=0) @ x
+        r, s = (ratio_from_pair(sp, d @ a, a, max_den=64) for d in (delta, scale * delta))
+    assert _bracket_pattern(r) == _bracket_pattern(s)
+
+
+@pytest.mark.parametrize("lams, cut_pairs", [
+    ([1e-9, 2e-9], 2), ([5e-10, 1e3], 1), ([0.0, 1.0], 1), ([-1.0, 2.0], 1)])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_ratio_equal_compares_cuts_of_the_multipliers_positive_at_its_scale(monkeypatch, lams,
+                                                                            cut_pairs, scale):
+    # a pair is compared by its cuts when both multipliers lie above TOL
+    # times the joint largest, at every scale
+    calls = []
+    monkeypatch.setattr(ratio_calculus, "cuts_equal",
+                        _counting(calls, "cuts", ratio_calculus.cuts_equal))
+    r = _orthant_ratio(scale * np.array(lams))
+    assert ratio_equal(r, r, max_den=10**6)
+    assert len(calls) == cut_pairs
+    assert _bracket_pattern(r) == [lam <= 0.0 or lam == 5e-10 for lam in lams]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_lorentz_ratio_past_the_square_range_keeps_finite_multipliers():
     # |z|^2 overflows above about 1.3e154: the multipliers read nan, and the
