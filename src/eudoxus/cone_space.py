@@ -656,14 +656,16 @@ class _JordanSpace(ConeSpace):
 
     # -- derivations ----------------------------------------------------------
 
-    def _ratio_derivation(self, lams, X):
-        """sum lam_i delta_F_i over the faces F_i = U_(c_i) of the pieces x_i
-        (rows of X: a ratio's components, or a spectral family's witnesses).
-        By the Peirce decomposition the facial derivative of U_c is L(c),
-        which is 1 on V(c, 1), 1/2 on V(c, 1/2) and 0 on V(c, 0); so the sum
-        is the one operator L(sum lam_i c_i), with c_i the support
-        idempotent of x_i under the face band: no projector is built."""
-        return self._L(lams @ self._supports(X))
+    def _ratio_derivation(self, lams, C):
+        """sum lam_i delta_F_i over the faces F_i = U_(c_i) of a ratio's
+        pieces or a spectral family's witnesses, given by their support
+        idempotents c_i (rows of C, from _supports, or the frame elements and
+        their run sums that the package splits off a frame).  By the Peirce
+        decomposition the facial derivative of U_c is L(c), which is 1 on
+        V(c, 1), 1/2 on V(c, 1/2) and 0 on V(c, 0); so the sum is the one
+        operator L(sum lam_i c_i): no projector is built, and no point is
+        decomposed."""
+        return self._L(lams @ C)
 
     def _selfadjoint_units(self):
         return np.eye(self.dim)
@@ -714,6 +716,13 @@ class _Orthant(_JordanSpace):
     def _project(self, x):
         # sum lam_i^+ c_i over the coordinate frame, without the d x d product
         return np.maximum(x, 0.0)
+
+    def _derivation_mats(self, selfadjoint=False):
+        """The L(e_j) commute, so every bracket [L(e_i), L(e_j)] is zero and
+        Der is the span of the L(e_j) alone: no bracket is formed."""
+        if selfadjoint:
+            return super()._derivation_mats(selfadjoint=True)
+        return _orthonormal_span(self._L_units)
 
     def _jordan_parts(self, x):
         return np.maximum(x, 0.0), np.maximum(-x, 0.0)
@@ -977,14 +986,20 @@ class _Polyhedral(ConeSpace):
 
     # -- derivations ----------------------------------------------------------
 
+    def _supports(self, X):
+        """The points themselves: _ratio_derivation reads the face of each
+        sum of them off the sum itself, as _faces_of does."""
+        return X
+
     def _ratio_derivation(self, lams, X):
         """sum lam (1/2)(I + P_F - P_F-perp) over the faces F of the sums of
-        the pieces (rows of X: a ratio's components, or a spectral family's
-        witnesses) that share a multiplier lam: no Jordan product, so the
-        projectors.  The extreme rays of a simplicial cone that is not
-        self-dual are not orthogonal, so its ray pieces are not incomparable
-        and their facial derivatives do not add up; the pieces of one
-        spectral face, summed, are that face's own piece."""
+        the pieces (rows of X: a ratio's components or their frame's rays,
+        or a spectral family's witnesses) that share a multiplier lam: no
+        Jordan product, so the projectors; a point outside the cone raises.
+        The extreme rays of a simplicial cone that is not self-dual are not
+        orthogonal, so its ray pieces are not incomparable and their facial
+        derivatives do not add up; the pieces of one spectral face, summed,
+        are that face's own piece."""
         lams, which = np.unique(lams, return_inverse=True)
         pieces = np.zeros((len(lams), self.dim))
         np.add.at(pieces, which.reshape(-1), X)

@@ -375,6 +375,13 @@ class SpectralFaceFamily:
         return [(float(lam), Face(self.host, P, w))
                 for lam, P, w in zip(self.lams, self.projectors, self.witnesses)]
 
+    @functools.cached_property
+    def _units(self):
+        """The unit of each witness's face, which reconstruct_from_faces
+        reads: the kind's _supports, one decomposition of the witnesses
+        on a Jordan kind, which refuses a witness outside the cone."""
+        return self.host._supports(self.witnesses)
+
     def __iter__(self):
         return iter(self.entries)
 
@@ -387,12 +394,15 @@ class _RunFamily(SpectralFaceFamily):
     kind's _eigenfaces clustered, from which the projectors (U_c of each
     witness c on a Jordan kind, the span of the run's rays on a polyhedral
     cone) are built and checked on their first read, and the minimal pieces
-    of the witnesses on theirs."""
+    of the witnesses on theirs.  Each witness is its own face's unit (a sum
+    of frame elements, or of unit rays), so the witnesses are set as _units
+    in place of the cached property, and reconstruct_from_faces decomposes
+    none."""
 
     def __init__(self, host, lams, witnesses, runs):
         self.host = host
         self.lams = _increasing(lams)
-        self.witnesses = witnesses
+        self.witnesses = self._units = witnesses
         self._runs = runs
 
     @functools.cached_property
@@ -480,7 +490,10 @@ def spectral_faces(space, delta):
 def reconstruct_from_faces(space, family):
     """The finite facial spectral theorem: sum_k lam_k delta_(F_k) over the
     family's faces, through the kind hook that to_derivation uses, with the
-    witnesses as the pieces.  The faces are mutually orthogonal, so this is
-    the telescoped sum_k (lam_k - lam_(k+1)) delta_(F_1 v ... v F_k).
-    Round-trips spectral_faces."""
-    return Derivation(space, space._ratio_derivation(family.lams, family.witnesses))
+    units of the witnesses' faces: on a Jordan kind L(sum_k lam_k c_k), the
+    c_k the witnesses themselves for a family from spectral_faces, and
+    their support idempotents for one built with arbitrary witnesses.  The
+    faces are mutually orthogonal, so this is the telescoped
+    sum_k (lam_k - lam_(k+1)) delta_(F_1 v ... v F_k).  Round-trips
+    spectral_faces."""
+    return Derivation(space, space._ratio_derivation(family.lams, family._units))

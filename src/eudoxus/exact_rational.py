@@ -18,6 +18,7 @@ as ``fractions.Fraction``.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -123,9 +124,9 @@ def stern_brocot_bracket(oracle, max_den):
     """Bracket a positive cut by mediant descent in the Stern-Brocot tree.
 
     Returns (lo, hi) with lo <= cut <= hi and both denominators at most
-    max_den.  If the oracle reports an exact hit the bracket collapses,
-    lo == hi.  Otherwise lo and hi are Stern-Brocot neighbours of the
-    cut, so hi - lo == 1/(lo.den * hi.den).
+    max_den, an integer of at least 1.  If the oracle reports an exact
+    hit the bracket collapses, lo == hi.  Otherwise lo and hi are
+    Stern-Brocot neighbours of the cut, so hi - lo == 1/(lo.den * hi.den).
 
     The descent goes by runs of equal steps (the partial quotients of
     the cut's continued fraction), not one mediant at a time: a run is
@@ -135,6 +136,7 @@ def stern_brocot_bracket(oracle, max_den):
     O(log max_den + log(cut + 1/cut)) queries in place of the sum of the
     partial quotients.
     """
+    max_den = operator.index(max_den)  # nan, inf or 2.5 raise TypeError
     if max_den < 1:
         raise ValueError("max_den must be a positive integer")
     # tree root: 0/1 below everything positive, 1/0 the formal upper end;

@@ -19,6 +19,7 @@ compositio, step-figure quadrature) run on exact rationals.
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -84,9 +85,30 @@ class Ratio:
                     for lam in dict.fromkeys(lams) if lam > floor}
         return [(lam, brackets.get(lam), comp) for lam, comp in self.pieces]
 
+    @functools.cached_property
+    def _units(self):
+        """The unit of the face of each piece, which to_derivation reads: the
+        support idempotent on a Jordan kind, from one decomposition of the
+        stacked pieces, which refuses a piece outside the cone; the piece
+        itself on a polyhedral cone (the kind's _supports)."""
+        X = np.array([piece for _, piece in self.pieces]).reshape(-1, self.host.dim)
+        return self.host._supports(X)
+
     def __repr__(self):
         return "Ratio(lambdas=%s over %r)" % (
             ["%.6g" % lam for lam in self.lambdas()], self.host)
+
+
+class _FrameRatio(Ratio):
+    """A ratio whose pieces the package split off a frame (from_derivation,
+    ratio_from_pair, and so compose and add): the unit of each piece's face
+    is known as it is built, a frame element on a Jordan kind, and is set
+    as _units in place of the cached property, so to_derivation decomposes
+    no piece."""
+
+    def __init__(self, host, antecedent, consequent, pieces, max_den, units):
+        super().__init__(host, antecedent, consequent, pieces, max_den)
+        self._units = units
 
 
 def _solve_selfadjoint_derivation(space, a, a_prime):
@@ -128,18 +150,23 @@ def _ratio_from_family(space, M, family, a, max_den):
     once by the family's projectors, and the parts are split into minimal
     pieces by one stacked call of the kind's frame terms (one spectral
     decomposition on a Jordan kind); the parts must sum back to a."""
-    _check_max_den(max_den)
+    max_den = _check_max_den(max_den)
     parts = family.projectors @ a
-    pieces = _face_pieces(family.lams, space._frame_terms(parts))
+    terms = space._frame_terms(parts)
+    pieces = _face_pieces(family.lams, terms)
     _check_split(np.linalg.norm(parts.sum(axis=0) - a), np.linalg.norm(a))
-    return Ratio(space, M @ a, a, pieces, max_den)
+    units = [comp for face_terms in terms for _, comp in face_terms]
+    return _FrameRatio(space, M @ a, a, pieces, max_den, units)
 
 
 def _check_max_den(max_den):
-    """max_den is checked as a ratio is built, as its brackets are computed
-    only when read."""
+    """operator.index(max_den), so that nan, inf or 2.5 raise TypeError, and
+    ValueError below 1: checked as a ratio is built, as its brackets are
+    computed only when read."""
+    max_den = operator.index(max_den)
     if max_den < 1:
         raise ValueError("max_den must be a positive integer")
+    return max_den
 
 
 def _check_split(residual, scale):
@@ -154,7 +181,7 @@ def _check_split(residual, scale):
 def to_derivation(r):
     """The unique self-adjoint derivation mapping consequent to
     antecedent: the lam-weighted sum of the facial derivatives of the
-    decomposition component faces.
+    decomposition component faces, given by the units of the faces.
 
     For a complete pairwise-incomparable family the facial derivatives
     act as identity on their own face, zero on its orthogonal face and
@@ -162,13 +189,16 @@ def to_derivation(r):
     the mean of the adjacent multipliers.  On a Jordan kind the facial
     derivative of the face U_c is L(c), so the sum is the closed form
     L(sum lam_i c_i) over the support idempotents c_i of the components,
-    and no face is built; polyhedral cones sum the projector formula
+    and no face is built.  A ratio the package split off a frame holds its
+    c_i, the frame elements, and no component is decomposed; a ratio built
+    by the public constructor finds them by one decomposition of its
+    components.  Polyhedral cones sum the projector formula
     (1/2)(I + P_F - P_F-perp) over the faces of the sums of the
     components that share a multiplier.
     """
     lams = np.array(r.lambdas())
-    X = np.array([piece for _, piece in r.pieces]).reshape(-1, r.host.dim)
-    return Derivation(r.host, r.host._ratio_derivation(lams, X))
+    C = np.array(r._units).reshape(-1, r.host.dim)
+    return Derivation(r.host, r.host._ratio_derivation(lams, C))
 
 
 def from_derivation(space, delta, max_den=10**6):
@@ -189,11 +219,12 @@ def from_derivation(space, delta, max_den=10**6):
     a = W.sum(axis=0)
     if space.membership(a) is not Membership.INTERIOR:
         raise ValueError("spectral-face units do not sum to an order unit")
-    _check_max_den(max_den)
+    max_den = _check_max_den(max_den)
     pieces = family.pieces
     G = W @ W.T
     _check_split(np.linalg.norm(G - np.diag(G.diagonal())), a @ a)
-    return Ratio(space, np.asarray(delta, dtype=float) @ a, a, pieces, max_den)
+    units = [comp for _, comp in pieces]
+    return _FrameRatio(space, np.asarray(delta, dtype=float) @ a, a, pieces, max_den, units)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +243,16 @@ def ratio_equal(r, s, max_den=None):
     decomposition); incomparable ratios raise NotComparable, which is a
     different outcome from inequality.  With max_den two matched
     multipliers above TOL times the largest |multiplier| of either ratio
-    are equal when their Stern-Brocot brackets at max_den overlap
-    (cuts_equal); a pair with one at or below it, and every pair without
-    max_den, is compared at tolerance.
+    are equal when their Stern-Brocot brackets at max_den overlap; a pair
+    with one at or below it, and every pair without max_den, is compared
+    at tolerance.  A bracket depends only on the value and max_den, so
+    each distinct value is bracketed once per call, when a pair first
+    needs it: a value repeated over pairs (a Peirce mean on lorentz) costs
+    one bracket.  max_den, when given, is an integer of at least 1
+    (_check_max_den).
     """
+    if max_den is not None:
+        max_den = _check_max_den(max_den)
     _same_host(r, s)
     dr = to_derivation(r)
     ds = to_derivation(s)
@@ -230,25 +267,34 @@ def ratio_equal(r, s, max_den=None):
         return np.linalg.norm(dr.mat - ds.mat, 2) <= 1e-8 * scale
     pairs = _joint_eigenvalues(dr.mat, ds.mat)
     floor = TOL * max((abs(lam) for pair in pairs for lam in pair), default=0.0)
+    bracket = functools.cache(lambda lam: stern_brocot_bracket(RealOracleFromValue(lam), max_den))
     for lam_r, lam_s in pairs:
         if lam_r <= floor or lam_s <= floor:
             if abs(lam_r - lam_s) > 1e-8 * max(1.0, abs(lam_r), abs(lam_s)):
                 return False
             continue
-        if not cuts_equal(RealOracleFromValue(lam_r), RealOracleFromValue(lam_s), max_den):
+        (lo_r, hi_r), (lo_s, hi_s) = bracket(lam_r), bracket(lam_s)
+        if hi_r < lo_s or hi_s < lo_r:
             return False
     return True
 
 
 def _joint_eigenvalues(A, B):
     """Paired eigenvalues of commuting symmetric A and B: each block of V^T B V
-    on an eigenspace of A (a run of _cluster) diagonalized, paired with its mean."""
+    on an eigenspace of A (a run of _cluster) diagonalized, paired with its
+    mean.  The blocks of one size go to one stacked eigvalsh, which runs the
+    same LAPACK routine on each matrix as a call of its own."""
     w, V = np.linalg.eigh(A)
     means, cuts = _cluster(w)
     B = V.T @ B @ V
     ends = [*np.searchsorted(w, cuts).tolist(), len(w)]
-    return [(float(lam), float(mu)) for lam, i, j in zip(means, [0] + ends, ends)
-            for mu in (np.linalg.eigvalsh(B[i:j, i:j]) if j - i > 1 else (B[i, i],))]
+    blocks = list(zip([0] + ends, ends))
+    mus = {}
+    for n in {j - i for i, j in blocks}:
+        ours = [i for i, j in blocks if j - i == n]
+        stack = np.array([B[i:i + n, i:i + n] for i in ours])
+        mus.update(zip(ours, np.linalg.eigvalsh(stack) if n > 1 else stack[:, 0]))
+    return [(float(lam), float(mu)) for lam, (i, _) in zip(means, blocks) for mu in mus[i]]
 
 
 class RealOracleFromValue(CutOracle):
@@ -269,14 +315,6 @@ class RealOracleFromValue(CutOracle):
     def exact_hit(self, m, n):
         nv = n * self.value
         return abs(m - nv) <= TOL * (m + nv)
-
-
-def cuts_equal(o1, o2, max_den):
-    """Do two cuts agree at denominator resolution max_den?  True iff
-    their Stern-Brocot brackets overlap."""
-    lo1, hi1 = stern_brocot_bracket(o1, max_den)
-    lo2, hi2 = stern_brocot_bracket(o2, max_den)
-    return not (hi1 < lo2 or hi2 < lo1)
 
 
 def eudoxus_equal_three(o1, o2, fractions):

@@ -3,8 +3,10 @@ vec_to_herm, the incomparability of two cone elements, two families of
 polyhedral cones (rotated orthants and the n-gon cones), the per-kind
 lattice rules, the order-unit norm by bisection and in closed form, the
 spectral faces by the eigenvalues of the whole operator, a ratio's
-decomposition with every bracket computed as the ratio is built, and
-from_derivation's split of its consequent by the family's projectors."""
+decomposition with every bracket computed as the ratio is built,
+from_derivation's split of its consequent by the family's projectors,
+cut equality by two brackets a pair, and a ratio's operator by the rule
+that decomposes each of its pieces."""
 
 import numpy as np
 
@@ -12,12 +14,13 @@ from eudoxus.cone_space import TOL, ConeSpace, Face, Membership
 from eudoxus.derivation_algebra import (
     CLUSTER_TOL,
     EIG_FLOOR,
+    _cluster,
     _derivation_residuals,
     spectral_faces,
 )
 from eudoxus.exact_rational import stern_brocot_bracket
-from eudoxus.face_lattice import face_of
-from eudoxus.ratio_calculus import NotComparable, Ratio, RealOracleFromValue
+from eudoxus.face_lattice import face_of, facial_derivative
+from eudoxus.ratio_calculus import NotComparable, Ratio, RealOracleFromValue, to_derivation
 
 
 def herm_to_vec(A):
@@ -171,3 +174,67 @@ def frame_split_from_derivation(space, delta, max_den):
         raise NotComparable("consequent does not decompose along the "
                             "antecedent's spectral faces")
     return Ratio(space, np.asarray(delta, dtype=float) @ a, a, pieces, max_den)
+
+
+def cuts_equal(o1, o2, max_den):
+    """Reference: do two cuts agree at denominator resolution max_den?  True
+    iff their Stern-Brocot brackets overlap, one bracket per cut."""
+    lo1, hi1 = stern_brocot_bracket(o1, max_den)
+    lo2, hi2 = stern_brocot_bracket(o2, max_den)
+    return not (hi1 < lo2 or hi2 < lo1)
+
+
+def blockwise_joint_eigenvalues(A, B):
+    """Reference: _joint_eigenvalues with one eigvalsh call per block of
+    V^T B V on an eigenspace of A, as before the blocks of one size were
+    stacked."""
+    w, V = np.linalg.eigh(A)
+    means, cuts = _cluster(w)
+    B = V.T @ B @ V
+    ends = [*np.searchsorted(w, cuts).tolist(), len(w)]
+    return [(float(lam), float(mu)) for lam, i, j in zip(means, [0] + ends, ends)
+            for mu in (np.linalg.eigvalsh(B[i:j, i:j]) if j - i > 1 else (B[i, i],))]
+
+
+def two_bracket_ratio_equal(r, s, max_den):
+    """Reference: ratio_equal at max_den of two ratios it finds comparable,
+    as it compared them before each value was bracketed once per call: the
+    pairs of blockwise_joint_eigenvalues, those with a value at or below the
+    floor at tolerance, every other pair by cuts_equal, two brackets a
+    pair.  Returns the verdict and the pairs compared by cuts."""
+    pairs = blockwise_joint_eigenvalues(to_derivation(r).mat, to_derivation(s).mat)
+    floor = TOL * max((abs(lam) for pair in pairs for lam in pair), default=0.0)
+    cut_pairs = []
+    for lam_r, lam_s in pairs:
+        if lam_r <= floor or lam_s <= floor:
+            if abs(lam_r - lam_s) > 1e-8 * max(1.0, abs(lam_r), abs(lam_s)):
+                return False, cut_pairs
+            continue
+        cut_pairs.append((lam_r, lam_s))
+        if not cuts_equal(RealOracleFromValue(lam_r), RealOracleFromValue(lam_s), max_den):
+            return False, cut_pairs
+    return True, cut_pairs
+
+
+def support_units(space, X):
+    """Reference: the support idempotent of each row of X on a Jordan kind,
+    as to_derivation found it before a ratio or a family kept its units: the
+    frame elements of one _spectral(X) whose eigenvalue lies above the face
+    band TOL max(1, |x|)."""
+    band = TOL * np.maximum(1.0, np.linalg.norm(X, axis=1))
+    w, frame = space._spectral(X)
+    return np.einsum("fdr,fr->fd", frame, (w > band[:, None]).astype(float))
+
+
+def support_rule_derivation(space, lams, X):
+    """Reference: the operator of the pieces X (rows) at the multipliers lams
+    by the rule that decomposes every piece: L(sum lam_i c_i) over the
+    support_units c_i on a Jordan kind; on a polyhedral cone, the sum over
+    the distinct lam of lam times the facial derivative of face_of the sum
+    of the pieces at lam."""
+    lams = np.asarray(lams, dtype=float)
+    X = np.asarray(X, dtype=float).reshape(-1, space.dim)
+    if space.kind == "polyhedral":
+        return sum((lam * facial_derivative(face_of(space, X[lams == lam].sum(axis=0))).mat
+                    for lam in np.unique(lams)), np.zeros((space.dim, space.dim)))
+    return space._L(lams @ support_units(space, X))

@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -9,8 +10,14 @@ from hypothesis import strategies as st
 from eudoxus import face_lattice, ratio_calculus
 from eudoxus.cone_space import ConeSpace, sym_to_vec
 from eudoxus.conjunct_product import DimWord, Quantity, conjunct
-from eudoxus.derivation_algebra import Derivation, selfadjoint_derivations, spectral_faces
-from eudoxus.exact_rational import FractionCutOracle
+from eudoxus.derivation_algebra import (
+    Derivation,
+    SpectralFaceFamily,
+    reconstruct_from_faces,
+    selfadjoint_derivations,
+    spectral_faces,
+)
+from eudoxus.exact_rational import FractionCutOracle, stern_brocot_bracket
 from eudoxus.face_lattice import face_of, facial_derivative, minimal_decomposition
 from eudoxus.ratio_calculus import (
     JordanOnly,
@@ -21,7 +28,6 @@ from eudoxus.ratio_calculus import (
     classic_ratio_equal,
     compose,
     compositio_check,
-    cuts_equal,
     eudoxus_equal_three,
     eudoxus_equal_two,
     ex_aequali_check,
@@ -33,7 +39,15 @@ from eudoxus.ratio_calculus import (
     ratio_from_pair,
     to_derivation,
 )
-from references import eager_decomposition, incomparable, ngon_cone, rotated_orthant
+from references import (
+    blockwise_joint_eigenvalues,
+    cuts_equal,
+    eager_decomposition,
+    incomparable,
+    ngon_cone,
+    rotated_orthant,
+    two_bracket_ratio_equal,
+)
 
 positive_fractions = st.fractions(min_value=Fraction(1, 50),
                                   max_value=Fraction(100),
@@ -430,6 +444,71 @@ def test_to_derivation_builds_no_face_on_a_jordan_kind(monkeypatch, sp, builds_f
     assert calls == (["_faces_of", "_orthogonal_faces"] if builds_faces else [])
 
 
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(4), ConeSpace.lorentz(5), ConeSpace.psd_real(3),
+                                ConeSpace.hermitian(3)], ids=repr)
+def test_the_operator_of_a_ratio_or_family_split_off_a_frame_takes_no_spectral_call(monkeypatch,
+                                                                                    sp):
+    # their pieces are frame elements and their witnesses sums of them, each
+    # its own support idempotent; the public constructors decompose theirs
+    rng = np.random.default_rng(3)
+    basis = selfadjoint_derivations(sp)
+    delta = sum(c * b.mat for c, b in zip(rng.standard_normal(len(basis)), basis))
+    u = sp.canonical_unit()
+    r = from_derivation(sp, delta, max_den=64)
+    twice = from_derivation(sp, 2.0 * np.eye(sp.dim), max_den=64)
+    built = {"from_derivation": r,
+             "ratio_from_pair": ratio_from_pair(sp, delta @ u, u, max_den=64),
+             "compose": compose(r, twice, max_den=64),
+             "add": add(r, twice, max_den=64)}
+    family = spectral_faces(sp, delta)
+    calls = []
+    monkeypatch.setattr(sp, "_spectral", _counting(calls, "spectral", sp._spectral))
+    for how, ratio in built.items():
+        assert isinstance(ratio, Ratio), how
+        to_derivation(ratio)
+        assert calls == [], how
+    reconstruct_from_faces(sp, family)
+    assert calls == []
+    to_derivation(Ratio(sp, r.antecedent, r.consequent, r.pieces, 64))
+    assert calls == ["spectral"]
+    reconstruct_from_faces(sp, SpectralFaceFamily(sp, family.lams, family.projectors,
+                                                  family.witnesses))
+    assert calls == ["spectral"] * 2
+
+
+def _commuting_pair(sp, seed, case):
+    """Two commuting ratios over sp: a random one and one from a I + b delta
+    (generic), from integer coefficients and twice them plus I, with
+    repeated multipliers (repeated), or from (1 + eps) delta, eps from
+    1e-13 to 1e-5, whose brackets may or may not overlap (near)."""
+    rng = np.random.default_rng(seed)
+    basis = selfadjoint_derivations(sp)
+    n = len(basis)
+    coef = rng.integers(-2, 3, n) if case == "repeated" else rng.standard_normal(n)
+    delta = sum(c * b.mat for c, b in zip(coef, basis))
+    other = {"generic": rng.uniform(-2, 2) * np.eye(sp.dim) + rng.uniform(0.5, 2) * delta,
+             "repeated": 2.0 * delta + np.eye(sp.dim),
+             "near": (1.0 + 10.0 ** -rng.integers(5, 14)) * delta}[case]
+    return from_derivation(sp, delta, max_den=64), from_derivation(sp, other, max_den=64)
+
+
+@given(sp=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**16),
+       case=st.sampled_from(["generic", "repeated", "near"]), max_den=st.sampled_from([64, 10**6]))
+@settings(max_examples=150)
+def test_ratio_equal_brackets_each_value_once_and_keeps_its_verdict(sp, seed, case, max_den):
+    r, s = _commuting_pair(sp, seed, case)
+    dr, ds = to_derivation(r).mat, to_derivation(s).mat
+    assert ratio_calculus._joint_eigenvalues(dr, ds) == blockwise_joint_eigenvalues(dr, ds)
+    for x, y in ((r, r), (r, s), (s, r)):
+        want, cut_pairs = two_bracket_ratio_equal(x, y, max_den)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ratio_calculus, "stern_brocot_bracket",
+                       _counting(calls, "bracket", ratio_calculus.stern_brocot_bracket))
+            assert ratio_equal(x, y, max_den=max_den) is want
+        assert len(calls) == len({lam for pair in cut_pairs for lam in pair})
+
+
 def test_ratio_equal_and_compose_build_each_derivation_once(monkeypatch):
     sp = ConeSpace.psd_real(2)
     u = sp.canonical_unit()
@@ -494,6 +573,41 @@ def test_a_ratio_refuses_a_max_den_below_one():
         ratio_from_pair(sp, np.array([0.0, 0.0]), np.ones(2), max_den=0)
 
 
+def _brackets(r):
+    return [bracket for _, bracket, _ in r.decomposition]
+
+
+def _max_den_calls(max_den):
+    """The four entries that take a max_den, each called with this one, and
+    the brackets they give."""
+    sp = ConeSpace.orthant(2)
+    r = _orthant_ratio([2.0, 3.0])
+    root2 = np.array([math.sqrt(2.0), 3.0])
+    return [lambda: stern_brocot_bracket(RealOracleFromValue(math.sqrt(2.0)), max_den),
+            lambda: _brackets(ratio_from_pair(sp, root2, np.ones(2), max_den=max_den)),
+            lambda: _brackets(from_derivation(sp, np.diag(root2), max_den=max_den)),
+            lambda: ratio_equal(r, r, max_den=max_den)]
+
+
+@pytest.mark.parametrize("max_den, error, match", [
+    (math.nan, TypeError, "cannot be interpreted as an integer"),
+    (math.inf, TypeError, "cannot be interpreted as an integer"),
+    (2.5, TypeError, "cannot be interpreted as an integer"),
+    (0, ValueError, "max_den must be a positive integer"),
+    (-1, ValueError, "max_den must be a positive integer")])
+def test_max_den_must_be_an_integer_of_at_least_one(max_den, error, match):
+    # nan and inf passed the old test max_den < 1: sqrt(2) then read as the
+    # exact hit 19601/13860, the walk never stopping at a denominator cap
+    for call in _max_den_calls(max_den):
+        with pytest.raises(error, match=match):
+            call()
+
+
+def test_max_den_may_be_a_numpy_integer():
+    got = [call() for call in _max_den_calls(np.int64(64))]
+    assert got == [call() for call in _max_den_calls(64)]
+
+
 @given(sp=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**16), repeated=st.booleans(),
        unit=st.booleans(), max_den=st.sampled_from([1, 64, 10**6]))
 @settings(max_examples=150)
@@ -547,10 +661,10 @@ def test_scaling_a_ratio_changes_no_bracket_pattern(sp, seed, repeated, unit, sc
 def test_ratio_equal_compares_cuts_of_the_multipliers_positive_at_its_scale(monkeypatch, lams,
                                                                             cut_pairs, scale):
     # a pair is compared by its cuts when both multipliers lie above TOL
-    # times the joint largest, at every scale
-    calls = []
-    monkeypatch.setattr(ratio_calculus, "cuts_equal",
-                        _counting(calls, "cuts", ratio_calculus.cuts_equal))
+    # times the joint largest, at every scale; r against itself pairs each
+    # multiplier with itself, so the pairs compared by cuts are the values
+    # bracketed, one bracket each
+    calls = _count_brackets(monkeypatch)
     r = _orthant_ratio(scale * np.array(lams))
     assert ratio_equal(r, r, max_den=10**6)
     assert len(calls) == cut_pairs
