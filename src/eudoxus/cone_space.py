@@ -10,15 +10,18 @@ matrix.
 The four built-in kinds are the symmetric cones of the Euclidean Jordan
 algebras R^n, the spin factor, Sym(k, R) and Herm(k, C) (Faraut &
 Koranyi, Analysis on Symmetric Cones, ch. III-IV).  Each kind class
-supplies three primitives: its unit e, its multiplication operator L(a)
-(x -> a o x) as a dim x dim matrix, and the spectral decompositions
+supplies four primitives: its unit e, its multiplication operator L(a)
+(x -> a o x) as a dim x dim matrix, the spectral decompositions
 x = sum_i lam_i c_i over Jordan frames (c_i) of a whole stack of points
-in one call.  _JordanSpace derives the rest once: the membership margin
-is lam_min, project = sum lam_i^+ c_i, the face of a is the Peirce
-compression U_c = 2 L(c)^2 - L(c) for the support idempotent c of a,
-its orthogonal face is U_(e - c), the order-unit norm is max |lam(U_y x)|
-for the quadratic representation U_y of y = u^(-1/2), and the
-derivations are L(V) + [L(V), L(V)].
+in one call, and one Jordan frame of two points (_joint_frame), a frame
+of both when they operator-commute.  _JordanSpace derives the
+rest once: the membership margin is lam_min, project = sum lam_i^+ c_i,
+the face of a is the Peirce compression U_c = 2 L(c)^2 - L(c) for the
+support idempotent c of a, its orthogonal face is U_(e - c), the
+order-unit norm is max |lam(U_y x)| for the quadratic representation U_y
+of y = u^(-1/2), the derivations are L(V) + [L(V), L(V)], and two
+ratios' multipliers are paired by their coordinates on a common frame
+(_frame_pairs).
 Polyhedral cones carry no Jordan product and answer the same private
 hooks from their extreme rays and facet incidence table.  The public
 methods all live on ConeSpace; the kind classes only supply the hooks.
@@ -59,6 +62,15 @@ SQRT2 = np.sqrt(2.0)
 # round-off allowed in the Der frame's Q Q^T = I, far below the relative
 # threshold of derivation_algebra.DER_TOL
 FRAME_ORTHONORMAL_TOL = 1e-12
+
+# a common frame of two commuting points a, b (_MatrixSpace._joint_frame):
+# eigh reads a's eigenvectors across a gap d to within about eps |a| / d,
+# which moves b by that times b's own gap there.  Across a gap of a above
+# FRAME_SPLIT_GAP |a| they are kept (b moves by under 1e-9 of |b|); a's
+# runs within it are split by b, and b's ties within FRAME_TIE_GAP |b|
+# there by a again, which moves b by less than the width of the ties
+FRAME_SPLIT_GAP = 1e-5
+FRAME_TIE_GAP = 1e-9
 
 
 class Membership(Enum):
@@ -154,6 +166,13 @@ def _face_pieces(lams, terms):
     return [(lam, coeff * comp)
             for lam, face_terms in zip(lams.tolist(), terms)
             for coeff, comp in face_terms]
+
+
+def _close_runs(w, gap):
+    """(start, stop) of each run of two or more sorted values w whose
+    neighbours lie within gap."""
+    ends = [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), len(w)]
+    return [(i, j) for i, j in zip(ends, ends[1:]) if j - i > 1]
 
 
 def _in_runs(x, cuts):
@@ -555,7 +574,11 @@ class _JordanSpace(ConeSpace):
     stack of points X (f, dim) in one call: eigenvalues w (f, r) and frame
     elements as columns C (f, dim, r), so X[i] = C[i] @ w[i].  A single
     point goes in as x[None].  Each kind also gives the eigenvalues of one
-    point, _eigvals(x), without the frame."""
+    point, _eigvals(x), without the frame, and _joint_frame(a, b), a frame
+    (dim, r) of both a and b when they operator-commute, each of its
+    elements read off whichever of the two tells it apart from the others
+    by the larger gap, so that round-off in the frame of two close values
+    of one moves the other by no more than round-off."""
 
     _self_dual = True
 
@@ -667,6 +690,24 @@ class _JordanSpace(ConeSpace):
         decomposed."""
         return self._L(lams @ C)
 
+    def _frame_pairs(self, terms):
+        """The multiplier pairs of two ratios given by their terms (lams, C),
+        as _ratio_derivation takes them, with max|lams| near 1: the
+        coordinates (2, r) of a = lams @ C (delta e) and of b on one frame of
+        both, and the distance of each from the point its coordinates
+        rebuild, relative to its norm (0 for the zero point).  L(a) and L(b)
+        commute exactly when a and b share a frame (Faraut & Koranyi, ch.
+        II).  The frame is the kind's _joint_frame of the lexicographically
+        first of a and b and the other, so both orders of a pair read one
+        frame; no operator is built."""
+        X = np.array([lams @ C for lams, C in terms])
+        first = int(X[1].tolist() < X[0].tolist())
+        frame = self._joint_frame(X[first], X[1 - first])
+        coords = (X @ frame) / np.vecdot(frame, frame, axis=0)
+        R = X - coords @ frame.T
+        norms = np.sqrt(np.vecdot(X, X))
+        return coords, np.divide(np.sqrt(np.vecdot(R, R)), norms, out=np.zeros(2), where=norms > 0.0)
+
     def _selfadjoint_units(self):
         return np.eye(self.dim)
 
@@ -717,6 +758,10 @@ class _Orthant(_JordanSpace):
         # sum lam_i^+ c_i over the coordinate frame, without the d x d product
         return np.maximum(x, 0.0)
 
+    def _joint_frame(self, a, b):
+        """The coordinate frame, every point's."""
+        return self._frame
+
     def _derivation_mats(self, selfadjoint=False):
         """The L(e_j) commute, so every bracket [L(e_i), L(e_j)] is zero and
         Der is the span of the L(e_j) alone: no bracket is formed."""
@@ -756,6 +801,16 @@ class _Lorentz(_JordanSpace):
         if not math.isfinite(nz):
             (nz,) = _row_norms(z[None])
         return np.array([x[0] + nz, x[0] - nz])
+
+    def _joint_frame(self, a, b):
+        """The frame of whichever of a and b has the larger |z| against its
+        norm, a's on a tie.  Its z/|z| is read to within about eps of the
+        norm over |z|, which moves the other point, whose |z| is no larger
+        against its norm, by about eps of its norm; a point in R e (z = 0)
+        has every frame."""
+        nz = _row_norms(np.array([a[1:], b[1:]]))
+        x = b if nz[1] * math.sqrt(a.dot(a)) > nz[0] * math.sqrt(b.dot(b)) else a
+        return self._spectral(x[None])[1][0]
 
     @np.errstate(over="ignore")
     def _spectral(self, X):
@@ -829,11 +884,35 @@ class _MatrixSpace(_JordanSpace):
 
     def _spectral(self, X):
         """One batched eigh of the (f, k, k) matrices: eigenvalues (f, k),
-        and as frames (f, dim, k) the vectorised eigenprojections v v^H."""
+        and their frames (_frames)."""
         k = self._k
         w, V = np.linalg.eigh((X @ self._T.T).reshape(-1, k, k))
+        return w, self._frames(V)
+
+    def _frames(self, V):
+        """The frames (f, dim, k) of unitary stacks V (f, k, k): the
+        vectorised rank-one projections v v^H on their columns."""
+        k = self._k
         outer = V[:, :, None, :] * V.conj()[:, None, :, :]
-        return w, (self._T.conj().T @ outer.reshape(-1, k * k, k)).real
+        return (self._T.conj().T @ outer.reshape(-1, k * k, k)).real
+
+    def _joint_frame(self, a, b):
+        """The eigenvectors of a, where a's values lie within FRAME_SPLIT_GAP
+        |a| turned to those of b on their span W (the compression W^H B W),
+        and where b's values lie within FRAME_TIE_GAP |b| there turned back
+        to a's: a pair of eigenvectors is split by a where a has them apart,
+        else by b where b does, so that it holds against the round-off of a
+        close but distinct pair of values of either beside a far larger one.
+        Each eigh past the first is of a run's size."""
+        A, B = self._unvec(a), self._unvec(b)
+        w, V = np.linalg.eigh(A)
+        for i, j in _close_runs(w, FRAME_SPLIT_GAP * np.linalg.norm(a)):
+            mu, U = np.linalg.eigh(V[:, i:j].conj().T @ B @ V[:, i:j])
+            W = V[:, i:j] @ U
+            for p, q in _close_runs(mu, FRAME_TIE_GAP * np.linalg.norm(b)):
+                W[:, p:q] = W[:, p:q] @ np.linalg.eigh(W[:, p:q].conj().T @ A @ W[:, p:q])[1]
+            V[:, i:j] = W
+        return self._frames(V[None])[0]
 
     def _selfadjoint_units(self):
         # 2 L(S) is X -> S X + X S for the matrix unit S
@@ -953,11 +1032,16 @@ class _Polyhedral(ConeSpace):
         span: (means, witnesses, runs) of the runs cluster finds in the
         quotients r^T M r / r^T r, runs the ray masks (f, m) and a run's
         witness the sum of its rays."""
-        R = self._rays
-        v = np.vecdot(R, M @ R, axis=0) / np.vecdot(R, R, axis=0)
+        v = self._ray_quotients(M)
         lams, cuts = cluster(v)
         runs = _in_runs(v, cuts)
-        return lams, runs @ R.T, runs
+        return lams, runs @ self._rays.T, runs
+
+    def _ray_quotients(self, M):
+        """r^T M r / r^T r over the unit extreme rays r, for one operator M or
+        a stack of them."""
+        R = self._rays
+        return np.vecdot(R, M @ R, axis=-2) / np.vecdot(R, R, axis=0)
 
     def _run_projectors(self, W, runs):
         """The faces spanning the rays of each run of _eigenfaces."""
@@ -1004,6 +1088,14 @@ class _Polyhedral(ConeSpace):
         pieces = np.zeros((len(lams), self.dim))
         np.add.at(pieces, which.reshape(-1), X)
         return np.tensordot(lams, _facial_derivatives(self, self._faces_of(pieces)), axes=1)
+
+    def _frame_pairs(self, terms):
+        """The _ray_quotients of the operators of two ratios' terms (lams, C)
+        (_ratio_derivation): every extreme ray is an eigenvector of every
+        derivation, so Der is abelian, the rays are a frame of every pair
+        and both residuals are zero."""
+        M = np.array([self._ratio_derivation(lams, C) for lams, C in terms])
+        return self._ray_quotients(M), np.zeros(2)
 
     def _derivation_mats(self, selfadjoint=False):
         """derivation_basis's B diag(mu) B^-1 over a basis B of extreme rays

@@ -11,7 +11,12 @@ consequent to antecedent, and every self-adjoint derivation arises this
 way from its spectral faces, which alone decide, on every path to a
 ratio, whether an operator is one; composition and addition of ratios
 are operator composition and sum, with the Jordan symmetrized product
-as the fallback when a product leaves the self-adjoint world.
+as the fallback when a product leaves the self-adjoint world.  Two
+ratios are equal when their multipliers, paired on one frame of both
+(the coordinates of delta_r e and delta_s e on a common Jordan frame, or
+the extreme rays' quotients), have overlapping cuts; they are comparable
+when both delta e are rebuilt from that frame to within 1e-8 of their
+norms, and no operator is built to decide either.
 
 The classical one-dimensional checks (cut classes, ex aequali,
 compositio, step-figure quadrature) run on exact rationals.
@@ -35,7 +40,6 @@ from eudoxus.exact_rational import (
 from eudoxus.derivation_algebra import (
     Derivation,
     NotSelfAdjointDerivation,
-    _cluster,
     _pow2_scaled,
     spectral_faces,
 )
@@ -196,9 +200,13 @@ def to_derivation(r):
     (1/2)(I + P_F - P_F-perp) over the faces of the sums of the
     components that share a multiplier.
     """
-    lams = np.array(r.lambdas())
-    C = np.array(r._units).reshape(-1, r.host.dim)
-    return Derivation(r.host, r.host._ratio_derivation(lams, C))
+    return Derivation(r.host, r.host._ratio_derivation(*_terms(r)))
+
+
+def _terms(r):
+    """(lams, C): the multipliers and the units of the faces of the pieces,
+    rows of C, as the kind hooks take them."""
+    return np.array(r.lambdas()), np.array(r._units).reshape(-1, r.host.dim)
 
 
 def from_derivation(space, delta, max_den=10**6):
@@ -241,34 +249,28 @@ def ratio_equal(r, s, max_den=None):
 
     Comparability requires commuting derivations (a matched common
     decomposition); incomparable ratios raise NotComparable, which is a
-    different outcome from inequality.  With max_den two matched
+    different outcome from inequality.  The multipliers are compared in
+    the pairs _multiplier_pairs reads off one frame of both ratios, r
+    pairs on a Jordan kind and no Peirce mean.  Without max_den the ratios
+    are equal when max |lam_j - mu_j| <= 1e-8 max(max |lam|, max |mu|, 1):
+    ||delta_r - delta_s||_2 against the larger operator norm or 1, as the
+    operator norm of L(x) is max |lam(x)|.  With max_den two paired
     multipliers above TOL times the largest |multiplier| of either ratio
-    are equal when their Stern-Brocot brackets at max_den overlap; a pair
-    with one at or below it, and every pair without max_den, is compared
-    at tolerance.  A bracket depends only on the value and max_den, so
-    each distinct value is bracketed once per call, when a pair first
-    needs it: a value repeated over pairs (a Peirce mean on lorentz) costs
-    one bracket.  max_den, when given, is an integer of at least 1
-    (_check_max_den).
+    are equal when their Stern-Brocot brackets at max_den overlap, and a
+    pair with one at or below it is compared at tolerance.  A bracket
+    depends only on the value and max_den, so each distinct value is
+    bracketed once per call, when a pair first needs it.  max_den, when
+    given, is an integer of at least 1 (_check_max_den).
     """
     if max_den is not None:
         max_den = _check_max_den(max_den)
-    _same_host(r, s)
-    dr = to_derivation(r)
-    ds = to_derivation(s)
-    # ||[dr, ds]|| > 1e-8 max(||dr|| ||ds||, 1) on the _pow2_scaled operators:
-    # the same decision, but no norm or product overflows
-    (A, a), (B, b) = _pow2_scaled(dr.mat), _pow2_scaled(ds.mat)
-    scale = max(np.linalg.norm(A) * np.linalg.norm(B), 1.0 / a / b)
-    if np.linalg.norm(A @ B - B @ A) > 1e-8 * scale:
-        raise NotComparable("ratios do not admit a matched decomposition")
+    lams, mus = _multiplier_pairs(r, s)
+    top = float(max(np.abs(lams).max(initial=0.0), np.abs(mus).max(initial=0.0)))
     if max_den is None:
-        scale = max(dr.norm(), ds.norm(), 1.0)
-        return np.linalg.norm(dr.mat - ds.mat, 2) <= 1e-8 * scale
-    pairs = _joint_eigenvalues(dr.mat, ds.mat)
-    floor = TOL * max((abs(lam) for pair in pairs for lam in pair), default=0.0)
+        return float(np.abs(lams - mus).max(initial=0.0)) <= 1e-8 * max(top, 1.0)
+    floor = TOL * top
     bracket = functools.cache(lambda lam: stern_brocot_bracket(RealOracleFromValue(lam), max_den))
-    for lam_r, lam_s in pairs:
+    for lam_r, lam_s in zip(lams.tolist(), mus.tolist()):
         if lam_r <= floor or lam_s <= floor:
             if abs(lam_r - lam_s) > 1e-8 * max(1.0, abs(lam_r), abs(lam_s)):
                 return False
@@ -279,22 +281,23 @@ def ratio_equal(r, s, max_den=None):
     return True
 
 
-def _joint_eigenvalues(A, B):
-    """Paired eigenvalues of commuting symmetric A and B: each block of V^T B V
-    on an eigenspace of A (a run of _cluster) diagonalized, paired with its
-    mean.  The blocks of one size go to one stacked eigvalsh, which runs the
-    same LAPACK routine on each matrix as a call of its own."""
-    w, V = np.linalg.eigh(A)
-    means, cuts = _cluster(w)
-    B = V.T @ B @ V
-    ends = [*np.searchsorted(w, cuts).tolist(), len(w)]
-    blocks = list(zip([0] + ends, ends))
-    mus = {}
-    for n in {j - i for i, j in blocks}:
-        ours = [i for i, j in blocks if j - i == n]
-        stack = np.array([B[i:i + n, i:i + n] for i in ours])
-        mus.update(zip(ours, np.linalg.eigvalsh(stack) if n > 1 else stack[:, 0]))
-    return [(float(lam), float(mu)) for lam, (i, _) in zip(means, blocks) for mu in mus[i]]
+def _multiplier_pairs(r, s):
+    """The multipliers (lams, mus) of two ratios over one cone, paired on a
+    frame of both by the kind's _frame_pairs, with no operator built on a
+    Jordan kind: the coordinates of a = delta_r e and b = delta_s e on one
+    Jordan frame, or the ray quotients of the two operators on a polyhedral
+    cone, where every pair commutes.  The ratios commute when each of a and
+    b lies within 1e-8 of its norm of the point its coordinates rebuild,
+    taken with each ratio's multipliers divided by the power of two of
+    their largest (_pow2_scaled), so that no norm overflows or underflows;
+    otherwise NotComparable."""
+    _same_host(r, s)
+    (lams_r, C_r), (lams_s, C_s) = _terms(r), _terms(s)
+    (lams_r, scale_r), (lams_s, scale_s) = _pow2_scaled(lams_r), _pow2_scaled(lams_s)
+    coords, residuals = r.host._frame_pairs([(lams_r, C_r), (lams_s, C_s)])
+    if residuals.max() > 1e-8:
+        raise NotComparable("ratios do not admit a matched decomposition")
+    return coords[0] * scale_r, coords[1] * scale_s
 
 
 class RealOracleFromValue(CutOracle):

@@ -5,7 +5,8 @@ lattice rules, the order-unit norm by bisection and in closed form, the
 spectral faces by the eigenvalues of the whole operator, a ratio's
 decomposition with every bracket computed as the ratio is built,
 from_derivation's split of its consequent by the family's projectors,
-cut equality by two brackets a pair, and a ratio's operator by the rule
+cut equality by two brackets a pair over the joint eigenvalues of the two
+operators and by the operator norm, and a ratio's operator by the rule
 that decomposes each of its pieces."""
 
 import numpy as np
@@ -185,9 +186,12 @@ def cuts_equal(o1, o2, max_den):
 
 
 def blockwise_joint_eigenvalues(A, B):
-    """Reference: _joint_eigenvalues with one eigvalsh call per block of
-    V^T B V on an eigenspace of A, as before the blocks of one size were
-    stacked."""
+    """Reference: the paired eigenvalues of commuting symmetric A and B, as
+    ratio_equal paired the operators of two ratios before it read their
+    multipliers off a common frame: each block of V^T B V on an eigenspace
+    of A (a run of _cluster) diagonalized by one eigvalsh call, paired with
+    its mean.  On a Jordan kind most pairs are Peirce means
+    ((lam_i + lam_j) / 2, (mu_i + mu_j) / 2)."""
     w, V = np.linalg.eigh(A)
     means, cuts = _cluster(w)
     B = V.T @ B @ V
@@ -198,22 +202,31 @@ def blockwise_joint_eigenvalues(A, B):
 
 def two_bracket_ratio_equal(r, s, max_den):
     """Reference: ratio_equal at max_den of two ratios it finds comparable,
-    as it compared them before each value was bracketed once per call: the
-    pairs of blockwise_joint_eigenvalues, those with a value at or below the
-    floor at tolerance, every other pair by cuts_equal, two brackets a
-    pair.  Returns the verdict and the pairs compared by cuts."""
+    as it compared them over the joint eigenvalues of their operators, two
+    brackets a pair: the pairs of blockwise_joint_eigenvalues, those with a
+    value at or below the floor at tolerance, every other pair by
+    cuts_equal.  Returns the verdict, the pairs compared by cuts, and the
+    pair that decided False (None for True)."""
     pairs = blockwise_joint_eigenvalues(to_derivation(r).mat, to_derivation(s).mat)
     floor = TOL * max((abs(lam) for pair in pairs for lam in pair), default=0.0)
     cut_pairs = []
     for lam_r, lam_s in pairs:
         if lam_r <= floor or lam_s <= floor:
             if abs(lam_r - lam_s) > 1e-8 * max(1.0, abs(lam_r), abs(lam_s)):
-                return False, cut_pairs
+                return False, cut_pairs, (lam_r, lam_s)
             continue
         cut_pairs.append((lam_r, lam_s))
         if not cuts_equal(RealOracleFromValue(lam_r), RealOracleFromValue(lam_s), max_den):
-            return False, cut_pairs
-    return True, cut_pairs
+            return False, cut_pairs, (lam_r, lam_s)
+    return True, cut_pairs, None
+
+
+def operator_norm_ratio_equal(r, s):
+    """Reference: ratio_equal without max_den as it decided on the operators,
+    ||delta_r - delta_s||_2 <= 1e-8 max(||delta_r||_2, ||delta_s||_2, 1).
+    Returns both sides."""
+    dr, ds = to_derivation(r), to_derivation(s)
+    return np.linalg.norm(dr.mat - ds.mat, 2), 1e-8 * max(dr.norm(), ds.norm(), 1.0)
 
 
 def support_units(space, X):

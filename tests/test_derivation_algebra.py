@@ -458,6 +458,30 @@ def test_operators_from_the_kept_units_match_the_support_rule(sp, seed, spectrum
 
 
 @given(sp=st.sampled_from(SPECTRAL_CONES), seed=st.integers(0, 2**16),
+       spectrum=st.sampled_from(["generic", "repeated", "identity"]),
+       partner=st.sampled_from(["itself", "affine", "near", "shifted"]))
+@settings(max_examples=200)
+def test_ratio_equal_without_max_den_is_the_operator_norm_rule(sp, seed, spectrum, partner):
+    # ||L(x)||_2 = max |lam(x)| on a Jordan kind, and a polyhedral cone's
+    # extreme rays are eigenvectors of both operators, so max |lam_j - mu_j|
+    # over the frame pairs is ||delta_r - delta_s||_2; near and shifted
+    # straddle the band with eps from 1e-13 to 1e-5, and a gap within
+    # round-off (1e-6 of the band) of it is decided by round-off
+    delta = _spectrum_case(sp, seed, spectrum)
+    rng = np.random.default_rng(seed + 1)
+    eps = 10.0 ** -rng.integers(5, 14)
+    other = {"itself": delta,
+             "affine": rng.uniform(-2, 2) * np.eye(sp.dim) + rng.uniform(0.5, 2) * delta,
+             "near": (1.0 + eps) * delta,
+             "shifted": delta + eps * np.eye(sp.dim)}[partner]
+    r, s = (ratio_calculus.from_derivation(sp, d, max_den=64) for d in (delta, other))
+    for x, y in ((r, r), (r, s), (s, r)):
+        gap, band = references.operator_norm_ratio_equal(x, y)
+        if abs(gap - band) > 1e-6 * band:
+            assert ratio_calculus.ratio_equal(x, y) is bool(gap <= band)
+
+
+@given(sp=st.sampled_from(SPECTRAL_CONES), seed=st.integers(0, 2**16),
        spectrum=st.sampled_from(["generic", "repeated", "identity"]))
 @settings(max_examples=150)
 def test_stacked_reconstruction_matches_the_loop_reference(sp, seed, spectrum):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eudoxus import face_lattice, ratio_calculus
-from eudoxus.cone_space import ConeSpace, sym_to_vec
+from eudoxus.cone_space import TOL, ConeSpace, sym_to_vec
 from eudoxus.conjunct_product import DimWord, Quantity, conjunct
 from eudoxus.derivation_algebra import (
     Derivation,
@@ -40,14 +41,15 @@ from eudoxus.ratio_calculus import (
     to_derivation,
 )
 from references import (
-    blockwise_joint_eigenvalues,
     cuts_equal,
     eager_decomposition,
+    herm_to_vec,
     incomparable,
     ngon_cone,
     rotated_orthant,
     two_bracket_ratio_equal,
 )
+from test_face_lattice import _tilted_orthant
 
 positive_fractions = st.fractions(min_value=Fraction(1, 50),
                                   max_value=Fraction(100),
@@ -209,16 +211,92 @@ def test_ratios_over_different_cones_are_not_comparable():
     assert sorted(q.magnitude.lambdas()) == pytest.approx([1.4 ** 2, 2.9 ** 2])
 
 
-def test_joint_eigenvalues_group_as_spectral_faces_do():
-    # 1 and 1.005 beside 1e6, and 1 and 2 beside 1e9, are distinct eigenvalues:
-    # a band of 1e-8 max|v| merged them
-    B = np.diag([5.0, 6.0, 7.0, 8.0])
-    for w in ([1.005, 1.0, 1e6, 1.005], [2.0, 1.0, 1e9, 2.0]):
-        pairs = ratio_calculus._joint_eigenvalues(np.diag(w), B)
-        assert pairs == [(w[1], 6.0), (w[0], 5.0), (w[0], 8.0), (w[2], 7.0)]
+@pytest.mark.parametrize("sp, to_vec", [(ConeSpace.psd_real(4), sym_to_vec),
+                                        (ConeSpace.hermitian(4), herm_to_vec)], ids=["psd_real", "herm"])
+def test_the_common_frame_splits_each_run_of_close_values(sp, to_vec):
+    # a repeats 1.005 (or 2) beside a far larger value, and b, which commutes
+    # with a, splits that run: each pair is a multiplier of each ratio, four
+    # pairs over the frame and no Peirce mean, and 1 stays apart from 1.005
+    # beside 1e6 and from 2 beside 1e9.  a's 1 and 1 + 2e-8 beside 1e4 are
+    # kept apart by _cluster, but eigh reads their eigenvectors to within
+    # about eps 1e4 / 2e-8, or 1e-4, which would move b by 1e-4 of its norm
+    # off a's own frame: b tells them apart on the frame of both.  Where
+    # b ties 2 and 2 + 1e-13 and a has 1 and 1 + 1e-6 there, a tells them
+    # apart, in either order
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    u = sp.canonical_unit()
+    close, tied = [1.0, 1.0 + 1e-6, 5.0, 3.0], [2.0, 2.0 + 1e-13, 7.0, 8.0]
+    for w, mus in (([1.005, 1.0, 1e6, 1.005], [5.0, 6.0, 7.0, 8.0]),
+                   ([2.0, 1.0, 1e9, 2.0], [5.0, 6.0, 7.0, 8.0]),
+                   ([1.0, 1.0 + 2e-8, 1e4, 3.0], [5.0, 6.0, 7.0, 8.0]),
+                   (close, tied), (tied, close)):
+        r = ratio_from_pair(sp, to_vec(q @ np.diag(w) @ q.T), u)
+        s = ratio_from_pair(sp, to_vec(q @ np.diag(mus) @ q.T), u)
+        for x, y, want in ((r, s, sorted(zip(w, mus))), (s, r, sorted(zip(mus, w)))):
+            got = sorted(zip(*ratio_calculus._multiplier_pairs(x, y)))
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-15 * max(w))
+            for max_den in (None, 64, 10**6):
+                assert ratio_equal(x, y, max_den=max_den) is False
         r = ratio_from_pair(ConeSpace.orthant(3), np.array(w[1:]), np.ones(3))
         assert sorted(r.lambdas()) == sorted(w[1:])
 
+
+def test_a_commuting_pair_whose_combination_repeats_a_value_is_comparable():
+    # A + t B, t = (sqrt 5 - 1)/2, has the repeated eigenvalue 1.5 + t/2,
+    # which A and B do not share: a frame read off that one combination
+    # could not rebuild A and B.  A's own frame has two values
+    t = (math.sqrt(5.0) - 1.0) / 2.0
+    c, sn = math.cos(0.3), math.sin(0.3)
+    q = np.array([[c, -sn], [sn, c]])
+    sp = ConeSpace.psd_real(2)
+    u = sp.canonical_unit()
+    r = ratio_from_pair(sp, sym_to_vec(q @ np.diag([1.5, 1.5 - t / 2.0]) @ q.T), u)
+    s = ratio_from_pair(sp, sym_to_vec(q @ np.diag([1.0, 1.5]) @ q.T), u)
+    for x, y in ((r, s), (s, r)):
+        for max_den in (None, 64, 10**6):
+            assert ratio_equal(x, y, max_den=max_den) is False
+        assert two_bracket_ratio_equal(x, y, 64)[0] is False
+
+
+@pytest.mark.parametrize("t, z", [(1.0, 0.0), (1.0, 0.5), (1e4, 1.5e-4), (1e4, 1.0)])
+def test_a_lorentz_pair_reads_the_frame_of_the_wider_split(t, z):
+    # a = (t, z d + 8e-16 t n) for unit d and n normal to it, d off by
+    # round-off of t, and b = (2.5, d), which comes second in the order
+    # _frame_pairs takes: the frame is the one of the larger |z| against
+    # the norm, a's at (1, 0.5) and b's otherwise.  a = e has every frame
+    # (its own would take e_1, off d).  At 1e4 a's values 1e4 +- 1.5e-4
+    # lie past _cluster's band, but its own frame is 5e-8 off d, which
+    # would move b by 2e-8 of its norm and fail the commutation test that
+    # the operators pass (||[L(a), L(b)]|| is 4e-16 of ||L(a)|| ||L(b)||);
+    # b's d moves a by 8e-16 of its norm
+    sp = ConeSpace.lorentz(4)
+    e = sp.canonical_unit()
+    d, n = np.array([0.0, 0.6, 0.8]), np.array([0.0, 0.8, -0.6])
+    r = ratio_from_pair(sp, np.r_[t, z * d + 8e-16 * t * n], e)
+    s = ratio_from_pair(sp, np.r_[2.5, d], e)
+    want = [(t - z, 1.5), (t + z, 3.5)]
+    for x, y, pairs in ((r, s, want), (s, r, [p[::-1] for p in want])):
+        got = sorted(zip(*ratio_calculus._multiplier_pairs(x, y)))
+        assert np.allclose(got, sorted(pairs), rtol=1e-12)
+        for max_den in (None, 64, 10**6):
+            assert ratio_equal(x, y, max_den=max_den) is False
+
+
+def test_the_lorentz_pair_that_compose_calls_non_commuting_is_not_comparable():
+    # a = (1, 5e-8, 0) has two values 1e-7 apart, which its frame keeps
+    # apart, and b = (25, 0, 1) lies 1/25 of its norm off that frame.  The
+    # commutator test passed this pair (||[L(a), L(b)]|| about 7e-8 against
+    # 1e-8 ||L(a)|| ||L(b)||) and compared it, where compose, from the
+    # symmetry of the product, calls it non-commuting
+    sp = ConeSpace.lorentz(3)
+    e = sp.canonical_unit()
+    r = ratio_from_pair(sp, np.array([1.0, 5e-8, 0.0]), e)
+    s = ratio_from_pair(sp, np.array([25.0, 0.0, 1.0]), e)
+    for x, y in ((r, s), (s, r)):
+        for max_den in (None, 64, 10**6):
+            with pytest.raises(NotComparable, match="matched decomposition"):
+                ratio_equal(x, y, max_den=max_den)
+    assert isinstance(compose(r, s), JordanOnly)
 
 def test_compose_decides_symmetry_as_spectral_faces_does():
     # dr ds is 1.6e-9 off symmetric (relative): above the one 1e-9 band,
@@ -479,52 +557,224 @@ def test_the_operator_of_a_ratio_or_family_split_off_a_frame_takes_no_spectral_c
 def _commuting_pair(sp, seed, case):
     """Two commuting ratios over sp: a random one and one from a I + b delta
     (generic), from integer coefficients and twice them plus I, with
-    repeated multipliers (repeated), or from (1 + eps) delta, eps from
-    1e-13 to 1e-5, whose brackets may or may not overlap (near)."""
+    repeated multipliers (repeated), from (1 + eps) delta, eps from 1e-13
+    to 1e-5, whose brackets may or may not overlap (near), from
+    delta + 1e-9 I, whose Peirce means on a Jordan kind may be bracketed
+    apart where its multipliers are not (shifted), or two on the faces of
+    a random one, the first with two multipliers close beside a large one
+    (_close_multipliers) and the second with random ones (close)."""
     rng = np.random.default_rng(seed)
     basis = selfadjoint_derivations(sp)
     n = len(basis)
     coef = rng.integers(-2, 3, n) if case == "repeated" else rng.standard_normal(n)
     delta = sum(c * b.mat for c, b in zip(coef, basis))
-    other = {"generic": rng.uniform(-2, 2) * np.eye(sp.dim) + rng.uniform(0.5, 2) * delta,
-             "repeated": 2.0 * delta + np.eye(sp.dim),
-             "near": (1.0 + 10.0 ** -rng.integers(5, 14)) * delta}[case]
+    if case == "close":
+        witnesses = spectral_faces(sp, delta).witnesses
+        delta, other = (sp._ratio_derivation(lams, witnesses) for lams in
+                        (_close_multipliers(rng, len(witnesses)), rng.uniform(-2, 2, len(witnesses))))
+    else:
+        other = {"generic": rng.uniform(-2, 2) * np.eye(sp.dim) + rng.uniform(0.5, 2) * delta,
+                 "repeated": 2.0 * delta + np.eye(sp.dim),
+                 "near": (1.0 + 10.0 ** -rng.integers(5, 14)) * delta,
+                 "shifted": delta + 1e-9 * np.eye(sp.dim)}[case]
     return from_derivation(sp, delta, max_den=64), from_derivation(sp, other, max_den=64)
 
 
+def _close_multipliers(rng, m):
+    """m multipliers, the first 10^4 to 10^8 and the others from 1 to 2,
+    two of which lie 1.5e-7.5 to 1.5e-4 apart (for m = 2, the two 1e-8 to
+    10^-7.5 of the first apart).  eigh reads the frame elements of such a
+    pair to within about eps times the large value over their gap, and
+    the two are mostly kept apart by _cluster: a partner that has them far
+    apart tells them apart on the frame of both."""
+    lams = rng.uniform(1.0, 2.0, m)
+    lams[0] = 10.0 ** rng.uniform(4.0, 8.0)
+    if m == 2:
+        lams[1] = lams[0] * (1.0 + 10.0 ** -rng.uniform(7.5, 8.0))
+    elif m > 2:
+        lams[2] = lams[1] + 1.5 * 10.0 ** -rng.uniform(4.0, 7.5)
+    return lams
+
+
+def _on_its_band(lam, mu):
+    """Whether |lam - mu| lies within round-off (1e-14 of the scale) of the
+    tolerance band 1e-8 max(1, |lam|, |mu|), where round-off decides."""
+    scale = max(1.0, abs(lam), abs(mu))
+    return abs(abs(lam - mu) - 1e-8 * scale) <= 1e-14 * scale
+
+
+def _peirce_mean(lams, mus, pair):
+    """Whether pair is ((lam_i + lam_j)/2, (mu_i + mu_j)/2) for two frame
+    pairs i != j and no frame pair itself, to 1e-12 of the scale."""
+    def near(p, q):
+        return all(abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b)) for a, b in zip(p, q))
+    frame = list(zip(lams.tolist(), mus.tolist()))
+    means = [((a + c) / 2.0, (b + d) / 2.0) for (a, b), (c, d) in itertools.combinations(frame, 2)]
+    return not any(near(pair, p) for p in frame) and any(near(pair, m) for m in means)
+
+
+def _recording_values(values, bracket):
+    def wrapped(oracle, max_den):
+        values.append(oracle.value)
+        return bracket(oracle, max_den)
+    return wrapped
+
+
 @given(sp=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**16),
-       case=st.sampled_from(["generic", "repeated", "near"]), max_den=st.sampled_from([64, 10**6]))
-@settings(max_examples=150)
+       case=st.sampled_from(["generic", "repeated", "near", "shifted", "close"]),
+       max_den=st.sampled_from([64, 10**6]))
+@settings(max_examples=250)
 def test_ratio_equal_brackets_each_value_once_and_keeps_its_verdict(sp, seed, case, max_den):
+    # the old rule compared all dim joint eigenvalue pairs of the operators:
+    # the frame pairs and, on a Jordan kind, their Peirce means.  A verdict
+    # changes only from False to True where a Peirce mean's brackets are
+    # disjoint and every frame pair's overlap, or where a pair compared at
+    # tolerance sits on its band to within round-off (near at eps = 1e-8).
+    # A ratio equals itself; the old rule could find it unequal where its
+    # _cluster of the operator's values chained a Peirce mean with two
+    # close multipliers and paired the run's mean with each (close)
     r, s = _commuting_pair(sp, seed, case)
-    dr, ds = to_derivation(r).mat, to_derivation(s).mat
-    assert ratio_calculus._joint_eigenvalues(dr, ds) == blockwise_joint_eigenvalues(dr, ds)
     for x, y in ((r, r), (r, s), (s, r)):
-        want, cut_pairs = two_bracket_ratio_equal(x, y, max_den)
-        calls = []
+        want, _, failed = two_bracket_ratio_equal(x, y, max_den)
+        values = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ratio_calculus, "stern_brocot_bracket",
-                       _counting(calls, "bracket", ratio_calculus.stern_brocot_bracket))
-            assert ratio_equal(x, y, max_den=max_den) is want
-        assert len(calls) == len({lam for pair in cut_pairs for lam in pair})
+                       _recording_values(values, ratio_calculus.stern_brocot_bracket))
+            got = ratio_equal(x, y, max_den=max_den)
+        lams, mus = ratio_calculus._multiplier_pairs(x, y)
+        floor = TOL * max(np.abs(lams).max(), np.abs(mus).max())
+        pairs = list(zip(lams.tolist(), mus.tolist()))
+        above = {lam for pair in pairs if min(pair) > floor for lam in pair}
+        assert len(values) == len(set(values)) and set(values) <= above
+        if got:
+            assert set(values) == above
+        if x is y:
+            assert got is True
+        elif got and not want:
+            assert _peirce_mean(lams, mus, failed) or _on_its_band(*failed)
+        elif want and not got:
+            assert any(min(pair) <= floor and _on_its_band(*pair) for pair in pairs)
 
 
-def test_ratio_equal_and_compose_build_each_derivation_once(monkeypatch):
+def _ratio_at_scale(sp, delta, k, how, rng):
+    """The ratio of 2^k delta, by from_derivation or by ratio_from_pair over
+    a random consequent split along the spectral faces."""
+    delta = np.ldexp(delta, k)
+    if how == "from_derivation":
+        return from_derivation(sp, delta, max_den=64)
+    a = spectral_faces(sp, delta).projectors.sum(axis=0) @ sp.sample_interior_point(rng)
+    return ratio_from_pair(sp, delta @ a, a, max_den=64)
+
+
+def _verdict(r, s, max_den):
+    try:
+        return ratio_equal(r, s, max_den=max_den)
+    except NotComparable:
+        return NotComparable
+
+
+SYMMETRY_CONES = ALL_KINDS + [_tilted_orthant(3, 0.05, 1), _tilted_orthant(4, 0.05, 2), ngon_cone(13)]
+
+
+@given(sp=st.sampled_from(SYMMETRY_CONES), seed=st.integers(0, 2**16),
+       partner=st.sampled_from(["itself", "round_trip", "affine", "random"]),
+       how=st.tuples(*[st.sampled_from(["from_derivation", "ratio_from_pair"])] * 2),
+       k=st.integers(-900, 900), j=st.one_of(st.none(), st.integers(-900, 900)),
+       max_den=st.sampled_from([64, 10**6, None]))
+@settings(max_examples=300)
+def test_ratio_equal_is_reflexive_and_symmetric(sp, seed, partner, how, k, j, max_den):
+    # at 2^k a one-ulp difference of two multipliers gives disjoint brackets
+    # (near 1e300 the banded hit is the band's first integer): a ratio's
+    # multipliers are paired with themselves bit for bit, and both orders of
+    # a pair read one frame.  j None puts the partner at the same scale, and
+    # a round trip is built from r's own operator
+    rng = np.random.default_rng(seed)
+    basis = selfadjoint_derivations(sp)
+    delta = sum(c * b.mat for c, b in zip(rng.standard_normal(len(basis)), basis))
+    r = _ratio_at_scale(sp, delta, k, how[0], rng)
+    if partner == "round_trip":
+        s = _ratio_at_scale(sp, to_derivation(r).mat, 0, how[1], rng)
+    else:
+        other = {"itself": delta,
+                 "affine": rng.uniform(-2, 2) * np.eye(sp.dim) + rng.uniform(0.5, 2) * delta,
+                 "random": sum(c * b.mat for c, b in zip(rng.standard_normal(len(basis)), basis))}
+        s = _ratio_at_scale(sp, other[partner], k if j is None else j, how[1], rng)
+    assert ratio_equal(r, r, max_den=max_den) is True
+    assert ratio_equal(s, s, max_den=max_den) is True
+    assert _verdict(r, s, max_den) is _verdict(s, r, max_den)
+
+
+def test_one_ratio_built_two_ways_compares_alike_in_both_orders():
+    # delta at 2^396 from its spectral faces and from the pair delta e : e.
+    # Both orders of a pair read the frame of one of them: had each read
+    # the frame of its first ratio, the coordinates would differ by an ulp
+    # in one order only, and the pair compare equal one way round
+    sp = ConeSpace.lorentz(3)
+    basis = selfadjoint_derivations(sp)
+    coef = np.random.default_rng(87).standard_normal(len(basis))
+    delta = np.ldexp(sum(c * b.mat for c, b in zip(coef, basis)), 396)
+    e = sp.canonical_unit()
+    r = from_derivation(sp, delta, max_den=64)
+    s = ratio_from_pair(sp, delta @ e, e, max_den=64)
+    for max_den in (None, 64, 10**6):
+        assert ratio_equal(r, s, max_den=max_den) is ratio_equal(s, r, max_den=max_den)
+
+
+def test_a_ratio_at_1e300_equals_itself():
+    # its two multipliers were paired with the joint eigenvalues of the one
+    # operator, 9.999999999999998e299 with 9.999999999999999e299, whose
+    # banded brackets collapse on different first hits
+    sp = ConeSpace.psd_real(2)
+    r = ratio_from_pair(sp, 1e300 * sym_to_vec(np.diag([1.0, 2.0])), sp.canonical_unit())
+    for max_den in (None, 64, 10**6):
+        assert ratio_equal(r, r, max_den=max_den) is True
+
+
+@pytest.mark.parametrize("sp, k", [
+    (ConeSpace.orthant(8), 0), (ConeSpace.lorentz(24), 0), (ConeSpace.psd_real(5), 5),
+    (ConeSpace.hermitian(5), 5), (rotated_orthant(5, 2), 0), (ngon_cone(5), 0)], ids=repr)
+def test_ratio_equal_makes_no_operator_sized_eigen_call_and_builds_no_derivation(monkeypatch,
+                                                                              sp, k):
+    # the pairs come from the fixed frame of the orthant, the closed-form
+    # frames of lorentz, one k x k eigh on a matrix kind (and one per run
+    # it splits, and per tie of the other point in a run), and the
+    # polyhedral operators from the kind's hook
+    pairs = [_commuting_pair(sp, 5, case) for case in ("generic", "repeated", "close")]
+    shapes, calls = [], []
+
+    def recording(name, f):
+        def wrapped(a, *args, **kwargs):
+            shapes.append((name, np.shape(a)))
+            return f(a, *args, **kwargs)
+        return wrapped
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(ratio_calculus, "to_derivation", _counting(calls, "to", to_derivation))
+    for r, s in pairs:
+        for x, y in ((r, r), (r, s), (s, r)):
+            for max_den in (None, 64):
+                ratio_equal(x, y, max_den=max_den)
+    assert calls == []
+    assert all(name == "eigh" and shape[-1] <= k for name, shape in shapes)
+    assert (shapes == []) == (k == 0)
+
+
+def test_ratio_equal_builds_no_derivation_and_compose_builds_each_once(monkeypatch):
     sp = ConeSpace.psd_real(2)
     u = sp.canonical_unit()
     r = ratio_from_pair(sp, sym_to_vec(np.diag([1.0, 2.0])), u)
     s = ratio_from_pair(sp, sym_to_vec(np.array([[2.0, 1.0], [1.0, 2.0]])), u)
     calls = []
     monkeypatch.setattr(ratio_calculus, "to_derivation", _counting(calls, "to", to_derivation))
-    for run in (lambda: ratio_equal(r, r), lambda: ratio_equal(r, r, max_den=1000),
-                lambda: compose(r, s)):
+    for run, built in ((lambda: ratio_equal(r, r), 0), (lambda: ratio_equal(r, r, max_den=1000), 0),
+                       (lambda: compose(r, s), 2)):
         calls.clear()
         run()
-        assert len(calls) == 2
+        assert len(calls) == built
     calls.clear()
     with pytest.raises(NotComparable):
         ratio_equal(r, s)
-    assert len(calls) == 2
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
