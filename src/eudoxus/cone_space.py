@@ -30,17 +30,17 @@ Every kind builds faces in stacks through one pair of hooks: _faces_of
 maps points (f, dim) to span projectors (f, dim, dim) and witnesses, and
 _orthogonal_faces maps those to the orthogonal faces'.  _face_points
 gives the faces that decide facial homogeneity: those of the extreme
-rays, or U_c for the partial sums c of one Jordan frame of e.  The
-faces live here with their hooks: Face (one projector and witness,
-checked when built), _checked_faces (a hook's stack with its orthogonal
-faces, every projector checked) and _facial_derivatives, the one place
-the facial derivative (1/2)(I + P_F - P_F-perp) is formed, for a whole
-stack of faces.  The spectral faces of a self-adjoint derivation come from
-_eigenfaces, which clusters the kind's own values (the spectral values of
-delta e, or the extreme rays' quotients) and returns the means, the
-witnesses and the runs, but no projector: _run_projectors builds a run's
-faces only for a caller that reads them, and _run_pieces gives the runs'
-minimal pieces, the frame elements of each run on a Jordan kind.
+rays, or U_c for the partial sums c of one Jordan frame of e.  Face (one
+projector and witness, checked when built) and _checked_faces (a hook's
+stack with its orthogonal faces, every projector checked) live here too.
+No kind builds a face for sum lam delta_F (_ratio_derivation): it is
+L(sum lam c) on a Jordan kind, R diag(mu) R+ over the extreme rays on a
+polyhedral cone (_ray_multipliers).  The spectral faces of a self-adjoint
+derivation come from _eigenfaces, which clusters the kind's own values
+(the spectral values of delta e, or the extreme rays' quotients) and
+returns the means, the witnesses and the runs, but no projector:
+_run_projectors builds a run's faces only for a caller that reads them,
+and _run_pieces gives the runs' minimal pieces.
 
 The single tolerance knob TOL classifies membership: Boundary is a band
 of relative width TOL around the topological boundary, and every strict
@@ -234,13 +234,6 @@ def _checked_faces(space, faces):
     _check_projectors(P)
     _check_projectors(Pp)
     return P, W, Pp
-
-
-def _facial_derivatives(space, faces):
-    """The facial derivatives (1/2)(I + P_F - P_F-perp), a stack (f, dim,
-    dim), of faces (P, W) from a face hook, every projector checked."""
-    P, _, Pp = _checked_faces(space, faces)
-    return 0.5 * (np.eye(space.dim) + P - Pp)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,13 +1008,15 @@ class _Polyhedral(ConeSpace):
             raise ValueError("point is outside the cone")
         return pairing, band
 
-    def _faces_of(self, X):
-        """The face of each row of X: the extreme rays on every facet it lies
-        on within the face band."""
+    def _face_masks(self, X):
+        """The extreme rays in the face of each row of X, a boolean stack
+        (f, m): the rays on every facet the row lies on within the face band."""
         pairing, band = self._pairings(X)
         active = pairing <= band
-        return self._generator_faces(
-            active.astype(int) @ self._incidence.T == np.sum(active, axis=1)[:, None])
+        return active.astype(int) @ self._incidence.T == np.sum(active, axis=1)[:, None]
+
+    def _faces_of(self, X):
+        return self._generator_faces(self._face_masks(X))
 
     def _orthogonal_faces(self, P, W):
         # the extreme rays each projector kills
@@ -1032,16 +1027,11 @@ class _Polyhedral(ConeSpace):
         span: (means, witnesses, runs) of the runs cluster finds in the
         quotients r^T M r / r^T r, runs the ray masks (f, m) and a run's
         witness the sum of its rays."""
-        v = self._ray_quotients(M)
+        R = self._rays
+        v = np.vecdot(R, M @ R, axis=0) / np.vecdot(R, R, axis=0)
         lams, cuts = cluster(v)
         runs = _in_runs(v, cuts)
-        return lams, runs @ self._rays.T, runs
-
-    def _ray_quotients(self, M):
-        """r^T M r / r^T r over the unit extreme rays r, for one operator M or
-        a stack of them."""
-        R = self._rays
-        return np.vecdot(R, M @ R, axis=-2) / np.vecdot(R, R, axis=0)
+        return lams, runs @ R.T, runs
 
     def _run_projectors(self, W, runs):
         """The faces spanning the rays of each run of _eigenfaces."""
@@ -1071,31 +1061,37 @@ class _Polyhedral(ConeSpace):
     # -- derivations ----------------------------------------------------------
 
     def _supports(self, X):
-        """The points themselves: _ratio_derivation reads the face of each
-        sum of them off the sum itself, as _faces_of does."""
+        """The points themselves: _ray_multipliers reads the face of each
+        piece off the piece itself, as _faces_of does."""
         return X
 
+    @functools.cached_property
+    def _ray_pinv(self):
+        """pinv(R) of the unit extreme rays R: R R+ = I, as they span."""
+        return np.linalg.pinv(self._rays)
+
+    def _ray_multipliers(self, lams, X):
+        """Each unit extreme ray's multiplier (m,): the lam of the pieces (rows
+        of X) whose faces hold it, 0 in none (as L(sum lam c) is 0 off sum c);
+        a ray held at two lams, or a piece outside the cone, raises."""
+        held, lams = self._face_masks(X), lams[:, None]
+        top = np.where(held, lams, -np.inf).max(axis=0, initial=-np.inf)
+        if np.any(held & (lams != top)):
+            raise ValueError("extreme ray in the faces of pieces with different multipliers")
+        return np.where(held.any(axis=0), top, 0.0)
+
     def _ratio_derivation(self, lams, X):
-        """sum lam (1/2)(I + P_F - P_F-perp) over the faces F of the sums of
-        the pieces (rows of X: a ratio's components or their frame's rays,
-        or a spectral family's witnesses) that share a multiplier lam: no
-        Jordan product, so the projectors; a point outside the cone raises.
-        The extreme rays of a simplicial cone that is not self-dual are not
-        orthogonal, so its ray pieces are not incomparable and their facial
-        derivatives do not add up; the pieces of one spectral face, summed,
-        are that face's own piece."""
-        lams, which = np.unique(lams, return_inverse=True)
-        pieces = np.zeros((len(lams), self.dim))
-        np.add.at(pieces, which.reshape(-1), X)
-        return np.tensordot(lams, _facial_derivatives(self, self._faces_of(pieces)), axes=1)
+        """sum lam delta_F over the faces of the pieces (rows of X) as the one
+        operator R diag(mu) R+ over the unit extreme rays R, mu their
+        _ray_multipliers: each ray is an eigenvector of every derivation
+        (Kaibel & Pfetsch), and R R+ = I.  No face is built."""
+        return (self._rays * self._ray_multipliers(lams, X)) @ self._ray_pinv
 
     def _frame_pairs(self, terms):
-        """The _ray_quotients of the operators of two ratios' terms (lams, C)
-        (_ratio_derivation): every extreme ray is an eigenvector of every
-        derivation, so Der is abelian, the rays are a frame of every pair
-        and both residuals are zero."""
-        M = np.array([self._ratio_derivation(lams, C) for lams, C in terms])
-        return self._ray_quotients(M), np.zeros(2)
+        """The _ray_multipliers of two ratios' terms (lams, C): every extreme
+        ray is an eigenvector of every derivation, so the rays are a frame of
+        every pair and both residuals are zero; no operator is built."""
+        return np.array([self._ray_multipliers(lams, C) for lams, C in terms]), np.zeros(2)
 
     def _derivation_mats(self, selfadjoint=False):
         """derivation_basis's B diag(mu) B^-1 over a basis B of extreme rays

@@ -492,8 +492,8 @@ def reconstruct_from_faces(space, family):
     family's faces, through the kind hook that to_derivation uses, with the
     units of the witnesses' faces: on a Jordan kind L(sum_k lam_k c_k), the
     c_k the witnesses themselves for a family from spectral_faces, and
-    their support idempotents for one built with arbitrary witnesses.  The
-    faces are mutually orthogonal, so this is the telescoped
-    sum_k (lam_k - lam_(k+1)) delta_(F_1 v ... v F_k).  Round-trips
-    spectral_faces."""
+    their support idempotents for one built with arbitrary witnesses, and
+    R diag(mu) R+ over the extreme rays R on a polyhedral cone.  The faces
+    are mutually orthogonal, so this is the telescoped sum_k (lam_k -
+    lam_(k+1)) delta_(F_1 v ... v F_k).  Round-trips spectral_faces."""
     return Derivation(space, space._ratio_derivation(family.lams, family._units))

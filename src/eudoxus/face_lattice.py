@@ -4,17 +4,17 @@ A face is a hereditary subcone (0 <= x <= a in F forces x in F), carried
 as a Face (defined in cone_space, re-exported here): the orthogonal
 projector onto its span and a relative-interior witness, built by the
 kind's stacked hooks _faces_of and _orthogonal_faces.  This module answers
-the lattice questions on top of them.  The facial derivative of F is
-(1/2)(I + P_F - P_{F'}) with F' the orthogonal face, formed for a stack of
-faces by cone_space._facial_derivatives on every kind.  On a Jordan kind
-it equals L(c) for the face U_c (Peirce decomposition), so
+the lattice questions on top of them, and forms the facial derivative
+(1/2)(I + P_F - P_{F'}) of F, F' the orthogonal face (facial_derivative).
 ratio_calculus.to_derivation and derivation_algebra.reconstruct_from_faces
-build no faces there: each is the one operator L(sum lam_i c_i).
+build no face: the facial derivative of U_c is L(c) on a Jordan kind (Peirce
+decomposition), and every extreme ray of a polyhedral cone is an
+eigenvector of every derivation (cone_space._ray_multipliers).
 """
 
 import numpy as np
 
-from eudoxus.cone_space import Face, _checked_faces, _facial_derivatives
+from eudoxus.cone_space import Face, _checked_faces
 from eudoxus.derivation_algebra import Derivation, Verdict, _derivation_residuals, is_derivation
 
 
@@ -32,8 +32,8 @@ def face_of(space, a):
 
 def facial_derivative(F):
     """The derivation (1/2)(I + P_F - P_{F-perp}) attached to a face."""
-    (mat,) = _facial_derivatives(F.host, (F.projector[None], F.witness[None]))
-    return Derivation(F.host, mat)
+    (P,), _, (Pp,) = _checked_faces(F.host, (F.projector[None], F.witness[None]))
+    return Derivation(F.host, 0.5 * (np.eye(F.host.dim) + P - Pp))
 
 
 def minimal_decomposition(space, a):

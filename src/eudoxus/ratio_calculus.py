@@ -14,7 +14,7 @@ are operator composition and sum, with the Jordan symmetrized product
 as the fallback when a product leaves the self-adjoint world.  Two
 ratios are equal when their multipliers, paired on one frame of both
 (the coordinates of delta_r e and delta_s e on a common Jordan frame, or
-the extreme rays' quotients), have overlapping cuts; they are comparable
+the extreme rays' multipliers), have overlapping cuts; they are comparable
 when both delta e are rebuilt from that frame to within 1e-8 of their
 norms, and no operator is built to decide either.
 
@@ -196,9 +196,8 @@ def to_derivation(r):
     and no face is built.  A ratio the package split off a frame holds its
     c_i, the frame elements, and no component is decomposed; a ratio built
     by the public constructor finds them by one decomposition of its
-    components.  Polyhedral cones sum the projector formula
-    (1/2)(I + P_F - P_F-perp) over the faces of the sums of the
-    components that share a multiplier.
+    components.  On a polyhedral cone it is R diag(mu) R+ over the extreme
+    rays R, with no face either: mu are their _ray_multipliers.
     """
     return Derivation(r.host, r.host._ratio_derivation(*_terms(r)))
 
@@ -285,8 +284,8 @@ def _multiplier_pairs(r, s):
     """The multipliers (lams, mus) of two ratios over one cone, paired on a
     frame of both by the kind's _frame_pairs, with no operator built on a
     Jordan kind: the coordinates of a = delta_r e and b = delta_s e on one
-    Jordan frame, or the ray quotients of the two operators on a polyhedral
-    cone, where every pair commutes.  The ratios commute when each of a and
+    Jordan frame, or the extreme rays' multipliers on a polyhedral cone,
+    where every pair commutes.  The ratios commute when each of a and
     b lies within 1e-8 of its norm of the point its coordinates rebuild,
     taken with each ratio's multipliers divided by the power of two of
     their largest (_pow2_scaled), so that no norm overflows or underflows;

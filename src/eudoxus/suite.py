@@ -27,7 +27,7 @@ from eudoxus.exact_rational import (
     RealCutOracle,
     stern_brocot_bracket,
 )
-from eudoxus.face_lattice import face_of, is_riesz, minimal_decomposition
+from eudoxus.face_lattice import face_of, facial_derivative, is_riesz, minimal_decomposition
 from eudoxus.krein_states import (
     KreinSpace,
     mixed_state,
@@ -98,16 +98,19 @@ def check_theorem_roundtrips(seed=0):
 
 
 def check_facial_spectral_theorem(seed=0):
-    """reconstruct_from_faces after spectral_faces is the identity,
-    including an operator eigenvalue that cuts out only the zero face."""
+    """reconstruct_from_faces after spectral_faces is the identity and the
+    sum of lam facial_derivative(F) over the faces (four Jordan kinds and a
+    rotated orthant), and an eigenvalue that cuts out only the zero face."""
     rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     worst = 0.0
-    for space in _roundtrip_spaces():
+    for space in _roundtrip_spaces() + [ConeSpace.polyhedral(list(q.T))]:
         for _ in range(200):
             delta = _random_selfadjoint(space, rng)
             fam = spectral_faces(space, delta)
-            back = reconstruct_from_faces(space, fam)
-            worst = max(worst, np.linalg.norm(back.mat - delta.mat, 2))
+            back = reconstruct_from_faces(space, fam).mat
+            faces = sum(lam * facial_derivative(F).mat for lam, F in fam)
+            worst = max(worst, np.linalg.norm(back - delta.mat, 2), np.linalg.norm(faces - back, 2))
             if worst >= 1e-9:
                 return False, "%s: residual %.3g" % (space.kind, worst)
     # compression along diag(0, 1): its operator eigenvalue 1, the Peirce

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eudoxus import face_lattice, ratio_calculus
+from eudoxus import cone_space, face_lattice, ratio_calculus
 from eudoxus.cone_space import TOL, ConeSpace, sym_to_vec
 from eudoxus.conjunct_product import DimWord, Quantity, conjunct
 from eudoxus.derivation_algebra import (
@@ -504,11 +504,12 @@ def _counting(calls, name, f):
     return wrapped
 
 
-@pytest.mark.parametrize("sp, builds_faces", [
-    (ConeSpace.orthant(4), False), (ConeSpace.lorentz(5), False),
-    (ConeSpace.psd_real(3), False), (ConeSpace.hermitian(3), False),
-    (rotated_orthant(3, 1), True)], ids=repr)
-def test_to_derivation_builds_no_face_on_a_jordan_kind(monkeypatch, sp, builds_faces):
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(4), ConeSpace.lorentz(5), ConeSpace.psd_real(3),
+                                ConeSpace.hermitian(3), rotated_orthant(3, 1), ngon_cone(5)],
+                         ids=repr)
+def test_to_derivation_builds_no_face_on_any_kind(monkeypatch, sp):
+    # L(sum lam_i c_i) on a Jordan kind, R diag(mu) R+ over the extreme rays
+    # on a polyhedral cone, with mu read off the pieces' face masks
     r = _random_ratio(sp, 5, False, True)
     calls = []
     monkeypatch.setattr(face_lattice, "face_of", _counting(calls, "face_of", face_lattice.face_of))
@@ -517,9 +518,7 @@ def test_to_derivation_builds_no_face_on_a_jordan_kind(monkeypatch, sp, builds_f
     monkeypatch.setattr(face_lattice.Face, "__init__",
                         _counting(calls, "Face", face_lattice.Face.__init__))
     to_derivation(r)
-    # a polyhedral cone keeps the projector sum: one stacked call of each
-    # face hook over all the pieces, and no Face
-    assert calls == (["_faces_of", "_orthogonal_faces"] if builds_faces else [])
+    assert calls == []
 
 
 @pytest.mark.parametrize("sp", [ConeSpace.orthant(4), ConeSpace.lorentz(5), ConeSpace.psd_real(3),
@@ -757,6 +756,47 @@ def test_ratio_equal_makes_no_operator_sized_eigen_call_and_builds_no_derivation
     assert calls == []
     assert all(name == "eigh" and shape[-1] <= k for name, shape in shapes)
     assert (shapes == []) == (k == 0)
+
+
+@pytest.mark.parametrize("sp", [rotated_orthant(5, 2), ngon_cone(5), ngon_cone(13)], ids=repr)
+def test_polyhedral_ratio_equal_and_operators_run_no_svd_and_build_no_face(monkeypatch, sp):
+    # ratio_equal pairs the ray multipliers of the pieces' face masks, with
+    # no operator; to_derivation and reconstruct_from_faces are R diag(mu) R+,
+    # R+ a per-cone constant built on the first call
+    pairs = [_commuting_pair(sp, 5, case) for case in ("generic", "repeated", "close")]
+    family = spectral_faces(sp, to_derivation(pairs[0][0]).mat)
+    calls = []
+    monkeypatch.setattr(sp, "_ratio_derivation",
+                        _counting(calls, "derivation", sp._ratio_derivation))
+    monkeypatch.setattr(cone_space._Polyhedral, "_generator_faces",
+                        _counting(calls, "faces", cone_space._Polyhedral._generator_faces))
+    for name in ("svd", "pinv"):
+        monkeypatch.setattr(np.linalg, name, _counting(calls, name, getattr(np.linalg, name)))
+    for r, s in pairs:
+        for x, y in ((r, r), (r, s), (s, r)):
+            for max_den in (None, 64, 10**6):
+                ratio_equal(x, y, max_den=max_den)
+    assert calls == []
+    for r, s in pairs:
+        to_derivation(r)
+        to_derivation(s)
+    reconstruct_from_faces(sp, family)
+    assert calls == ["derivation"] * 7
+
+
+def test_a_ray_in_the_faces_of_two_pieces_with_different_multipliers_raises():
+    # on the 5-gon cone the edges r0 + r1 and r1 + r2 share the ray r1, and
+    # Der is the scalars: no derivation is 1 on one edge and 2 on the other
+    sp = ngon_cone(5)
+    r0, r1, r2 = sp._rays.T[:3]
+    w1, w2 = r0 + r1, r1 + r2
+    r = Ratio(sp, None, w1 + w2, [(1.0, w1), (2.0, w2)], 64)
+    for run in (lambda: to_derivation(r), lambda: ratio_equal(r, r)):
+        with pytest.raises(ValueError, match="different multipliers"):
+            run()
+    # one multiplier on both edges is no conflict
+    same = Ratio(sp, None, w1 + w2, [(2.0, w1), (2.0, w2)], 64)
+    assert ratio_equal(same, same)
 
 
 def test_ratio_equal_builds_no_derivation_and_compose_builds_each_once(monkeypatch):
