@@ -23,7 +23,8 @@ of y = u^(-1/2), the derivations are L(V) + [L(V), L(V)], and two
 ratios' multipliers are paired by their coordinates on a common frame
 (_frame_pairs).
 Polyhedral cones carry no Jordan product and answer the same private
-hooks from their extreme rays and facet incidence table.  The public
+hooks from their extreme rays and facet incidence table, built in numpy by
+one double description of the unit generators (_facet_table).  The public
 methods all live on ConeSpace; the kind classes only supply the hooks.
 
 Every kind builds faces in stacks through one pair of hooks: _faces_of
@@ -253,29 +254,95 @@ def _unit_columns(G):
     return G / np.linalg.norm(G, axis=0)
 
 
-def polyhedral_dual_generators(G):
-    """Extreme rays of {y : G^T y >= 0} for full-dimensional pointed cone(G):
-    the inner unit normals of the facets of conv(0, unit generators) through
-    0 (Qhull; Barber, Dobkin & Huhdanpaa, ACM TOMS 22, 1996), once per set
-    of generators held, since Qhull splits facets into simplices."""
-    G = np.asarray(G, dtype=float)
-    dim = G.shape[0]
-    if dim == 1:
-        return np.array([[1.0]]) if np.all(G > 0) else np.array([[-1.0]])
-    from scipy.spatial import ConvexHull
-
-    R = _unit_columns(G)
-    hull = ConvexHull(np.vstack([np.zeros(dim), R.T]))
-    D = -hull.equations[np.any(hull.simplices == 0, axis=1), :-1].T
-    if D.shape[1] == 0:
-        raise ValueError("could not enumerate dual generators; cone degenerate?")
-    _, first = np.unique(_incidence(R, D), axis=1, return_index=True)
-    return D[:, np.sort(first)]
+def _first_distinct(T):
+    """The indices, in order, of the first of each set of equal rows of a
+    boolean table: np.unique(T, axis=0, return_index=True)'s, sorted, by one
+    dict over the packed rows."""
+    first = {}
+    for i, row in enumerate(np.packbits(T, axis=1)):
+        first.setdefault(row.tobytes(), i)
+    return np.fromiter(first.values(), int, len(first))
 
 
-# scipy is imported where a polyhedral cone first calls it, so a process on
-# the Jordan kinds never loads it; the solvers stay module-level names, which
-# a tracer or a test can patch
+def _pivots(A, k):
+    """The indices of k columns of A, each in turn the column farthest from
+    the span of those already picked (Businger & Golub, Numer. Math. 7,
+    1965), as a pivoted QR orders them; the first on a tie."""
+    A = A.copy()
+    picked = []
+    for _ in range(k):
+        j = int(np.argmax(np.vecdot(A, A, axis=0)))
+        picked.append(j)
+        q = A[:, j] / np.linalg.norm(A[:, j])
+        A -= q[:, None] * (q @ A)
+    return picked
+
+
+# the most entries one blocked comparison or product of a polyhedral cone's
+# construction holds at once: 512 KiB of uint64 or float64
+BLOCK_ENTRIES = 1 << 16
+
+
+def _double_description(R):
+    """The extreme rays, as unit rows, of {y : R^T y >= 0} for unit columns R
+    spanning a pointed cone (Motzkin, Raiffa, Thompson & Thrall, 1953;
+    Fukuda & Prodon, LNCS 1120, 1996).  The simplicial cone of dim _pivots
+    columns has the rows of the inverse as its rays; each other generator
+    in turn keeps the rays on its non-negative side and joins each adjacent
+    pair across it.  A pairing is tight within TOL times the step's largest,
+    and each ray carries the generators it is tight on as bits packed in
+    uint64 words.  Two rays are adjacent when their common tight set holds
+    at least dim - 2 generators and no third ray's contains it; the join is
+    tight on that set and on the new generator."""
+    d, m = R.shape
+    basis = _pivots(R, d)
+    Y = np.linalg.inv(R[:, basis])
+    Y /= np.sqrt(np.vecdot(Y, Y))[:, None]
+    words = (m + 63) // 64
+    bit = np.packbits(np.eye(m, 64 * words, dtype=bool), axis=1).view(np.uint64)
+    Z = np.bitwise_or.reduce(bit[basis], axis=0) ^ bit[basis]
+    for j in sorted(set(range(m)) - set(basis)):
+        s = Y @ R[:, j]
+        size = np.abs(s)
+        band = TOL * size.max()
+        Z[size <= band] |= bit[j]
+        neg = s < -band
+        if not neg.any():
+            continue
+        pos = s > band
+        common = Z[pos][:, None] & Z[neg]
+        shared = np.bitwise_count(common).sum(axis=2, dtype=np.min_scalar_type(m))
+        p, n = np.divmod(np.flatnonzero(shared >= d - 2), shared.shape[1])
+        C = common[p, n]
+        held = np.empty(len(C), int)  # how many rays' tight sets hold each C
+        step = max(1, BLOCK_ENTRIES // (len(Z) * words))
+        for i in range(0, len(C), step):
+            c = C[i:i + step, None]
+            held[i:i + step] = ((Z & c) == c).all(axis=2).sum(axis=1)
+        adjacent = held == 2
+        p, n, C = p[adjacent], n[adjacent], C[adjacent]
+        new = s[pos][p, None] * Y[neg][n] - s[neg][n, None] * Y[pos][p]
+        new /= np.sqrt(np.vecdot(new, new))[:, None]
+        Y = np.concatenate([Y[~neg], new])
+        Z = np.concatenate([Z[~neg], C | bit[j]])
+    return Y
+
+
+def _facet_table(R):
+    """(D, T): the unit dual generators D of cone(R), R full-dimensional,
+    pointed and of unit columns, and their incidence table T = _incidence(R,
+    D): _double_description's rays, the first of each set with equal
+    incidence columns kept."""
+    D = _double_description(R).T
+    T = _incidence(R, D)
+    first = _first_distinct(T.T)
+    return D[:, first], T[:, first]
+
+
+# scipy is imported where a polyhedral projection or the pointedness LP first
+# calls it, so a cone whose generator sum certifies it pointed is built and
+# analyzed without it; the solvers stay module-level names, which a tracer or
+# a test can patch
 def nnls(*args, **kwargs):
     """scipy.optimize.nnls, imported on call."""
     from scipy import optimize
@@ -418,7 +485,7 @@ class ConeSpace:
             raise ValueError("generators do not span the space; cone has empty interior")
         if not _is_pointed(R):
             raise ValueError("cone contains a line")
-        return _Polyhedral(G, polyhedral_dual_generators(G))
+        return _Polyhedral(G, R, *_facet_table(R))
 
     def __repr__(self):
         return "ConeSpace(%s, param=%d, dim=%d)" % (self.kind, self.param, self.dim)
@@ -923,18 +990,21 @@ class _Polyhedral(ConeSpace):
     superset of them, and one is kept per incidence row.  Self-dual means
     min R^T R >= -TOL and min D^T D >= -TOL."""
 
-    def __init__(self, G, D):
+    def __init__(self, G, R, D, T):
         super().__init__("polyhedral", G.shape[0], generators=G, dual_generators=D)
-        R = _unit_columns(G)
-        T = _incidence(R, D)
         n = np.sum(T, axis=1)
-        inside = np.any((T.astype(int) @ T.T == n[:, None]) & (n > n[:, None]), axis=1)
-        _, first = np.unique(T, axis=0, return_index=True)
-        keep = np.sort(first[~inside[first]])
+        U = T.astype(float)  # the shared facet counts by one BLAS product, exact
+        inside = np.any((U @ U.T == n[:, None]) & (n > n[:, None]), axis=1)
+        first = _first_distinct(T)
+        keep = first[~inside[first]]
         self._rays, self._incidence = R[:, keep], T[keep]
         self._key = ("polyhedral", self._rays.shape, self._rays.tobytes())
         self._e = np.sum(self._rays, axis=1)
-        self._self_dual = bool(min(np.min(self._rays.T @ self._rays), np.min(D.T @ D)) >= -TOL)
+        # D^T D a block of facets at a time, so that no f x f array is formed
+        rays, f = self._rays, D.shape[1]
+        step = max(1, BLOCK_ENTRIES // f)
+        self._self_dual = bool(np.min(rays.T @ rays) >= -TOL and all(
+            np.min(D[:, i:i + step].T @ D) >= -TOL for i in range(0, f, step)))
 
     def __repr__(self):
         return "ConeSpace(polyhedral, dim=%d, %d generators)" % (
@@ -1093,24 +1163,29 @@ class _Polyhedral(ConeSpace):
         every pair and both residuals are zero; no operator is built."""
         return np.array([self._ray_multipliers(lams, C) for lams, C in terms]), np.zeros(2)
 
-    def _derivation_mats(self, selfadjoint=False):
-        """derivation_basis's B diag(mu) B^-1 over a basis B of extreme rays
-        (pivoted QR), mu constant on each component of the rays' matroid
-        (Oxley, Matroid Theory, 2nd ed., ch. 4): two basis rays share a
-        multiplier when one fundamental circuit, the support of a column of
-        B^-1 R, holds both.  The component indicators span the null space of
-        the Laplacian of that 0/1 graph.  selfadjoint also joins the circuits
-        of rays that are not orthogonal, whose multipliers a symmetric M must
-        equal, and takes the symmetric parts."""
-        from scipy.linalg import qr
-
+    @functools.cached_property
+    def _ray_basis(self):
+        """(B, B^-1, S): a basis B of the unit extreme rays R by _pivots, its
+        inverse, and the fundamental circuits S, the supports of the columns
+        of B^-1 R; both Der frames read them."""
         R = self._rays
-        B = R[:, qr(R, mode="r", pivoting=True)[1][:self.dim]]
-        S = np.abs(np.linalg.solve(B, R)) > TOL  # the fundamental circuits
+        B = R[:, _pivots(R, self.dim)]
+        return B, np.linalg.inv(B), np.abs(np.linalg.solve(B, R)) > TOL
+
+    def _derivation_mats(self, selfadjoint=False):
+        """derivation_basis's B diag(mu) B^-1 over the _ray_basis B, mu
+        constant on each component of the rays' matroid (Oxley, Matroid
+        Theory, 2nd ed., ch. 4): two basis rays share a multiplier when one
+        fundamental circuit holds both.  The component indicators span the
+        null space of the Laplacian of that 0/1 graph.  selfadjoint also
+        joins the circuits of rays that are not orthogonal, whose multipliers
+        a symmetric M must equal, and takes the symmetric parts."""
+        B, B_inv, S = self._ray_basis
         if selfadjoint:
+            R = self._rays
             S = S @ (np.abs(R.T @ R) > TOL)
         A = S @ S.T
-        M = B @ (_rank_split(np.diag(A.sum(axis=1)) - A)[1][:, :, None] * np.linalg.inv(B))
+        M = B @ (_rank_split(np.diag(A.sum(axis=1)) - A)[1][:, :, None] * B_inv)
         return _orthonormal_span((M + M.mT) / 2 if selfadjoint else M)
 
     def _complementary_pairs(self, samples, rng):

@@ -48,6 +48,18 @@ class Verdict:
         return self.status
 
 
+class _Refutation(Verdict):
+    """A Refuted verdict whose witness is search(), run when first read: a
+    caller that only needs the decision pays for no search."""
+
+    def __init__(self, detail, search):
+        self.status, self.detail, self._search = "Refuted", detail, search
+
+    @functools.cached_property
+    def witness(self):
+        return self._search()
+
+
 class NotSelfAdjointDerivation(ValueError):
     """spectral_faces refuses the operator: it lies outside Der(cone), or
     it is not self-adjoint."""
@@ -168,19 +180,20 @@ def is_derivation(space, M):
     projected onto the cone's cached orthonormal frame of Der, and M is a
     derivation when the residual is at most DER_TOL max(||M||, 1).  A
     Refuted verdict carries a (t, x) witness, t on DEFAULT_T_GRID, when
-    one of 60 cone points drawn at seed 3 is expelled.  A wrong shape or
-    non-finite entries raise ValueError.
+    one of 60 cone points drawn at seed 3 is expelled, else None; the
+    search (_expel_witness) runs when the witness is first read.  A wrong
+    shape or non-finite entries raise ValueError.
     """
     M, verdict = _der_verdict(space, M)
-    if not verdict:
-        verdict.witness = _expel_witness(space, M)
-    return verdict
+    if verdict:
+        return verdict
+    return _Refutation(verdict.detail, lambda: _expel_witness(space, M))
 
 
 def expm(A):
     """scipy.linalg.expm, imported on call: only the witness search of a
-    refuted is_derivation needs it, so a process that refutes nothing never
-    loads scipy."""
+    refuted is_derivation needs it, and it runs when the witness is read,
+    so a process that reads no witness never loads scipy for it."""
     from scipy import linalg
     return linalg.expm(A)
 

@@ -15,7 +15,13 @@ eigenvector of every derivation (cone_space._ray_multipliers).
 import numpy as np
 
 from eudoxus.cone_space import Face, _checked_faces
-from eudoxus.derivation_algebra import Derivation, Verdict, _derivation_residuals, is_derivation
+from eudoxus.derivation_algebra import (
+    Derivation,
+    Verdict,
+    _Refutation,
+    _derivation_residuals,
+    is_derivation,
+)
 
 
 def face_of(space, a):
@@ -79,8 +85,9 @@ def is_facially_homogeneous(space):
     permutations), so the partial sum of rank k decides every idempotent
     of rank k.  The zero face and the whole cone give -I and I,
     derivations of every cone, and are not tested.  One projection onto
-    the Der frame decides the stack; only a refuting face becomes a Face,
-    with is_derivation's witness.
+    the Der frame decides the stack; only a refuting face becomes a Face.
+    A Refuted verdict's witness is that Face with is_derivation's witness,
+    whose search runs when the witness is first read.
     """
     faces, how = space._face_points()
     P, W, Pp = _checked_faces(space, faces)
@@ -89,7 +96,7 @@ def is_facially_homogeneous(space):
         verdict = is_derivation(space, M[i])
         if not verdict:
             F = Face(space, P[i], W[i])
-            return Verdict("Refuted", "face of dim %d" % F.dim, witness=(F, verdict.witness))
+            return _Refutation("face of dim %d" % F.dim, lambda: (F, verdict.witness))
     return Verdict("Verified", how)
 
 

@@ -1,11 +1,16 @@
 """Guard: scipy is loaded only where it is used.
 
-Only polyhedral cones (Qhull, pivoted QR, nnls, the pointedness LP) and the
-witness search of a refuted is_derivation (expm) call scipy, and each of
-those imports its routine when it runs.  A process that works on the
-Jordan kinds alone loads no scipy module, and neither does a decision that
-refuses an operator without a witness: a compose that falls back to
-JordanOnly, or a derivation spectrum of a matrix outside Der(cone).
+Only a polyhedral projection (nnls), the pointedness LP that a cone's
+generator sum does not certify (linprog) and the witness search of a
+refuted is_derivation (expm) call scipy, and each of those imports its
+routine when it runs; the search runs only when the witness is read.  So
+a process that works on the Jordan kinds alone loads no scipy module, and
+neither does one that builds a pentagon or a rotated orthant and analyzes
+it: the facets come from a numpy double description and the Der basis
+from numpy pivots, and the refuted facial homogeneity of the pentagon
+searches no witness that nothing reads.  Nor does a decision that refuses
+an operator without a witness: a compose that falls back to JordanOnly,
+or a derivation spectrum of a matrix outside Der(cone).
 
 Other test modules import scipy at module level, so in this process the
 deferred imports are already satisfied.  Only a fresh interpreter shows
@@ -20,9 +25,11 @@ import sys
 
 import eudoxus
 
-# polyhedral_answers(directory): the stdout of analyze on a pentagon cone's
-# spec, the pointedness of a cone only the LP decides, a polyhedral
-# projection and a refuted is_derivation's sampled witness, as JSON values
+# polyhedral_answers(directory, loaded): the stdout of analyze on the specs of
+# a pentagon cone and a rotated orthant in R^5, a refuted is_derivation's
+# verdict and then its sampled witness, the pointedness of a cone only the LP
+# decides, and a polyhedral projection, as JSON values; loaded(stage) is
+# called after each
 POLYHEDRAL = """
 import contextlib, io, os
 import numpy as np
@@ -31,37 +38,52 @@ from eudoxus.cone_space import ConeSpace, _is_pointed
 from eudoxus.derivation_algebra import is_derivation
 
 
-def polyhedral_answers(directory):
+def pentagon():
     n, r = 5, np.cos(np.pi / 5) ** -0.5
-    gens = [(1.0, float(r * np.cos(2 * np.pi * i / n)), float(r * np.sin(2 * np.pi * i / n)))
+    return [(1.0, float(r * np.cos(2 * np.pi * i / n)), float(r * np.sin(2 * np.pi * i / n)))
             for i in range(n)]
-    spec = os.path.join(directory, "pentagon.spec")
-    with open(spec, "w") as fh:
-        fh.write("kind = polyhedral\\n" + "".join("gen = %r, %r, %r\\n" % g for g in gens))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["analyze", spec])
-    # ten generators near 167 degrees outweigh (1, 0): no certificate
-    G = np.array([[1.0, 0.0]] + [[np.cos(t), np.sin(t)] for t in np.linspace(2.9, 2.95, 10)]).T
-    projection = ConeSpace.polyhedral(gens).project(np.array([1.0, 2.0, -3.0]))
+
+
+def polyhedral_answers(directory, loaded):
+    rotated = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))[0]
+    analyze = []
+    for name, gens in (("pentagon", pentagon()), ("rotated", [tuple(g) for g in rotated.T.tolist()])):
+        spec = os.path.join(directory, "%s.spec" % name)
+        with open(spec, "w") as fh:
+            fh.write("kind = polyhedral\\n" + "".join(
+                "gen = %s\\n" % ", ".join(repr(v) for v in g) for g in gens))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            analyze.append([cli.main(["analyze", spec]), out.getvalue()])
+    loaded("analyze")
     shear = np.array([[0.0, 1.0], [0.0, 0.0]])
     verdict = is_derivation(ConeSpace.orthant(2), shear)
+    loaded("verdict")
     t, x = verdict.witness
-    return {"analyze": [code, out.getvalue()], "pointed": bool(_is_pointed(G)),
-            "project": projection.tolist(),
+    loaded("witness")
+    # ten generators near 167 degrees outweigh (1, 0): no certificate
+    G = np.array([[1.0, 0.0]] + [[np.cos(a), np.sin(a)] for a in np.linspace(2.9, 2.95, 10)]).T
+    pointed = bool(_is_pointed(G))
+    loaded("pointed")
+    projection = ConeSpace.polyhedral(pentagon()).project(np.array([1.0, 2.0, -3.0]))
+    return {"analyze": analyze, "pointed": pointed, "project": projection.tolist(),
             "is_derivation": [verdict.status, verdict.detail, t, x.tolist()]}
 """
 
-FRESH = POLYHEDRAL + """
-import json, sys
+SCIPY_MODULES = """
+import sys
 
 
 def scipy_modules():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+"""
+
+FRESH = POLYHEDRAL + SCIPY_MODULES + """
+import json
 
 
 directory = sys.argv[1]
-report = {"import": scipy_modules()}
+report = {"import": scipy_modules(), "stages": {}}
 codes = []
 for kind, dim, antecedent, consequent in (("orthant", 2, "1,2", "1,1"),
                                           ("lorentz", 3, "3,1,1", "1,0,0")):
@@ -83,32 +105,56 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     codes.append(cli.main(["derivation", "spectrum", os.path.join(directory, "orthant.spec"),
                            "--matrix", "1,2;2,1"]))
 report["jordan"] = [codes, scipy_modules()]
-report["answers"] = polyhedral_answers(directory)
-report["polyhedral"] = scipy_modules()
+report["answers"] = polyhedral_answers(
+    directory, lambda stage: report["stages"].__setitem__(stage, scipy_modules()))
 print(json.dumps(report))
 """
 
+# a polyhedral projection alone, after the cone is built
+PROJECT = POLYHEDRAL + SCIPY_MODULES + """
+import json
 
-def _fresh(directory):
+space = ConeSpace.polyhedral(pentagon())
+built = scipy_modules()
+space.project(np.array([1.0, 2.0, -3.0]))
+print(json.dumps([built, scipy_modules()]))
+"""
+
+
+def _fresh(script, *args):
     src = os.path.dirname(os.path.dirname(eudoxus.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", FRESH, str(directory)],
+    run = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     return json.loads(run.stdout)
 
 
 def test_jordan_commands_load_no_scipy_and_polyhedral_answers_match(tmp_path):
-    fresh = _fresh(tmp_path)
+    fresh = _fresh(FRESH, tmp_path)
     assert fresh["import"] == []
     assert fresh["jordan"] == [[0, 0, 0, 0, 0, 2], []]
     assert fresh["compose"] == "CHECK ratio_compose PASS JB-only symmetrized product " \
                                "(factors do not commute)"
-    # the deferred imports ran, and gave the answers this process gives
-    assert {"scipy.linalg", "scipy.optimize", "scipy.spatial"} <= set(fresh["polyhedral"])
+    # polyhedral cones built and analyzed, and a refutation decided, on numpy
+    # alone; reading the witness loads scipy.linalg (expm), the LP scipy.optimize
+    stages = fresh["stages"]
+    assert stages["analyze"] == [] and stages["verdict"] == []
+    assert "scipy.linalg" in stages["witness"] and "scipy.optimize" not in stages["witness"]
+    assert "scipy.optimize" in stages["pointed"]
+    # the deferred imports gave the answers this process gives
     namespace = {}
     exec(POLYHEDRAL, namespace)
-    here = json.loads(json.dumps(namespace["polyhedral_answers"](str(tmp_path))))
+    here = json.loads(json.dumps(namespace["polyhedral_answers"](str(tmp_path), lambda stage: None)))
     assert fresh["answers"] == here
-    assert "CHECK self_dual PASS" in here["analyze"][1] and here["pointed"]
-    assert here["is_derivation"][0] == "Refuted"
+    # the pentagon is not facially homogeneous, so its analyze exits 1
+    (pentagon_code, pentagon_out), (rotated_code, rotated_out) = here["analyze"]
+    assert (pentagon_code, rotated_code) == (1, 0)
+    assert "CHECK self_dual PASS" in pentagon_out and "CHECK self_dual PASS" in rotated_out
+    assert here["pointed"] and here["is_derivation"][0] == "Refuted"
+
+
+def test_a_polyhedral_projection_loads_scipy_optimize():
+    built, projected = _fresh(PROJECT)
+    assert built == []
+    assert "scipy.optimize" in projected

@@ -208,6 +208,25 @@ def test_a_rotation_is_not_selfadjoint_where_its_squares_overflow():
                 spectral_faces(sp, op)
 
 
+def test_a_refuted_derivation_searches_its_witness_when_read(monkeypatch):
+    sp = ConeSpace.orthant(2)
+    M = np.array([[0.0, 1.0], [0.0, 0.0]])  # a shear
+    calls, search = [], derivation_algebra._expel_witness
+
+    def counting(space, M):
+        calls.append(1)
+        return search(space, M)
+    monkeypatch.setattr(derivation_algebra, "_expel_witness", counting)
+    verdict = is_derivation(sp, M)
+    assert verdict.status == "Refuted" and calls == []
+    t, x = verdict.witness
+    assert calls == [1]
+    # the eager search's witness, read once
+    want_t, want_x = search(sp, M)
+    assert t == want_t and np.array_equal(x, want_x)
+    assert verdict.witness[0] == t and calls == [1]
+
+
 def test_only_a_witness_search_creates_a_generator(monkeypatch):
     sp = ConeSpace.orthant(2)
     M = np.array([[0.0, 1.0], [0.0, 0.0]])

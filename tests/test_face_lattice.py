@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eudoxus import cone_space, face_lattice
+from eudoxus import cone_space, derivation_algebra, face_lattice
 from eudoxus.cone_space import ConeSpace, Membership, sym_to_vec, vec_to_herm, vec_to_sym
 from eudoxus.derivation_algebra import Verdict, _derivation_residuals, is_derivation
 from eudoxus.face_lattice import (
@@ -293,6 +293,25 @@ def loop_facially_homogeneous(space):
         if verdict.status == "Refuted":
             return Verdict("Refuted", "face of dim %d" % F.dim, witness=(F, verdict.witness))
     return Verdict("Verified", how)
+
+
+@pytest.mark.parametrize("n", [5, 13])
+def test_a_refuted_homogeneity_searches_its_witness_when_read(monkeypatch, n):
+    sp = ngon_cone(n)
+    calls, search = [], derivation_algebra._expel_witness
+
+    def counting(space, M):
+        calls.append(1)
+        return search(space, M)
+    monkeypatch.setattr(derivation_algebra, "_expel_witness", counting)
+    verdict = is_facially_homogeneous(sp)
+    assert repr(verdict) == "Refuted(face of dim 1)" and calls == []
+    F, (t, x) = verdict.witness
+    assert calls == [1]
+    # the eager search on the refuting face's operator, read once
+    want_t, want_x = search(sp, F.projector - orthogonal_face(F).projector)
+    assert t == want_t and np.array_equal(x, want_x)
+    assert verdict.witness[0] is F and calls == [1]
 
 
 def _redundant(sp, seed):

@@ -1,8 +1,10 @@
-"""Polyhedral cones built from one Qhull facet table, against the
-brute-force references they replaced."""
+"""Polyhedral cones built from one double-description facet table, against
+the brute-force references they replaced and against Qhull, which built the
+table before (scipy.spatial.ConvexHull, imported here as a reference)."""
 
 import importlib.util
 import itertools
+import math
 import pathlib
 import time
 
@@ -12,6 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, nnls
+from scipy.spatial import ConvexHull
 from test_face_lattice import _tilted_orthant, polyhedral_cones
 
 from eudoxus import cli, cone_space
@@ -24,7 +27,6 @@ from eudoxus.cone_space import (
     _rank_split,
     _symmetric_units,
     _unit_columns,
-    polyhedral_dual_generators,
 )
 from eudoxus.derivation_algebra import (
     derivation_basis,
@@ -34,6 +36,27 @@ from eudoxus.derivation_algebra import (
     tangency_dimension_oracle,
 )
 from eudoxus.face_lattice import face_of, is_facially_homogeneous, is_riesz
+
+
+def polyhedral_dual_generators(G):
+    """The unit dual generators a polyhedral cone builds from the generators
+    G (columns): the facet table of their unit columns, as
+    ConeSpace.polyhedral takes it, without the presentation checks."""
+    return cone_space._facet_table(_unit_columns(np.asarray(G, dtype=float)))[0]
+
+
+def qhull_dual_generators(G):
+    """Reference facet enumeration, the table cones were built from before:
+    the inner unit normals of the facets of conv(0, unit generators) through
+    0 (Qhull; Barber, Dobkin & Huhdanpaa, ACM TOMS 22, 1996), once per set of
+    generators held, since Qhull splits facets into simplices."""
+    R = _unit_columns(np.asarray(G, dtype=float))
+    if len(R) == 1:
+        return np.sign(R[:, :1])
+    hull = ConvexHull(np.vstack([np.zeros(len(R)), R.T]))
+    D = -hull.equations[np.any(hull.simplices == 0, axis=1), :-1].T
+    _, first = np.unique(cone_space._incidence(R, D), axis=1, return_index=True)
+    return D[:, np.sort(first)]
 
 
 def subset_dual_generators(G):
@@ -116,8 +139,70 @@ FACET_CASES = ([("%d-gon" % n, _ngon(n)) for n in range(3, 16)]
 
 
 @pytest.mark.parametrize("G", [G for _, G in FACET_CASES], ids=[n for n, _ in FACET_CASES])
-def test_qhull_facets_match_the_subset_reference(G):
-    assert _same_unit_vectors(polyhedral_dual_generators(G), subset_dual_generators(G))
+def test_double_description_facets_match_qhull_and_the_subset_reference(G):
+    D = polyhedral_dual_generators(G)
+    assert _same_unit_vectors(D, qhull_dual_generators(G))
+    assert _same_unit_vectors(D, subset_dual_generators(G))
+
+
+# the subset reference takes every (dim - 1)-subset of generators; past this
+# many it is left out, and Qhull alone is the reference
+MAX_SUBSETS = 4000
+
+
+@st.composite
+def facet_generators(draw):
+    """Generator columns of pointed full-dimensional cones: random ones in
+    R^2..R^8 (up to 40 generators, in the half-space x_0 > 0),
+    rotated orthants tilted by eps-sized noise, wide n-gons (height h down
+    to 1e-8), and either of the last two with redundant generators (conic
+    combinations) and repeated ones (positive multiples) mixed in."""
+    family = draw(st.sampled_from(["random", "tilted", "ngon"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if family == "random":
+        dim = draw(st.integers(2, 8))
+        G = rng.standard_normal((dim, draw(st.integers(dim, 40))))
+        G[0] = np.abs(G[0]) + 0.1
+        return G
+    if family == "tilted":
+        dim = draw(st.integers(2, 8))
+        eps = draw(st.sampled_from([0.0, 1e-10, 1e-8, 1e-3, 0.3]))
+        G = np.linalg.qr(rng.standard_normal((dim, dim)))[0] + eps * rng.standard_normal((dim, dim))
+    else:
+        G = _ngon(draw(st.integers(3, 24)), 10.0 ** -draw(st.integers(0, 8)))
+    if draw(st.booleans()):
+        m = G.shape[1]
+        extra = np.column_stack([G @ rng.exponential(size=(m, 3)),
+                                 rng.uniform(0.5, 4.0, 2) * G[:, rng.integers(0, m, 2)]])
+        G = np.column_stack([G, extra])[:, rng.permutation(m + 5)]
+    return G
+
+
+@given(G=facet_generators())
+@settings(max_examples=200, deadline=None)
+def test_double_description_facets_match_qhull_and_the_subset_reference_at_random(G):
+    D = polyhedral_dual_generators(G)
+    assert _same_unit_vectors(D, qhull_dual_generators(G))
+    if math.comb(G.shape[1], G.shape[0] - 1) <= MAX_SUBSETS:
+        assert _same_unit_vectors(D, subset_dual_generators(G))
+
+
+def test_the_constructor_tables_are_the_standalone_ones():
+    # one pass over the unit generators gives the cone the arrays that the
+    # standalone facet table and the earlier ray selection (np.unique over
+    # the incidence rows, an integer product for the shared facets) give
+    for _, G in FACET_CASES:
+        sp = _cone(G)
+        R = _unit_columns(G)
+        D = polyhedral_dual_generators(G)
+        T = cone_space._incidence(R, D)
+        n = np.sum(T, axis=1)
+        inside = np.any((T.astype(int) @ T.T == n[:, None]) & (n > n[:, None]), axis=1)
+        _, first = np.unique(T, axis=0, return_index=True)
+        keep = np.sort(first[~inside[first]])
+        assert np.array_equal(sp.dual_generators, D)
+        assert np.array_equal(sp._rays, R[:, keep]) and np.array_equal(sp._incidence, T[keep])
+        assert sp._key == ("polyhedral", sp._rays.shape, R[:, keep].tobytes())
 
 
 def _plain_presentations():
@@ -200,6 +285,16 @@ def test_self_duality_sign_test_matches_nnls_reference(name):
 
 def test_thirty_generators_in_six_dimensions_build_quickly():
     G = np.abs(np.random.default_rng(0).standard_normal((6, 30)))
+    start = time.perf_counter()
+    sp = _cone(G)
+    assert time.perf_counter() - start < 1.0
+    assert np.all(sp.dual_generators.T @ G >= -TOL)
+
+
+@pytest.mark.parametrize("G", [_ngon(600), np.abs(np.random.default_rng(0).standard_normal((8, 40)))],
+                         ids=["600-gon", "40 in R^8"])
+def test_large_facet_tables_build_quickly(G):
+    # 600 and 3,240 facets
     start = time.perf_counter()
     sp = _cone(G)
     assert time.perf_counter() - start < 1.0
@@ -403,6 +498,17 @@ def test_wide_ngons_agree_with_the_kronecker_system(G, counts):
     # Der); the direct sums: one multiplier per summand's components
     full, sym = _assert_both_references(_cone(G))
     assert counts is None or (len(full), len(sym)) == counts
+
+
+def test_both_der_frames_pivot_and_factor_once(monkeypatch):
+    # analyze reads the full and the self-adjoint frame: one ray basis
+    sp = _cone(_ngon(7))
+    calls = []
+    pivots, inv = cone_space._pivots, np.linalg.inv
+    monkeypatch.setattr(cone_space, "_pivots", lambda *a: calls.append("pivots") or pivots(*a))
+    monkeypatch.setattr(np.linalg, "inv", lambda *a: calls.append("inv") or inv(*a))
+    assert (len(derivation_basis(sp)), len(selfadjoint_derivations(sp))) == (1, 1)
+    assert calls == ["pivots", "inv"]
 
 
 def test_polyhedral_derivations_need_no_pinv_and_no_ray_sized_svd(monkeypatch):
