@@ -339,14 +339,82 @@ def _facet_table(R):
     return D[:, first], T[:, first]
 
 
-# scipy is imported where a polyhedral projection or the pointedness LP first
-# calls it, so a cone whose generator sum certifies it pointed is built and
-# analyzed without it; the solvers stay module-level names, which a tracer or
-# a test can patch
-def nnls(*args, **kwargs):
-    """scipy.optimize.nnls, imported on call."""
-    from scipy import optimize
-    return optimize.nnls(*args, **kwargs)
+# a polyhedral projection is this numpy solver, and only the pointedness LP
+# that a cone's generator sum does not certify imports scipy, when it runs; both
+# stay module-level names, which a tracer or a test can patch
+def nnls(A, b, maxiter=None):
+    """min |A x - b| over x >= 0, as (x, |A x - b|): the active set of Lawson
+    & Hanson (Solving Least Squares Problems, 1974, ch. 23).
+
+    The free columns start as those with a positive dual w = A^T b when they
+    are at most as many as the rows and independent, each one with a
+    non-positive least-squares coefficient dropped until the rest are
+    positive (Bro & de Jong's warm start, J. Chemometrics 11, 1997);
+    otherwise none.  Each step then frees the column of largest dual
+    w = A^T (b - A x), O(mn), solves least squares on the free columns and,
+    while a coefficient of that solve is not positive, steps from x toward
+    it as far as x stays non-negative and fixes the columns that reach 0.
+    A w within max(m, n) eps max|A| |b| of 0, its round-off, is not
+    positive; a column whose own coefficient comes out non-positive, which
+    only round-off allows, is not freed again until x moves.  x is optimal
+    when no dual is positive or m independent columns are free (then
+    A x = b).  b is divided by the power of two 2^k that brings max |b|
+    into [1, 2), and x and |A x - b| are multiplied back, so no norm
+    overflows and the answer for 2^j b is exactly 2^j times that for b.  A
+    search that needs more than maxiter least-squares solves (default 3n,
+    as scipy's nnls) raises RuntimeError: no unconverged x is returned."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    m, n = A.shape
+    maxiter = 3 * n if maxiter is None else maxiter
+    k = math.frexp(float(np.max(np.abs(b), initial=0.0)))[1] - 1
+    b = np.ldexp(b, -k)
+    tol = max(m, n) * np.finfo(float).eps * np.abs(A).max(initial=0.0) * np.linalg.norm(b)
+    x, free, refused = np.zeros(n), A.T @ b > tol, np.zeros(n, dtype=bool)
+    solves = itertools.count()
+
+    def solve():
+        """Least squares on the free columns: (z, whether they are independent)."""
+        if next(solves) == maxiter:
+            raise RuntimeError("nnls did not converge in %d least-squares solves" % maxiter)
+        z, _, rank, _ = np.linalg.lstsq(A[:, free], b, rcond=None)
+        return z, rank == z.size
+
+    if np.count_nonzero(free) > m:
+        free[:] = False
+    while free.any():
+        z, independent = solve()
+        if not independent:
+            free[:] = False
+        elif np.all(z > 0):
+            x[free] = z
+            break
+        else:
+            free[np.flatnonzero(free)[z <= 0]] = False
+    while True:
+        w = A.T @ (b - A @ x)
+        w[free | refused] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol or np.count_nonzero(free) == m:
+            r = A @ x - b
+            return np.ldexp(x, k), math.sqrt(r.dot(r)) * 2.0 ** k
+        free[j] = True
+        idx = np.flatnonzero(free)
+        z, independent = solve()
+        if not independent or z[np.searchsorted(idx, j)] <= 0:
+            free[j], refused[j] = False, True
+            continue
+        while not np.all(z > 0):
+            xi, neg = x[idx], z <= 0
+            steps = xi[neg] / (xi[neg] - z[neg])
+            xi = xi + steps.min() * (z - xi)
+            xi[np.flatnonzero(neg)[np.argmin(steps)]] = 0.0
+            x[idx] = np.maximum(xi, 0.0)
+            free[idx[xi <= 0]] = False
+            idx = np.flatnonzero(free)
+            z, _ = solve()
+        x[:] = 0.0
+        x[idx] = z
+        refused[:] = False
 
 
 def linprog(*args, **kwargs):
@@ -500,7 +568,7 @@ class ConeSpace:
 
     def _check_finite(self, x):
         # not on membership: its norm check rejects these vectors too, so
-        # contains, leq, lt and the bisection norm pay for no second check
+        # contains, leq and lt pay for no second check
         x = self._check_dim(x)
         if not np.isfinite(x).all():
             raise ValueError("vector entries are not finite")
@@ -1014,8 +1082,13 @@ class _Polyhedral(ConeSpace):
         return float(np.min(self.dual_generators.T @ x))
 
     def _project(self, x):
+        """x itself when the facets hold it, else R c for c = nnls(R, x) over
+        the unit extreme rays R; a point with R^T x <= 0 is 0 at nnls's first
+        step."""
         if not self._self_dual:
             raise ValueError("Jordan decomposition needs a self-dual cone")
+        if np.min(x @ self.dual_generators) >= 0.0:
+            return x.copy()
         coeff, _ = nnls(self._rays, x)
         return self._rays @ coeff
 
@@ -1024,23 +1097,14 @@ class _Polyhedral(ConeSpace):
         return self._project(x), self._project(-x)
 
     def _unit_norm(self, x, u):
-        """Bisection for x / 2^k, max |x / 2^k| in [1, 2), times 2^k: exact,
-        as the norm is positively homogeneous, and at every scale as fine as
-        the membership band is relative above norm 1."""
+        """max_j |<d_j, x>| / <d_j, u> over the unit dual generators d_j (each
+        <d_j, u> > 0, u an order unit) for x / 2^k, max |x / 2^k| in [1, 2),
+        times 2^k: exact, as the norm is positively homogeneous, and no
+        pairing overflows near the float range."""
+        D = self.dual_generators
         u = self._e if u is None else u
         k = math.frexp(float(np.max(np.abs(x))))[1] - 1
-        x = np.ldexp(x, -k)
-        hi = 1.0
-        while not (self.leq(-hi * u, x) and self.leq(x, hi * u)):
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(80):
-            mid = (lo + hi) / 2.0
-            if self.leq(-mid * u, x) and self.leq(x, mid * u):
-                hi = mid
-            else:
-                lo = mid
-        return math.ldexp(hi, k)
+        return math.ldexp(float(np.max(np.abs(np.ldexp(x, -k) @ D) / (u @ D))), k)
 
     def _L(self, a):
         raise ValueError("a polyhedral cone carries no Jordan product")

@@ -241,8 +241,9 @@ def test_samples_land_where_promised():
 
 def test_order_unit_norm_matches_bisection_at_noncanonical_unit():
     rng = np.random.default_rng(12)
+    # the polygons check the polyhedral closed form against the bisection
     for sp in (ConeSpace.orthant(4), ConeSpace.lorentz(4), ConeSpace.psd_real(3),
-               ConeSpace.hermitian(2)):
+               ConeSpace.hermitian(2), ngon_cone(4), ngon_cone(5), ngon_cone(13)):
         for _ in range(5):
             u = sp.sample_interior_point(rng)
             assert not np.allclose(u, sp.canonical_unit())
@@ -263,14 +264,24 @@ def test_polyhedral_order_unit_norm_is_exactly_homogeneous(n):
 @pytest.mark.parametrize("n", range(3, 14))
 def test_polyhedral_order_unit_norm_matches_the_closed_form_at_every_scale(n):
     # the bisection's absolute band floor answered 8.27e-25 at 1e-30 u on the
-    # 5-gon, and its 1e18 cap and the norm check of 1e300 u raised
+    # 5-gon, and its 1e18 cap and the norm check of 1e300 u raised.  The norm
+    # is the closed form of x / 2^k times 2^k, so it is the reference's to a
+    # few ulps at every scale
     sp = ngon_cone(n)
     u = sp.canonical_unit()
     rng = np.random.default_rng(n)
     for scale in (1e-30, 1e-10, 1.0, 1e19, 1e100, 1e300):
         for x in [u] + [rng.standard_normal(3) for _ in range(5)]:
             want = polyhedral_unit_norm(sp, scale * x, u)
-            assert abs(sp.order_unit_norm(scale * x) - want) <= 1e-8 * want
+            assert abs(sp.order_unit_norm(scale * x) - want) <= 4 * np.spacing(want)
+    # entries near 1e308 with a norm of at most 1e308, where the reference's
+    # pairings may overflow: it reads x / 1e308 instead, and the division and
+    # the product round twice
+    for x in [u] + [rng.uniform(-1, 1, 3) for _ in range(5)]:
+        x = x / np.max(np.abs(x))
+        x = 1e308 * x / max(1.0, polyhedral_unit_norm(sp, x, u))
+        want = polyhedral_unit_norm(sp, x / 1e308, u) * 1e308
+        assert abs(sp.order_unit_norm(x) - want) <= 4 * np.spacing(want)
 
 
 def test_polyhedral_self_duality_is_decided_once(monkeypatch):

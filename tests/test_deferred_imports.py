@@ -1,16 +1,18 @@
 """Guard: scipy is loaded only where it is used.
 
-Only a polyhedral projection (nnls), the pointedness LP that a cone's
-generator sum does not certify (linprog) and the witness search of a
-refuted is_derivation (expm) call scipy, and each of those imports its
-routine when it runs; the search runs only when the witness is read.  So
-a process that works on the Jordan kinds alone loads no scipy module, and
-neither does one that builds a pentagon or a rotated orthant and analyzes
-it: the facets come from a numpy double description and the Der basis
-from numpy pivots, and the refuted facial homogeneity of the pentagon
-searches no witness that nothing reads.  Nor does a decision that refuses
-an operator without a witness: a compose that falls back to JordanOnly,
-or a derivation spectrum of a matrix outside Der(cone).
+Only the pointedness LP that a cone's generator sum does not certify
+(linprog) and the witness search of a refuted is_derivation (expm) call
+scipy, and each of those imports its routine when it runs; the search runs
+only when the witness is read.  So a process that works on the Jordan kinds
+alone loads no scipy module, and neither does one that builds a pentagon or
+a rotated orthant and analyzes it: the facets come from a numpy double
+description and the Der basis from numpy pivots, and the refuted facial
+homogeneity of the pentagon searches no witness that nothing reads.  Nor
+does a decision that refuses an operator without a witness: a compose that
+falls back to JordanOnly, or a derivation spectrum of a matrix outside
+Der(cone).  Nor do the point queries on a polyhedral cone: membership,
+order and the order-unit norm read the facets, and a projection (so a
+Jordan decomposition) is cone_space's numpy active set.
 
 Other test modules import scipy at module level, so in this process the
 deferred imports are already satisfied.  Only a fresh interpreter shows
@@ -110,14 +112,34 @@ report["answers"] = polyhedral_answers(
 print(json.dumps(report))
 """
 
-# a polyhedral projection alone, after the cone is built
-PROJECT = POLYHEDRAL + SCIPY_MODULES + """
+# the six point queries of the benchmark's cone_queries on a pentagon and a
+# rotated orthant in R^5, after the cones are built: the scipy modules loaded
+# after each stage, and the answers as JSON values
+QUERIES = POLYHEDRAL + SCIPY_MODULES + """
 import json
 
-space = ConeSpace.polyhedral(pentagon())
-built = scipy_modules()
-space.project(np.array([1.0, 2.0, -3.0]))
-print(json.dumps([built, scipy_modules()]))
+
+def query_answers():
+    rng = np.random.default_rng(1)
+    rotated = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    spaces = [ConeSpace.polyhedral(pentagon()), ConeSpace.polyhedral(list(rotated.T))]
+    loaded = [scipy_modules()]
+    answers = []
+    for space in spaces:
+        u = space.canonical_unit()
+        # outside K and -K, inside K, and inside -K
+        for x in (rng.standard_normal(space.dim), u + 0.1 * rng.standard_normal(space.dim), -u):
+            y = x + space.sample_interior_point(rng)
+            xp, xm = space.jordan_decompose(x)
+            answers.append([space.membership(x).value, space.project(x).tolist(),
+                            xp.tolist(), xm.tolist(), space.order_unit_norm(x),
+                            space.leq(x, y), space.lt(x, y), space.lt(y, x)])
+    loaded.append(scipy_modules())
+    return loaded, answers
+
+
+if __name__ == "__main__":
+    print(json.dumps(query_answers()))
 """
 
 
@@ -154,7 +176,12 @@ def test_jordan_commands_load_no_scipy_and_polyhedral_answers_match(tmp_path):
     assert here["pointed"] and here["is_derivation"][0] == "Refuted"
 
 
-def test_a_polyhedral_projection_loads_scipy_optimize():
-    built, projected = _fresh(PROJECT)
-    assert built == []
-    assert "scipy.optimize" in projected
+def test_polyhedral_point_queries_load_no_scipy_and_match():
+    (built, queried), answers = _fresh(QUERIES)
+    assert built == [] and queried == []
+    namespace = {}
+    exec(QUERIES, namespace)
+    here = json.loads(json.dumps(namespace["query_answers"]()[1]))
+    assert answers == here
+    # the three points of each cone: outside K and -K, inside K, inside -K
+    assert [a[0] for a in answers] == ["Outside", "Interior", "Outside"] * 2
