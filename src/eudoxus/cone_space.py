@@ -41,6 +41,9 @@ derivation come from _eigenfaces, which clusters the kind's own values
 (the spectral values of delta e, or the extreme rays' quotients) and
 returns the means, the witnesses and the runs, but no projector:
 _run_projectors builds a run's faces only for a caller that reads them,
+_run_parts gives a point's part in each run's face (the Peirce parts
+U_c a = 2 c o (c o a) - c o a by Jordan products on a Jordan kind, with
+no projector; P a over the checked span projectors on a polyhedral cone),
 and _run_pieces gives the runs' minimal pieces.
 
 The single tolerance knob TOL classifies membership: Boundary is a band
@@ -666,7 +669,8 @@ class ConeSpace:
 
     def order_unit_norm(self, x, u=None):
         """inf {t >= 0 : -t u <= x <= t u} for an order unit u (default
-        the canonical unit)."""
+        the canonical unit).  A norm past the float range raises
+        ValueError."""
         x = self._check_finite(x)
         if u is not None:
             u = self._check_dim(u)
@@ -674,7 +678,10 @@ class ConeSpace:
                 raise ValueError("u is not an order unit")
         if not np.any(x):
             return 0.0
-        return self._unit_norm(x, u)
+        norm = self._unit_norm(x, u)
+        if not math.isfinite(norm):
+            raise ValueError("order-unit norm is not finite")
+        return norm
 
     # -- sampling ------------------------------------------------------------
 
@@ -727,21 +734,29 @@ class _JordanSpace(ConeSpace):
         return C[0] @ np.maximum(w[0], 0.0), C[0] @ np.maximum(-w[0], 0.0)
 
     def _unit_norm(self, x, u):
-        if u is not None:
-            # quadratic representation 2 L(y)^2 - L(y^2) of y = u^(-1/2)
-            w, C = self._spectral(u[None])
-            Ly = self._L(C[0] @ w[0] ** -0.5)
-            x = (2.0 * Ly @ Ly - self._L(C[0] @ (1.0 / w[0]))) @ x
-        return float(np.max(np.abs(self._eigvals(x))))
+        if u is None:
+            return float(np.max(np.abs(self._eigvals(x))))
+        # the quadratic representation 2 L(y)^2 - L(y^2) of y = u^(-1/2):
+        # past the float range U_y x has an inf or nan entry, and so has its
+        # norm, which order_unit_norm refuses, with no warning
+        w, C = self._spectral(u[None])
+        Ly = self._L(C[0] @ w[0] ** -0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._unit_norm((2.0 * Ly @ Ly - self._L(C[0] @ (1.0 / w[0]))) @ x, None)
 
     def _sample_cone_point(self, rng):
         return self.project(rng.standard_normal(self.dim))
 
+    def _L_stack(self, C):
+        """The L(c) (f, dim, dim) of a stack of points C (f, dim): L is linear,
+        so they are one matmul of C with the L(e_j) as rows of dim^2 entries."""
+        d = self.dim
+        return (C @ self._L_units.reshape(d, d * d)).reshape(-1, d, d)
+
     def _U(self, C):
         """Peirce compressions 2 L(c)^2 - L(c) of a stack of idempotents
-        (f, dim): the projectors onto the spans of the faces they support.
-        L is linear, so the L(c) come from one tensordot with the L(e_j)."""
-        L = np.tensordot(C, self._L_units, axes=1)
+        (f, dim): the projectors onto the spans of the faces they support."""
+        L = self._L_stack(C)
         return 2.0 * L @ L - L
 
     def _cone_spectral(self, X, band):
@@ -782,6 +797,14 @@ class _JordanSpace(ConeSpace):
     def _run_projectors(self, C, runs):
         """The faces U_c of the units c of the runs of _eigenfaces."""
         return self._U(C)
+
+    def _run_parts(self, C, runs, a, projectors):
+        """The Peirce parts U_c a = 2 c o (c o a) - c o a of a in the faces
+        of the units c of the runs of _eigenfaces, idempotents: two Jordan
+        products each, by one _L_stack, and no projector is built or read."""
+        L = self._L_stack(C)
+        La = L @ a
+        return 2.0 * np.vecdot(L, La[:, None, :]) - La
 
     def _run_pieces(self, lams, C, runs):
         """(lam, frame element) for the frame elements of each run of
@@ -1100,11 +1123,12 @@ class _Polyhedral(ConeSpace):
         """max_j |<d_j, x>| / <d_j, u> over the unit dual generators d_j (each
         <d_j, u> > 0, u an order unit) for x / 2^k, max |x / 2^k| in [1, 2),
         times 2^k: exact, as the norm is positively homogeneous, and no
-        pairing overflows near the float range."""
+        pairing overflows near the float range.  A norm past it is the
+        float product's inf, which order_unit_norm refuses."""
         D = self.dual_generators
         u = self._e if u is None else u
         k = math.frexp(float(np.max(np.abs(x))))[1] - 1
-        return math.ldexp(float(np.max(np.abs(np.ldexp(x, -k) @ D) / (u @ D))), k)
+        return float(np.max(np.abs(np.ldexp(x, -k) @ D) / (u @ D))) * 2.0 ** k
 
     def _L(self, a):
         raise ValueError("a polyhedral cone carries no Jordan product")
@@ -1170,6 +1194,11 @@ class _Polyhedral(ConeSpace):
     def _run_projectors(self, W, runs):
         """The faces spanning the rays of each run of _eigenfaces."""
         return self._generator_faces(runs)[0]
+
+    def _run_parts(self, W, runs, a, projectors):
+        """P a over the family's checked projectors, the spans of the runs'
+        rays, read through projectors()."""
+        return projectors() @ a
 
     def _run_pieces(self, lams, W, runs):
         """The frame terms of each run's witness, the sum of its rays, at the

@@ -407,10 +407,11 @@ class _RunFamily(SpectralFaceFamily):
     kind's _eigenfaces clustered, from which the projectors (U_c of each
     witness c on a Jordan kind, the span of the run's rays on a polyhedral
     cone) are built and checked on their first read, and the minimal pieces
-    of the witnesses on theirs.  Each witness is its own face's unit (a sum
-    of frame elements, or of unit rays), so the witnesses are set as _units
-    in place of the cached property, and reconstruct_from_faces decomposes
-    none."""
+    of the witnesses on theirs; parts(a), a point's part in each face, reads
+    the projectors only on a polyhedral cone.  Each witness is its own
+    face's unit (a sum of frame elements, or of unit rays), so the witnesses
+    are set as _units in place of the cached property, and
+    reconstruct_from_faces decomposes none."""
 
     def __init__(self, host, lams, witnesses, runs):
         self.host = host
@@ -422,6 +423,13 @@ class _RunFamily(SpectralFaceFamily):
     def projectors(self):
         return _checked_family(self.host._run_projectors(self.witnesses, self._runs),
                                self.witnesses)
+
+    def parts(self, a):
+        """The part of a in each face (f, dim), by the kind's _run_parts: the
+        Peirce parts U_c a of the witnesses c by Jordan products on a Jordan
+        kind, with no projector; P a over the checked projectors on a
+        polyhedral cone."""
+        return self.host._run_parts(self.witnesses, self._runs, a, lambda: self.projectors)
 
     @functools.cached_property
     def pieces(self):

@@ -128,7 +128,7 @@ def _solve_selfadjoint_derivation(space, a, a_prime):
     b, s = _pow2_scaled(a_prime)
     if np.linalg.norm((A @ coef - a_prime) / s) > 1e-8 * max(1.0 / s, np.linalg.norm(b)):
         return None
-    return Derivation(space, np.tensordot(coef, S, axes=1))
+    return Derivation(space, (coef @ S.reshape(len(S), -1)).reshape(space.dim, space.dim))
 
 
 def ratio_from_pair(space, a_prime, a, max_den=10**6):
@@ -151,11 +151,14 @@ def ratio_from_pair(space, a_prime, a, max_den=10**6):
 def _ratio_from_family(space, M, family, a, max_den):
     """The ratio M a : a of an arbitrary order unit a, decomposed along the
     spectral faces of M: the consequent is compressed onto every face at
-    once by the family's projectors, and the parts are split into minimal
-    pieces by one stacked call of the kind's frame terms (one spectral
-    decomposition on a Jordan kind); the parts must sum back to a."""
+    once by the family's parts, U_c a = 2 c o (c o a) - c o a for the
+    witnesses c on a Jordan kind, with no projector built, and P a over the
+    checked projectors on a polyhedral cone; the parts are split into
+    minimal pieces by one stacked call of the kind's frame terms (one
+    spectral decomposition on a Jordan kind), which refuses a part outside
+    the cone, and must sum back to a."""
     max_den = _check_max_den(max_den)
-    parts = family.projectors @ a
+    parts = family.parts(a)
     terms = space._frame_terms(parts)
     pieces = _face_pieces(family.lams, terms)
     _check_split(np.linalg.norm(parts.sum(axis=0) - a), np.linalg.norm(a))

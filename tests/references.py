@@ -142,9 +142,10 @@ def eager_decomposition(space, family, a, max_den):
     """Reference: the (lam, bracket, component) entries of the ratio
     M a : a over the spectral family of M, each face's Stern-Brocot bracket
     computed as its pieces are split off, as _ratio_from_family built them
-    before the brackets were deferred to the first read; a multiplier is
+    before the brackets were deferred to the first read, from the parts of a
+    that _ratio_from_family splits (the family's parts); a multiplier is
     bracketed when above TOL times the largest |lam| of a face with pieces."""
-    parts = family.projectors @ a
+    parts = family.parts(a)
     terms = space._frame_terms(parts)
     floor = TOL * max((abs(lam) for lam, t in zip(family.lams, terms) if t), default=0.0)
     out = []

@@ -341,6 +341,19 @@ def test_a_norm_past_the_float_range_is_rejected_without_a_warning(sp):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sp", all_kinds() + [ngon_cone(3)], ids=repr)
+def test_an_order_unit_norm_past_the_float_range_raises_without_a_warning(sp):
+    # at u = e / 1000 the norm of x = (1.7e308, 1, ..., 1) is about 1.7e311:
+    # the polygon's power-of-two rescaling raised OverflowError, and orthant
+    # and lorentz returned inf with an overflow warning
+    x = np.ones(sp.dim)
+    x[0] = 1.7e308
+    with pytest.raises(ValueError, match="order-unit norm is not finite"):
+        sp.order_unit_norm(x, 1e-3 * sp.canonical_unit())
+    assert np.isfinite(sp.order_unit_norm(x))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lorentz_reads_a_point_whose_squared_norm_overflows_as_psd_real_does():
     # |z|^2 overflows above about 1.3e154 with every entry finite: project
     # and jordan_decompose gave [inf nan nan] and the norm inf.  The same
