@@ -23,9 +23,12 @@ of y = u^(-1/2), the derivations are L(V) + [L(V), L(V)], and two
 ratios' multipliers are paired by their coordinates on a common frame
 (_frame_pairs).
 Polyhedral cones carry no Jordan product and answer the same private
-hooks from their extreme rays and facet incidence table, built in numpy by
-one double description of the unit generators (_facet_table).  The public
-methods all live on ConeSpace; the kind classes only supply the hooks.
+hooks from their extreme rays and facet incidence table, built in numpy
+(_facet_table): in R^3 from the angular order of the extreme rays, else by
+one double description of the unit generators.  A cone in R^3 projects in
+closed form (_Polyhedral3), one in any other dimension by an active set
+(_PolyhedralNnls).  The public methods all live on ConeSpace; the kind
+classes only supply the hooks.
 
 Every kind builds faces in stacks through one pair of hooks: _faces_of
 maps points (f, dim) to span projectors (f, dim, dim) and witnesses, and
@@ -331,12 +334,60 @@ def _double_description(R):
     return Y
 
 
+def _chain(points, order, band):
+    """One half of Andrew's monotone chain (Inf. Proc. Lett. 9, 1979): the
+    indices, in order, of the points that stay in the chain, each more than
+    band to the left of the line through its two neighbours there."""
+    hull = []
+    for i in order:
+        px, py = points[i]
+        while len(hull) > 1:
+            (ox, oy), (ax, ay) = points[hull[-2]], points[hull[-1]]
+            dx, dy = px - ox, py - oy
+            if (ax - ox) * dy - (ay - oy) * dx > band * math.hypot(dx, dy):
+                break
+            hull.pop()
+        hull.append(i)
+    return hull
+
+
+def _angular_facets(R):
+    """The unit dual generators, as columns, of cone(R) for unit columns R in
+    R^3, or None when their sum c is no pointedness certificate
+    (_sum_certifies).  The central section R / <c, R>, read in the two
+    coordinates other than the one where |c| is largest (an affine image
+    of it), is a convex polygon around c; its hull vertices, by the monotone chain, are the extreme
+    rays in angular order, and the cross product of each adjacent pair is
+    a facet normal.  A point within TOL times the section's width of the
+    line through its neighbours is no vertex, so a repeated generator, one
+    inside a facet and one inside the cone add no facet."""
+    c = R.sum(axis=1)
+    if not _sum_certifies(R, c):
+        return None
+    k = int(np.argmax(np.abs(c)))
+    P = R[[(k + 1) % 3, (k + 2) % 3]] / (c @ R)
+    order = np.lexsort(P[::-1]).tolist()
+    points = P.T.tolist()
+    width = max(points[order[-1]][0] - points[order[0]][0], float(P[1].max() - P[1].min()))
+    hull = _chain(points, order, TOL * width)[:-1] + _chain(points, order[::-1], TOL * width)[:-1]
+    if c[k] < 0.0:  # the two coordinates turn the other way round c
+        hull.reverse()
+    # a x b from the rows (1, 2, 0, 2, 0, 1) of a and b
+    Q = R[[1, 2, 0, 2, 0, 1]]
+    A, B = Q[:, hull], Q[:, hull[1:] + hull[:1]]
+    D = A[:3] * B[3:] - A[3:] * B[:3]
+    return D / np.sqrt(np.vecdot(D, D, axis=0))
+
+
 def _facet_table(R):
     """(D, T): the unit dual generators D of cone(R), R full-dimensional,
     pointed and of unit columns, and their incidence table T = _incidence(R,
-    D): _double_description's rays, the first of each set with equal
-    incidence columns kept."""
-    D = _double_description(R).T
+    D): in R^3 the cross products of adjacent extreme rays (_angular_facets),
+    else, or when the generator sum certifies nothing, _double_description's
+    rays; the first of each set with equal incidence columns kept."""
+    D = _angular_facets(R) if len(R) == 3 else None
+    if D is None:
+        D = _double_description(R).T
     T = _incidence(R, D)
     first = _first_distinct(T.T)
     return D[:, first], T[:, first]
@@ -431,6 +482,12 @@ def linprog(*args, **kwargs):
 LP_FEASIBILITY_TOL = 1e-7
 
 
+def _sum_certifies(G, y):
+    """Whether the sum y of the unit generators G proves cone(G) pointed:
+    min y^T G > LP_FEASIBILITY_TOL sqrt(dim) |y| (_is_pointed)."""
+    return bool(np.min(y @ G) > LP_FEASIBILITY_TOL * math.sqrt(len(G) * y.dot(y)))
+
+
 def _is_pointed(G):
     """cone(G) of unit generators G is pointed iff 0 is not a nontrivial
     nonnegative combination of them.
@@ -444,8 +501,7 @@ def _is_pointed(G):
     exists, and the cone is pointed.  Otherwise the LP decides.
     """
     dim, m = G.shape
-    y = G.sum(axis=1)
-    if np.min(y @ G) > LP_FEASIBILITY_TOL * math.sqrt(dim) * np.linalg.norm(y):
+    if _sum_certifies(G, G.sum(axis=1)):
         return True
     res = linprog(
         c=np.zeros(m),
@@ -556,7 +612,7 @@ class ConeSpace:
             raise ValueError("generators do not span the space; cone has empty interior")
         if not _is_pointed(R):
             raise ValueError("cone contains a line")
-        return _Polyhedral(G, R, *_facet_table(R))
+        return (_Polyhedral3 if len(R) == 3 else _PolyhedralNnls)(G, R, *_facet_table(R))
 
     def __repr__(self):
         return "ConeSpace(%s, param=%d, dim=%d)" % (self.kind, self.param, self.dim)
@@ -637,8 +693,10 @@ class ConeSpace:
 
     @functools.cached_property
     def _selfadjoint_mats(self):
-        """_derivation_mats(selfadjoint=True) as one read-only (k, dim, dim) stack."""
-        S = np.array(self._derivation_mats(selfadjoint=True)).reshape(-1, self.dim, self.dim)
+        """_derivation_mats(selfadjoint=True) as one read-only (k, dim, dim)
+        stack: a view of the hook's own stack when it gives one (_L_units on
+        the orthant and lorentz), not a copy."""
+        S = np.asarray(self._derivation_mats(selfadjoint=True)).reshape(-1, self.dim, self.dim)
         S.flags.writeable = False
         return S
 
@@ -859,20 +917,20 @@ class _JordanSpace(ConeSpace):
         norms = np.sqrt(np.vecdot(X, X))
         return coords, np.divide(np.sqrt(np.vecdot(R, R)), norms, out=np.zeros(2), where=norms > 0.0)
 
-    def _selfadjoint_units(self):
-        return np.eye(self.dim)
-
     @functools.cached_property
     def _L_units(self):
-        """The L(e_j) of the coordinate units, shape (dim, dim, dim), built
-        on first use."""
-        return np.array([self._L(u) for u in np.eye(self.dim)])
+        """The L(e_j) of the coordinate units, one read-only (dim, dim, dim)
+        stack, built on first use."""
+        L = np.array([self._L(u) for u in np.eye(self.dim)])
+        L.flags.writeable = False
+        return L
 
     def _derivation_mats(self, selfadjoint=False):
-        """Self-adjoint derivations L(s) over the kind's units; all
-        derivations as an orthonormal basis of L(V) + [L(V), L(V)]."""
+        """Self-adjoint derivations: the L(e_j) of the coordinate units, the
+        _L_units stack itself; all derivations as an orthonormal basis of
+        L(V) + [L(V), L(V)]."""
         if selfadjoint:
-            return [self._L(s) for s in self._selfadjoint_units()]
+            return self._L_units
         Ls = self._L_units
         brackets = (A @ B - B @ A for A, B in itertools.combinations(Ls, 2))
         return _orthonormal_span(Ls) + _orthonormal_span(brackets)
@@ -1065,9 +1123,12 @@ class _MatrixSpace(_JordanSpace):
             V[:, i:j] = W
         return self._frames(V[None])[0]
 
-    def _selfadjoint_units(self):
-        # 2 L(S) is X -> S X + X S for the matrix unit S
-        return [2.0 * self._vec(S) for S in self._units(self._k)]
+    def _derivation_mats(self, selfadjoint=False):
+        """Self-adjoint derivations 2 L(S), X -> S X + X S, over the matrix
+        units S; all derivations as _JordanSpace builds them."""
+        if selfadjoint:
+            return [self._L(2.0 * self._vec(S)) for S in self._units(self._k)]
+        return super()._derivation_mats()
 
 
 # ---------------------------------------------------------------------------
@@ -1079,7 +1140,9 @@ class _Polyhedral(ConeSpace):
     (Kaibel & Pfetsch, Comput. Geom. 23, 2002): a generator is extreme
     when its facets meet in a line, i.e. no generator lies on a strict
     superset of them, and one is kept per incidence row.  Self-dual means
-    min R^T R >= -TOL and min D^T D >= -TOL."""
+    min R^T R >= -TOL and min D^T D >= -TOL.  ConeSpace.polyhedral builds
+    one of two subclasses by dimension, which differ only in how they
+    project a point outside the facets (_project_outside)."""
 
     def __init__(self, G, R, D, T):
         super().__init__("polyhedral", G.shape[0], generators=G, dual_generators=D)
@@ -1105,15 +1168,12 @@ class _Polyhedral(ConeSpace):
         return float(np.min(self.dual_generators.T @ x))
 
     def _project(self, x):
-        """x itself when the facets hold it, else R c for c = nnls(R, x) over
-        the unit extreme rays R; a point with R^T x <= 0 is 0 at nnls's first
-        step."""
+        """x itself when the facets hold it, else the kind's _project_outside."""
         if not self._self_dual:
             raise ValueError("Jordan decomposition needs a self-dual cone")
         if np.min(x @ self.dual_generators) >= 0.0:
             return x.copy()
-        coeff, _ = nnls(self._rays, x)
-        return self._rays @ coeff
+        return self._project_outside(x)
 
     def _jordan_parts(self, x):
         # Moreau: x_minus is the projection of -x, as the polar cone is -K
@@ -1285,3 +1345,49 @@ class _Polyhedral(ConeSpace):
         """Extreme-ray / dual-generator pairs with zero pairing."""
         return [(self._rays[:, i], self.dual_generators[:, j])
                 for i, j in zip(*np.nonzero(self._incidence))]
+
+
+class _PolyhedralNnls(_Polyhedral):
+    """A polyhedral cone in any dimension but 3, projected by the active set."""
+
+    def _project_outside(self, x):
+        """R c for c = nnls(R, x) over the unit extreme rays R; a point with
+        R^T x <= 0 is 0 at nnls's first step."""
+        coeff, _ = nnls(self._rays, x)
+        return self._rays @ coeff
+
+
+class _Polyhedral3(_Polyhedral):
+    """A pointed polyhedral cone in R^3, whose proper faces are 0, its m
+    extreme rays and its m facets, each facet the cone over two extreme
+    rays: its projection is the nearest of the 2m face shadows, in closed
+    form."""
+
+    @functools.cached_property
+    def _facet_inverses(self):
+        """The left inverses of the 3 x 2 matrices of the two unit extreme rays
+        of each facet, read from the incidence table, stacked as one (2f, 3)
+        array: L y is the two rays' coefficients of the shadow of y on every
+        facet at once."""
+        E = self._rays.T[np.nonzero(self._incidence.T)[1].reshape(-1, 2)]
+        return np.linalg.pinv(E.mT).reshape(-1, 3)
+
+    def _project_outside(self, x):
+        """For y = x / 2^k, max |y| in [1, 2), as nnls divides, 2^k times the
+        nearest to y of the shadows y - <d, y> d on the facets d whose two
+        rays' coefficients are non-negative and the shadows max(<y, r>, 0) r
+        on the extreme rays r.  Exact: the projection lies in the relative
+        interior of a face, where it is the shadow on that face's span, and
+        every other candidate lies in the cone, so none is nearer."""
+        D = self.dual_generators
+        k = math.frexp(float(np.max(np.abs(x))))[1] - 1
+        y = np.ldexp(x, -k)
+        s = y @ D
+        on_facet = np.all((self._facet_inverses @ y).reshape(-1, 2) >= 0.0, axis=1)
+        facet = np.where(on_facet, s * s, np.inf)
+        R = self._rays
+        t = np.maximum(y @ R, 0.0)
+        Z = y[:, None] - R * t
+        ray = np.vecdot(Z, Z, axis=0)
+        j, i = int(np.argmin(facet)), int(np.argmin(ray))
+        return np.ldexp(y - s[j] * D[:, j] if facet[j] < ray[i] else t[i] * R[:, i], k)

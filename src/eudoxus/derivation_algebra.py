@@ -160,12 +160,19 @@ def _derivation_residuals(space, Ms):
     return res * s, res > DER_TOL * np.maximum(np.sqrt(np.vecdot(V, V)), 1.0 / s)
 
 
-def _der_verdict(space, M):
-    """(M, verdict): M as a float array of the space's shape with finite
-    entries (else ValueError), and whether its residual puts it in Der."""
+def _finite_operator(space, M):
+    """M as a float array of the space's shape with finite entries, else
+    ValueError."""
     M = Derivation(space, M).mat
     if not np.isfinite(M).all():
         raise ValueError("operator has non-finite entries")
+    return M
+
+
+def _der_verdict(space, M):
+    """(M, verdict): _finite_operator(space, M), and whether its residual
+    puts it in Der."""
+    M = _finite_operator(space, M)
     (res,), (outside,) = _derivation_residuals(space, M[None])
     if not outside:
         return M, Verdict("Verified", "inside the derivation parametrization")
@@ -503,6 +510,14 @@ def spectral_faces(space, delta):
     M, verdict = _der_verdict(space, delta)
     if not verdict:
         raise NotSelfAdjointDerivation("operator is not a derivation: %r" % verdict)
+    return _selfadjoint_family(space, M)
+
+
+def _selfadjoint_family(space, M):
+    """spectral_faces of a finite M of the space's shape that lies in Der by
+    construction, as ratio_from_pair's combination of the self-adjoint Der
+    basis: an asymmetric M is refused, and M is not projected onto the Der
+    frame again."""
     if _asymmetric(M):
         raise NotSelfAdjointDerivation("spectral faces need a self-adjoint derivation")
     return _RunFamily(space, *space._eigenfaces(M, _cluster))

@@ -40,7 +40,9 @@ from eudoxus.exact_rational import (
 from eudoxus.derivation_algebra import (
     Derivation,
     NotSelfAdjointDerivation,
+    _finite_operator,
     _pow2_scaled,
+    _selfadjoint_family,
     spectral_faces,
 )
 
@@ -145,7 +147,10 @@ def ratio_from_pair(space, a_prime, a, max_den=10**6):
     delta = _solve_selfadjoint_derivation(space, a, a_prime)
     if delta is None:
         raise NotComparable("antecedent is not face-diagonal over the consequent")
-    return _ratio_from_family(space, delta.mat, spectral_faces(space, delta), a, max_den)
+    # a combination of the self-adjoint Der basis lies in Der: checked for its
+    # shape, finiteness and symmetry, but not projected onto the Der frame
+    M = _finite_operator(space, delta.mat)
+    return _ratio_from_family(space, M, _selfadjoint_family(space, M), a, max_den)
 
 
 def _ratio_from_family(space, M, family, a, max_den):

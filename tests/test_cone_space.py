@@ -18,7 +18,7 @@ from eudoxus.cone_space import (
     vec_to_sym,
 )
 from eudoxus.face_lattice import minimal_decomposition
-from references import herm_to_vec, ngon_cone, norm_by_bisection, polyhedral_unit_norm
+from references import herm_to_vec, ngon_cone, norm_by_bisection, polyhedral_unit_norm, rotated_orthant
 
 
 def all_kinds():
@@ -284,18 +284,40 @@ def test_polyhedral_order_unit_norm_matches_the_closed_form_at_every_scale(n):
         assert abs(sp.order_unit_norm(x) - want) <= 4 * np.spacing(want)
 
 
-def test_polyhedral_self_duality_is_decided_once(monkeypatch):
+def _counting_nnls(monkeypatch):
     from eudoxus import cone_space
 
-    r = np.cos(np.pi / 5) ** -0.5
-    sp = ConeSpace.polyhedral([np.array([1.0, r * np.cos(2 * np.pi * i / 5),
-                                         r * np.sin(2 * np.pi * i / 5)]) for i in range(5)])
     calls = []
     real_nnls = cone_space.nnls
     monkeypatch.setattr(cone_space, "nnls", lambda *a: calls.append(1) or real_nnls(*a))
+    return calls
+
+
+def test_polyhedral_self_duality_is_decided_once(monkeypatch):
+    sp = rotated_orthant(4, 1)
+    calls = _counting_nnls(monkeypatch)
+    assert sp.is_self_dual()
+    x = np.array([0.2, 1.0, -0.5, 0.3])
+    assert not sp.contains(x) and not sp.contains(-x)
+    sp.project(x)
+    assert len(calls) == 1
+
+
+def test_polyhedral_self_duality_is_decided_once_in_r3(monkeypatch):
+    # a cone in R^3 projects in closed form: no nnls call at all
+    sp = ngon_cone(5)
+    calls = _counting_nnls(monkeypatch)
     assert sp.is_self_dual()
     sp.project(np.array([0.2, 1.0, -0.5]))
-    assert len(calls) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("sp", [ConeSpace.orthant(5), ConeSpace.lorentz(5)], ids=repr)
+def test_selfadjoint_stack_is_the_l_units_stack(sp):
+    # the self-adjoint basis of these kinds is the L(e_j): one stack, no copy
+    S, L = sp._selfadjoint_mats, sp._L_units
+    assert np.shares_memory(S, L) and np.array_equal(S, L)
+    assert not S.flags.writeable and not L.flags.writeable
 
 
 def test_jordan_multiplication_operator():

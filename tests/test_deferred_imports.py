@@ -5,14 +5,16 @@ Only the pointedness LP that a cone's generator sum does not certify
 scipy, and each of those imports its routine when it runs; the search runs
 only when the witness is read.  So a process that works on the Jordan kinds
 alone loads no scipy module, and neither does one that builds a pentagon or
-a rotated orthant and analyzes it: the facets come from a numpy double
-description and the Der basis from numpy pivots, and the refuted facial
+a rotated orthant and analyzes it: the facets come from numpy (the
+pentagon's from the angular order of its rays, the orthant's from a double
+description) and the Der basis from numpy pivots, and the refuted facial
 homogeneity of the pentagon searches no witness that nothing reads.  Nor
 does a decision that refuses an operator without a witness: a compose that
 falls back to JordanOnly, or a derivation spectrum of a matrix outside
 Der(cone).  Nor do the point queries on a polyhedral cone: membership,
 order and the order-unit norm read the facets, and a projection (so a
-Jordan decomposition) is cone_space's numpy active set.
+Jordan decomposition) is the nearest face shadow in R^3 and cone_space's
+numpy active set elsewhere.
 
 Other test modules import scipy at module level, so in this process the
 deferred imports are already satisfied.  Only a fresh interpreter shows

@@ -1363,7 +1363,9 @@ def test_is_derivation_rejects_non_finite_operators(sp, bad):
                          ids=repr)
 def test_each_operator_is_verified_once(monkeypatch, sp):
     # products of commuting derivations stay derivations on these cones, so
-    # compose gives a Ratio; the one decision is spectral_faces' Der residual
+    # compose gives a Ratio; the one decision is spectral_faces' Der residual,
+    # and ratio_from_pair's operator, a combination of the self-adjoint Der
+    # basis, takes none
     delta = _random_selfadjoint(sp, np.random.default_rng(4)).mat
     partner = 1.5 * np.eye(sp.dim) + 0.5 * delta  # commutes with delta
     r = ratio_calculus.from_derivation(sp, delta, max_den=64)
@@ -1375,15 +1377,30 @@ def test_each_operator_is_verified_once(monkeypatch, sp):
         calls.append(len(Ms))
         return residuals(space, Ms)
     monkeypatch.setattr(derivation_algebra, "_derivation_residuals", counting)
-    for run in (lambda: ratio_calculus.from_derivation(sp, delta, max_den=64),
-                lambda: ratio_calculus.compose(r, s, max_den=64),
-                lambda: ratio_calculus.add(r, s, max_den=64),
-                lambda: ratio_calculus.ratio_from_pair(sp, delta @ sp.canonical_unit(),
-                                                       sp.canonical_unit(), max_den=64)):
+    for run, want in ((lambda: ratio_calculus.from_derivation(sp, delta, max_den=64), [1]),
+                      (lambda: ratio_calculus.compose(r, s, max_den=64), [1]),
+                      (lambda: ratio_calculus.add(r, s, max_den=64), [1]),
+                      (lambda: ratio_calculus.ratio_from_pair(sp, delta @ sp.canonical_unit(),
+                                                              sp.canonical_unit(), max_den=64), [])):
         calls.clear()
         out = run()
         assert isinstance(out, ratio_calculus.Ratio)
-        assert calls == [1]
+        assert calls == want
+
+
+@given(sp=st.sampled_from(SPECTRAL_CONES), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]))
+@settings(max_examples=100, deadline=None)
+def test_ratio_from_pair_operator_is_a_derivation(sp, seed, scale):
+    # ratio_from_pair no longer projects its solved operator onto the Der
+    # frame: the combination of the self-adjoint basis is verified here
+    rng = np.random.default_rng(seed)
+    delta = scale * _random_selfadjoint(sp, rng).mat
+    a = rng.uniform(0.5, 2.0) * sp.canonical_unit()  # splits along every family
+    M = ratio_calculus._solve_selfadjoint_derivation(sp, a, delta @ a)
+    assert M is not None and is_derivation(sp, M)
+    r = ratio_calculus.ratio_from_pair(sp, delta @ a, a, max_den=64)
+    assert np.array_equal(r.antecedent, M.mat @ a)
 
 
 def test_compose_outside_der_skips_the_witness_search(monkeypatch):

@@ -1,8 +1,9 @@
 """The polyhedral projection's numpy active set, cone_space.nnls, against
 scipy.optimize.nnls, the solver it replaced, imported here as a reference:
 coefficients, residual norms and projections on the n-gon cones (3 to 13,
-101 and 601) and on rotated orthants in R^2 to R^32; Moreau's conditions on
-its projections at generic sizes; and its iteration cap."""
+101 and 601) and on rotated orthants in R^2 to R^32; the closed-form
+projection of cones in R^3 against both on random cones; Moreau's
+conditions on the projections at generic sizes; and the iteration cap."""
 
 import functools
 from fractions import Fraction
@@ -13,8 +14,9 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eudoxus.cone_space import Membership, _face_band, nnls
+from eudoxus.cone_space import ConeSpace, Membership, _face_band, nnls
 from references import ngon_cone, rotated_orthant
+from test_polyhedral import r3_generators
 
 BAND = 1e-12
 
@@ -102,17 +104,54 @@ def test_nnls_and_project_match_scipy(kind, n):
             assert np.linalg.norm(sp.project(x) - R @ want) <= bound
 
 
-def test_project_keeps_a_point_of_the_cone_and_answers_its_negative_at_once(monkeypatch):
+@given(G=r3_generators(), seed=st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_r3_projection_matches_nnls_and_scipy(G, seed):
+    # the nearest face shadow is the projection onto any pointed cone in R^3;
+    # project refuses a cone that is not self-dual, so most of these cones
+    # are read through the hook it calls for a point outside the facets
+    sp = ConeSpace.polyhedral(list(G.T))
+    R, D = sp._rays, sp.dual_generators
+    for x in _points(sp, seed):
+        if np.min(x @ D) >= 0.0:
+            continue
+        bound = BAND * max(1.0, np.linalg.norm(x))
+        p = sp._project_outside(x)
+        assert np.linalg.norm(p - R @ scipy.optimize.nnls(R, x)[0]) <= bound
+        want = R @ nnls(R, x)[0]
+        if np.linalg.norm(want - x) > np.linalg.norm(p - x) + bound:
+            # the active set stops early on some points within 1e-5 of a
+            # wide cone (an n-gon at h = 1e-6), whose duals there are
+            # round-off sized; its point is then farther from x than the
+            # closed form's, which is scipy's
+            continue
+        assert np.linalg.norm(p - want) <= bound
+
+
+def _jordan_parts_of_an_interior_point(monkeypatch, sp):
+    """jordan_decompose of an interior point of sp, and the nnls calls it made."""
     from eudoxus import cone_space
 
-    sp = _cone("ngon", 7)
     calls = []
     monkeypatch.setattr(cone_space, "nnls", lambda *a: calls.append(a) or nnls(*a))
     x = sp.sample_interior_point(np.random.default_rng(0))
-    xp, xm = sp.jordan_decompose(x)
+    return x, sp.jordan_decompose(x), calls
+
+
+def test_project_keeps_a_point_of_the_cone_and_answers_its_negative_at_once(monkeypatch):
+    x, (xp, xm), calls = _jordan_parts_of_an_interior_point(monkeypatch, _cone("rotated", 4))
     # x itself, and -x (R^T x <= 0) by the active set's first dual test
     assert np.array_equal(xp, x) and not np.any(xm)
     assert len(calls) == 1 and np.array_equal(calls[0][1], -x)
+
+
+@pytest.mark.parametrize("n", [3, 7, 601])
+def test_project_in_r3_keeps_a_point_of_the_cone_and_answers_its_negative_without_nnls(
+        monkeypatch, n):
+    x, (xp, xm), calls = _jordan_parts_of_an_interior_point(monkeypatch, _cone("ngon", n))
+    # x itself, and -x by the ray shadows, which are all 0
+    assert np.array_equal(xp, x) and not np.any(xm)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind,n", [("ngon", 5), ("ngon", 13), ("ngon", 601),

@@ -1,5 +1,6 @@
-"""Polyhedral cones built from one double-description facet table, against
-the brute-force references they replaced and against Qhull, which built the
+"""Polyhedral cones built from their facet table (the angular order of the
+extreme rays in R^3, a double description elsewhere), against the
+brute-force references they replaced and against Qhull, which built the
 table before (scipy.spatial.ConvexHull, imported here as a reference)."""
 
 import importlib.util
@@ -203,6 +204,82 @@ def test_the_constructor_tables_are_the_standalone_ones():
         assert np.array_equal(sp.dual_generators, D)
         assert np.array_equal(sp._rays, R[:, keep]) and np.array_equal(sp._incidence, T[keep])
         assert sp._key == ("polyhedral", sp._rays.shape, R[:, keep].tobytes())
+
+
+@st.composite
+def r3_generators(draw):
+    """Generator columns of pointed cones in R^3, 3 to 60 of them: random
+    directions in the half-space x_0 > 0 or wide n-gons (height h down to
+    1e-6), turned at random, with repeated generators (positive multiples),
+    interior ones (positive combinations of three) and ones on an edge of
+    the section (positive combinations of the two generators on one facet)
+    mixed in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    m = draw(st.integers(3, 54))
+    if draw(st.booleans()):
+        G = rng.standard_normal((3, m))
+        G[0] = np.abs(G[0]) + draw(st.sampled_from([0.05, 0.3, 1.0]))
+    else:
+        G = _ngon(m, 10.0 ** -draw(st.integers(0, 6)))
+    repeated, inside, on_edge = (draw(st.integers(0, 2)) for _ in range(3))
+    R = _unit_columns(G)
+    P = qhull_dual_generators(G).T @ R
+    edges = [np.argsort(P[j])[:2] for j in rng.integers(0, len(P), on_edge)]
+    extra = ([rng.uniform(0.5, 4.0) * G[:, rng.integers(0, m)] for _ in range(repeated)]
+             + [G[:, rng.integers(0, m, 3)] @ rng.exponential(size=3) for _ in range(inside)]
+             + [G[:, e] @ rng.uniform(0.1, 1.0, 2) for e in edges])
+    G = np.column_stack([G, *extra]) if extra else G
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q @ G[:, rng.permutation(G.shape[1])]
+
+
+def _double_description_table(R):
+    """_double_description's facets, as _facet_table keeps them."""
+    D = cone_space._double_description(R).T
+    T = cone_space._incidence(R, D)
+    first = cone_space._first_distinct(T.T)
+    return D[:, first], T[:, first]
+
+
+@given(G=r3_generators())
+@settings(max_examples=200, deadline=None)
+def test_r3_facets_match_qhull_and_the_double_description(G):
+    R = _unit_columns(G)
+    D, T = cone_space._facet_table(R)
+    want, want_T = _double_description_table(R)
+    assert _same_unit_vectors(D, want, tol=1e-12)
+    order = np.argmin(np.linalg.norm(D[:, :, None] - want[:, None, :], axis=0), axis=1)
+    assert np.array_equal(T, want_T[:, order])
+    assert _same_unit_vectors(D, qhull_dual_generators(G))
+
+
+NGONS = [3, 5, 7, 9, 11, 13, 101, 601]
+
+
+def test_r3_cones_take_no_double_description_and_no_nnls(monkeypatch, tmp_path, capsys):
+    # the n-gons take the angular facets and the closed-form projection;
+    # rotated orthants in R^4 and up still take both general paths
+    calls = []
+    for name in ("_double_description", "nnls"):
+        real = getattr(cone_space, name)
+        monkeypatch.setattr(cone_space, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    rng = np.random.default_rng(0)
+    for n in NGONS:
+        sp = _cone(_ngon(n))
+        assert _analyze_lines(tmp_path, capsys, sp)[0] == (0 if n == 3 else 1)
+        for x in rng.standard_normal((4, 3)):
+            sp.project(x)
+            sp.jordan_decompose(x)
+    assert calls == []
+    for d in (4, 6):
+        sp = _cone(_rotated_orthant(d))
+        x = rng.standard_normal(d)
+        while sp.contains(x) or sp.contains(-x):
+            x = rng.standard_normal(d)
+        sp.project(x)
+        assert calls == ["_double_description", "nnls"]
+        calls.clear()
 
 
 def _plain_presentations():
